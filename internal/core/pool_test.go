@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -220,6 +221,10 @@ func TestSessionPoolGangCounters(t *testing.T) {
 	if err := fresh.SortUniform(sortInput(n, 3), Word(n)); err != nil {
 		t.Fatal(err)
 	}
+	// The reference runs at the default gang width: close it so its
+	// resident gang does not count against the leak check below.
+	want := fresh.Stats()
+	fresh.Close()
 
 	p := &SessionPool{
 		Workers: 4,
@@ -238,8 +243,8 @@ func TestSessionPoolGangCounters(t *testing.T) {
 			t.Fatal("gang-width sort produced unsorted output")
 		}
 	}
-	if s.Stats() != fresh.Stats() {
-		t.Errorf("gang-width pooled stats %v, want %v", s.Stats(), fresh.Stats())
+	if s.Stats() != want {
+		t.Errorf("gang-width pooled stats %v, want %v", s.Stats(), want)
 	}
 	p.Release(s)
 
@@ -326,4 +331,81 @@ func TestSessionPoolEventHook(t *testing.T) {
 		t.Fatal("reused lease lost the EventHook across Reset")
 	}
 	p.Release(s2)
+}
+
+// TestSessionPoolCrossLeaseZero: a lease that wrote near the top of its
+// capacity — through an engine step and through a host store — hands
+// the next lease of that shape memory that reads zero there, and that
+// lease charges and leaves exactly what a fresh session does.
+func TestSessionPoolCrossLeaseZero(t *testing.T) {
+	const capWords = 1 << 14
+	p := NewSessionPool()
+	defer p.Close()
+	s := p.Acquire(QRQW, capWords, 7)
+	m := s.Machine()
+	if err := m.ParDo(16, func(c *machine.Ctx, i int) { c.Write(capWords-1-i, Word(i+1)) }); err != nil {
+		t.Fatal(err)
+	}
+	m.Store(capWords-64, []Word{5, 6, 7})
+	p.Release(s)
+
+	r := p.Acquire(QRQW, capWords, 42)
+	if r != s {
+		t.Fatal("same-shape Acquire did not reuse the released session")
+	}
+	for a := capWords - 64; a < capWords; a++ {
+		if v := r.Machine().Word(a); v != 0 {
+			t.Fatalf("reused lease reads %d at %d, want 0", v, a)
+		}
+	}
+	if _, err := r.RandomPermutation(300); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewSession(QRQW, capWords, WithSeed(42))
+	defer fresh.Close()
+	if _, err := fresh.RandomPermutation(300); err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats() != fresh.Stats() {
+		t.Errorf("reused lease stats %v, want %v", r.Stats(), fresh.Stats())
+	}
+	rm, fm := r.Machine(), fresh.Machine()
+	if rm.MemWords() != fm.MemWords() {
+		t.Fatalf("reused lease capacity %d, fresh %d", rm.MemWords(), fm.MemWords())
+	}
+	got, want := rm.LoadWords(0, rm.MemWords()), fm.LoadWords(0, fm.MemWords())
+	for a := range want {
+		if got[a] != want[a] {
+			t.Fatalf("reused lease mem[%d] = %d, fresh %d", a, got[a], want[a])
+		}
+	}
+	p.Release(r)
+}
+
+// BenchmarkSessionRelease measures SessionPool.Release (and the
+// re-Acquire that hands the session back) after a lease wrote a given
+// number of words. Reset clears only up to the machine's dirty mark, so
+// at 1k words written the cost is flat across capacity; at capacity
+// written it scales with the words cleared.
+func BenchmarkSessionRelease(b *testing.B) {
+	for _, capWords := range []int{1 << 14, 1 << 20, 1 << 21} {
+		for _, written := range []int{1 << 10, capWords} {
+			name := fmt.Sprintf("cap=%dk/written=%dk", capWords>>10, written>>10)
+			b.Run(name, func(b *testing.B) {
+				p := &SessionPool{Workers: 1}
+				defer p.Close()
+				s := p.Acquire(QRQW, capWords, 1)
+				b.ResetTimer()
+				for range b.N {
+					b.StopTimer()
+					s.Machine().Fill(0, written, 1)
+					b.StartTimer()
+					p.Release(s)
+					s = p.Acquire(QRQW, capWords, 1)
+				}
+				b.StopTimer()
+				p.Release(s)
+			})
+		}
+	}
 }

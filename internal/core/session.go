@@ -73,7 +73,9 @@ func (s *Session) SetExecEventHook(fn func(machine.ExecEvent)) { s.m.SetExecEven
 // Reset returns the session to a pristine state — memory zeroed,
 // allocations released, stats cleared — while keeping every backing
 // array allocated, so a session can be reused across algorithm runs
-// without paying allocation again.
+// without paying allocation again. Zeroing costs O(words written), not
+// O(capacity): the machine clears only up to its dirty high-water mark,
+// above which every word is already zero (see machine.Machine.Reset).
 func (s *Session) Reset() { s.m.Reset() }
 
 // Reseed replaces the machine's base random seed. Combined with Reset it

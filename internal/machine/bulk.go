@@ -1234,8 +1234,12 @@ func markOverlaps(items []bulkItem) {
 	}
 }
 
-// applyDesc applies an analytically settled write descriptor to memory.
+// applyDesc applies an analytically settled write descriptor to memory
+// and raises the dirty mark over it (descriptor settlement is serial).
+// hi bounds every cell of every descriptor shape, index lists included:
+// recording takes it from the list's maximum, as markOverlaps requires.
 func (m *Machine) applyDesc(d *bulkDesc) {
+	m.dirty = max(m.dirty, d.hi+1)
 	switch {
 	case d.stride == 0:
 		if d.kind == bulkFill {

@@ -173,6 +173,7 @@ func TestBulkPropertyAllModels(t *testing.T) {
 				} else {
 					err = runSpecBulk(m, p, ops)
 				}
+				checkDirtySound(t, m)
 				o := outcome{st: m.Stats(), mem: fmt.Sprint(m.LoadWords(0, memN))}
 				if err != nil {
 					o.err = err.Error()
@@ -318,6 +319,7 @@ func TestBulkCtxPropertyAllModels(t *testing.T) {
 					}
 					c.Write(sum+i, acc)
 				})
+				checkDirtySound(t, m)
 				errs := ""
 				if err != nil {
 					errs = err.Error()

@@ -1,0 +1,232 @@
+package machine
+
+import "testing"
+
+// checkDirtySound fails t unless the dirty high-water mark is sound:
+// every word of mem at or above it is zero. It scans the whole capacity
+// on purpose — the O(capacity) check the mark lets Reset skip.
+func checkDirtySound(t testing.TB, m *Machine) {
+	t.Helper()
+	if m.dirty < 0 || m.dirty > len(m.mem) {
+		t.Fatalf("dirty mark %d outside 0..%d", m.dirty, len(m.mem))
+	}
+	for a := m.dirty; a < len(m.mem); a++ {
+		if m.mem[a] != 0 {
+			t.Fatalf("mem[%d] = %d at or above the dirty mark %d", a, m.mem[a], m.dirty)
+		}
+	}
+}
+
+// checkResetClean resets m and checks that every word reads zero and
+// the mark is back at zero.
+func checkResetClean(t testing.TB, m *Machine) {
+	t.Helper()
+	m.Reset()
+	if m.dirty != 0 {
+		t.Fatalf("dirty mark %d after Reset, want 0", m.dirty)
+	}
+	for a, v := range m.mem {
+		if v != 0 {
+			t.Fatalf("mem[%d] = %d after Reset", a, v)
+		}
+	}
+}
+
+// checkDirtyMark checks soundness and that the mark is exactly want: a
+// mark above the highest written address would still be sound but would
+// make Reset pay for words nobody wrote.
+func checkDirtyMark(t testing.TB, m *Machine, want int) {
+	t.Helper()
+	checkDirtySound(t, m)
+	if m.dirty != want {
+		t.Fatalf("dirty mark = %d, want %d", m.dirty, want)
+	}
+}
+
+func TestDirtyMarkSerialStep(t *testing.T) {
+	m := New(QRQW, 1<<12, WithWorkers(1))
+	if m.dirty != 0 {
+		t.Fatalf("fresh machine dirty mark = %d, want 0", m.dirty)
+	}
+	if err := m.ParDo(8, func(c *Ctx, i int) { c.Write(3000+i, Word(i+1)) }); err != nil {
+		t.Fatal(err)
+	}
+	checkDirtyMark(t, m, 3008)
+	// A later step writing lower addresses never lowers the mark.
+	if err := m.ParDo(4, func(c *Ctx, i int) { c.Write(i, 9) }); err != nil {
+		t.Fatal(err)
+	}
+	checkDirtyMark(t, m, 3008)
+	checkResetClean(t, m)
+}
+
+// TestDirtyMarkGangFastPath drives disjoint gang-width steps, which
+// members settle locally in parallel with a per-member mark.
+func TestDirtyMarkGangFastPath(t *testing.T) {
+	m := New(QRQW, 1<<16, WithWorkers(4), WithTuning(Tuning{Fixed: true}))
+	defer m.Free()
+	p := 4 * serialCutoff
+	if err := m.ParDo(p, func(c *Ctx, i int) { c.Write(1000+3*i, Word(i+1)) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, fused, _ := m.GangStats(); fused != 1 {
+		t.Fatalf("fused settles = %d, want 1 (step must take the gang fast path)", fused)
+	}
+	checkDirtyMark(t, m, 1000+3*(p-1)+1)
+	checkResetClean(t, m)
+}
+
+// TestDirtyMarkSharded drives the sharded settlement with contended
+// writes, serially (noFastPath) and across gang members, so both the
+// parallel sole-writer apply and the serial arbitration raise the mark.
+func TestDirtyMarkSharded(t *testing.T) {
+	const top = 1<<16 - 1
+	for _, workers := range []int{1, 4} {
+		m := New(CRCW, 1<<16, WithWorkers(workers), WithTuning(Tuning{Fixed: true}))
+		m.noFastPath = true
+		p := 4 * serialCutoff
+		// Sole writers fill the top p cells of memory, so only their
+		// (parallel) apply can raise the mark that high; the 64 cells at
+		// 10000.. take p/64 contending writers each.
+		err := m.ParDo(p, func(c *Ctx, i int) {
+			c.Write(10000+i%64, Word(i+1))
+			c.Write(top-i, Word(i+1))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDirtyMark(t, m, top+1)
+		// The highest-indexed writer wins each contended cell.
+		if got, want := m.Word(10000), Word(p-64+1); got != want {
+			t.Errorf("workers=%d: arbitrated cell = %d, want %d", workers, got, want)
+		}
+		checkResetClean(t, m)
+
+		// Contended writes alone: the mark comes only from arbitration.
+		err = m.ParDo(p, func(c *Ctx, i int) { c.Write(20000+i%8, Word(i+1)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDirtyMark(t, m, 20008)
+		checkResetClean(t, m)
+		m.Free()
+	}
+}
+
+// TestDirtyMarkViolation: a step that violates the model has still
+// applied its writes, so the mark must cover them.
+func TestDirtyMarkViolation(t *testing.T) {
+	m := New(EREW, 1<<12)
+	err := m.ParDo(8, func(c *Ctx, i int) { c.Write(2000, Word(i+1)) })
+	if err == nil {
+		t.Fatal("EREW concurrent write did not violate")
+	}
+	checkDirtySound(t, m)
+	checkResetClean(t, m)
+}
+
+// TestDirtyMarkDescriptors covers the analytically settled descriptor
+// shapes (applyDesc) and an expanded one, each on a fresh machine so
+// the mark is exactly the descriptor's highest cell.
+func TestDirtyMarkDescriptors(t *testing.T) {
+	vals := func(n int) []Word {
+		v := make([]Word, n)
+		for i := range v {
+			v[i] = Word(i + 1)
+		}
+		return v
+	}
+	cases := []struct {
+		name     string
+		p        int
+		build    func(b *Bulk)
+		want     int
+		expanded bool
+	}{
+		{"fill-stride-1", 16, func(b *Bulk) { b.FillRange(100, 16, 1, 0, 1, 7) }, 116, false},
+		{"fill-strided", 16, func(b *Bulk) { b.FillRange(100, 16, 3, 0, 1, 7) }, 100 + 3*15 + 1, false},
+		{"write-stride-1", 16, func(b *Bulk) { b.WriteRange(200, 16, 1, 0, 1, vals(16)) }, 216, false},
+		{"write-strided", 8, func(b *Bulk) { b.WriteRange(200, 16, 5, 0, 2, vals(16)) }, 200 + 5*15 + 1, false},
+		{"scatter-sorted", 4, func(b *Bulk) { b.Scatter([]int{5, 90, 400, 901}, 0, 1, vals(4)) }, 902, false},
+		{"scatter-per-proc", 2, func(b *Bulk) { b.Scatter([]int{3, 9, 650, 700}, 0, 2, vals(4)) }, 701, false},
+		{"scatter-unsorted", 4, func(b *Bulk) { b.Scatter([]int{901, 5, 400, 90}, 0, 1, vals(4)) }, 902, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(QRQW, 1<<10)
+			b := m.Bulk(tc.p, tc.name)
+			tc.build(b)
+			if err := b.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if descs, exp := m.BulkStats(); descs == 0 || (exp > 0) != tc.expanded {
+				t.Fatalf("descriptors=%d expanded=%d, want expanded=%v", descs, exp, tc.expanded)
+			}
+			checkDirtyMark(t, m, tc.want)
+			checkResetClean(t, m)
+		})
+	}
+
+	// Ctx-level descriptors settle through the same paths.
+	m := New(QRQW, 1<<10)
+	err := m.ParDo(4, func(c *Ctx, i int) {
+		c.WriteRange(100*i, 10, 1, vals(10))
+		c.Scatter([]int{500 + i, 600 + 2*i}, []Word{1, 2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDirtyMark(t, m, 607)
+	checkResetClean(t, m)
+}
+
+func TestDirtyMarkHostWrites(t *testing.T) {
+	m := New(QRQW, 1<<10)
+	m.SetWord(300, 1)
+	checkDirtyMark(t, m, 301)
+	m.Store(400, []Word{1, 2, 3})
+	checkDirtyMark(t, m, 403)
+	m.Fill(900, 10, 0) // zero fill keeps the invariant without raising the mark
+	checkDirtyMark(t, m, 403)
+	m.Fill(500, 10, 4)
+	checkDirtyMark(t, m, 510)
+	checkResetClean(t, m)
+
+	s := New(ScanQRQW, 1<<10)
+	s.Fill(0, 8, 1)
+	if err := s.ScanStep(ScanAdd, 0, 700, 8); err != nil {
+		t.Fatal(err)
+	}
+	checkDirtyMark(t, s, 708)
+	checkResetClean(t, s)
+
+	f := New(FetchAdd, 1<<10)
+	if _, err := f.FetchAddStep([]FAOp{{Addr: 800, Delta: 2}, {Addr: 20, Delta: 1}, {Addr: 800, Delta: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	checkDirtyMark(t, f, 801)
+	checkResetClean(t, f)
+}
+
+// TestDirtyMarkGrowth: growth copies only the words below the mark,
+// which must keep everything written, and Release re-zeroes a scratch
+// region without breaking the invariant.
+func TestDirtyMarkGrowth(t *testing.T) {
+	m := New(QRQW, 64)
+	m.SetWord(10, 7)
+	m.Alloc(200) // grows past the initial capacity
+	if m.MemWords() < 200 || m.Word(10) != 7 {
+		t.Fatalf("growth lost data: cap %d word %d", m.MemWords(), m.Word(10))
+	}
+	checkDirtyMark(t, m, 11)
+
+	mark := m.Mark()
+	r := m.Alloc(32)
+	m.Fill(r, 32, 5)
+	m.Release(mark)
+	checkDirtySound(t, m)
+	if m.Word(r) != 0 {
+		t.Fatal("Release did not zero the released region")
+	}
+	checkResetClean(t, m)
+}

@@ -34,6 +34,7 @@ func (m *Machine) FetchAddStep(ops []FAOp) ([]Word, error) {
 		m.checkAddr(op.Addr)
 		out[i] = m.mem[op.Addr]
 		m.mem[op.Addr] += op.Delta
+		m.dirty = max(m.dirty, op.Addr+1)
 	}
 	m.stats.Steps++
 	m.stats.Time++

@@ -62,6 +62,12 @@ type Machine struct {
 	countsW []int32 // per-cell write-contention scratch (zero between steps)
 	brk     int     // bump-allocation watermark
 
+	// dirty is the memory high-water mark: every word of mem at or above
+	// it is zero. Every write path raises it (settlement folds the
+	// workers' local marks in mergeAndCharge), so Reset clears only
+	// mem[:dirty] and costs the words a run wrote, not the capacity.
+	dirty int
+
 	maxWorkers int
 	pool       []*worker
 
@@ -267,8 +273,9 @@ func (m *Machine) growTo(n int) {
 	if c := 2 * len(m.mem); n < c {
 		n = c
 	}
+	// Words at or above the dirty mark are zero, as is the new array.
 	mem := make([]Word, n)
-	copy(mem, m.mem)
+	copy(mem, m.mem[:m.dirty])
 	m.mem = mem
 	// The contention scratch is zero between steps (settlement resets
 	// every touched counter), so growing it never needs to preserve
@@ -314,6 +321,7 @@ func (m *Machine) Word(addr int) Word {
 func (m *Machine) SetWord(addr int, v Word) {
 	m.checkAddr(addr)
 	m.mem[addr] = v
+	m.dirty = max(m.dirty, addr+1)
 }
 
 // Store copies vals into shared memory starting at base. Host-side
@@ -323,6 +331,7 @@ func (m *Machine) Store(base int, vals []Word) {
 		panic(fmt.Sprintf("machine: Store [%d,%d) out of range 0..%d", base, base+len(vals), len(m.mem)))
 	}
 	copy(m.mem[base:], vals)
+	m.dirty = max(m.dirty, base+len(vals))
 }
 
 // LoadWords copies n words starting at base out of shared memory.
@@ -354,6 +363,7 @@ func (m *Machine) Fill(base, n int, v Word) {
 	for i := range n {
 		m.mem[base+i] = v
 	}
+	m.dirty = max(m.dirty, base+n)
 }
 
 // ResetStats zeroes the accumulated statistics, trace, and sticky error
@@ -383,8 +393,14 @@ func (m *Machine) ResetStats() {
 // reuse one Machine across algorithm runs without reallocating, and the
 // reason pooled sessions can never leak a previous run's trace or
 // tracing cost.
+//
+// Zeroing costs O(words written), not O(capacity): every word at or
+// above the machine's dirty high-water mark is already zero, so Reset
+// clears only the words below it — the span from address zero to the
+// highest address any step, scan, fetch&add or host store wrote.
 func (m *Machine) Reset() {
-	clear(m.mem)
+	clear(m.mem[:m.dirty])
+	m.dirty = 0
 	m.brk = 0
 	m.DisableProfiling()
 	m.ResetStats()
@@ -402,7 +418,7 @@ func (m *Machine) Reset() {
 func (m *Machine) Free() {
 	m.retireGang() // synchronously: no resident goroutines survive Free
 	m.mem, m.countsR, m.countsW = nil, nil, nil
-	m.brk = 0
+	m.brk, m.dirty = 0, 0
 	for _, w := range m.pool {
 		putWorker(w)
 	}

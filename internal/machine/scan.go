@@ -40,6 +40,7 @@ func (m *Machine) ScanStep(kind ScanKind, src, dst, n int) error {
 		panic("machine: ScanStep out of range")
 	}
 	m.stepIndex++
+	m.dirty = max(m.dirty, dst+n)
 	switch kind {
 	case ScanAdd:
 		var acc Word

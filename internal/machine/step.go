@@ -42,6 +42,12 @@ type worker struct {
 	// proof is independent of which member ran which chunk.
 	rLo, rHi, wLo, wHi int
 
+	// dirtyHi is one past the highest address this shard's settlement
+	// wrote to memory this step. Kept per shard so parallel settlement
+	// never shares it; mergeAndCharge folds it into the machine's dirty
+	// mark. (wHi cannot serve: the gang resets it around every chunk.)
+	dirtyHi int
+
 	// descs holds the step's bulk access descriptors (see bulk.go);
 	// snapVals/snapIdx are the snapshot arenas descriptor payloads point
 	// into, retBuf the arena for values returned to processor bodies,
@@ -128,6 +134,7 @@ func (w *worker) reset() {
 	w.writes = w.writes[:0]
 	w.rLo, w.rHi = math.MaxInt, -1
 	w.wLo, w.wHi = math.MaxInt, -1
+	w.dirtyHi = 0
 	w.descs = w.descs[:0]
 	w.snapVals = w.snapVals[:0]
 	w.snapIdx = w.snapIdx[:0]
@@ -467,6 +474,9 @@ func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bul
 	var simdCount int64
 	simdProc := math.MaxInt
 	for _, w := range workers {
+		// Fold the settled writes into the dirty mark first: memory has
+		// changed even if the step turns out to be a model violation.
+		m.dirty = max(m.dirty, w.dirtyHi)
 		if w.maxOps > maxOps {
 			maxOps = w.maxOps
 		}
@@ -586,6 +596,7 @@ func (w *worker) settleLocal(m *Machine) {
 			w.maxW, w.maxWAddr = c, op.addr
 		}
 		m.mem[op.addr] = op.val
+		w.dirtyHi = max(w.dirtyHi, op.addr+1)
 	}
 	if m.hotK > 0 {
 		w.collectHot(m)
@@ -631,6 +642,7 @@ func (m *Machine) settleSharded(nw int, workers []*worker) {
 			}
 			if m.countsW[op.addr] == 1 {
 				m.mem[op.addr] = op.val
+				w.dirtyHi = max(w.dirtyHi, op.addr+1)
 			} else {
 				w.contended = append(w.contended, op)
 			}
@@ -660,6 +672,7 @@ func (m *Machine) settleSharded(nw int, workers []*worker) {
 		slices.SortStableFunc(cont, func(a, b writeOp) int { return cmp.Compare(a.proc, b.proc) })
 		for _, op := range cont {
 			m.mem[op.addr] = op.val
+			m.dirty = max(m.dirty, op.addr+1)
 		}
 	}
 	m.contScratch = cont[:0]
