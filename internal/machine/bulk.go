@@ -51,7 +51,7 @@ func (k bulkKind) isWrite() bool { return k == bulkWrite || k == bulkFill }
 
 // bulkDesc is one recorded bulk access. For cell-bearing kinds the count
 // cells are lo, lo+stride, ..., (stride >= 1), the single cell lo
-// accessed count times (stride == 0), or the explicit idx list
+// accessed count times (stride == 0), or the explicit list off+idx[k]
 // (stride == -1). Cell k belongs to processor proc + k/perProc. Charge
 // kinds carry no cells: count processors starting at proc are charged
 // fill operations each.
@@ -66,14 +66,17 @@ type bulkDesc struct {
 	proc    int // first processor
 	perProc int // cells per processor (cell-bearing kinds)
 	idx     []int
+	off     int // added to every idx entry (base-relative lists; 0 otherwise)
 	vals    []Word
 	fill    Word // fill value, or the per-processor amount for charge kinds
 	// Residue certificate (GatherMod/ScatterMod): every address is
 	// congruent, modulo the power of two mod, to a value in the cyclic
-	// interval [rlo, rlo+rlen). Verified at recording; mod == 0 when
-	// absent. Two certified lists with one modulus and disjoint residue
-	// intervals cannot share a cell, settling the overlap question in
-	// O(1) where a merge scan of the index lists would be O(count).
+	// interval [rlo, rlo+rlen). Recording verifies it on the positions
+	// (every idx entry lies in [0, rlen) mod mod) and stores rlo = off
+	// mod mod; mod == 0 when absent. Two certified lists with one
+	// modulus and disjoint residue intervals cannot share a cell,
+	// settling the overlap question in O(1) where a merge scan of the
+	// index lists would be O(count).
 	mod, rlo, rlen int
 	// rPos/wPos are the scalar-buffer lengths at recording time: the
 	// positions where this descriptor's elements belong if settlement
@@ -98,7 +101,7 @@ func (d *bulkDesc) addrAt(k int) int {
 	case d.stride == 0:
 		return d.lo
 	default:
-		return d.idx[k]
+		return d.off + d.idx[k]
 	}
 }
 
@@ -114,10 +117,10 @@ func (d *bulkDesc) covers(addr int) bool {
 		return true // addr == lo given the interval check
 	default:
 		if d.sorted {
-			_, ok := slices.BinarySearch(d.idx, addr)
+			_, ok := slices.BinarySearch(d.idx, addr-d.off)
 			return ok
 		}
-		return slices.Contains(d.idx, addr)
+		return slices.Contains(d.idx, addr-d.off)
 	}
 }
 
@@ -127,7 +130,7 @@ func (d *bulkDesc) elemIndex(addr int) int {
 	if d.stride >= 1 {
 		return (addr - d.lo) / d.stride
 	}
-	k, _ := slices.BinarySearch(d.idx, addr)
+	k, _ := slices.BinarySearch(d.idx, addr-d.off)
 	return k
 }
 
@@ -176,15 +179,15 @@ func descsOverlap(a, b *bulkDesc) bool {
 			!cyclicIntervalsMeet(a.rlo, a.rlen, b.rlo, b.rlen, a.mod) {
 			return false
 		}
-		return sortedListsIntersect(a.idx, b.idx)
+		return sortedListsIntersect(a.idx, a.off, b.idx, b.off)
 	}
 	l, s := a, b
 	if l.stride != -1 {
 		l, s = b, a
 	}
-	i, _ := slices.BinarySearch(l.idx, s.lo)
-	for ; i < len(l.idx) && l.idx[i] <= s.hi; i++ {
-		if s.covers(l.idx[i]) {
+	i, _ := slices.BinarySearch(l.idx, s.lo-l.off)
+	for ; i < len(l.idx) && l.off+l.idx[i] <= s.hi; i++ {
+		if s.covers(l.off + l.idx[i]) {
 			return true
 		}
 	}
@@ -197,14 +200,16 @@ func cyclicIntervalsMeet(r1, l1, r2, l2, m int) bool {
 	return (r2-r1)&(m-1) < l1 || (r1-r2)&(m-1) < l2
 }
 
-// sortedListsIntersect merge-scans two strictly ascending lists.
-func sortedListsIntersect(a, b []int) bool {
+// sortedListsIntersect merge-scans two strictly ascending lists, offset
+// by aoff and boff.
+func sortedListsIntersect(a []int, aoff int, b []int, boff int) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
+		x, y := aoff+a[i], boff+b[j]
 		switch {
-		case a[i] == b[j]:
+		case x == y:
 			return true
-		case a[i] < b[j]:
+		case x < y:
 			i++
 		default:
 			j++
@@ -546,6 +551,25 @@ type Bulk struct {
 	snapIdx  []int
 	scratch  []Word // Vals arena
 	ret      []Word // ReadRange/Gather copy-out arena
+	walks    []idxWalk
+}
+
+// walkKey identifies an index list and the contract it was walked
+// against. A list is keyed by its first element's address and its
+// length: it must stay unmodified until Commit, so within one step the
+// same key always names the same contents.
+type walkKey struct {
+	first                 *int
+	n, perProc, mod, rlen int
+}
+
+// idxWalk is the memoised offset-free validation of one index list:
+// ascent, residue certificate and per-processor distinctness checked,
+// and the list's relative bounds.
+type idxWalk struct {
+	key    walkKey
+	lo, hi int
+	asc    bool
 }
 
 // Bulk opens a descriptor-only step with p virtual processors: every
@@ -574,6 +598,7 @@ func (m *Machine) Bulk(p int, label string) *Bulk {
 	b.snapIdx = b.snapIdx[:0]
 	b.scratch = b.scratch[:0]
 	b.ret = b.ret[:0]
+	b.walks = b.walks[:0]
 	return b
 }
 
@@ -684,78 +709,37 @@ func (b *Bulk) Broadcast(addr, nprocs, procLo int) Word {
 // (buffer valid until the next Bulk). idx must stay unmodified until
 // Commit. Cells read by one processor must be distinct.
 func (b *Bulk) Gather(idx []int, procLo, perProc int) []Word {
-	return b.gather(idx, procLo, perProc, 0, 0, 0)
+	return b.gather(0, idx, procLo, perProc, 0, 0)
 }
 
-// GatherMod is Gather with a residue certificate: the caller asserts
-// every address is congruent, modulo mod (a power of two), to a value in
-// the cyclic interval [rlo, rlo+rlen). The certificate is verified
-// during recording (a violating address panics) and lets settlement
-// prove two certified lists with one modulus and disjoint residue
-// intervals cell-disjoint in O(1) instead of merge-scanning them.
-func (b *Bulk) GatherMod(idx []int, procLo, perProc, mod, rlo, rlen int) []Word {
-	checkResidueCert(mod, rlo, rlen)
-	return b.gather(idx, procLo, perProc, mod, rlo&(mod-1), rlen)
+// GatherMod is Gather over the base-relative list base+pos[k], with a
+// residue certificate: the caller asserts every pos[k] is congruent,
+// modulo mod (a power of two), to a value in [0, rlen), so every
+// address lies in the cyclic residue interval [base, base+rlen) mod
+// mod. The certificate is verified during recording (a violating
+// address panics) and lets settlement prove two certified lists with
+// one modulus and disjoint residue intervals cell-disjoint in O(1)
+// instead of merge-scanning them. One pos list may back any number of
+// descriptors of a step at different bases; it is walked once per step.
+func (b *Bulk) GatherMod(base int, pos []int, procLo, perProc, mod, rlen int) []Word {
+	checkResidueCert(mod, rlen)
+	return b.gather(base, pos, procLo, perProc, mod, rlen)
 }
 
-func (b *Bulk) gather(idx []int, procLo, perProc, mod, rlo, rlen int) []Word {
+func (b *Bulk) gather(base int, idx []int, procLo, perProc, mod, rlen int) []Word {
 	b.checkShape(len(idx), 1, procLo, perProc)
 	n := len(idx)
 	if n == 0 {
 		return nil
 	}
-	m := b.m
-	lo, hi, asc := b.walkIdx(idx, perProc, mod, rlo, rlen)
+	d := b.listDesc(bulkRead, base, idx, procLo, perProc, mod, rlen)
 	out := b.retSlice(n)
+	mem := b.m.mem
 	for k, a := range idx {
-		out[k] = m.mem[a]
+		out[k] = mem[base+a]
 	}
-	b.descs = append(b.descs, bulkDesc{
-		kind: bulkRead, sorted: asc,
-		lo: lo, hi: hi, stride: -1, count: n,
-		proc: procLo, perProc: perProc, idx: idx,
-		mod: mod, rlo: rlo, rlen: rlen,
-	})
+	b.descs = append(b.descs, d)
 	return out
-}
-
-// walkIdx validates an index list — addresses in range, residue
-// certificate honored, per-processor cells distinct — and returns its
-// bounds and whether it ascends strictly. An ascending list is bounded
-// by its ends, so only those two addresses need the range check.
-func (b *Bulk) walkIdx(idx []int, perProc, mod, rlo, rlen int) (lo, hi int, asc bool) {
-	m := b.m
-	n := len(idx)
-	asc = true
-	prev := idx[0]
-	for k := 1; k < n; k++ {
-		a := idx[k]
-		if a <= prev {
-			asc = false
-			break
-		}
-		prev = a
-	}
-	if asc {
-		lo, hi = idx[0], idx[n-1]
-		m.checkAddr(lo)
-		m.checkAddr(hi)
-	} else {
-		lo, hi = idx[0], idx[0]
-		for _, a := range idx {
-			m.checkAddr(a)
-			lo, hi = min(lo, a), max(hi, a)
-		}
-		b.checkPerProcDistinct(idx, perProc)
-	}
-	if mod != 0 {
-		for _, a := range idx {
-			if (a-rlo)&(mod-1) >= rlen {
-				panicResidueCert(a, mod, rlo, rlen)
-			}
-		}
-	}
-	return lo, hi, asc
 }
 
 // Scatter declares that processors procLo, procLo+1, ... write vals[k]
@@ -764,16 +748,17 @@ func (b *Bulk) walkIdx(idx []int, perProc, mod, rlo, rlen int) (lo, hi int, asc 
 // memory). Cells written by one processor must be distinct; conflicting
 // processors arbitrate to the highest index, as always.
 func (b *Bulk) Scatter(idx []int, procLo, perProc int, vals []Word) {
-	b.scatter(idx, procLo, perProc, vals, 0, 0, 0)
+	b.scatter(0, idx, procLo, perProc, vals, 0, 0)
 }
 
-// ScatterMod is Scatter with a residue certificate; see GatherMod.
-func (b *Bulk) ScatterMod(idx []int, procLo, perProc int, vals []Word, mod, rlo, rlen int) {
-	checkResidueCert(mod, rlo, rlen)
-	b.scatter(idx, procLo, perProc, vals, mod, rlo&(mod-1), rlen)
+// ScatterMod is Scatter over the base-relative list base+pos[k] with a
+// residue certificate on the positions; see GatherMod.
+func (b *Bulk) ScatterMod(base int, pos []int, procLo, perProc int, vals []Word, mod, rlen int) {
+	checkResidueCert(mod, rlen)
+	b.scatter(base, pos, procLo, perProc, vals, mod, rlen)
 }
 
-func (b *Bulk) scatter(idx []int, procLo, perProc int, vals []Word, mod, rlo, rlen int) {
+func (b *Bulk) scatter(base int, idx []int, procLo, perProc int, vals []Word, mod, rlen int) {
 	b.checkShape(len(idx), 1, procLo, perProc)
 	n := len(idx)
 	if len(vals) != n {
@@ -782,20 +767,81 @@ func (b *Bulk) scatter(idx []int, procLo, perProc int, vals []Word, mod, rlo, rl
 	if n == 0 {
 		return
 	}
-	lo, hi, asc := b.walkIdx(idx, perProc, mod, rlo, rlen)
-	b.descs = append(b.descs, bulkDesc{
-		kind: bulkWrite, sorted: asc,
-		lo: lo, hi: hi, stride: -1, count: n,
-		proc: procLo, perProc: perProc, idx: idx,
-		vals: b.snapIfMem(vals),
-		mod:  mod, rlo: rlo, rlen: rlen,
-	})
+	d := b.listDesc(bulkWrite, base, idx, procLo, perProc, mod, rlen)
+	d.vals = b.snapIfMem(vals)
+	b.descs = append(b.descs, d)
+}
+
+// listDesc validates the non-empty index list base+idx[k] and returns
+// its descriptor, payload unset. Each call range-checks the list's own
+// addresses — only the two ends of an ascending list, which bound it,
+// and every address otherwise — while the offset-free walk (ascent,
+// residue certificate, per-processor distinctness, relative bounds) is
+// memoised for the rest of the step, so a list shared by several
+// descriptors is walked once.
+func (b *Bulk) listDesc(kind bulkKind, base int, idx []int, procLo, perProc, mod, rlen int) bulkDesc {
+	key := walkKey{&idx[0], len(idx), perProc, mod, rlen}
+	var wk idxWalk
+	found := false
+	for i := range b.walks {
+		if b.walks[i].key == key {
+			wk, found = b.walks[i], true
+			break
+		}
+	}
+	if !found {
+		wk = walkIdx(key, base, idx)
+		b.walks = append(b.walks, wk)
+	}
+	m := b.m
+	if wk.asc {
+		m.checkAddr(base + wk.lo)
+		m.checkAddr(base + wk.hi)
+	} else {
+		for _, a := range idx {
+			m.checkAddr(base + a)
+		}
+	}
+	d := bulkDesc{
+		kind: kind, sorted: wk.asc,
+		lo: base + wk.lo, hi: base + wk.hi, stride: -1, count: len(idx),
+		proc: procLo, perProc: perProc, idx: idx, off: base,
+		mod: mod, rlen: rlen,
+	}
+	if mod != 0 {
+		d.rlo = base & (mod - 1)
+	}
+	return d
+}
+
+// walkIdx is the offset-free walk of an index list: it checks the
+// residue certificate (when key.mod != 0) and, for a list that does not
+// ascend strictly, per-processor distinctness, and returns the list's
+// relative bounds and ascent. base only names addresses in panics.
+func walkIdx(key walkKey, base int, idx []int) idxWalk {
+	mod, rlen := key.mod, key.rlen
+	asc := true
+	prev := idx[0]
+	for k, a := range idx {
+		if mod != 0 && a&(mod-1) >= rlen {
+			panicResidueCert(base+a, mod, base&(mod-1), rlen)
+		}
+		if k > 0 && a <= prev {
+			asc = false
+		}
+		prev = a
+	}
+	if asc {
+		return idxWalk{key: key, lo: idx[0], hi: idx[len(idx)-1], asc: true}
+	}
+	checkPerProcDistinct(base, idx, key.perProc)
+	return idxWalk{key: key, lo: slices.Min(idx), hi: slices.Max(idx)}
 }
 
 // checkResidueCert validates a GatherMod/ScatterMod certificate shape.
-func checkResidueCert(mod, rlo, rlen int) {
-	if mod <= 0 || mod&(mod-1) != 0 || rlen <= 0 || rlen > mod || rlo < 0 {
-		panic(fmt.Sprintf("machine: bulk residue certificate mod=%d rlo=%d rlen=%d", mod, rlo, rlen))
+func checkResidueCert(mod, rlen int) {
+	if mod <= 0 || mod&(mod-1) != 0 || rlen <= 0 || rlen > mod {
+		panic(fmt.Sprintf("machine: bulk residue certificate mod=%d rlen=%d", mod, rlen))
 	}
 }
 
@@ -900,10 +946,10 @@ func (b *Bulk) snapIfMem(vals []Word) []Word {
 }
 
 // checkPerProcDistinct enforces the distinct-cells-per-processor
-// contract for unsorted index lists (sorted lists are distinct by
-// ascent; a violation would silently miscount contention, so it is a
-// programming error worth a panic).
-func (b *Bulk) checkPerProcDistinct(idx []int, perProc int) {
+// contract for unsorted index lists base+idx[k] (sorted lists are
+// distinct by ascent; a violation would silently miscount contention,
+// so it is a programming error worth a panic).
+func checkPerProcDistinct(base int, idx []int, perProc int) {
 	if perProc == 1 {
 		return
 	}
@@ -912,7 +958,7 @@ func (b *Bulk) checkPerProcDistinct(idx []int, perProc int) {
 		for i := g; i < e; i++ {
 			for j := i + 1; j < e; j++ {
 				if idx[i] == idx[j] {
-					panic(fmt.Sprintf("machine: bulk index list repeats cell %d within one processor", idx[i]))
+					panic(fmt.Sprintf("machine: bulk index list repeats cell %d within one processor", base+idx[i]))
 				}
 			}
 		}
@@ -1265,8 +1311,9 @@ func (m *Machine) applyDesc(d *bulkDesc) {
 			m.mem[d.lo+k*d.stride] = d.vals[k]
 		}
 	default:
+		mem, off, vals := m.mem, d.off, d.vals[:len(d.idx)]
 		for k, a := range d.idx {
-			m.mem[a] = d.vals[k]
+			mem[off+a] = vals[k]
 		}
 	}
 }

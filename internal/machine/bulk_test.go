@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lowcontend/internal/xrand"
@@ -458,5 +459,149 @@ func BenchmarkDedupe(bb *testing.B) {
 			}
 			bb.ReportMetric(float64(bb.Elapsed().Nanoseconds())/float64(bb.N)/float64(k), "ns/access")
 		})
+	}
+}
+
+// panicMsg runs f and returns its panic message ("" if it returned).
+func panicMsg(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestBulkCertifiedListChecks covers the recording-time validation of
+// base-relative certified lists: the residue certificate, the range of
+// each descriptor's own ends even when the list's walk is memoised, a
+// second list of the same length walked on its own, and the memo reset
+// at the next Bulk.
+func TestBulkCertifiedListChecks(t *testing.T) {
+	m := New(QRQW, 64)
+	vals := []Word{1, 2, 3}
+	wantPanic := func(name, want string, f func()) {
+		t.Helper()
+		msg := panicMsg(f)
+		if msg == "" {
+			t.Errorf("%s: did not panic", name)
+		} else if !strings.Contains(msg, want) {
+			t.Errorf("%s: panic %q, want it to mention %q", name, msg, want)
+		}
+	}
+
+	// Position 2 has residue 2 mod 4, outside [0, 2): the panic names
+	// the absolute address 10+2.
+	b := m.Bulk(4, "cert")
+	wantPanic("gather certificate", "index 12 breaks", func() { b.GatherMod(10, []int{0, 1, 2}, 0, 1, 4, 2) })
+	_ = b.Commit()
+	b = m.Bulk(4, "cert")
+	wantPanic("scatter certificate", "index 12 breaks", func() { b.ScatterMod(10, []int{0, 1, 2}, 0, 1, vals, 4, 2) })
+	_ = b.Commit()
+
+	// One list at several bases: the first descriptor walks it, the
+	// later ones reuse the walk but still range-check their own ends.
+	pos := []int{0, 4, 8}
+	for _, c := range []struct {
+		base int
+		addr string
+	}{{-1, "address -1 "}, {56, "address 64 "}} {
+		b = m.Bulk(4, "range")
+		b.GatherMod(0, pos, 0, 1, 4, 1)
+		b.ScatterMod(1, pos, 0, 1, vals, 4, 1)
+		wantPanic(fmt.Sprintf("gather at base %d", c.base), c.addr, func() { b.GatherMod(c.base, pos, 0, 1, 4, 1) })
+		wantPanic(fmt.Sprintf("scatter at base %d", c.base), c.addr, func() { b.ScatterMod(c.base, pos, 0, 1, vals, 4, 1) })
+		_ = b.Commit()
+	}
+
+	// A different list of the same length in the same step is walked
+	// on its own and can fail where the first passed.
+	b = m.Bulk(4, "second")
+	b.GatherMod(0, []int{0, 1, 4}, 0, 1, 4, 2)
+	wantPanic("second list", "index 6 breaks", func() { b.GatherMod(0, []int{0, 1, 6}, 0, 1, 4, 2) })
+	_ = b.Commit()
+
+	// A list mutated between two steps is walked again.
+	pos = []int{0, 1, 4}
+	b = m.Bulk(4, "before")
+	b.ScatterMod(0, pos, 0, 1, vals, 4, 2)
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	pos[2] = 7
+	b = m.Bulk(4, "after")
+	wantPanic("mutated list", "index 7 breaks", func() { b.ScatterMod(0, pos, 0, 1, vals, 4, 2) })
+	_ = b.Commit()
+}
+
+// TestBulkOffsetListsOverlap issues two base-relative lists in one
+// step and checks the settlement decision against the cells they
+// really touch: lists whose cells meet — one list at bases b and b+1
+// uncertified (modulus 1), with overlapping residue intervals and with
+// equal residues, or two lists that differ only by their offsets — must
+// both expand, and disjoint ones must not. Either way stats, traces,
+// errors and memory (write arbitration included) must equal a scalar
+// Ctx replay of the same accesses.
+func TestBulkOffsetListsOverlap(t *testing.T) {
+	const memN, base = 64, 7
+	pos := []int{0, 1, 4, 5, 8, 9}
+	// posM2 at base+2 names exactly pos's cells at base, while the raw
+	// positions are disjoint: only the offsets reveal the overlap.
+	posM2 := []int{-2, -1, 2, 3, 6, 7}
+	va := []Word{10, 11, 12, 13, 14, 15}
+	vb := []Word{20, 21, 22, 23, 24, 25}
+	p := len(pos)
+	for _, c := range []struct {
+		posB             []int
+		shift, mod, rlen int
+		expanded         int64
+	}{
+		{pos, 1, 1, 1, 4},
+		{pos, 1, 4, 2, 4},
+		{pos, 4, 4, 2, 4},
+		{posM2, 2, 1, 1, 4},
+		{pos, 2, 1, 1, 0},
+		{pos, 2, 4, 2, 0},
+	} {
+		b2 := base + c.shift
+		for _, model := range []Model{EREW, QRQW, CRCW} {
+			name := fmt.Sprintf("posB %v shift %d mod %d %v", c.posB, c.shift, c.mod, model)
+			type outcome struct {
+				st         Stats
+				err, trace string
+				mem        string
+			}
+			run := func(scalar bool) outcome {
+				m := New(model, memN, WithTrace())
+				var err error
+				if scalar {
+					err = m.ParDoL(p, "overlap", func(ctx *Ctx, k int) {
+						ctx.Read(base + pos[k])
+						ctx.Read(b2 + c.posB[k])
+						ctx.Write(base+pos[k], va[k])
+						ctx.Write(b2+c.posB[k], vb[k])
+					})
+				} else {
+					b := m.Bulk(p, "overlap")
+					b.GatherMod(base, pos, 0, 1, c.mod, c.rlen)
+					b.GatherMod(b2, c.posB, 0, 1, c.mod, c.rlen)
+					b.ScatterMod(base, pos, 0, 1, va, c.mod, c.rlen)
+					b.ScatterMod(b2, c.posB, 0, 1, vb, c.mod, c.rlen)
+					err = b.Commit()
+					if d, e := m.BulkStats(); d != 4 || e != c.expanded {
+						t.Errorf("%s: BulkStats = %d,%d, want 4,%d", name, d, e, c.expanded)
+					}
+				}
+				o := outcome{st: m.Stats(), trace: fmt.Sprintf("%+v", m.StepTraces()), mem: fmt.Sprint(m.LoadWords(0, memN))}
+				if err != nil {
+					o.err = err.Error()
+				}
+				return o
+			}
+			if got, want := run(false), run(true); got != want {
+				t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
+			}
+		}
 	}
 }

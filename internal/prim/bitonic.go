@@ -11,10 +11,12 @@ import "lowcontend/internal/machine"
 // Each compare-exchange round is one bulk step: the pairs (i, i|j) for i
 // with bit j clear partition [0,n), so a single strided descriptor with
 // two cells per processor charges every active processor's reads, and
-// the swapping pairs become two ascending scatter lists (the i sides and
-// the l sides, each sorted because i enumerates ascending). Processor
-// relabeling keeps the per-processor operation multiset — and hence the
-// step cost on every model — identical to the element-wise loop.
+// the swapping pairs are one ascending list of positions i. That list
+// serves every other descriptor of the round: the key scatters at bases
+// keys (the i sides) and keys+j (the l = i+j sides), and the payload
+// gathers and scatters at vals and vals+j. Processor relabeling keeps
+// the per-processor operation multiset — and hence the step cost on
+// every model — identical to the element-wise loop.
 //
 // This is the EREW finishing sort of Theorem 7.3 and the sorting method
 // of the MasPar system sort used by the Table II baseline.
@@ -25,58 +27,61 @@ func BitonicSort(m *machine.Machine, keys, vals, n int) error {
 	if n <= 1 {
 		return nil
 	}
-	listI := make([]int, 0, n/2)
-	listL := make([]int, 0, n/2)
-	var vIdxI, vIdxL []int
-	if vals >= 0 {
-		vIdxI = make([]int, 0, n/2)
-		vIdxL = make([]int, 0, n/2)
+	return BitonicSegments(m, keys, vals, n, n, "bitonic/cmpx")
+}
+
+// BitonicSegments runs BitonicSort's network on every seg-cell segment
+// of the n-cell region at keys (and the payload at vals, if vals >= 0)
+// simultaneously, one bulk step labelled label per compare-exchange
+// round. seg must be a power of two dividing n.
+func BitonicSegments(m *machine.Machine, keys, vals, n, seg int, label string) error {
+	if seg <= 0 || seg&(seg-1) != 0 || n%seg != 0 {
+		panic("prim: BitonicSegments needs a power-of-two segment size dividing n")
 	}
-	for k := 2; k <= n; k <<= 1 {
+	if seg == 1 {
+		return nil
+	}
+	pos := make([]int, n/2)
+	for k := 2; k <= seg; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
-			b := m.Bulk(n, "bitonic/cmpx")
+			b := m.Bulk(n, label)
 			kv := b.ReadRange(keys, n, 1, 0, 2)
-			listI, listL = listI[:0], listL[:0]
 			// The i with bit j clear are the runs [g, g+j) for g a
-			// multiple of 2j; bit lg(k) >= lg(2j) is constant on
-			// each run, so the sort direction hoists out of it.
+			// multiple of 2j; segment starts are multiples of seg >= 2j,
+			// so bit lg(k) of i is constant on each run and the sort
+			// direction hoists out of it. Every i is written and the
+			// cursor advances only on a swap, so the pass has no
+			// data-dependent branch.
+			s := 0
 			for g := 0; g < n; g += 2 * j {
-				up := g&k == 0
+				up := g&(seg-1)&k == 0
 				for i := g; i < g+j; i++ {
-					l := i + j
-					if (kv[i] > kv[l]) == up {
-						listI = append(listI, keys+i)
-						listL = append(listL, keys+l)
+					pos[s] = i
+					if (kv[i] > kv[i+j]) == up {
+						s++
 					}
 				}
 			}
-			if s := len(listI); s > 0 {
+			if s > 0 {
+				ps := pos[:s]
 				wi := b.Vals(s)
 				wl := b.Vals(s)
-				for t, a := range listI {
-					i := a - keys
-					wi[t] = kv[i|j]
+				for t, i := range ps {
+					wi[t] = kv[i+j]
 					wl[t] = kv[i]
 				}
-				// The i sides carry bit j clear and the l sides bit
-				// j set, so the partner lists live in complementary
-				// residue classes mod 2j: certify them and let
-				// settlement skip the merge scan.
+				// Every position carries bit j clear, so the i sides
+				// (base keys) and the l sides (base keys+j) live in
+				// complementary residue classes mod 2j: certify them and
+				// let settlement skip the merge scan.
 				mod := 2 * j
-				b.ScatterMod(listI, 0, 1, wi, mod, keys, j)
-				b.ScatterMod(listL, 0, 1, wl, mod, keys+j, j)
+				b.ScatterMod(keys, ps, 0, 1, wi, mod, j)
+				b.ScatterMod(keys+j, ps, 0, 1, wl, mod, j)
 				if vals >= 0 {
-					vIdxI, vIdxL = vIdxI[:0], vIdxL[:0]
-					for _, a := range listI {
-						vIdxI = append(vIdxI, vals+(a-keys))
-					}
-					for _, a := range listL {
-						vIdxL = append(vIdxL, vals+(a-keys))
-					}
-					va := b.GatherMod(vIdxI, 0, 1, mod, vals, j)
-					vb := b.GatherMod(vIdxL, 0, 1, mod, vals+j, j)
-					b.ScatterMod(vIdxI, 0, 1, vb, mod, vals, j)
-					b.ScatterMod(vIdxL, 0, 1, va, mod, vals+j, j)
+					va := b.GatherMod(vals, ps, 0, 1, mod, j)
+					vb := b.GatherMod(vals+j, ps, 0, 1, mod, j)
+					b.ScatterMod(vals, ps, 0, 1, vb, mod, j)
+					b.ScatterMod(vals+j, ps, 0, 1, va, mod, j)
 				}
 			}
 			if err := b.Commit(); err != nil {

@@ -7,8 +7,10 @@
 //   - SampleSortQRQW (Theorems 7.2/7.3): the sqrt(n)-sample sort
 //     "Algorithm A" with the binary-search fat-tree for low-contention
 //     splitter location; buckets are finished with a segmented bitonic
-//     network. One recursion level is materialized (the recursion only
-//     changes the finishing size; see DESIGN.md).
+//     network (prim.BitonicSegments, the kernel behind
+//     prim.BitonicSort, with one segment per bucket block). One
+//     recursion level is materialized (the recursion only changes the
+//     finishing size; see DESIGN.md).
 //   - IntegerSortCRQW (Theorem 7.4): sorting integers in [0, n*lg^c n)
 //     in O(lg n)-dominated time and near-linear work on a CRQW machine,
 //     following Rajasekaran & Reif's sample-and-count structure with
@@ -296,8 +298,11 @@ func SampleSortQRQW(m *machine.Machine, keys, n int) error {
 			return err
 		}
 	}
-	// Segmented bitonic sort over all blocks in lockstep.
-	if err := segmentedBitonic(m, arena, s, blk); err != nil {
+	// Segmented bitonic sort over all blocks in lockstep: the same
+	// kernel as prim.BitonicSort, with every blk-cell block a segment,
+	// so each network round is one bulk step whose single swap-position
+	// list backs both certified key scatters.
+	if err := prim.BitonicSegments(m, arena, -1, s*blk, blk, "ssort/bitonic"); err != nil {
 		return err
 	}
 	// Concatenate blocks in splitter order, dropping padding.
@@ -327,60 +332,4 @@ func SampleSortQRQW(m *machine.Machine, keys, n int) error {
 		return fmt.Errorf("sortalg: sample sort packed %d of %d", cnt, n)
 	}
 	return prim.Copy(m, out, keys, n)
-}
-
-// segmentedBitonic runs the bitonic network on every blk-cell segment of
-// the region simultaneously (one bulk step per network step, using the
-// same pairing argument as prim.BitonicSort: within every segment the
-// pairs (i, i|j) for i with bit j clear partition the segment, so one
-// two-cells-per-processor descriptor charges all reads and the swapping
-// pairs form two ascending scatter lists).
-func segmentedBitonic(m *machine.Machine, base, segs, blk int) error {
-	if blk&(blk-1) != 0 {
-		panic("sortalg: segment size must be a power of two")
-	}
-	total := segs * blk
-	listI := make([]int, 0, total/2)
-	listL := make([]int, 0, total/2)
-	for k := 2; k <= blk; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			b := m.Bulk(total, "ssort/bitonic")
-			av := b.ReadRange(base, total, 1, 0, 2)
-			listI, listL = listI[:0], listL[:0]
-			// Across all segments the i with bit j clear are the
-			// runs [g, g+j) for g a multiple of 2j; bit lg(k) of i
-			// is constant on each run, so the sort direction
-			// hoists out of it.
-			for g := 0; g < total; g += 2 * j {
-				up := g&(blk-1)&k == 0
-				for i := g; i < g+j; i++ {
-					l := i + j
-					if (av[i] > av[l]) == up {
-						listI = append(listI, base+i)
-						listL = append(listL, base+l)
-					}
-				}
-			}
-			if sw := len(listI); sw > 0 {
-				wi := b.Vals(sw)
-				wl := b.Vals(sw)
-				for t, a := range listI {
-					g := a - base
-					wi[t] = av[g|j]
-					wl[t] = av[g&^j]
-				}
-				// Within every segment the i sides carry bit j clear
-				// and the l sides bit j set; segment starts are
-				// multiples of blk >= 2j, so the two lists live in
-				// complementary residue classes mod 2j. Certify them
-				// so settlement skips the merge scan.
-				b.ScatterMod(listI, 0, 1, wi, 2*j, base, j)
-				b.ScatterMod(listL, 0, 1, wl, 2*j, base+j, j)
-			}
-			if err := b.Commit(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

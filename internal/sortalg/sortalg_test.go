@@ -239,7 +239,7 @@ func TestSegmentedBitonic(t *testing.T) {
 			m.SetWord(base+g*blk+i, vals[g][i])
 		}
 	}
-	if err := segmentedBitonic(m, base, segs, blk); err != nil {
+	if err := prim.BitonicSegments(m, base, -1, segs*blk, blk, "ssort/bitonic"); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < segs; g++ {
