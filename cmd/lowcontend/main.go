@@ -19,9 +19,12 @@
 //	-model M       charge every cell under contention model M (e.g. crcw)
 //	               instead of the models the experiment pins
 //	-json          emit machine-readable JSON (results + charged stats, plus
-//	               session-pool hit/miss counters) instead of text
-//	-results-only  with -json, emit the results array alone — no pool
-//	               counters — so output is byte-comparable across -parallel
+//	               session-pool hit/miss counters under "pool" and the
+//	               pooled machines' engine counters under "exec") instead
+//	               of text
+//	-results-only  with -json, emit the results array alone — no pool or
+//	               engine counters — so output is byte-comparable across
+//	               -parallel
 //	-check         verify each experiment's expected paper shape after running
 //	-n N           problem size for selftest
 //	-timing        print per-cell wall-clock and engine execution telemetry
@@ -224,15 +227,16 @@ func run() int {
 			}
 			sweepInv = &inv
 			i = len(cmds)
-		case "table1", "table2", "fig1", "lowerbound", "compaction":
-			actions = append(actions, action{name: cmd})
 		case "all":
 			for _, e := range exp.Registry() {
 				actions = append(actions, action{name: e.Name})
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", cmd)
-			return 2
+			if _, ok := exp.Find(cmd); !ok {
+				fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", cmd)
+				return 2
+			}
+			actions = append(actions, action{name: cmd})
 		}
 	}
 
@@ -290,15 +294,18 @@ func run() int {
 		}
 	}
 	if *jsonOut && results != nil {
-		// The pool counters ride along so session reuse is visible
-		// outside tests; they depend on -parallel (more concurrent
-		// cells need more fresh sessions), so determinism diffs pass
-		// -results-only, which drops them and leaves output
-		// byte-comparable across -parallel values.
+		// The pool and engine counters ride along so session reuse and
+		// dispatch routing are visible outside tests; they depend on
+		// -parallel (more concurrent cells need more fresh sessions)
+		// and the gang width, so determinism diffs pass -results-only,
+		// which drops them and leaves output byte-comparable across
+		// -parallel values.
+		ps, ex := pool.StatsLive()
 		var doc any = struct {
-			Results []spec.Result  `json:"results"`
-			Pool    core.PoolStats `json:"pool"`
-		}{results, pool.Stats()}
+			Results []spec.Result     `json:"results"`
+			Pool    core.PoolStats    `json:"pool"`
+			Exec    machine.ExecStats `json:"exec"`
+		}{results, ps, ex}
 		if *resultsOnly {
 			doc = struct {
 				Results []spec.Result `json:"results"`

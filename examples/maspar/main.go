@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"lowcontend/internal/exp"
+	"lowcontend/internal/exp/spec"
 )
 
 func main() {
@@ -19,11 +20,12 @@ func main() {
 	if *quick {
 		sizes = []int{256}
 	}
-	rows, err := exp.TableIISizes(sizes, 1)
-	if err != nil {
+	e, _ := exp.Find("table2")
+	res := (&spec.Runner{Parallel: 1}).Run(e, sizes, 1)
+	if err := res.FirstErr(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(exp.RenderTableII(rows))
+	fmt.Print(e.Render(res))
 	if !*quick {
 		fmt.Println("\npaper (ms on the MP-1): sorting 11.25/10.01, scans 8.02/6.05, qrqw 7.57/2.88")
 	}

@@ -46,7 +46,7 @@ type SessionPool struct {
 	idle   map[poolKey][]*Session
 	leased map[*Session]struct{} // sessions out on lease, for live-stat scrapes
 	st     PoolStats
-	ex     machine.ExecStats // exec telemetry harvested from released leases
+	ex     machine.ExecStats // engine counters harvested from released leases
 }
 
 type poolKey struct {
@@ -58,19 +58,13 @@ type poolKey struct {
 // pool hits (an idle session of the requested shape was recycled), News
 // are misses. The JSON form is what cmd/lowcontend -json publishes
 // under "pool"; the lowcontendd /metrics endpoint flattens the same
-// counters into its own pool_* keys (internal/serve/metrics.go).
+// counters into its own pool_* keys (internal/serve/metrics.go). The
+// pooled machines' engine counters are not pool traffic: StatsLive
+// reports them as one machine.ExecStats.
 type PoolStats struct {
 	Acquires int64 `json:"acquires"` // total Acquire calls
 	Reuses   int64 `json:"reuses"`   // acquires satisfied by an idle session (hits)
 	News     int64 `json:"news"`     // acquires that constructed a fresh session (misses)
-
-	// Dispatch-path traffic aggregated from released sessions (Release
-	// harvests machine.GangStats before Reset clears it): resident-gang
-	// barrier crossings, fused dispatches that settled member-locally,
-	// and steps that ran on a single host goroutine.
-	GangDispatches   int64 `json:"gang_dispatches"`
-	GangFusedSettles int64 `json:"gang_fused_settles"`
-	SerialSteps      int64 `json:"serial_steps"`
 }
 
 // NewSessionPool constructs an empty pool. The zero value is also ready
@@ -140,8 +134,8 @@ func (p *SessionPool) AcquireProfiled(model machine.Model, memWords int, seed ui
 
 // Release resets s and returns it to the pool for reuse. The caller must
 // not touch s (or any DeviceSlice bound to it) afterwards. The session's
-// dispatch-path counters are harvested into PoolStats before the Reset
-// clears them, so the pool accumulates gang traffic across leases.
+// engine counters (machine.ExecStats) are harvested before the Reset
+// clears them, so the pool accumulates them across leases.
 func (p *SessionPool) Release(s *Session) {
 	ex := s.ExecStats()
 	key := poolKey{s.Model(), s.memWords}
@@ -150,9 +144,6 @@ func (p *SessionPool) Release(s *Session) {
 	// leased set and already folded into the harvested totals.
 	p.mu.Lock()
 	p.ex = p.ex.Add(ex)
-	p.st.GangDispatches += ex.GangDispatches
-	p.st.GangFusedSettles += ex.GangFusedSettles
-	p.st.SerialSteps += ex.SerialSteps
 	delete(p.leased, s)
 	p.mu.Unlock()
 	s.Reset()
@@ -164,18 +155,18 @@ func (p *SessionPool) Release(s *Session) {
 	p.mu.Unlock()
 }
 
-// Stats returns a snapshot of the pool's traffic counters. The
-// dispatch-path fields cover released leases only; StatsLive adds the
-// sessions currently out on lease.
+// Stats returns a snapshot of the pool's traffic counters. StatsLive
+// adds the pooled machines' engine counters.
 func (p *SessionPool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.st
 }
 
-// StatsLive returns the pool's traffic counters and aggregated
-// execution telemetry including the sessions currently out on lease,
-// whose atomic machine counters are read without waiting for Release.
+// StatsLive returns the pool's traffic counters and the engine counters
+// of every pooled machine, including the sessions currently out on
+// lease, whose atomic machine counters are read without waiting for
+// Release.
 // This is the scrape-time view: a run in flight for seconds shows its
 // gang/bulk traffic immediately instead of appearing all at once when
 // the lease ends. Live values are monotone between scrapes modulo lease
@@ -190,11 +181,7 @@ func (p *SessionPool) StatsLive() (PoolStats, machine.ExecStats) {
 	}
 	p.mu.Unlock()
 	for _, s := range leased {
-		le := s.ExecStats()
-		ex = ex.Add(le)
-		st.GangDispatches += le.GangDispatches
-		st.GangFusedSettles += le.GangFusedSettles
-		st.SerialSteps += le.SerialSteps
+		ex = ex.Add(s.ExecStats())
 	}
 	return st, ex
 }

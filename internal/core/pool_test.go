@@ -208,9 +208,10 @@ func sortInput(n int, seed Word) []Word {
 }
 
 // TestSessionPoolGangCounters: pooled machines running gang-width steps
-// surface their dispatch counters through PoolStats (harvested on
-// Release), charged stats stay identical to a serial fresh session, and
-// Close retires every resident gang without leaking goroutines.
+// surface their dispatch counters through StatsLive's ExecStats
+// (harvested on Release), charged stats stay identical to a serial
+// fresh session, and Close retires every resident gang without leaking
+// goroutines.
 // SortUniform drives the machine through real ParDo steps at p = n, so
 // the gang engages; descriptor-only Bulk commits (e.g. the perm
 // algorithms) settle serially by design and would not.
@@ -248,15 +249,15 @@ func TestSessionPoolGangCounters(t *testing.T) {
 	}
 	p.Release(s)
 
-	st := p.Stats()
-	if st.GangDispatches == 0 {
-		t.Error("PoolStats.GangDispatches = 0 after a gang-width run")
+	_, ex := p.StatsLive()
+	if ex.GangDispatches == 0 {
+		t.Error("ExecStats.GangDispatches = 0 after a gang-width run")
 	}
-	if st.GangFusedSettles == 0 {
-		t.Error("PoolStats.GangFusedSettles = 0 after a gang-width run")
+	if ex.GangFusedSettles == 0 {
+		t.Error("ExecStats.GangFusedSettles = 0 after a gang-width run")
 	}
-	if st.SerialSteps == 0 {
-		t.Error("PoolStats.SerialSteps = 0 — sub-cutoff steps should run serial")
+	if ex.SerialSteps == 0 {
+		t.Error("ExecStats.SerialSteps = 0 — sub-cutoff steps should run serial")
 	}
 
 	// A reused lease keeps accumulating into the pool's totals.
@@ -265,9 +266,9 @@ func TestSessionPoolGangCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Release(s)
-	if st2 := p.Stats(); st2.GangDispatches <= st.GangDispatches {
+	if _, ex2 := p.StatsLive(); ex2.GangDispatches <= ex.GangDispatches {
 		t.Errorf("GangDispatches did not accumulate: %d -> %d",
-			st.GangDispatches, st2.GangDispatches)
+			ex.GangDispatches, ex2.GangDispatches)
 	}
 
 	p.Close()

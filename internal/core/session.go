@@ -40,21 +40,10 @@ func (s *Session) Stats() machine.Stats { return s.m.Stats() }
 // Err returns the first model violation encountered, or nil.
 func (s *Session) Err() error { return s.m.Err() }
 
-// BulkStats reports how many bulk access descriptors the machine
-// recorded and how many of them expanded to element granularity.
-func (s *Session) BulkStats() (descriptors, expanded int64) { return s.m.BulkStats() }
-
 // SetTuning applies execution tuning (serial cutoff, chunk sizing, gang
 // width) to the session's machine. Tuning is a host-side knob: charged
 // stats are independent of it.
 func (s *Session) SetTuning(t machine.Tuning) { s.m.SetTuning(t) }
-
-// GangStats reports the machine's dispatch-path traffic: resident-gang
-// barrier crossings, fused dispatches that settled member-locally, and
-// steps that ran on a single host goroutine.
-func (s *Session) GangStats() (dispatches, fusedSettles, serialSteps int64) {
-	return s.m.GangStats()
-}
 
 // ExecStats snapshots the machine's full host-execution telemetry:
 // dispatch routing, fused-vs-sharded settlement, cursor utilization,

@@ -11,15 +11,13 @@
 // check — and executed by a spec.Runner over a pool of reusable
 // sessions. Cells derive all randomness from the base seed and their
 // own parameters, so charged stats and rendered artifacts are
-// bit-identical at any runner parallelism. The functions in this file
-// are the sequential convenience wrappers over that registry.
+// bit-identical at any runner parallelism. This file holds the row
+// types and table renderers the registry's artifacts share.
 package exp
 
 import (
 	"fmt"
 	"strings"
-
-	"lowcontend/internal/exp/spec"
 )
 
 // Row is one measurement: problem, size, and charged times.
@@ -28,30 +26,6 @@ type Row struct {
 	N       int
 	QRQW    int64
 	EREW    int64
-}
-
-// run executes a registry experiment sequentially and surfaces the
-// first cell error, preserving the pre-registry harness's contract.
-func run(name string, sizes []int, seed uint64) (spec.Result, error) {
-	e, ok := Find(name)
-	if !ok {
-		return spec.Result{}, fmt.Errorf("exp: unknown experiment %q", name)
-	}
-	if sizes == nil {
-		sizes = e.DefaultSizes
-	}
-	res := (&spec.Runner{Parallel: 1}).Run(e, sizes, seed)
-	return res, res.FirstErr()
-}
-
-// TableI measures each Table I problem at the given sizes: the QRQW
-// algorithm's charged time against its best EREW baseline's.
-func TableI(sizes []int, seed uint64) ([]Row, error) {
-	res, err := run("table1", sizes, seed)
-	if err != nil {
-		return nil, err
-	}
-	return tableIRows(res), nil
 }
 
 // RenderRows formats measurement rows as an aligned text table.
@@ -75,22 +49,6 @@ type TableIIRow struct {
 	Algorithm string
 	N         int
 	Time      int64
-}
-
-// TableII reruns the MasPar experiment on the simulator at the paper's
-// sizes (n = p = 16384 and n = p = 1024).
-func TableII(seed uint64) ([]TableIIRow, error) {
-	return TableIISizes(nil, seed)
-}
-
-// TableIISizes is TableII at caller-chosen problem sizes (smoke tests
-// use tiny ones); nil means the paper's sizes.
-func TableIISizes(sizes []int, seed uint64) ([]TableIIRow, error) {
-	res, err := run("table2", sizes, seed)
-	if err != nil {
-		return nil, err
-	}
-	return tableIIRows(res), nil
 }
 
 // RenderTableII formats the Table II reproduction, one column per
@@ -139,28 +97,4 @@ func RenderTableII(rows []TableIIRow) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// Fig1 renders the paper's Figure 1: a cyclic and a noncyclic
-// permutation with their cycle representations, plus a freshly generated
-// random cyclic permutation from the Theorem 5.2 algorithm.
-func Fig1(seed uint64) (string, error) { return renderOne("fig1", seed) }
-
-// LowerBound measures QRQW load-balancing time against lg L (Theorem
-// 3.2's Omega(lg L) lower bound: the measured series must grow at least
-// linearly in lg L).
-func LowerBound(seed uint64) (string, error) { return renderOne("lowerbound", seed) }
-
-// CompactionScaling compares linear-compaction growth against the EREW
-// pack (the sqrt(lg n) vs lg n separation behind Table I's load
-// balancing row).
-func CompactionScaling(seed uint64) (string, error) { return renderOne("compaction", seed) }
-
-func renderOne(name string, seed uint64) (string, error) {
-	res, err := run(name, nil, seed)
-	if err != nil {
-		return "", err
-	}
-	e, _ := Find(name)
-	return e.Render(res), nil
 }

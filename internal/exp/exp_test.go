@@ -9,11 +9,27 @@ import (
 	"lowcontend/internal/exp/spec"
 )
 
-func TestTableIIOrderingMatchesPaper(t *testing.T) {
-	rows, err := TableII(1)
-	if err != nil {
+// runBuiltin runs a registry experiment sequentially at sizes (nil
+// means its defaults) and fails the test on any cell error.
+func runBuiltin(t *testing.T, name string, sizes []int, seed uint64) (spec.Experiment, spec.Result) {
+	t.Helper()
+	e, ok := Find(name)
+	if !ok {
+		t.Fatalf("unknown experiment %q", name)
+	}
+	if sizes == nil {
+		sizes = e.DefaultSizes
+	}
+	res := (&spec.Runner{Parallel: 1}).Run(e, sizes, seed)
+	if err := res.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
+	return e, res
+}
+
+func TestTableIIOrderingMatchesPaper(t *testing.T) {
+	_, res := runBuiltin(t, "table2", nil, 1)
+	rows := tableIIRows(res)
 	times := map[string]map[int]int64{}
 	for _, r := range rows {
 		if times[r.Algorithm] == nil {
@@ -36,30 +52,22 @@ func TestTableIIOrderingMatchesPaper(t *testing.T) {
 }
 
 func TestFig1(t *testing.T) {
-	s, err := Fig1(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "single cycle: true") {
+	e, res := runBuiltin(t, "fig1", nil, 2)
+	if s := e.Render(res); !strings.Contains(s, "single cycle: true") {
 		t.Errorf("Fig1 output:\n%s", s)
 	}
 }
 
 func TestLowerBoundGrows(t *testing.T) {
-	s, err := LowerBound(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "1024") {
+	e, res := runBuiltin(t, "lowerbound", nil, 3)
+	if s := e.Render(res); !strings.Contains(s, "1024") {
 		t.Errorf("output:\n%s", s)
 	}
 }
 
 func TestTableISmall(t *testing.T) {
-	rows, err := TableI([]int{1 << 10}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runBuiltin(t, "table1", []int{1 << 10}, 4)
+	rows := tableIRows(res)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(rows))
 	}
@@ -70,11 +78,8 @@ func TestTableISmall(t *testing.T) {
 }
 
 func TestCompactionScaling(t *testing.T) {
-	s, err := CompactionScaling(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "Linear compaction") {
+	e, res := runBuiltin(t, "compaction", nil, 5)
+	if s := e.Render(res); !strings.Contains(s, "Linear compaction") {
 		t.Error("missing title")
 	}
 }

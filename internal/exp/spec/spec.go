@@ -119,17 +119,12 @@ type CellResult struct {
 	Index        int
 	Measurements []Measurement
 	Profiles     []*profile.Profile
-	// BulkDescriptors counts the bulk access descriptors recorded by
-	// the cell's sessions, and BulkExpanded how many of them settled by
-	// element expansion instead of analytically; their difference over
-	// BulkDescriptors is the descriptor hit rate.
-	BulkDescriptors int64
-	BulkExpanded    int64
-	// Exec aggregates the host-execution telemetry of every session the
-	// cell acquired (dispatch routing, settlement paths, cursor
-	// utilization). Deliberately absent from MarshalJSON: at gang widths
-	// > 1 its values depend on the worker count, which would break the
-	// renderer's parallel-invariant JSON artifacts. Deterministic — and
+	// Exec aggregates the engine counters of every session the cell
+	// acquired (dispatch routing, settlement paths, cursor utilization,
+	// descriptor traffic). MarshalJSON emits only its two descriptor
+	// counts, which depend on the program alone: the rest depend on the
+	// worker count at gang widths > 1, which would break the renderer's
+	// parallel-invariant JSON artifacts. All of it is deterministic — and
 	// safe to embed in reproducible documents — only when the pool pins
 	// Workers to 1, as the daemon's pool does.
 	Exec machine.ExecStats
@@ -137,6 +132,9 @@ type CellResult struct {
 }
 
 // MarshalJSON renders the result with the error (if any) as a string.
+// bulk_descriptors counts the bulk access descriptors the cell's
+// sessions recorded, and expanded_descriptors how many of them settled
+// by element expansion instead of analytically.
 func (r CellResult) MarshalJSON() ([]byte, error) {
 	var errText string
 	if r.Err != nil {
@@ -150,7 +148,7 @@ func (r CellResult) MarshalJSON() ([]byte, error) {
 		BulkDescriptors int64              `json:"bulk_descriptors,omitempty"`
 		BulkExpanded    int64              `json:"expanded_descriptors,omitempty"`
 		Error           string             `json:"error,omitempty"`
-	}{r.Cell, r.Index, r.Measurements, r.Profiles, r.BulkDescriptors, r.BulkExpanded, errText})
+	}{r.Cell, r.Index, r.Measurements, r.Profiles, r.Exec.BulkDescriptors, r.Exec.BulkExpanded, errText})
 }
 
 // Result is one experiment run: per-cell results in declaration order.
@@ -343,9 +341,6 @@ func (r *Runner) runCell(pool *core.SessionPool, c Cell, index int, seed uint64)
 				out.Profiles = append(out.Profiles,
 					profile.FromTrace(s.Model().String(), s.StepTraces(), max(hotK, 1)))
 			}
-			d, x := s.BulkStats()
-			out.BulkDescriptors += d
-			out.BulkExpanded += x
 			out.Exec = out.Exec.Add(s.ExecStats())
 			pool.Release(s)
 		}

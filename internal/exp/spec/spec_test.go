@@ -267,6 +267,12 @@ func TestResultJSON(t *testing.T) {
 				{Note: "a note"}, // note-only measurements omit zero stats
 			}},
 			{Cell: "b", Index: 1, Err: errors.New("bad cell")},
+			// Descriptor counts live only in Exec; the rest of Exec
+			// depends on the gang width and must stay out of the JSON.
+			{Cell: "c", Index: 2, Exec: machine.ExecStats{
+				GangDispatches: 5, GangFusedSettles: 4, SerialSteps: 3, CursorSteals: 1,
+				BulkDescriptors: 9, BulkExpanded: 2,
+			}},
 		},
 	}
 	b, err := json.Marshal(res)
@@ -281,6 +287,14 @@ func TestResultJSON(t *testing.T) {
 	}
 	if strings.Contains(s, `"note":"a note","stats"`) || strings.Contains(s, `"stats":{},"note"`) {
 		t.Errorf("note-only measurement must omit zero stats:\n%s", s)
+	}
+	if want := `{"cell":"c","index":2,"bulk_descriptors":9,"expanded_descriptors":2}`; !strings.Contains(s, want) {
+		t.Errorf("JSON missing descriptor counts %s:\n%s", want, s)
+	}
+	for _, key := range []string{"gang_", "serial_steps", "cursor_steals", "bulk_expanded"} {
+		if strings.Contains(s, key) {
+			t.Errorf("JSON carries host-only exec key %q:\n%s", key, s)
+		}
 	}
 	var round map[string]any
 	if err := json.Unmarshal(b, &round); err != nil {

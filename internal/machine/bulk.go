@@ -41,9 +41,7 @@ const (
 	bulkRead    bulkKind = iota // count cells read
 	bulkWrite                   // count cells written from vals
 	bulkFill                    // count cells written with the constant fill
-	bulkChargeR                 // charge-only reads: fill ops on each of count processors
-	bulkChargeW                 // charge-only writes
-	bulkChargeC                 // charged local computation
+	bulkChargeC                 // charged local computation: fill ops on each of count processors
 )
 
 func (k bulkKind) cells() bool   { return k <= bulkFill }
@@ -850,29 +848,9 @@ func panicResidueCert(a, mod, rlo, rlen int) {
 		a, rlo, rlo+rlen, mod))
 }
 
-// ChargeReads charges amount shared reads to each of nprocs processors
-// starting at procLo, without naming cells. Use it only for reads whose
-// contention is one by construction (e.g. each processor re-reading a
-// private region); the step's read contention is floored at one when
-// any are charged.
-func (b *Bulk) ChargeReads(procLo, nprocs int, amount int64) {
-	b.charge(bulkChargeR, procLo, nprocs, amount)
-}
-
-// ChargeWrites is ChargeReads for writes. The named cells' final values
-// must be written through real descriptors or host stores; this only
-// accounts cost.
-func (b *Bulk) ChargeWrites(procLo, nprocs int, amount int64) {
-	b.charge(bulkChargeW, procLo, nprocs, amount)
-}
-
 // Compute charges amount local RAM operations to each of nprocs
 // processors starting at procLo (Ctx.Compute, descriptor form).
 func (b *Bulk) Compute(procLo, nprocs int, amount int64) {
-	b.charge(bulkChargeC, procLo, nprocs, amount)
-}
-
-func (b *Bulk) charge(kind bulkKind, procLo, nprocs int, amount int64) {
 	if procLo < 0 || nprocs < 0 || amount < 0 {
 		panic(fmt.Sprintf("machine: bulk charge procLo=%d nprocs=%d amount=%d", procLo, nprocs, amount))
 	}
@@ -880,7 +858,7 @@ func (b *Bulk) charge(kind bulkKind, procLo, nprocs int, amount int64) {
 		return
 	}
 	b.descs = append(b.descs, bulkDesc{
-		kind: kind, lo: 0, hi: -1, count: nprocs, proc: procLo, fill: amount,
+		kind: bulkChargeC, lo: 0, hi: -1, count: nprocs, proc: procLo, fill: amount,
 	})
 }
 
@@ -1060,7 +1038,6 @@ func (m *Machine) settleBulk(workers []*worker, bs *bulkSettle) {
 	// a flat interval of processors doing perProc ops, plus a possibly
 	// lighter last processor.
 	ev := m.bulkEv[:0]
-	chargeR, chargeW := false, false
 	for _, w := range workers {
 		for i := range w.descs {
 			d := &w.descs[i]
@@ -1075,14 +1052,6 @@ func (m *Machine) settleBulk(workers []*worker, bs *bulkSettle) {
 			case bulkWrite, bulkFill:
 				bs.writes += int64(d.count)
 				dw = int64(d.perProc)
-			case bulkChargeR:
-				bs.reads += int64(d.count) * d.fill
-				dr = d.fill
-				chargeR = true
-			case bulkChargeW:
-				bs.writes += int64(d.count) * d.fill
-				dw = d.fill
-				chargeW = true
 			case bulkChargeC:
 				bs.computes += int64(d.count) * d.fill
 				dc = d.fill
@@ -1201,12 +1170,6 @@ func (m *Machine) settleBulk(workers []*worker, bs *bulkSettle) {
 	// processor. Writes apply directly — the descriptor's last buffered
 	// value per cell is the highest-indexed writer's, preserving the
 	// arbitration invariant.
-	if chargeR {
-		bs.maxR = 1
-	}
-	if chargeW {
-		bs.maxW = 1
-	}
 	for _, w := range workers {
 		expand := false
 		for i := range w.descs {
@@ -1431,12 +1394,4 @@ func (w *worker) buildReplay() {
 	}
 	w.readAddrs, w.expR = expR, w.readAddrs[:0]
 	w.writes, w.expW = expW, w.writes[:0]
-}
-
-// BulkStats reports how many bulk descriptors were recorded and how
-// many of them had to be expanded to element granularity (including
-// recording-time fallbacks). Their difference is the analytic-settle
-// hit count; a low expansion share is what makes the bulk layer pay.
-func (m *Machine) BulkStats() (descriptors, expanded int64) {
-	return m.bulkDescs.Load(), m.bulkExpanded.Load()
 }

@@ -350,16 +350,16 @@ func TestBulkCounters(t *testing.T) {
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if d, e := m.BulkStats(); d != 2 || e != 2 {
-		t.Fatalf("BulkStats = %d,%d, want 2,2", d, e)
+	if ex := m.ExecStats(); ex.BulkDescriptors != 2 || ex.BulkExpanded != 2 {
+		t.Fatalf("descriptors,expanded = %d,%d, want 2,2", ex.BulkDescriptors, ex.BulkExpanded)
 	}
 	b = m.Bulk(8, "y")
 	b.FillRange(16, 8, 1, 0, 1, 1)
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if d, e := m.BulkStats(); d != 3 || e != 2 {
-		t.Fatalf("BulkStats = %d,%d, want 3,2", d, e)
+	if ex := m.ExecStats(); ex.BulkDescriptors != 3 || ex.BulkExpanded != 2 {
+		t.Fatalf("descriptors,expanded = %d,%d, want 3,2", ex.BulkDescriptors, ex.BulkExpanded)
 	}
 	// Ctx recording-time fallback: a range overlapping the processor's
 	// own scalar read is an expanded descriptor.
@@ -369,12 +369,12 @@ func TestBulkCounters(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if d, e := m.BulkStats(); d != 4 || e != 3 {
-		t.Fatalf("BulkStats = %d,%d, want 4,3", d, e)
+	if ex := m.ExecStats(); ex.BulkDescriptors != 4 || ex.BulkExpanded != 3 {
+		t.Fatalf("descriptors,expanded = %d,%d, want 4,3", ex.BulkDescriptors, ex.BulkExpanded)
 	}
 	m.ResetStats()
-	if d, e := m.BulkStats(); d != 0 || e != 0 {
-		t.Fatalf("BulkStats after ResetStats = %d,%d, want 0,0", d, e)
+	if ex := m.ExecStats(); ex.BulkDescriptors != 0 || ex.BulkExpanded != 0 {
+		t.Fatalf("descriptors,expanded after ResetStats = %d,%d, want 0,0", ex.BulkDescriptors, ex.BulkExpanded)
 	}
 }
 
@@ -589,8 +589,9 @@ func TestBulkOffsetListsOverlap(t *testing.T) {
 					b.ScatterMod(base, pos, 0, 1, va, c.mod, c.rlen)
 					b.ScatterMod(b2, c.posB, 0, 1, vb, c.mod, c.rlen)
 					err = b.Commit()
-					if d, e := m.BulkStats(); d != 4 || e != c.expanded {
-						t.Errorf("%s: BulkStats = %d,%d, want 4,%d", name, d, e, c.expanded)
+					if ex := m.ExecStats(); ex.BulkDescriptors != 4 || ex.BulkExpanded != c.expanded {
+						t.Errorf("%s: descriptors,expanded = %d,%d, want 4,%d",
+							name, ex.BulkDescriptors, ex.BulkExpanded, c.expanded)
 					}
 				}
 				o := outcome{st: m.Stats(), trace: fmt.Sprintf("%+v", m.StepTraces()), mem: fmt.Sprint(m.LoadWords(0, memN))}

@@ -69,7 +69,7 @@ func TestDirtyMarkGangFastPath(t *testing.T) {
 	if err := m.ParDo(p, func(c *Ctx, i int) { c.Write(1000+3*i, Word(i+1)) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, fused, _ := m.GangStats(); fused != 1 {
+	if fused := m.ExecStats().GangFusedSettles; fused != 1 {
 		t.Fatalf("fused settles = %d, want 1 (step must take the gang fast path)", fused)
 	}
 	checkDirtyMark(t, m, 1000+3*(p-1)+1)
@@ -159,8 +159,8 @@ func TestDirtyMarkDescriptors(t *testing.T) {
 			if err := b.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if descs, exp := m.BulkStats(); descs == 0 || (exp > 0) != tc.expanded {
-				t.Fatalf("descriptors=%d expanded=%d, want expanded=%v", descs, exp, tc.expanded)
+			if ex := m.ExecStats(); ex.BulkDescriptors == 0 || (ex.BulkExpanded > 0) != tc.expanded {
+				t.Fatalf("descriptors=%d expanded=%d, want expanded=%v", ex.BulkDescriptors, ex.BulkExpanded, tc.expanded)
 			}
 			checkDirtyMark(t, m, tc.want)
 			checkResetClean(t, m)

@@ -8,7 +8,9 @@ package machine
 // accounting — none of these counters feed the charged Stats — but at
 // a single-worker configuration (no gang, no adaptation) every field
 // is deterministic for a given program, which is what lets services
-// embed per-run deltas in reproducible artifacts.
+// embed per-run deltas in reproducible artifacts. It is the only way
+// any layer reads these counters: sessions, the session pool, cell
+// results, the daemon and the CLI all pass this struct along.
 type ExecStats struct {
 	GangDispatches     int64 `json:"gang_dispatches"`      // gang barrier crossings
 	GangFusedSettles   int64 `json:"gang_fused_settles"`   // fused dispatches settled member-locally
@@ -19,7 +21,7 @@ type ExecStats struct {
 	CutoffRaises       int64 `json:"cutoff_raises"`        // adaptive serial-cutoff raises
 	CutoffLowers       int64 `json:"cutoff_lowers"`        // adaptive serial-cutoff halvings
 	BulkDescriptors    int64 `json:"bulk_descriptors"`     // bulk descriptors recorded
-	BulkExpanded       int64 `json:"bulk_expanded"`        // descriptors expanded to element granularity
+	BulkExpanded       int64 `json:"bulk_expanded"`        // descriptors expanded to element granularity (incl. recording-time fallbacks)
 }
 
 // ExecEvent is one host-execution control event: the adaptive gang

@@ -97,14 +97,6 @@ func (m *Machine) TuningInEffect() Tuning {
 	}
 }
 
-// GangStats reports the machine's dispatch-path traffic: gang barrier
-// crossings, fused dispatches that settled member-locally (one barrier
-// for the whole step), and steps that ran on a single host goroutine.
-// ResetStats zeroes them with the rest of the counters.
-func (m *Machine) GangStats() (dispatches, fusedSettles, serialSteps int64) {
-	return m.gangDispatches.Load(), m.gangFused.Load(), m.serialSteps.Load()
-}
-
 // ---------------------------------------------------------------------
 // The gang itself.
 

@@ -175,28 +175,30 @@ func TestGangCounters(t *testing.T) {
 	if err := m.ParDo(n, func(c *Ctx, i int) { c.Write(i, 1) }); err != nil {
 		t.Fatal(err)
 	}
-	if d, f, s := m.GangStats(); d != 1 || f != 1 || s != 0 {
-		t.Errorf("after fused step: dispatches=%d fused=%d serial=%d, want 1 1 0", d, f, s)
+	if ex := m.ExecStats(); ex.GangDispatches != 1 || ex.GangFusedSettles != 1 || ex.SerialSteps != 0 {
+		t.Errorf("after fused step: dispatches=%d fused=%d serial=%d, want 1 1 0",
+			ex.GangDispatches, ex.GangFusedSettles, ex.SerialSteps)
 	}
 	if err := m.ParDo(n, func(c *Ctx, i int) { c.Write(i%64, 1) }); err != nil {
 		t.Fatal(err)
 	}
-	d, f, s := m.GangStats()
-	if f != 1 {
-		t.Errorf("contended step counted as fused: fused=%d, want 1", f)
+	ex := m.ExecStats()
+	if ex.GangFusedSettles != 1 {
+		t.Errorf("contended step counted as fused: fused=%d, want 1", ex.GangFusedSettles)
 	}
-	if d < 4 { // 1 fused + 1 body dispatch + 3 sharded phases
-		t.Errorf("sharded step dispatches=%d, want >= 4", d)
+	if ex.GangDispatches < 4 { // 1 fused + 1 body dispatch + 3 sharded phases
+		t.Errorf("sharded step dispatches=%d, want >= 4", ex.GangDispatches)
 	}
 	if err := m.ParDo(16, func(c *Ctx, i int) {}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, s = m.GangStats(); s != 1 {
+	if s := m.ExecStats().SerialSteps; s != 1 {
 		t.Errorf("serial steps = %d, want 1", s)
 	}
 	m.ResetStats()
-	if d, f, s = m.GangStats(); d != 0 || f != 0 || s != 0 {
-		t.Errorf("ResetStats left gang counters %d %d %d", d, f, s)
+	if ex = m.ExecStats(); ex.GangDispatches != 0 || ex.GangFusedSettles != 0 || ex.SerialSteps != 0 {
+		t.Errorf("ResetStats left gang counters %d %d %d",
+			ex.GangDispatches, ex.GangFusedSettles, ex.SerialSteps)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"lowcontend/internal/core"
+	"lowcontend/internal/machine"
 )
 
 // counterSet is the per-queue half of the daemon's counters: one set
@@ -56,8 +57,10 @@ type metrics struct {
 // reports under sweeps_*. The engine-side counters (gang and bulk
 // traffic) come from the pool's live view, so sessions still out on
 // lease — a sweep minutes into its grid — are counted at scrape time
-// rather than appearing all at once on release.
-func (m *metrics) snapshot(pool *core.SessionPool, cacheEntries int) map[string]int64 {
+// rather than appearing all at once on release. That one engine
+// snapshot is returned too, so a Prometheus scrape renders its exec_*
+// gauges from the same instant as the flat keys.
+func (m *metrics) snapshot(pool *core.SessionPool, cacheEntries int) (map[string]int64, machine.ExecStats) {
 	ps, ex := pool.StatsLive()
 	out := map[string]int64{
 		"cache_hits":     m.cacheHits.Load(),
@@ -76,13 +79,13 @@ func (m *metrics) snapshot(pool *core.SessionPool, cacheEntries int) map[string]
 		// Dispatch-path traffic of the pooled machines: resident-gang
 		// barrier crossings, fused single-barrier settles, and serial
 		// steps, live across released and leased sessions alike.
-		"gang_dispatches":    ps.GangDispatches,
-		"gang_fused_settles": ps.GangFusedSettles,
-		"serial_steps":       ps.SerialSteps,
+		"gang_dispatches":    ex.GangDispatches,
+		"gang_fused_settles": ex.GangFusedSettles,
+		"serial_steps":       ex.SerialSteps,
 	}
 	m.runs.fill(out, "jobs")
 	m.sweeps.fill(out, "sweeps")
-	return out
+	return out, ex
 }
 
 // procGauges adds process-level gauges from runtime/metrics to the

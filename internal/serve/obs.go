@@ -146,8 +146,9 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 // renderProm renders the daemon's full Prometheus scrape: the four
 // latency histogram families, every flat JSON /metrics counter as a
 // lowcontend_-prefixed gauge (sorted by key, so the document is stable
-// across scrapes), and the engine's live execution telemetry — read
-// from in-flight sessions too, not just released ones.
+// across scrapes), and the rest of the engine's live counters from the
+// same snapshot — read from in-flight sessions too, not just released
+// ones.
 func (s *Server) renderProm() []byte {
 	var e obs.Exposition
 	e.HistogramVec(s.obs.httpLatency)
@@ -155,7 +156,7 @@ func (s *Server) renderProm() []byte {
 	e.HistogramVec(s.obs.cellDur)
 	e.HistogramVec(s.obs.renderDur)
 
-	snap := s.metricsSnapshot()
+	snap, ex := s.metricsSnapshot()
 	keys := make([]string, 0, len(snap))
 	for k := range snap {
 		keys = append(keys, k)
@@ -167,7 +168,6 @@ func (s *Server) renderProm() []byte {
 		e.Int(name, nil, snap[k])
 	}
 
-	_, ex := s.pool.StatsLive()
 	execGauge := func(name, help string, v int64) {
 		n := "lowcontend_exec_" + name
 		e.Header(n, help, "gauge")

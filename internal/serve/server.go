@@ -523,13 +523,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Write(s.renderProm())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
+	snap, _ := s.metricsSnapshot()
+	writeJSON(w, http.StatusOK, snap)
 }
 
 // metricsSnapshot is the manager counters plus the observability
-// layer's own accounting and the process gauges.
-func (s *Server) metricsSnapshot() map[string]int64 {
-	out := s.met.snapshot(s.pool, s.cache.len())
+// layer's own accounting and the process gauges, with the pool's engine
+// counters they were filled from.
+func (s *Server) metricsSnapshot() (map[string]int64, machine.ExecStats) {
+	out, ex := s.met.snapshot(s.pool, s.cache.len())
 	captured, retained := s.incidents.counts()
 	out["incidents_captured"] = captured
 	out["incidents_retained"] = retained
@@ -539,7 +541,7 @@ func (s *Server) metricsSnapshot() map[string]int64 {
 	out["definitions_deleted"] = s.met.defsDeleted.Load()
 	out["definitions_stored"] = int64(s.store.Len())
 	procGauges(out)
-	return out
+	return out, ex
 }
 
 // handleIncidents lists retained incidents, newest first.
