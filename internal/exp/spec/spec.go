@@ -219,8 +219,8 @@ type Runner struct {
 	// CellObserver, when non-nil, receives each cell's finished result
 	// and wall-clock timing, after the result (measurements, exec
 	// telemetry, error) is fully assembled. Like CellHook it may be
-	// called concurrently and must not block; the timeline recorder is
-	// its consumer. The CellResult is passed by value — observers must
+	// called concurrently and must not block; the daemon's job event log
+	// and the CLI's -timing view consume it. The CellResult is passed by value — observers must
 	// not mutate the slices it shares with the runner's Result.
 	CellObserver func(res CellResult, t CellTiming)
 	// Profile enables per-session step tracing with hot-cell

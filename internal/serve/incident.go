@@ -146,7 +146,7 @@ func (st *incidentStore) capture(core IncidentCore, wall IncidentWall) *Incident
 }
 
 // captureJob snapshots a failed job from its timeline document.
-func (st *incidentStore) captureJob(kind string, doc Timeline) *Incident {
+func (st *incidentStore) captureJob(doc Timeline) *Incident {
 	if st == nil {
 		return nil
 	}
@@ -154,17 +154,15 @@ func (st *incidentStore) captureJob(kind string, doc Timeline) *Incident {
 	for _, c := range doc.Core.Cells {
 		ex = ex.Add(c.Exec)
 	}
-	tlCore := doc.Core
-	tlTiming := doc.Timing
 	return st.capture(IncidentCore{
 		Trigger:   TriggerJobFailed,
-		Kind:      kind,
+		Kind:      doc.Core.Kind,
 		JobID:     doc.ID,
 		RequestID: doc.Core.RequestID,
 		Error:     doc.Core.Error,
-		Timeline:  &tlCore,
+		Timeline:  &doc.Core,
 		Exec:      &ex,
-	}, IncidentWall{Timing: &tlTiming})
+	}, IncidentWall{Timing: &doc.Timing})
 }
 
 // allowLocked rate-limits one HTTP-edge trigger kind.

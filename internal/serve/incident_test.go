@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +139,60 @@ func TestJobFailureIncidentDeterministicCore(t *testing.T) {
 	s := newTestServer(t)
 	if w := do(t, s, http.MethodGet, "/v1/incidents/inc-999", ""); w.Code != http.StatusNotFound {
 		t.Errorf("unknown incident: code %d, want 404", w.Code)
+	}
+}
+
+// TestJobIncidentSurvivesEviction: a concurrent submit may evict a
+// failed job from the table between its finish and its incident
+// capture. The capture folds the job record itself, so the incident
+// still lands with the job's full timeline core.
+func TestJobIncidentSurvivesEviction(t *testing.T) {
+	s := newStalledServer(t) // no workers; the test drives the job itself
+	m := s.jobs
+	store := m.incidents
+	m.incidents = nil // finish without the automatic capture
+	w := doH(t, s, http.MethodPost, "/v1/runs", failingRunBody,
+		map[string]string{"X-Request-ID": "incident-run"})
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: code %d, body %s", w.Code, w.Body)
+	}
+	var st JobStatus
+	json.Unmarshal(w.Body.Bytes(), &st)
+	m.mu.Lock()
+	j := m.jobs[st.ID]
+	m.mu.Unlock()
+	m.run(j)
+	if fin, _ := m.status(st.ID); fin.State != JobFailed {
+		t.Fatalf("job state %s, want failed", fin.State)
+	}
+
+	m.mu.Lock()
+	m.maxJobs = 0
+	m.evictLocked()
+	m.mu.Unlock()
+	if _, ok := m.status(st.ID); ok {
+		t.Fatal("failed job survived eviction")
+	}
+	m.incidents = store
+	m.captureJobIncident(j)
+
+	incs := store.list()
+	if len(incs) != 1 || incs[0].Trigger != TriggerJobFailed || incs[0].JobID != st.ID {
+		t.Fatalf("incidents %+v, want one job_failed for %s", incs, st.ID)
+	}
+	w = do(t, s, http.MethodGet, "/v1/incidents/"+incs[0].ID, "")
+	var doc struct {
+		Core json.RawMessage `json:"core"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("incident JSON: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "incident_run_core.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(doc.Core) != string(want) {
+		t.Errorf("evicted job's incident core differs from incident_run_core.golden:\n%s", doc.Core)
 	}
 }
 

@@ -80,23 +80,17 @@ type outcome struct {
 	sampled bool
 }
 
-// job is the manager's record of one submitted run or sweep. All
+// job is the manager's record of one submitted run or sweep. Its
 // mutable fields are guarded by the manager's mutex; workers copy what
 // they need out under the lock and publish results back under it.
 type job struct {
-	id       string
-	params   jobParams
-	state    JobState
-	cacheHit bool
-	out      outcome
-	errMsg   string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	// tl is the job's lifecycle timeline, recorded from submission on
-	// and served by GET /v1/{runs,sweeps}/{id}/timeline. The pointer is
-	// immutable after creation; the recorder locks internally.
-	tl *timeline
+	id     string
+	params jobParams
+	out    outcome // set once, when the job finishes
+	// log is the job's event log, written only by manager.record. The
+	// state, every lifecycle time, the timeline and the job_failed
+	// incident are folds over it.
+	log []jobEvent
 }
 
 // manager owns one bounded job queue, the worker pool that drains it,
@@ -128,6 +122,9 @@ type manager struct {
 	maxLive int                // live bound; past it submissions get 503
 	nextID  int
 	closed  bool
+	// unlogged holds the job log lines record queued under mu; unlock
+	// writes them once mu is released.
+	unlogged []slog.Record
 
 	queue   chan *job
 	wg      sync.WaitGroup
@@ -222,16 +219,16 @@ func (m *manager) safeRun(j *job) {
 // captureJobIncident snapshots a just-failed job into the incident
 // store, evidence-first: the full timeline document carries the
 // deterministic core (per-cell exec deltas, settlement routes, the
-// error) and the wall-clock spans.
+// error) and the wall-clock spans. It folds the job record itself, so
+// a concurrent submit evicting the job from the table loses nothing.
 func (m *manager) captureJobIncident(j *job) {
 	if m.incidents == nil {
 		return
 	}
-	doc, herr := m.timeline(j.id)
-	if herr != nil {
-		return // evicted between finish and capture
-	}
-	m.incidents.captureJob(m.idPrefix, doc)
+	m.mu.Lock()
+	snap := *j
+	m.mu.Unlock()
+	m.incidents.captureJob(m.timelineOf(snap))
 }
 
 // submit enqueues a validated submission. It refuses with 503 when the
@@ -273,44 +270,23 @@ func (m *manager) submit(p jobParams) (JobStatus, *httpError) {
 				return st, nil
 			}
 		}
-		now := time.Now().UTC()
 		m.nextID++
-		tl := newTimeline(p.requestID)
-		tl.setVia("cache")
-		tl.events = []string{"submitted", "cache_hit", "finished"}
-		j := &job{
-			id:       fmt.Sprintf("%s-%d", m.idPrefix, m.nextID),
-			params:   p,
-			state:    JobDone,
-			cacheHit: true,
-			out:      e.out,
-			created:  now,
-			started:  now,
-			finished: now,
-			tl:       tl,
-		}
+		j := &job{id: fmt.Sprintf("%s-%d", m.idPrefix, m.nextID), params: p, out: e.out}
+		// Submitted, served and finished in one instant.
+		now := time.Now()
+		m.record(j, jobEvent{kind: evSubmitted, at: now})
+		m.record(j, jobEvent{kind: evCacheHit, at: now})
+		m.record(j, jobEvent{kind: evFinished, at: now, via: "cache"})
 		m.jobs[j.id] = j
 		m.order = append(m.order, j.id)
 		m.byKey[p.key] = j.id
 		m.evictLocked()
 		st := m.statusLocked(j)
-		m.mu.Unlock()
-		m.flight.Record("job_cache_hit", obs.FStr("queue", m.qlabel), obs.FStr("job", j.id),
-			obs.FStr("experiment", p.exp.Name), obs.FStr("request_id", p.requestID))
-		m.log.Info("job served from cache", "queue", m.qlabel, "id", j.id,
-			"request_id", p.requestID, "experiment", p.exp.Name)
+		m.unlock()
 		return st, nil
 	}
 	m.nextID++
-	tl := newTimeline(p.requestID)
-	tl.events = []string{"submitted"}
-	j := &job{
-		id:      fmt.Sprintf("%s-%d", m.idPrefix, m.nextID),
-		params:  p,
-		state:   JobQueued,
-		created: time.Now().UTC(),
-		tl:      tl,
-	}
+	j := &job{id: fmt.Sprintf("%s-%d", m.idPrefix, m.nextID), params: p}
 	if m.live >= m.maxLive {
 		m.mu.Unlock()
 		m.ctr.rejected.Add(1)
@@ -327,21 +303,19 @@ func (m *manager) submit(p jobParams) (JobStatus, *httpError) {
 			obs.FStr("request_id", p.requestID), obs.FInt("depth", int64(cap(m.queue))))
 		return JobStatus{}, errf(http.StatusServiceUnavailable, "job queue is full (depth %d)", cap(m.queue))
 	}
+	// The worker that dequeues j blocks on m.mu, so submitted is logged
+	// first even though j is already on the queue. Counters move inside
+	// the lock for the same reason: the queued gauge is never observed
+	// negative.
+	m.record(j, jobEvent{kind: evSubmitted})
 	m.live++
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.evictLocked()
 	st := m.statusLocked(j)
-	// Counters move inside the lock: a worker's dequeue blocks on this
-	// mutex before it decrements the queued gauge, so it can never be
-	// observed negative.
 	m.ctr.submitted.Add(1)
 	m.ctr.queued.Add(1)
-	m.mu.Unlock()
-	m.flight.Record("job_queued", obs.FStr("queue", m.qlabel), obs.FStr("job", j.id),
-		obs.FStr("experiment", p.exp.Name), obs.FStr("request_id", p.requestID))
-	m.log.Info("job queued", "queue", m.qlabel, "id", j.id,
-		"request_id", p.requestID, "experiment", p.exp.Name)
+	m.unlock()
 	return st, nil
 }
 
@@ -352,7 +326,7 @@ func (m *manager) evictLocked() {
 		evicted := false
 		for i, id := range m.order {
 			j := m.jobs[id]
-			if j.state == JobDone || j.state == JobFailed {
+			if st := j.state(); st == JobDone || st == JobFailed {
 				delete(m.jobs, id)
 				if m.byKey[j.params.key] == id {
 					delete(m.byKey, j.params.key)
@@ -373,63 +347,48 @@ func (m *manager) evictLocked() {
 // the cached bytes exact — and simulate otherwise.
 func (m *manager) run(j *job) {
 	m.mu.Lock()
-	j.state = JobRunning
-	j.started = time.Now().UTC()
 	p := j.params
 	// Gauges move with the state they mirror, inside the same critical
 	// section, so a client that just observed a state via the status
 	// endpoint (also under this lock) can never catch /metrics lagging.
 	m.ctr.queued.Add(-1)
 	m.ctr.running.Add(1)
-	wait := j.started.Sub(j.created)
-	m.mu.Unlock()
-	m.sobs.queueWait.With(m.qlabel).Observe(wait)
-	j.tl.setQueueWait(wait)
-	j.tl.event("dequeued")
-
+	m.record(j, jobEvent{kind: evDequeued})
 	if e, ok := m.cache.get(p.key); ok {
 		m.met.cacheHits.Add(1)
-		j.tl.event("cache_hit")
+		m.record(j, jobEvent{kind: evCacheHit})
+		m.unlock()
 		m.finish(j, e.out, "cache")
 		return
 	}
-
 	// Coalesce concurrent identical submissions: the first worker to
 	// miss the cache for a key leads and simulates; later duplicates
 	// register as waiters and free their worker, so one slow run's
-	// duplicates can never occupy the whole pool.
-	m.mu.Lock()
+	// duplicates can never occupy the whole pool. The cache lookup
+	// above shares this critical section, and a leader puts its outcome
+	// in the cache before it deregisters under m.mu, so a finished
+	// leader's outcome cannot slip between the two checks.
 	if f, ok := m.flights[p.key]; ok {
 		f.waiters = append(f.waiters, j)
-		m.mu.Unlock()
-		j.tl.event("coalesced")
+		m.record(j, jobEvent{kind: evCoalesced})
+		m.unlock()
 		return
 	}
 	m.flights[p.key] = &flight{leader: j}
-	m.mu.Unlock()
+	m.unlock()
 
-	var out outcome
-	if e, ok := m.cache.get(p.key); ok {
-		// A previous leader finished — cache.put, flight deregistered —
-		// between our cache miss and registering; don't re-simulate.
-		m.met.cacheHits.Add(1)
-		j.tl.event("cache_hit")
-		out = e.out
-		m.finish(j, out, "cache")
-	} else {
-		m.met.cacheMisses.Add(1)
-		out = m.simulate(j)
-		if out.err == nil && !out.sampled {
-			// Only fully successful, unsampled outcomes are cached: a
-			// partial result must never be replayed as the canonical
-			// artifact, and a sampled execution's exec telemetry is
-			// perturbed by profiling (see outcome.sampled).
-			m.cache.put(p.key, &cacheEntry{out: out})
-		}
-		m.finish(j, out, "")
-		if out.err != nil {
-			m.captureJobIncident(j)
-		}
+	m.met.cacheMisses.Add(1)
+	out := m.simulate(j)
+	if out.err == nil && !out.sampled {
+		// Only fully successful, unsampled outcomes are cached: a
+		// partial result must never be replayed as the canonical
+		// artifact, and a sampled execution's exec telemetry is
+		// perturbed by profiling (see outcome.sampled).
+		m.cache.put(p.key, &cacheEntry{out: out})
+	}
+	m.finish(j, out, "")
+	if out.err != nil {
+		m.captureJobIncident(j)
 	}
 
 	// Complete the coalesced waiters with the identical outcome. After
@@ -464,45 +423,36 @@ func (m *manager) cellHook(_ string, start bool) {
 }
 
 // simulate executes one submission and renders its artifact(s),
-// recording per-cell (or per-point) spans and render timing onto the
-// leader's timeline. Cell wall-clock durations also feed the shared
-// cell-duration histogram, and each settled cell drops a flight event
-// carrying its settlement route and exec delta.
+// logging per-cell (or per-point) spans, then simulated and rendered,
+// onto the leader's event log.
 func (m *manager) simulate(j *job) outcome {
-	p, tl := j.params, j.tl
+	p := j.params
 	par := p.parallel
 	if par == 0 {
 		par = m.parallel
 	}
-	observeCell := func(res spec.CellResult, ct spec.CellTiming) {
-		m.sobs.cellDur.With(m.qlabel).Observe(ct.Wall)
-		tl.observeCell(res, ct)
-		m.flight.Record("cell", obs.FStr("job", j.id), obs.FStr("cell", res.Cell),
-			obs.FStr("settlement", settlementRoute(res.Exec)),
-			obs.FInt("gang_dispatches", res.Exec.GangDispatches),
-			obs.FInt("serial_steps", res.Exec.SerialSteps))
+	// Nothing in simulate holds m.mu, the runner's observer callbacks
+	// included.
+	record := func(e jobEvent) {
+		m.mu.Lock()
+		m.record(j, e)
+		m.unlock()
 	}
+	var render func() outcome
 	switch p.kind {
 	case sweepJob:
 		runner := &sweep.Runner{
 			Parallel:      par,
 			Pool:          m.pool,
 			CellHook:      m.cellHook,
-			PointObserver: tl.observePoint,
+			PointObserver: func(pt sweep.Point, wall time.Duration) { record(pointEvent(pt, wall)) },
 		}
 		plan := p.plan
 		plan.Parallel = par
 		res := runner.Run(p.exp, plan)
-		tl.event("simulated")
-		t0 := time.Now()
-		artifact := sweep.RenderText(res) + "\n"
-		d := time.Since(t0)
-		m.sobs.renderDur.With(m.qlabel).Observe(d)
-		tl.addRender(d)
-		tl.event("rendered")
 		// Violating grid cells are the sweep's comparative payload, so
 		// they never fail the job; the artifact renders them.
-		return outcome{artifact: artifact, sweepRes: &res}
+		render = func() outcome { return outcome{artifact: sweep.RenderText(res) + "\n", sweepRes: &res} }
 	default:
 		// The contention sampler may force profiling onto an unprofiled
 		// run; explicitly profiled runs fold into the view for free.
@@ -512,7 +462,7 @@ func (m *manager) simulate(j *job) outcome {
 			Pool:         m.pool,
 			Profile:      p.profile || forced,
 			CellHook:     m.cellHook,
-			CellObserver: observeCell,
+			CellObserver: func(res spec.CellResult, ct spec.CellTiming) { record(cellEvent(res, ct)) },
 		}
 		if p.model != "" {
 			// Validation canonicalized the name, so it always parses.
@@ -520,7 +470,6 @@ func (m *manager) simulate(j *job) outcome {
 			runner.Model = &model
 		}
 		res := runner.Run(p.exp, p.sizes, p.seed)
-		tl.event("simulated")
 		if p.profile || forced {
 			var profs []*profile.Profile
 			for i := range res.Cells {
@@ -535,18 +484,20 @@ func (m *manager) simulate(j *job) outcome {
 				res.Cells[i].Profiles = nil
 			}
 		}
-		t0 := time.Now()
-		out := outcome{artifact: renderArtifact(p.exp, res), result: &res,
-			err: res.FirstErr(), sampled: forced}
-		if p.profile {
-			out.profText = renderProfile(res)
+		render = func() outcome {
+			out := outcome{artifact: renderArtifact(p.exp, res), result: &res,
+				err: res.FirstErr(), sampled: forced}
+			if p.profile {
+				out.profText = renderProfile(res)
+			}
+			return out
 		}
-		d := time.Since(t0)
-		m.sobs.renderDur.With(m.qlabel).Observe(d)
-		tl.addRender(d)
-		tl.event("rendered")
-		return out
 	}
+	record(jobEvent{kind: evSimulated})
+	t0 := time.Now()
+	out := render()
+	record(jobEvent{kind: evRendered, dur: time.Since(t0)})
+	return out
 }
 
 // renderArtifact renders a result exactly as `lowcontend run <exp>`
@@ -571,46 +522,26 @@ func renderProfile(res spec.Result) string {
 // simulated jobs; any non-empty via reports as cache_hit on the wire,
 // while the timeline keeps the distinction.
 func (m *manager) finish(j *job, out outcome, via string) {
-	errMsg := ""
-	state := JobDone
-	if out.err != nil {
-		state = JobFailed
-		errMsg = out.err.Error()
-	}
 	m.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed {
+	defer m.unlock()
+	if st := j.state(); st == JobDone || st == JobFailed {
 		// Already settled (e.g. panic containment racing a normal
 		// completion); finishing is once-only.
-		m.mu.Unlock()
 		return
 	}
-	j.state = state
 	j.out = out
-	j.cacheHit = via != ""
-	j.errMsg = errMsg
-	j.finished = time.Now().UTC()
 	// Counters settle with the state transition (see run): the running
 	// gauge covers coalesced waiters too — they stay JobRunning without
 	// occupying a worker until their leader completes them here.
 	m.live--
 	m.ctr.running.Add(-1)
-	if state == JobFailed {
+	if out.err != nil {
 		m.ctr.failed.Add(1)
 	} else {
 		m.ctr.done.Add(1)
 		m.byKey[j.params.key] = j.id
 	}
-	elapsed := j.finished.Sub(j.created)
-	m.mu.Unlock()
-	if via != "" {
-		j.tl.setVia(via)
-	}
-	j.tl.event("finished")
-	m.flight.Record("job_finished", obs.FStr("queue", m.qlabel), obs.FStr("job", j.id),
-		obs.FStr("state", string(state)), obs.FStr("via", via), obs.FStr("error", errMsg))
-	m.log.Info("job finished", "queue", m.qlabel, "id", j.id,
-		"request_id", j.params.requestID, "state", string(state),
-		"via", via, "elapsed", elapsed, "error", errMsg)
+	m.record(j, jobEvent{kind: evFinished, via: via})
 }
 
 // status returns the wire form of the job with the given id.
@@ -625,16 +556,21 @@ func (m *manager) status(id string) (JobStatus, bool) {
 }
 
 func (m *manager) statusLocked(j *job) JobStatus {
+	tm, via := j.timing()
 	st := JobStatus{
 		ID:         j.id,
-		State:      j.state,
+		State:      j.state(),
 		Experiment: j.params.exp.Name,
 		Sizes:      j.params.sizes,
 		Parallel:   j.params.parallel,
 		RequestID:  j.params.requestID,
-		CacheHit:   j.cacheHit,
-		Error:      j.errMsg,
-		Created:    j.created,
+		CacheHit:   via != "",
+		Error:      errText(j.out.err),
+		Created:    tm.Created,
+		Started:    tm.Started,
+		Finished:   tm.Finished,
+		Result:     j.out.result,
+		Sweep:      j.out.sweepRes,
 	}
 	switch j.params.kind {
 	case sweepJob:
@@ -645,18 +581,6 @@ func (m *manager) statusLocked(j *job) JobStatus {
 		st.Seed = &seed
 		st.Model = j.params.model
 		st.Profile = j.params.profile
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	if j.state == JobDone || j.state == JobFailed {
-		st.Result = j.out.result
-		st.Sweep = j.out.sweepRes
 	}
 	return st
 }
@@ -674,16 +598,16 @@ func (m *manager) artifact(id string) (string, any, *httpError) {
 	if !ok {
 		return "", nil, errf(http.StatusNotFound, "unknown %s %q", m.idPrefix, id)
 	}
-	switch j.state {
+	switch st := j.state(); st {
 	case JobDone:
 		if j.params.kind == sweepJob {
 			return j.out.artifact, j.out.sweepRes, nil
 		}
 		return j.out.artifact, j.out.result, nil
 	case JobFailed:
-		return "", nil, errf(http.StatusConflict, "%s %s failed: %s", m.idPrefix, id, j.errMsg)
+		return "", nil, errf(http.StatusConflict, "%s %s failed: %s", m.idPrefix, id, j.out.err)
 	default:
-		return "", nil, errf(http.StatusConflict, "%s %s is %s; poll GET /v1/%ss/%s until done", m.idPrefix, id, j.state, m.idPrefix, id)
+		return "", nil, errf(http.StatusConflict, "%s %s is %s; poll GET /v1/%ss/%s until done", m.idPrefix, id, st, m.idPrefix, id)
 	}
 }
 
@@ -698,7 +622,7 @@ func (m *manager) list(state JobState) []JobStatus {
 	out := make([]JobStatus, 0, len(m.order))
 	for _, id := range m.order {
 		j := m.jobs[id]
-		if state != "" && j.state != state {
+		if state != "" && j.state() != state {
 			continue
 		}
 		st := m.statusLocked(j)
@@ -720,16 +644,16 @@ func (m *manager) profileText(id string) (string, *httpError) {
 	if !ok {
 		return "", errf(http.StatusNotFound, "unknown run %q", id)
 	}
-	switch j.state {
+	switch st := j.state(); st {
 	case JobDone:
 		if !j.params.profile {
 			return "", errf(http.StatusConflict, "run %s was not profiled; resubmit with \"profile\": true", id)
 		}
 		return j.out.profText, nil
 	case JobFailed:
-		return "", errf(http.StatusConflict, "run %s failed: %s", id, j.errMsg)
+		return "", errf(http.StatusConflict, "run %s failed: %s", id, j.out.err)
 	default:
-		return "", errf(http.StatusConflict, "run %s is %s; poll GET /v1/runs/%s until done", id, j.state, id)
+		return "", errf(http.StatusConflict, "run %s is %s; poll GET /v1/runs/%s until done", id, st, id)
 	}
 }
 

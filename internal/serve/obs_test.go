@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"log/slog"
@@ -14,7 +15,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"lowcontend/internal/exp/spec"
 	"lowcontend/internal/obs"
 )
 
@@ -377,5 +380,179 @@ func TestPprofOnlyOnDebugHandler(t *testing.T) {
 	if dump.Recorded == 0 || len(dump.Events) == 0 {
 		t.Errorf("flight dump empty after traced requests: recorded=%d events=%d",
 			dump.Recorded, len(dump.Events))
+	}
+}
+
+// TestJobFlightMatchesTimeline pins the flight ring's per-job shape:
+// the entries carrying a job's id are its timeline's Core.Events in
+// order, with one cell entry per cell span logged before simulated, and
+// every entry carries the job, queue and request_id fields. Three
+// routes: a simulated run, an inline cache hit and a coalesced waiter.
+func TestJobFlightMatchesTimeline(t *testing.T) {
+	s := New(Config{Workers: -1, FlightEvents: 4096}) // the test drives every job
+	t.Cleanup(func() {
+		ctx, cancel := testContext(t)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	m := s.jobs
+	check := func(id, rid, events string, cells int) {
+		t.Helper()
+		w := do(t, s, http.MethodGet, "/v1/runs/"+id+"/timeline", "")
+		var tl Timeline
+		if err := json.Unmarshal(w.Body.Bytes(), &tl); err != nil {
+			t.Fatalf("timeline %s: %v", id, err)
+		}
+		if got := strings.Join(tl.Core.Events, " "); got != events || len(tl.Core.Cells) != cells {
+			t.Fatalf("%s timeline: events %q with %d cells, want %q with %d", id, got, len(tl.Core.Cells), events, cells)
+		}
+		var want []string
+		for _, k := range tl.Core.Events {
+			if k == "simulated" {
+				for range tl.Core.Cells {
+					want = append(want, "cell")
+				}
+			}
+			want = append(want, k)
+		}
+		var got []string
+		for _, ev := range s.flight.Events() {
+			f := make(map[string]string)
+			for _, fd := range ev.Fields {
+				f[fd.Key] = fd.Str
+			}
+			if f["job"] != id {
+				continue
+			}
+			if f["queue"] != "runs" || f["request_id"] != rid {
+				t.Errorf("%s entry %q: queue %q, request_id %q", id, ev.Kind, f["queue"], f["request_id"])
+			}
+			got = append(got, ev.Kind)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s flight kinds\n got %v\nwant %v", id, got, want)
+		}
+	}
+	submitRID := func(body, rid string) *job {
+		t.Helper()
+		w := doH(t, s, http.MethodPost, "/v1/runs", body, map[string]string{"X-Request-ID": rid})
+		var st JobStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.ID == "" {
+			t.Fatalf("submit %s: code %d, body %s", rid, w.Code, w.Body)
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.jobs[st.ID]
+	}
+
+	// Simulated: submitted, dequeued, five cells, simulated, rendered,
+	// finished.
+	const body = `{"experiment":"table1","sizes":[64],"seed":3}`
+	run := submitRID(body, "flight-run")
+	m.run(run)
+	check(run.id, "flight-run", "submitted dequeued simulated rendered finished", 5)
+
+	// Inline cache hit: evict the finished record so the resubmission
+	// gets a fresh job served straight from the artifact cache.
+	m.mu.Lock()
+	maxJobs := m.maxJobs
+	m.maxJobs = 0
+	m.evictLocked()
+	m.maxJobs = maxJobs
+	m.mu.Unlock()
+	hit := submitRID(body, "flight-hit")
+	if st, _ := m.status(hit.id); !st.CacheHit || st.State != JobDone {
+		t.Fatalf("resubmission not an inline cache hit: %+v", st)
+	}
+	check(hit.id, "flight-hit", "submitted cache_hit finished", 0)
+
+	// Coalesced waiter: the leader blocks in its Cells factory while an
+	// identical job dequeues behind it.
+	block := make(chan struct{})
+	slow := spec.Experiment{
+		Name: "slow",
+		Cells: func([]int) []spec.Cell {
+			<-block
+			return []spec.Cell{{Name: "only", Run: func(*spec.Ctx) error { return nil }}}
+		},
+		Render: func(spec.Result) string { return "" },
+	}
+	p := jobParams{exp: slow, seed: 1, key: "slow||1|", requestID: "flight-coalesce"}
+	var ids [2]string
+	for i := range ids {
+		st, herr := m.submit(p)
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		ids[i] = st.ID
+	}
+	m.mu.Lock()
+	leader, waiter := m.jobs[ids[0]], m.jobs[ids[1]]
+	m.mu.Unlock()
+	done := make(chan struct{})
+	go func() { m.run(leader); close(done) }()
+	for registered := false; !registered; {
+		time.Sleep(time.Millisecond)
+		m.mu.Lock()
+		_, registered = m.flights[p.key]
+		m.mu.Unlock()
+	}
+	m.run(waiter)
+	close(block)
+	<-done
+	check(leader.id, "flight-coalesce", "submitted dequeued simulated rendered finished", 1)
+	check(waiter.id, "flight-coalesce", "submitted dequeued coalesced finished", 0)
+}
+
+// probeHandler is a slog.Handler that hands every record to fn.
+type probeHandler struct{ fn func(slog.Record) }
+
+func (h probeHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h probeHandler) Handle(_ context.Context, r slog.Record) error {
+	h.fn(r)
+	return nil
+}
+func (h probeHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h probeHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestJobLogLinesOutsideLock: every job event writes one log line, in
+// log order, and the caller-supplied logger never runs while the
+// manager's mutex is held. The test drives the job itself, so no other
+// goroutine can hold the mutex when a line is written.
+func TestJobLogLinesOutsideLock(t *testing.T) {
+	var (
+		s     *Server
+		mu    sync.Mutex
+		lines []string
+	)
+	s = New(Config{Workers: -1, Logger: slog.New(probeHandler{func(r slog.Record) {
+		if !strings.HasPrefix(r.Message, "job ") {
+			return
+		}
+		if !s.jobs.mu.TryLock() {
+			t.Errorf("%q written under the manager's mutex", r.Message)
+		} else {
+			s.jobs.mu.Unlock()
+		}
+		mu.Lock()
+		lines = append(lines, strings.TrimPrefix(r.Message, "job "))
+		mu.Unlock()
+	}})})
+	t.Cleanup(func() {
+		ctx, cancel := testContext(t)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	st := submit(t, s, `{"experiment":"table1","sizes":[64],"seed":3}`)
+	m := s.jobs
+	m.mu.Lock()
+	j := m.jobs[st.ID]
+	m.mu.Unlock()
+	m.run(j)
+	mu.Lock()
+	defer mu.Unlock()
+	got := strings.Join(lines, " ")
+	if want := "submitted dequeued cell cell cell cell cell simulated rendered finished"; got != want {
+		t.Errorf("job log lines\n got %s\nwant %s", got, want)
 	}
 }

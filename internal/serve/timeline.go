@@ -1,21 +1,25 @@
 package serve
 
 import (
+	"context"
+	"log/slog"
 	"net/http"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"lowcontend/internal/exp/spec"
 	"lowcontend/internal/machine"
+	"lowcontend/internal/obs"
 	"lowcontend/internal/sweep"
 )
 
-// This file implements request timelines: every submitted run or sweep
-// records its lifecycle — submission, queue wait, per-cell (or
-// per-grid-point) spans with engine telemetry deltas, cache/coalesce
-// outcomes — and serves it on GET /v1/runs/{id}/timeline (sweeps
-// alike). The document is split in two on purpose:
+// This file implements the per-job event log and the timeline folded
+// from it. Every submitted run or sweep logs its lifecycle through
+// manager.record — submission, dequeue, cache/coalesce outcomes,
+// simulate and render, per-cell (or per-grid-point) spans with engine
+// telemetry deltas, finish — and the same call feeds the flight ring,
+// the job histograms and the log. GET /v1/runs/{id}/timeline (sweeps
+// alike) serves the fold, split in two on purpose:
 //
 //   - Core is deterministic: for a given submission against the
 //     daemon's single-worker session pool it is byte-identical at any
@@ -108,60 +112,153 @@ type PointTimingSpan struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// timeline is a job's in-flight lifecycle recorder. Span observers run
-// concurrently at job parallelism > 1, so appends are mutex-guarded;
-// the snapshot sorts spans into declaration/plan order, which is what
-// keeps the rendered Core independent of completion order.
-type timeline struct {
-	mu        sync.Mutex
-	requestID string
-	via       string
-	events    []string
-	cells     []cellSpanRec
-	points    []pointSpanRec
-	queueWait time.Duration
-	render    time.Duration
+// Job event kinds. The lifecycle kinds are the timeline's Core.Events;
+// cell and point events carry one span each. A flight-ring entry
+// mirrors every event under the same kind.
+const (
+	evSubmitted = "submitted"
+	evDequeued  = "dequeued"
+	evCacheHit  = "cache_hit"
+	evCoalesced = "coalesced"
+	evSimulated = "simulated"
+	evRendered  = "rendered"
+	evFinished  = "finished"
+	evCell      = "cell"
+	evPoint     = "point"
+)
+
+// jobEvent is one entry of a job's event log. The log is the job's only
+// record of time: JobStatus's timestamps, the timeline and the
+// job_failed incident are all folds over it.
+type jobEvent struct {
+	kind    string
+	at      time.Time
+	dur     time.Duration // rendered: render time; cell, point: wall time
+	acquire time.Duration // cell: session-acquire share of dur
+	via     string        // finished: "cache", "coalesce", or "" when simulated
+	cell    *CellSpan     // cell events
+	point   *PointSpan    // point events
 }
 
-type cellSpanRec struct {
-	core          CellSpan
-	wall, acquire time.Duration
+// record is the one writer of a job's event log. Besides appending e it
+// observes the matching histogram (queue wait on dequeue, cell duration
+// per cell, render time on render), mirrors e into the flight ring
+// under the same kind, and queues the job's log line (span events at
+// debug level). The caller holds m.mu, so the append is published in
+// the same critical section as the state change it marks and the ring
+// keeps the log's order; it releases the lock with unlock, which writes
+// the queued lines once the lock is free.
+func (m *manager) record(j *job, e jobEvent) {
+	if e.at.IsZero() {
+		e.at = time.Now()
+	}
+	j.log = append(j.log, e)
+	level := slog.LevelInfo
+	attrs := []slog.Attr{slog.String("job", j.id), slog.String("queue", m.qlabel),
+		slog.String("request_id", j.params.requestID)}
+	switch e.kind {
+	case evSubmitted:
+		attrs = append(attrs, slog.String("experiment", j.params.exp.Name))
+	case evDequeued:
+		m.sobs.queueWait.With(m.qlabel).Observe(e.at.Sub(j.log[0].at))
+	case evRendered:
+		m.sobs.renderDur.With(m.qlabel).Observe(e.dur)
+	case evCell:
+		m.sobs.cellDur.With(m.qlabel).Observe(e.dur)
+		level = slog.LevelDebug
+		attrs = append(attrs, slog.String("cell", e.cell.Cell), slog.String("settlement", e.cell.Settlement),
+			slog.Int64("gang_dispatches", e.cell.Exec.GangDispatches),
+			slog.Int64("serial_steps", e.cell.Exec.SerialSteps))
+	case evPoint:
+		level = slog.LevelDebug
+		attrs = append(attrs, slog.String("model", e.point.Model), slog.Int("size", e.point.Size),
+			slog.Uint64("seed", e.point.Seed))
+	case evFinished:
+		attrs = append(attrs, slog.String("state", string(j.state())), slog.String("via", e.via),
+			slog.String("error", errText(j.out.err)),
+			slog.Int64("elapsed_us", e.at.Sub(j.log[0].at).Microseconds()))
+	}
+	fields := make([]obs.Field, len(attrs))
+	for i, a := range attrs {
+		if a.Value.Kind() == slog.KindInt64 {
+			fields[i] = obs.FInt(a.Key, a.Value.Int64())
+		} else {
+			fields[i] = obs.FStr(a.Key, a.Value.String())
+		}
+	}
+	m.flight.Record(e.kind, fields...)
+	line := slog.NewRecord(e.at, level, "job "+e.kind, 0)
+	line.AddAttrs(attrs...)
+	m.unlogged = append(m.unlogged, line)
 }
 
-type pointSpanRec struct {
-	core PointSpan
-	wall time.Duration
+// unlock releases m.mu, then writes the log lines record queued under
+// it: the logger is caller-supplied code, never run under the lock.
+// Each line carries its event's time.
+func (m *manager) unlock() {
+	lines := m.unlogged
+	m.unlogged = nil
+	m.mu.Unlock()
+	ctx, h := context.Background(), m.log.Handler()
+	for _, line := range lines {
+		if h.Enabled(ctx, line.Level) {
+			h.Handle(ctx, line)
+		}
+	}
 }
 
-func newTimeline(requestID string) *timeline {
-	return &timeline{requestID: requestID}
+// state folds the log into the job's lifecycle state. A log opens with
+// submitted and closes with finished; nothing follows finished.
+func (j *job) state() JobState {
+	if j.log[len(j.log)-1].kind != evFinished {
+		if len(j.log) == 1 {
+			return JobQueued
+		}
+		return JobRunning
+	}
+	if j.out.err != nil {
+		return JobFailed
+	}
+	return JobDone
 }
 
-// event appends one lifecycle event. Events are appended only at
-// single-goroutine sequence points of the job's life (submit, dequeue,
-// simulate, render, finish), so their order is deterministic.
-func (t *timeline) event(kind string) {
-	t.mu.Lock()
-	t.events = append(t.events, kind)
-	t.mu.Unlock()
+// timing folds the log into the wall-clock half of the job's timeline
+// (spans aside) and the route it was served by; JobStatus reads its
+// timestamps from the same fold. A job starts when it leaves the queue,
+// or — an inline cache hit, which never queues — when it hits the
+// cache.
+func (j *job) timing() (tm TimelineTiming, via string) {
+	created := j.log[0].at
+	tm.Created = created.UTC()
+	for _, e := range j.log {
+		switch e.kind {
+		case evDequeued:
+			tm.Started = utcPtr(e.at)
+			tm.QueueWaitSeconds = e.at.Sub(created).Seconds()
+		case evCacheHit:
+			if tm.Started == nil {
+				tm.Started = utcPtr(e.at)
+			}
+		case evRendered:
+			tm.RenderSeconds += e.dur.Seconds()
+		case evFinished:
+			tm.Finished, via = utcPtr(e.at), e.via
+			tm.TotalSeconds = e.at.Sub(created).Seconds()
+		}
+	}
+	return tm, via
 }
 
-func (t *timeline) setVia(via string) {
-	t.mu.Lock()
-	t.via = via
-	t.mu.Unlock()
+func utcPtr(t time.Time) *time.Time {
+	t = t.UTC()
+	return &t
 }
 
-func (t *timeline) setQueueWait(d time.Duration) {
-	t.mu.Lock()
-	t.queueWait = d
-	t.mu.Unlock()
-}
-
-func (t *timeline) addRender(d time.Duration) {
-	t.mu.Lock()
-	t.render += d
-	t.mu.Unlock()
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // settlementRoute classifies a cell's exec delta into the Settlement
@@ -179,46 +276,89 @@ func settlementRoute(ex machine.ExecStats) string {
 	}
 }
 
-// observeCell is the spec.Runner CellObserver for a traced run job.
-func (t *timeline) observeCell(res spec.CellResult, ct spec.CellTiming) {
-	errText := ""
-	if res.Err != nil {
-		errText = res.Err.Error()
-	}
-	rec := cellSpanRec{
-		core: CellSpan{
-			Cell:         res.Cell,
-			Index:        res.Index,
-			Measurements: len(res.Measurements),
-			Settlement:   settlementRoute(res.Exec),
-			Exec:         res.Exec,
-			Error:        errText,
-		},
-		wall:    ct.Wall,
-		acquire: ct.Acquire,
-	}
-	t.mu.Lock()
-	t.cells = append(t.cells, rec)
-	t.mu.Unlock()
+// cellEvent is the log entry of one settled cell: its deterministic
+// span plus the runner's wall/acquire split.
+func cellEvent(res spec.CellResult, ct spec.CellTiming) jobEvent {
+	return jobEvent{kind: evCell, dur: ct.Wall, acquire: ct.Acquire, cell: &CellSpan{
+		Cell:         res.Cell,
+		Index:        res.Index,
+		Measurements: len(res.Measurements),
+		Settlement:   settlementRoute(res.Exec),
+		Exec:         res.Exec,
+		Error:        errText(res.Err),
+	}}
 }
 
-// observePoint is the sweep.Runner PointObserver for a traced sweep.
-func (t *timeline) observePoint(pt sweep.Point, wall time.Duration) {
-	rec := pointSpanRec{
-		core: PointSpan{
-			Model:      pt.Model,
-			Size:       pt.Size,
-			Seed:       pt.Seed,
-			Cells:      len(pt.Cells),
-			Violations: pt.Violations,
-			Errors:     pt.Errors,
-			Time:       pt.Time,
+// pointEvent is the log entry of one reduced sweep grid point.
+func pointEvent(pt sweep.Point, wall time.Duration) jobEvent {
+	return jobEvent{kind: evPoint, dur: wall, point: &PointSpan{
+		Model:      pt.Model,
+		Size:       pt.Size,
+		Seed:       pt.Seed,
+		Cells:      len(pt.Cells),
+		Violations: pt.Violations,
+		Errors:     pt.Errors,
+		Time:       pt.Time,
+	}}
+}
+
+// timelineOf folds a job's event log into its wire timeline. j is a
+// copy taken under m.mu; the log is append-only, so the copied slice
+// header is a stable snapshot and the fold runs unlocked.
+func (m *manager) timelineOf(j job) Timeline {
+	doc := Timeline{
+		ID: j.id,
+		Core: TimelineCore{
+			Kind:       m.idPrefix,
+			Experiment: j.params.exp.Name,
+			RequestID:  j.params.requestID,
+			State:      j.state(),
+			Error:      errText(j.out.err),
 		},
-		wall: wall,
 	}
-	t.mu.Lock()
-	t.points = append(t.points, rec)
-	t.mu.Unlock()
+	doc.Timing, doc.Core.Via = j.timing()
+	var cells, points []jobEvent
+	for _, e := range j.log {
+		switch e.kind {
+		case evCell:
+			cells = append(cells, e)
+		case evPoint:
+			points = append(points, e)
+		default:
+			doc.Core.Events = append(doc.Core.Events, e.kind)
+		}
+	}
+
+	// Spans into declaration order: completion order varies with job
+	// parallelism, declaration order does not.
+	slices.SortFunc(cells, func(a, b jobEvent) int { return a.cell.Index - b.cell.Index })
+	for _, e := range cells {
+		doc.Core.Cells = append(doc.Core.Cells, *e.cell)
+		doc.Timing.Cells = append(doc.Timing.Cells, CellTimingSpan{
+			Cell:            e.cell.Cell,
+			WallSeconds:     e.dur.Seconds(),
+			AcquireSeconds:  e.acquire.Seconds(),
+			SimulateSeconds: (e.dur - e.acquire).Seconds(),
+		})
+	}
+
+	// Grid points into plan order (model-major, then size, then seed).
+	plan := j.params.plan
+	rank := func(e jobEvent) int {
+		return (slices.Index(plan.Models, e.point.Model)*len(plan.Sizes)+
+			slices.Index(plan.Sizes, e.point.Size))*len(plan.Seeds) + slices.Index(plan.Seeds, e.point.Seed)
+	}
+	slices.SortFunc(points, func(a, b jobEvent) int { return rank(a) - rank(b) })
+	for _, e := range points {
+		doc.Core.Points = append(doc.Core.Points, *e.point)
+		doc.Timing.Points = append(doc.Timing.Points, PointTimingSpan{
+			Model:       e.point.Model,
+			Size:        e.point.Size,
+			Seed:        e.point.Seed,
+			WallSeconds: e.dur.Seconds(),
+		})
+	}
+	return doc
 }
 
 // timeline builds the wire document for the job with the given id.
@@ -229,89 +369,7 @@ func (m *manager) timeline(id string) (Timeline, *httpError) {
 		m.mu.Unlock()
 		return Timeline{}, errf(http.StatusNotFound, "unknown %s %q", m.idPrefix, id)
 	}
-	doc := Timeline{
-		ID: j.id,
-		Core: TimelineCore{
-			Kind:       m.idPrefix,
-			Experiment: j.params.exp.Name,
-			State:      j.state,
-			Error:      j.errMsg,
-		},
-		Timing: TimelineTiming{Created: j.created},
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		doc.Timing.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		doc.Timing.Finished = &t
-		doc.Timing.TotalSeconds = j.finished.Sub(j.created).Seconds()
-	}
-	tl := j.tl
-	plan := j.params.plan
+	snap := *j
 	m.mu.Unlock()
-	if tl == nil {
-		return doc, nil
-	}
-
-	tl.mu.Lock()
-	doc.Core.RequestID = tl.requestID
-	doc.Core.Via = tl.via
-	doc.Core.Events = append([]string(nil), tl.events...)
-	cells := append([]cellSpanRec(nil), tl.cells...)
-	points := append([]pointSpanRec(nil), tl.points...)
-	doc.Timing.QueueWaitSeconds = tl.queueWait.Seconds()
-	doc.Timing.RenderSeconds = tl.render.Seconds()
-	tl.mu.Unlock()
-
-	// Spans into declaration order: completion order varies with job
-	// parallelism, declaration order does not.
-	sort.Slice(cells, func(a, b int) bool { return cells[a].core.Index < cells[b].core.Index })
-	for _, c := range cells {
-		doc.Core.Cells = append(doc.Core.Cells, c.core)
-		doc.Timing.Cells = append(doc.Timing.Cells, CellTimingSpan{
-			Cell:            c.core.Cell,
-			WallSeconds:     c.wall.Seconds(),
-			AcquireSeconds:  c.acquire.Seconds(),
-			SimulateSeconds: (c.wall - c.acquire).Seconds(),
-		})
-	}
-
-	// Grid points into plan order (model-major, then size, then seed).
-	rank := planRank(plan)
-	sort.Slice(points, func(a, b int) bool {
-		return rank[pointKey{points[a].core.Model, points[a].core.Size, points[a].core.Seed}] <
-			rank[pointKey{points[b].core.Model, points[b].core.Size, points[b].core.Seed}]
-	})
-	for _, p := range points {
-		doc.Core.Points = append(doc.Core.Points, p.core)
-		doc.Timing.Points = append(doc.Timing.Points, PointTimingSpan{
-			Model:       p.core.Model,
-			Size:        p.core.Size,
-			Seed:        p.core.Seed,
-			WallSeconds: p.wall.Seconds(),
-		})
-	}
-	return doc, nil
-}
-
-type pointKey struct {
-	model string
-	size  int
-	seed  uint64
-}
-
-func planRank(p sweep.Plan) map[pointKey]int {
-	rank := make(map[pointKey]int, len(p.Models)*len(p.Sizes)*len(p.Seeds))
-	i := 0
-	for _, model := range p.Models {
-		for _, size := range p.Sizes {
-			for _, seed := range p.Seeds {
-				rank[pointKey{model, size, seed}] = i
-				i++
-			}
-		}
-	}
-	return rank
+	return m.timelineOf(snap), nil
 }

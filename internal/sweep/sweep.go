@@ -189,7 +189,7 @@ type Runner struct {
 	// PointObserver, when non-nil, receives each finished grid point
 	// (fully reduced, by value) and its wall-clock duration. Points may
 	// run concurrently, so the observer must be safe for concurrent use
-	// and must not block; the daemon's timeline recorder consumes it.
+	// and must not block; the daemon's job event log consumes it.
 	PointObserver func(pt Point, wall time.Duration)
 }
 

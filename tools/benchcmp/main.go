@@ -24,7 +24,7 @@
 //
 // Usage:
 //
-//	go run ./tools/benchcmp -baseline BENCH_5.json -new BENCH_6.json
+//	go run ./tools/benchcmp -baseline BENCH_9.json -new BENCH_10.json
 package main
 
 import (
