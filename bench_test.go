@@ -313,6 +313,9 @@ func BenchmarkNative_SortPermutation(b *testing.B) {
 // tools/benchcmp enforces. On the 1-CPU CI runner the workers=4 rows
 // measure dispatch overhead (regressions), not speedup; multi-core
 // speedups are reported in the PR.
+//
+// Each sub-benchmark's steps take one route, so the adaptive serial
+// cutoff, which needs timings of both, never moves.
 func BenchmarkStepDispatch(b *testing.B) {
 	const stepsPerOp = 64
 	for _, p := range []int{1 << 10, 1 << 12, 1 << 14} {
@@ -320,8 +323,7 @@ func BenchmarkStepDispatch(b *testing.B) {
 			b.Run(fmt.Sprintf("p=%d/workers=%d", p, workers), func(b *testing.B) {
 				m := machine.New(machine.QRQW, p,
 					machine.WithSeed(1),
-					machine.WithWorkers(workers),
-					machine.WithTuning(machine.Tuning{Fixed: true}))
+					machine.WithWorkers(workers))
 				defer m.Free()
 				var st machine.Stats
 				b.ResetTimer()

@@ -31,13 +31,10 @@
 //	               (gang dispatches, settlement routes, cursor claims/steals,
 //	               cutoff retunes) to stderr after each run
 //
-// Execution tuning (host-side only — charged stats never depend on it):
+// Host execution (charged stats never depend on it):
 //
-//	-workers N        step-level host goroutines per machine (0 = auto:
-//	                  1 when cells run concurrently, else GOMAXPROCS)
-//	-serial-cutoff N  processor count below which a step runs serially
-//	-min-chunk N      floor on the dynamically scheduled chunk size
-//	-fixed-tuning     pin the cutoffs (disable adaptive retuning)
+//	-workers N     step-level host goroutines per machine (0 = auto:
+//	               1 when cells run concurrently, else GOMAXPROCS)
 //
 // Sweep flags (after `sweep <experiment>`; global -sizes/-seed/-parallel/
 // -json provide the defaults):
@@ -107,9 +104,6 @@ func run() int {
 	modelFlag := flag.String("model", "", "charge every cell under this contention model instead of the experiment's pinned models")
 	check := flag.Bool("check", false, "verify each experiment's expected paper shape after running")
 	workers := flag.Int("workers", 0, "step-level host goroutines per machine (0 = auto)")
-	serialCutoff := flag.Int("serial-cutoff", 0, "processor count below which a step runs serially (0 = default)")
-	minChunk := flag.Int("min-chunk", 0, "floor on the dynamically scheduled chunk size (0 = default)")
-	fixedTuning := flag.Bool("fixed-tuning", false, "pin the execution cutoffs (disable adaptive retuning)")
 	timing := flag.Bool("timing", false, "print per-cell wall-clock and engine execution telemetry to stderr after each run")
 	flag.Parse()
 
@@ -141,15 +135,6 @@ func run() int {
 		pool.Workers = *workers
 	} else if par > 1 {
 		pool.Workers = 1
-	}
-	// Execution tuning rides on every pooled lease. Host-side only:
-	// charged stats and rendered artifacts are identical at any tuning.
-	if *serialCutoff > 0 || *minChunk > 0 || *fixedTuning {
-		pool.Tuning = &core.Tuning{
-			SerialCutoff: *serialCutoff,
-			MinChunk:     *minChunk,
-			Fixed:        *fixedTuning,
-		}
 	}
 	defer pool.Close()
 	runner := &spec.Runner{Parallel: par, Pool: pool, Model: modelOverride}

@@ -46,14 +46,6 @@ var WithSeed = machine.WithSeed
 // WithWorkers re-exports the host-parallelism option.
 var WithWorkers = machine.WithWorkers
 
-// Tuning re-exports the execution-tuning knobs (serial cutoff, dynamic
-// chunk sizing, gang width); WithTuning applies them at construction.
-// Host-side only: charged stats never depend on tuning.
-type Tuning = machine.Tuning
-
-// WithTuning re-exports the execution-tuning option.
-var WithTuning = machine.WithTuning
-
 // RandomPermutation generates a uniformly random permutation of [0, n)
 // in O(lg n) time and linear work w.h.p. (Theorem 5.1) and returns it as
 // a host slice.

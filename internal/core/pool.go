@@ -26,22 +26,6 @@ type SessionPool struct {
 	// parallelism. Charged stats are independent of the worker count.
 	Workers int
 
-	// Tuning, when non-nil, is applied to every session the pool hands
-	// out — fresh constructions and reused leases alike — so pooled
-	// machines inherit the caller's execution tuning (serial cutoff,
-	// chunk sizing, gang width). Like Workers it must be set before the
-	// pool is used and is host-side only: charged stats are independent
-	// of it.
-	Tuning *machine.Tuning
-
-	// EventHook, when non-nil, is installed on every session the pool
-	// hands out (machine.SetExecEventHook) so a service can fold rare
-	// execution control events — adaptive cutoff moves — into its own
-	// recorders. Like Tuning it must be set before the pool is used,
-	// must be safe for concurrent calls (sessions run on many
-	// goroutines), and never affects charged stats.
-	EventHook func(machine.ExecEvent)
-
 	mu     sync.Mutex
 	idle   map[poolKey][]*Session
 	leased map[*Session]struct{} // sessions out on lease, for live-stat scrapes
@@ -93,12 +77,6 @@ func (p *SessionPool) Acquire(model machine.Model, memWords int, seed uint64) *S
 		p.leased[s] = struct{}{}
 		p.mu.Unlock()
 		s.Reseed(seed)
-		if p.Tuning != nil {
-			s.SetTuning(*p.Tuning)
-		}
-		if p.EventHook != nil {
-			s.SetExecEventHook(p.EventHook)
-		}
 		return s
 	}
 	p.st.News++
@@ -107,13 +85,7 @@ func (p *SessionPool) Acquire(model machine.Model, memWords int, seed uint64) *S
 	if p.Workers > 0 {
 		opts = append(opts, machine.WithWorkers(p.Workers))
 	}
-	if p.Tuning != nil {
-		opts = append(opts, machine.WithTuning(*p.Tuning))
-	}
 	s := NewSession(model, memWords, opts...)
-	if p.EventHook != nil {
-		s.SetExecEventHook(p.EventHook)
-	}
 	p.mu.Lock()
 	p.leased[s] = struct{}{}
 	p.mu.Unlock()

@@ -227,14 +227,8 @@ func TestSessionPoolGangCounters(t *testing.T) {
 	want := fresh.Stats()
 	fresh.Close()
 
-	p := &SessionPool{
-		Workers: 4,
-		Tuning:  &machine.Tuning{SerialCutoff: 512, Fixed: true},
-	}
+	p := &SessionPool{Workers: 4}
 	s := p.Acquire(QRQW, 1<<16, 3)
-	if got := s.Machine().TuningInEffect().SerialCutoff; got != 512 {
-		t.Fatalf("pooled tuning cutoff = %d, want 512", got)
-	}
 	keys := sortInput(n, 3)
 	if err := s.SortUniform(keys, Word(n)); err != nil {
 		t.Fatal(err)
@@ -304,34 +298,6 @@ func TestStatsLiveSeesLeasedSessions(t *testing.T) {
 	if _, exAfter := p.StatsLive(); exAfter != want {
 		t.Errorf("exec stats after release %+v, want %+v (no double count)", exAfter, want)
 	}
-}
-
-// TestSessionPoolEventHook: the pool's EventHook is installed on fresh
-// and reused leases alike — Release's Reset must not clear it — and a
-// pool without a hook hands out sessions with none installed.
-func TestSessionPoolEventHook(t *testing.T) {
-	bare := NewSessionPool()
-	s := bare.Acquire(QRQW, 1<<12, 1)
-	if s.Machine().ExecEventHook() != nil {
-		t.Error("pool without EventHook installed one")
-	}
-	bare.Release(s)
-
-	p := NewSessionPool()
-	p.EventHook = func(machine.ExecEvent) {}
-	s = p.Acquire(QRQW, 1<<12, 1)
-	if s.Machine().ExecEventHook() == nil {
-		t.Fatal("fresh lease missing the pool's EventHook")
-	}
-	p.Release(s)
-	s2 := p.Acquire(QRQW, 1<<12, 2)
-	if s2 != s {
-		t.Fatal("expected the idle session back")
-	}
-	if s2.Machine().ExecEventHook() == nil {
-		t.Fatal("reused lease lost the EventHook across Reset")
-	}
-	p.Release(s2)
 }
 
 // TestSessionPoolCrossLeaseZero: a lease that wrote near the top of its

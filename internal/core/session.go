@@ -40,11 +40,6 @@ func (s *Session) Stats() machine.Stats { return s.m.Stats() }
 // Err returns the first model violation encountered, or nil.
 func (s *Session) Err() error { return s.m.Err() }
 
-// SetTuning applies execution tuning (serial cutoff, chunk sizing, gang
-// width) to the session's machine. Tuning is a host-side knob: charged
-// stats are independent of it.
-func (s *Session) SetTuning(t machine.Tuning) { s.m.SetTuning(t) }
-
 // ExecStats snapshots the machine's full host-execution telemetry:
 // dispatch routing, fused-vs-sharded settlement, cursor utilization,
 // adaptive-cutoff moves, and bulk descriptor traffic. Safe to call from
@@ -52,12 +47,6 @@ func (s *Session) SetTuning(t machine.Tuning) { s.m.SetTuning(t) }
 // counters are atomic — which is what lets a metrics scrape observe
 // in-flight sessions without waiting for Release.
 func (s *Session) ExecStats() machine.ExecStats { return s.m.ExecStats() }
-
-// SetExecEventHook installs fn to observe rare execution control
-// events (adaptive serial-cutoff moves) on the session's machine; nil
-// disables. Host-side wiring like SetTuning: it survives Reset and
-// never affects charged stats.
-func (s *Session) SetExecEventHook(fn func(machine.ExecEvent)) { s.m.SetExecEventHook(fn) }
 
 // Reset returns the session to a pristine state — memory zeroed,
 // allocations released, stats cleared — while keeping every backing

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -353,11 +354,17 @@ func TestCompiledDeterminism(t *testing.T) {
 	}
 }
 
-// stripExec zeroes the host-side execution telemetry, which — unlike
-// charged stats — legitimately varies with parallelism.
+// stripExec keeps only the program-determined part of each cell's
+// engine counters, the two descriptor counts MarshalJSON emits. The
+// rest (dispatch routes, cursor steals, cutoff moves) follows the host
+// schedule at any gang width above one.
 func stripExec(res spec.Result) spec.Result {
-	for i := range res.Cells {
-		res.Cells[i].Exec = machine.ExecStats{}
+	res.Cells = slices.Clone(res.Cells)
+	for i, c := range res.Cells {
+		res.Cells[i].Exec = machine.ExecStats{
+			BulkDescriptors: c.Exec.BulkDescriptors,
+			BulkExpanded:    c.Exec.BulkExpanded,
+		}
 	}
 	return res
 }

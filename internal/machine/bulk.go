@@ -1114,8 +1114,8 @@ func (m *Machine) settleBulk(workers []*worker, bs *bulkSettle) {
 	// profiled steps (hot-cell attribution needs real counters) expand
 	// unconditionally.
 	expandAll := m.hotK > 0 || m.noBulkFast
-	rForbidden := m.cm.violation(2, 1) != ""
-	wForbidden := m.cm.violation(1, 2) != ""
+	rForbidden := !m.model.ConcurrentReads()
+	wForbidden := !m.model.ConcurrentWrites()
 	rItems := m.bulkR[:0]
 	wItems := m.bulkW[:0]
 	if m.gangActive {

@@ -63,7 +63,8 @@ func TestDirtyMarkSerialStep(t *testing.T) {
 // TestDirtyMarkGangFastPath drives disjoint gang-width steps, which
 // members settle locally in parallel with a per-member mark.
 func TestDirtyMarkGangFastPath(t *testing.T) {
-	m := New(QRQW, 1<<16, WithWorkers(4), WithTuning(Tuning{Fixed: true}))
+	m := New(QRQW, 1<<16, WithWorkers(4))
+	m.noAdapt = true
 	defer m.Free()
 	p := 4 * serialCutoff
 	if err := m.ParDo(p, func(c *Ctx, i int) { c.Write(1000+3*i, Word(i+1)) }); err != nil {
@@ -82,7 +83,8 @@ func TestDirtyMarkGangFastPath(t *testing.T) {
 func TestDirtyMarkSharded(t *testing.T) {
 	const top = 1<<16 - 1
 	for _, workers := range []int{1, 4} {
-		m := New(CRCW, 1<<16, WithWorkers(workers), WithTuning(Tuning{Fixed: true}))
+		m := New(CRCW, 1<<16, WithWorkers(workers))
+		m.noAdapt = true
 		m.noFastPath = true
 		p := 4 * serialCutoff
 		// Sole writers fill the top p cells of memory, so only their

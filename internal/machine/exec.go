@@ -18,37 +18,11 @@ type ExecStats struct {
 	SerialSteps        int64 `json:"serial_steps"`         // steps run on a single host goroutine
 	ChunksClaimed      int64 `json:"chunks_claimed"`       // cursor chunks claimed across fused dispatches
 	CursorSteals       int64 `json:"cursor_steals"`        // claims above a member's fair share
-	CutoffRaises       int64 `json:"cutoff_raises"`        // adaptive serial-cutoff raises
-	CutoffLowers       int64 `json:"cutoff_lowers"`        // adaptive serial-cutoff halvings
+	CutoffRaises       int64 `json:"cutoff_raises"`        // adaptive serial cutoff doublings
+	CutoffLowers       int64 `json:"cutoff_lowers"`        // adaptive serial cutoff halvings
 	BulkDescriptors    int64 `json:"bulk_descriptors"`     // bulk descriptors recorded
 	BulkExpanded       int64 `json:"bulk_expanded"`        // descriptors expanded to element granularity (incl. recording-time fallbacks)
 }
-
-// ExecEvent is one host-execution control event: the adaptive gang
-// tuner moving its serial cutoff. Events fire at retune frequency —
-// at most once per adaptation period — never per step, so a hook can
-// afford to record or log them.
-type ExecEvent struct {
-	Kind   string `json:"kind"` // "cutoff_raise" or "cutoff_lower"
-	Cutoff int    `json:"cutoff"`
-}
-
-// Exec event kinds.
-const (
-	ExecCutoffRaise = "cutoff_raise"
-	ExecCutoffLower = "cutoff_lower"
-)
-
-// SetExecEventHook installs fn to observe execution control events
-// (nil disables). The hook is called synchronously from the machine's
-// owning goroutine between steps; it must not call back into the
-// machine. Like Workers and Tuning it is host-side wiring: Reset does
-// not clear it.
-func (m *Machine) SetExecEventHook(fn func(ExecEvent)) { m.execHook = fn }
-
-// ExecEventHook returns the installed execution-event hook, nil if
-// none — introspection for pool wiring and tests.
-func (m *Machine) ExecEventHook() func(ExecEvent) { return m.execHook }
 
 // ExecStats reads the machine's execution telemetry. Safe to call from
 // another goroutine while a step is running: every counter is atomic,

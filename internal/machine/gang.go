@@ -25,33 +25,9 @@ import (
 // smallest-address tie-break, sums, top-K sets). Charged stats are
 // therefore bit-identical at any gang width and any chunk schedule.
 
-// Tuning bundles the host-execution knobs of one machine: where the
-// serial/parallel cutoff sits, how fine the dynamic chunks are, and how
-// wide the gang is. Zero fields keep the current setting. Tuning only
-// affects wall-clock behavior — charged stats are independent of it.
-type Tuning struct {
-	// SerialCutoff is the processor count below which a step runs on a
-	// single host goroutine (default serialCutoff).
-	SerialCutoff int
-	// MinChunk floors the dynamic chunk size so tiny chunks never pay
-	// more cursor traffic than body work (default minChunk).
-	MinChunk int
-	// ChunksPerWorker targets that many cursor-claimed chunks per gang
-	// member per step — >1 lets fast members steal work from slow ones
-	// (default defaultChunksPerWorker).
-	ChunksPerWorker int
-	// Workers, when positive, re-bounds the gang width (same meaning as
-	// WithWorkers; an already-armed gang of a different width is retired
-	// and restarted lazily).
-	Workers int
-	// Fixed pins the cutoffs: the machine stops adapting them from
-	// measured step timings.
-	Fixed bool
-}
-
-// defaultChunksPerWorker is the default dynamic-scheduling granularity:
-// enough chunks that an unlucky member can shed load, few enough that
-// cursor traffic stays negligible.
+// defaultChunksPerWorker is the dynamic-scheduling granularity: enough
+// chunks that an unlucky member can shed load, few enough that cursor
+// traffic stays negligible.
 const defaultChunksPerWorker = 4
 
 // Bounds for the adaptive serial cutoff: it never adapts below
@@ -61,41 +37,6 @@ const (
 	minSerialCutoff = 256
 	maxSerialCutoff = 1 << 17
 )
-
-// WithTuning applies execution tuning at construction time. Pooled
-// leases inherit it through core.SessionPool.Tuning.
-func WithTuning(t Tuning) Option { return func(m *Machine) { m.SetTuning(t) } }
-
-// SetTuning applies execution tuning at runtime. Zero fields keep the
-// current setting; charged stats are unaffected.
-func (m *Machine) SetTuning(t Tuning) {
-	if t.Workers > 0 && t.Workers != m.maxWorkers {
-		m.maxWorkers = t.Workers
-		m.retireGang() // width changed; a new gang arms lazily
-	}
-	if t.SerialCutoff > 0 {
-		m.effCutoff = t.SerialCutoff
-	}
-	if t.MinChunk > 0 {
-		m.effMinChunk = t.MinChunk
-	}
-	if t.ChunksPerWorker > 0 {
-		m.chunksPer = t.ChunksPerWorker
-	}
-	m.fixedTuning = t.Fixed
-}
-
-// TuningInEffect reports the execution tuning currently in effect
-// (after any adaptation).
-func (m *Machine) TuningInEffect() Tuning {
-	return Tuning{
-		SerialCutoff:    m.effCutoff,
-		MinChunk:        m.effMinChunk,
-		ChunksPerWorker: m.chunksPer,
-		Workers:         m.maxWorkers,
-		Fixed:           m.fixedTuning,
-	}
-}
 
 // ---------------------------------------------------------------------
 // The gang itself.
@@ -291,8 +232,8 @@ func (m *Machine) gangRun(p int, label string, simd bool, body func(c *Ctx, i in
 	// Chunk geometry: aim for chunksPer chunks per member, floored at
 	// the minimum chunk size so cursor traffic stays negligible.
 	cs := (p + nw*m.chunksPer - 1) / (nw * m.chunksPer)
-	if cs < m.effMinChunk {
-		cs = m.effMinChunk
+	if cs < minChunk {
+		cs = minChunk
 	}
 	nChunks := (p + cs - 1) / cs
 	if cap(m.chunkB) < nChunks {
@@ -487,11 +428,11 @@ func (m *Machine) runPar(n int, f func(shard int)) {
 }
 
 // ---------------------------------------------------------------------
-// Adaptive tuning.
+// Adaptive serial cutoff.
 
-// adaptState is the feedback half of the tuning: an EWMA of measured
-// serial and parallel ns/processor. Wall-clock only — it moves the
-// serial cutoff, never the charged stats.
+// adaptState is the feedback half of the adaptive cutoff: an EWMA of
+// measured serial and parallel ns/processor. Wall-clock only — it moves
+// the serial cutoff, never the charged stats.
 type adaptState struct {
 	serialNs   float64 // EWMA ns per processor, serial steps
 	parallelNs float64 // EWMA ns per processor, gang steps
@@ -500,8 +441,8 @@ type adaptState struct {
 }
 
 // adaptive reports whether this machine measures step timings: only
-// when a gang can actually engage and tuning is not pinned.
-func (m *Machine) adaptive() bool { return !m.fixedTuning && m.maxWorkers > 1 }
+// when a gang can actually engage and a test has not frozen the cutoff.
+func (m *Machine) adaptive() bool { return !m.noAdapt && m.maxWorkers > 1 }
 
 // adaptMinSample ignores timings of steps too small to measure
 // meaningfully; adaptPeriod batches cutoff moves so one noisy sample
@@ -547,9 +488,6 @@ func (m *Machine) observeParallel(p int, d time.Duration) {
 			m.ad.losses = 0
 			m.effCutoff = min(2*m.effCutoff, maxSerialCutoff)
 			m.cutoffRaises.Add(1)
-			if m.execHook != nil {
-				m.execHook(ExecEvent{Kind: ExecCutoffRaise, Cutoff: m.effCutoff})
-			}
 		}
 	} else {
 		m.ad.losses = 0
@@ -569,8 +507,5 @@ func (m *Machine) retune() {
 		// the loss counter if that turns out to be a mistake).
 		m.effCutoff = max(m.effCutoff/2, minSerialCutoff)
 		m.cutoffLowers.Add(1)
-		if m.execHook != nil {
-			m.execHook(ExecEvent{Kind: ExecCutoffLower, Cutoff: m.effCutoff})
-		}
 	}
 }

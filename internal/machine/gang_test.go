@@ -87,8 +87,8 @@ func TestGangDeterminism(t *testing.T) {
 		mem   []Word
 	}
 	run := func(workers, chunksPer int) outcome {
-		m := New(QRQW, 1<<16, WithSeed(42), WithWorkers(workers), WithHotCells(4),
-			WithTuning(Tuning{ChunksPerWorker: chunksPer, Fixed: true}))
+		m := New(QRQW, 1<<16, WithSeed(42), WithWorkers(workers), WithHotCells(4))
+		m.chunksPer, m.noAdapt = chunksPer, true
 		defer m.Free()
 		mem := gangProgram(t, m)
 		return outcome{m.Stats(), m.StepTraces(), mem}
@@ -145,7 +145,8 @@ func traceEqual(a, b StepTrace) bool {
 // accident of chunk scheduling.
 func TestGangViolationDeterminism(t *testing.T) {
 	run := func(workers int) string {
-		m := New(EREW, 1<<15, WithWorkers(workers), WithTuning(Tuning{Fixed: true}))
+		m := New(EREW, 1<<15, WithWorkers(workers))
+		m.noAdapt = true
 		defer m.Free()
 		// Every processor reads cell (i%7)+3: kappa ~ n/7 on seven cells,
 		// all tied — the smallest contended address must be reported.
@@ -169,7 +170,8 @@ func TestGangViolationDeterminism(t *testing.T) {
 // for disjoint steps, extra dispatches for sharded ones, serial steps
 // below the cutoff — and that ResetStats clears all three.
 func TestGangCounters(t *testing.T) {
-	m := New(QRQW, 1<<15, WithWorkers(4), WithTuning(Tuning{Fixed: true}))
+	m := New(QRQW, 1<<15, WithWorkers(4))
+	m.noAdapt = true
 	defer m.Free()
 	n := 2 * serialCutoff
 	if err := m.ParDo(n, func(c *Ctx, i int) { c.Write(i, 1) }); err != nil {
@@ -202,13 +204,13 @@ func TestGangCounters(t *testing.T) {
 	}
 }
 
-// TestGangAdaptiveMatchesFixed runs the same program with adaptive
-// tuning on and pinned off: wall-clock routing may differ, charged stats
+// TestGangAdaptiveMatchesFixed runs the same program with the adaptive
+// cutoff on and frozen: wall-clock routing may differ, charged stats
 // and memory must not.
 func TestGangAdaptiveMatchesFixed(t *testing.T) {
 	run := func(fixed bool) (Stats, []Word) {
-		m := New(QRQW, 1<<16, WithSeed(9), WithWorkers(2),
-			WithTuning(Tuning{Fixed: fixed}))
+		m := New(QRQW, 1<<16, WithSeed(9), WithWorkers(2))
+		m.noAdapt = fixed
 		defer m.Free()
 		mem := gangProgram(t, m)
 		return m.Stats(), mem
@@ -234,7 +236,8 @@ func TestGangNoGoroutineLeak(t *testing.T) {
 	const machines = 4
 	ms := make([]*Machine, machines)
 	for k := range ms {
-		ms[k] = New(QRQW, 1<<15, WithWorkers(4), WithTuning(Tuning{Fixed: true}))
+		ms[k] = New(QRQW, 1<<15, WithWorkers(4))
+		ms[k].noAdapt = true
 		if err := ms[k].ParDo(2*serialCutoff, func(c *Ctx, i int) { c.Write(i, 1) }); err != nil {
 			t.Fatal(err)
 		}
@@ -266,32 +269,6 @@ func TestGangNoGoroutineLeak(t *testing.T) {
 				runtime.NumGoroutine(), base)
 		}
 		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSetTuningRewidthsGang re-bounds the gang width at runtime: the old
-// gang must retire (no leak) and the new width must engage.
-func TestSetTuningRewidthsGang(t *testing.T) {
-	base := runtime.NumGoroutine()
-	m := New(QRQW, 1<<15, WithWorkers(8), WithTuning(Tuning{Fixed: true}))
-	if err := m.ParDo(2*serialCutoff, func(c *Ctx, i int) { c.Write(i, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	m.SetTuning(Tuning{Workers: 2, Fixed: true})
-	if err := m.ParDo(2*serialCutoff, func(c *Ctx, i int) { c.Write(i, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.TuningInEffect().Workers; got != 2 {
-		t.Errorf("width after SetTuning = %d, want 2", got)
-	}
-	m.Free()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("rewidthed gang leaked: %d goroutines, base %d",
-				runtime.NumGoroutine(), base)
-		}
 		time.Sleep(time.Millisecond)
 	}
 }

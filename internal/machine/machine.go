@@ -22,8 +22,9 @@
 // shared write, and charged local operation, and PTWork is the
 // processor-time product (sum over steps of p * cost).
 //
-// Each model's cost and legality rules live behind the costModel
-// interface in model.go; the step loop in step.go is model-agnostic.
+// Each model's cost and legality rules are Model methods in model.go,
+// derived from its predicates; the step loop in step.go is
+// model-agnostic.
 //
 // The simulator is itself a parallel Go program: steps at or above the
 // serial cutoff execute on the machine's resident gang (gang.go) — worker
@@ -54,7 +55,6 @@ type Word = int64
 // in parallel internally).
 type Machine struct {
 	model Model
-	cm    costModel // the model's Definition 2.3 rule set
 	seed  uint64
 
 	mem     []Word
@@ -104,10 +104,10 @@ type Machine struct {
 
 	// Resident execution gang state (gang.go): the lazily armed worker
 	// goroutines, the fused step descriptor they share, per-chunk bounds
-	// and scratch, and the dispatch-path counters. effCutoff/effMinChunk/
-	// chunksPer are the execution tuning in effect — defaults from the
-	// package constants, overridable via Tuning, adapted from measured
-	// step timings unless fixedTuning.
+	// and scratch, and the dispatch-path counters. effCutoff is the
+	// serial cutoff in effect, adapted from measured step timings;
+	// chunksPer is defaultChunksPerWorker. Tests vary chunksPer and set
+	// noAdapt to freeze the cutoff, as they set noFastPath.
 	gang        *gang
 	gstep       gangStep
 	gangBS      bulkSettle
@@ -117,11 +117,10 @@ type Machine struct {
 	contScratch []writeOp
 	finalized   bool // the retire-on-GC finalizer is installed
 
-	effCutoff   int
-	effMinChunk int
-	chunksPer   int
-	fixedTuning bool
-	ad          adaptState
+	effCutoff int
+	chunksPer int
+	noAdapt   bool
+	ad        adaptState
 
 	// Dispatch-path telemetry. Atomic so observers (a metrics scrape
 	// over a leased session) may read a consistent value while a step
@@ -132,14 +131,8 @@ type Machine struct {
 	serialSteps    atomic.Int64 // steps settled on a single host goroutine
 	chunksClaimed  atomic.Int64 // cursor chunks claimed across fused dispatches
 	cursorSteals   atomic.Int64 // claims above a member's fair share (work stolen)
-	cutoffRaises   atomic.Int64 // adaptive serial-cutoff raises (gang losing)
-	cutoffLowers   atomic.Int64 // adaptive serial-cutoff halvings (gang winning)
-
-	// execHook, when set, observes rare execution control events (the
-	// adaptive cutoff moving). Host-side wiring like Workers/Tuning:
-	// it persists across Reset and is never consulted on the per-step
-	// dispatch path.
-	execHook func(ExecEvent)
+	cutoffRaises   atomic.Int64 // adaptive serial cutoff doublings (gang losing)
+	cutoffLowers   atomic.Int64 // adaptive serial cutoff halvings (gang winning)
 }
 
 // Option configures a Machine at construction time.
@@ -219,14 +212,15 @@ func New(model Model, memWords int, opts ...Option) *Machine {
 	if memWords < 0 {
 		panic("machine: negative memory size")
 	}
+	if int(model) >= len(modelNames) {
+		panic(fmt.Sprintf("machine: unknown model %d", uint8(model)))
+	}
 	m := &Machine{
-		model:       model,
-		cm:          model.rules(),
-		seed:        1,
-		maxWorkers:  runtime.GOMAXPROCS(0),
-		effCutoff:   serialCutoff,
-		effMinChunk: minChunk,
-		chunksPer:   defaultChunksPerWorker,
+		model:      model,
+		seed:       1,
+		maxWorkers: runtime.GOMAXPROCS(0),
+		effCutoff:  serialCutoff,
+		chunksPer:  defaultChunksPerWorker,
 	}
 	for _, o := range opts {
 		o(m)

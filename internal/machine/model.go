@@ -96,119 +96,36 @@ func (m Model) HasUnitScan() bool { return m == ScanSIMDQRQW || m == ScanQRQW }
 // read, one compute and one write per step.
 func (m Model) SIMD() bool { return m == SIMDQRQW || m == ScanSIMDQRQW }
 
-// costModel is the per-model rule set of Definition 2.3: given one
-// step's observed shape — m (the maximum per-processor operation count,
-// already floored at 1), kappaR and kappaW (the maximum per-cell read
-// and write contention) — it charges the step's cost and classifies
-// illegal access patterns. The engine in step.go is model-agnostic; it
-// measures the step and delegates both decisions here, so adding a model
-// means adding one small type below and registering it in costModels,
-// never editing the step loop.
-//
-// The SIMD one-operation-per-kind restriction is per-processor rather
-// than per-cell, so it is detected by the engine while the processor
-// bodies run (see worker.afterProc) and reported via Model.SIMD.
-type costModel interface {
-	// stepCost returns the model-charged cost of one step.
-	stepCost(m, kappaR, kappaW int64) int64
-	// violation returns the kind of model violation implied by the
-	// observed contention maxima ("concurrent-read" or
-	// "concurrent-write"), or "" when the step is legal.
-	violation(kappaR, kappaW int64) string
+// The rules of Definition 2.3, given one step's observed shape: ops
+// (the maximum per-processor operation count, already floored at 1),
+// kappaR and kappaW (the maximum per-cell read and write contention).
+// The engine in step.go is model-agnostic; it measures the step and
+// delegates both decisions here. The SIMD one-operation-per-kind
+// restriction is per-processor rather than per-cell, so the engine
+// detects it while the processor bodies run (see worker.afterProc).
+
+// stepCost returns the model-charged cost of one step: ops, raised to
+// the queued contention. Queued models queue writes; all of them but
+// CRQW queue reads too.
+func (m Model) stepCost(ops, kappaR, kappaW int64) int64 {
+	if !m.Queued() {
+		return ops
+	}
+	if m != CRQW {
+		ops = max(ops, kappaR)
+	}
+	return max(ops, kappaW)
 }
 
-// erewCost: exclusive reads, exclusive writes; a step costs m and any
-// contention is a violation.
-type erewCost struct{}
-
-func (erewCost) stepCost(m, _, _ int64) int64 { return m }
-func (erewCost) violation(kappaR, kappaW int64) string {
-	if kappaR > 1 {
+// violation returns the kind of model violation implied by the observed
+// contention maxima ("concurrent-read" or "concurrent-write"), or ""
+// when the step is legal. A read violation takes precedence.
+func (m Model) violation(kappaR, kappaW int64) string {
+	if kappaR > 1 && !m.ConcurrentReads() {
 		return "concurrent-read"
 	}
-	if kappaW > 1 {
+	if kappaW > 1 && !m.ConcurrentWrites() {
 		return "concurrent-write"
 	}
 	return ""
-}
-
-// crewCost: free concurrent reads, exclusive writes.
-type crewCost struct{}
-
-func (crewCost) stepCost(m, _, _ int64) int64 { return m }
-func (crewCost) violation(_, kappaW int64) string {
-	if kappaW > 1 {
-		return "concurrent-write"
-	}
-	return ""
-}
-
-// qrqwCost: queued reads and writes; a step costs max(m, kappa)
-// (Definition 2.3).
-type qrqwCost struct{}
-
-func (qrqwCost) stepCost(m, kappaR, kappaW int64) int64 { return max(m, kappaR, kappaW) }
-func (qrqwCost) violation(_, _ int64) string            { return "" }
-
-// crqwCost: free concurrent reads, queued writes.
-type crqwCost struct{}
-
-func (crqwCost) stepCost(m, _, kappaW int64) int64 { return max(m, kappaW) }
-func (crqwCost) violation(_, _ int64) string       { return "" }
-
-// crcwCost: free concurrent reads and writes (arbitrary winner); a step
-// costs m regardless of contention.
-type crcwCost struct{}
-
-func (crcwCost) stepCost(m, _, _ int64) int64 { return m }
-func (crcwCost) violation(_, _ int64) string  { return "" }
-
-// simdQRQWCost charges the QRQW queue metric; the additional r_i = c_i =
-// w_i <= 1 restriction is enforced per-processor by the engine.
-type simdQRQWCost struct{}
-
-func (simdQRQWCost) stepCost(m, kappaR, kappaW int64) int64 { return max(m, kappaR, kappaW) }
-func (simdQRQWCost) violation(_, _ int64) string            { return "" }
-
-// scanSIMDQRQWCost is simdQRQWCost on a machine that additionally owns a
-// unit-time scan network (the scan primitive itself is charged by
-// ScanStep, outside the step loop).
-type scanSIMDQRQWCost struct{}
-
-func (scanSIMDQRQWCost) stepCost(m, kappaR, kappaW int64) int64 { return max(m, kappaR, kappaW) }
-func (scanSIMDQRQWCost) violation(_, _ int64) string            { return "" }
-
-// scanQRQWCost is qrqwCost plus the unit-time scan capability.
-type scanQRQWCost struct{}
-
-func (scanQRQWCost) stepCost(m, kappaR, kappaW int64) int64 { return max(m, kappaR, kappaW) }
-func (scanQRQWCost) violation(_, _ int64) string            { return "" }
-
-// fetchAddCost: CRCW cost metric; the combining fetch&add collective is
-// charged separately by FetchAddStep.
-type fetchAddCost struct{}
-
-func (fetchAddCost) stepCost(m, _, _ int64) int64 { return m }
-func (fetchAddCost) violation(_, _ int64) string  { return "" }
-
-// costModels maps each Model to its rule set. New resolves the machine's
-// model through this table once, at construction time.
-var costModels = [...]costModel{
-	EREW:         erewCost{},
-	CREW:         crewCost{},
-	QRQW:         qrqwCost{},
-	CRQW:         crqwCost{},
-	CRCW:         crcwCost{},
-	SIMDQRQW:     simdQRQWCost{},
-	ScanSIMDQRQW: scanSIMDQRQWCost{},
-	FetchAdd:     fetchAddCost{},
-	ScanQRQW:     scanQRQWCost{},
-}
-
-// rules returns the model's costModel.
-func (m Model) rules() costModel {
-	if int(m) >= len(costModels) || costModels[m] == nil {
-		panic(fmt.Sprintf("machine: unknown model %d", uint8(m)))
-	}
-	return costModels[m]
 }

@@ -2,8 +2,8 @@ package machine
 
 import "testing"
 
-// Unit tests for each model's Definition 2.3 rule set, exercising the
-// costModel implementations directly (no engine involved).
+// Unit tests for each model's Definition 2.3 rules, exercising the
+// Model's stepCost and violation methods directly (no engine involved).
 
 func TestCostModelStepCost(t *testing.T) {
 	cases := []struct {
@@ -32,7 +32,7 @@ func TestCostModelStepCost(t *testing.T) {
 		{CRQW, 20, 99, 12, 20},
 	}
 	for _, c := range cases {
-		if got := c.model.rules().stepCost(c.m, c.r, c.w); got != c.want {
+		if got := c.model.stepCost(c.m, c.r, c.w); got != c.want {
 			t.Errorf("%v.stepCost(m=%d, kr=%d, kw=%d) = %d, want %d",
 				c.model, c.m, c.r, c.w, got, c.want)
 		}
@@ -62,17 +62,22 @@ func TestCostModelViolation(t *testing.T) {
 		{FetchAdd, 100, 100, ""},
 	}
 	for _, c := range cases {
-		if got := c.model.rules().violation(c.r, c.w); got != c.want {
+		if got := c.model.violation(c.r, c.w); got != c.want {
 			t.Errorf("%v.violation(kr=%d, kw=%d) = %q, want %q",
 				c.model, c.r, c.w, got, c.want)
 		}
 	}
 }
 
+// TestEveryModelHasRules: under every model, a contention-free step of
+// one operation per processor is legal and costs one unit.
 func TestEveryModelHasRules(t *testing.T) {
 	for mo := range Model(uint8(len(modelNames))) {
-		if mo.rules() == nil {
-			t.Errorf("model %v has no registered costModel", mo)
+		if kind := mo.violation(1, 1); kind != "" {
+			t.Errorf("%v: contention-free step violates %q", mo, kind)
+		}
+		if c := mo.stepCost(1, 1, 1); c != 1 {
+			t.Errorf("%v: unit step costs %d, want 1", mo, c)
 		}
 	}
 }
@@ -80,18 +85,8 @@ func TestEveryModelHasRules(t *testing.T) {
 func TestUnknownModelRulesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("rules() on an unknown model should panic")
+			t.Error("New with an unknown model should panic")
 		}
 	}()
-	Model(200).rules()
-}
-
-func TestNewResolvesRules(t *testing.T) {
-	m := New(CRQW, 8)
-	if m.cm == nil {
-		t.Fatal("New did not resolve the cost model")
-	}
-	if _, ok := m.cm.(crqwCost); !ok {
-		t.Errorf("resolved rules = %T, want crqwCost", m.cm)
-	}
+	New(Model(200), 8)
 }

@@ -12,12 +12,13 @@ import (
 	"lowcontend/internal/xrand"
 )
 
-// serialCutoff is the default processor count below which a step runs on
-// a single host goroutine (Tuning.SerialCutoff overrides or adapts it).
+// serialCutoff is the initial processor count below which a step runs on
+// a single host goroutine; the machine adapts it from measured step
+// timings (gang.go).
 const serialCutoff = 2048
 
-// minChunk is the default floor on the size of one dynamically scheduled
-// processor chunk (Tuning.MinChunk overrides or adapts it).
+// minChunk is the floor on the size of one dynamically scheduled
+// processor chunk.
 const minChunk = 1024
 
 type writeOp struct {
@@ -517,10 +518,10 @@ func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bul
 
 	// Model violation checks: the SIMD one-op-per-kind restriction is
 	// per-processor and detected during Phase 0; cell-contention
-	// legality is the cost model's call.
+	// legality is the model's call.
 	if simdViol {
 		m.err = &ViolationError{Model: m.model, Step: int64(m.stepIndex), Kind: "simd-multi-op", Count: simdCount}
-	} else if kind := m.cm.violation(maxR, maxW); kind != "" {
+	} else if kind := m.model.violation(maxR, maxW); kind != "" {
 		addr, count := maxRAddr, maxR
 		if kind == "concurrent-write" {
 			addr, count = maxWAddr, maxW
@@ -531,9 +532,9 @@ func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bul
 		return m.err
 	}
 
-	// Step cost (Definition 2.3, delegated to the model's rule set). A
+	// Step cost (Definition 2.3, delegated to the model). A
 	// step with no accesses has m = 1: issuing the step is one unit.
-	cost := m.cm.stepCost(max(maxOps, 1), maxR, maxW)
+	cost := m.model.stepCost(max(maxOps, 1), maxR, maxW)
 
 	kappa := max(maxR, maxW, 1)
 	m.stats.Steps++

@@ -120,7 +120,8 @@ func TestUntracedParDoAllocsZero(t *testing.T) {
 // claim fold — must not raise that budget by even one object.
 func TestUntracedGangParDoAllocBudget(t *testing.T) {
 	const n = 1 << 15 // above the serial cutoff, so steps dispatch to the gang
-	m := New(QRQW, n, WithWorkers(4), WithTuning(Tuning{SerialCutoff: 256, Fixed: true}))
+	m := New(QRQW, n, WithWorkers(4))
+	m.noAdapt = true
 	base := m.Alloc(n)
 	body := func(c *Ctx, i int) {
 		c.Read(base + i)

@@ -242,14 +242,6 @@ func New(cfg Config) *Server {
 		s.pool = core.NewSessionPool()
 		s.pool.Workers = 1
 		s.ownPool = true
-		// Rare execution control events (adaptive cutoff moves) from
-		// pooled machines land in the flight recorder. Only installed
-		// on the server's own pool: a caller-supplied pool's hook
-		// belongs to the caller.
-		flight := s.flight
-		s.pool.EventHook = func(ev machine.ExecEvent) {
-			flight.Record("exec_"+ev.Kind, obs.FInt("cutoff", int64(ev.Cutoff)))
-		}
 	}
 	s.jobs = newManager(s, &s.met.runs, "run", cfg.Workers, cfg.QueueDepth, cfg.Parallel, cfg.MaxJobs)
 	s.sweeps = newManager(s, &s.met.sweeps, "sweep", cfg.SweepWorkers, cfg.QueueDepth, cfg.Parallel, cfg.MaxJobs)

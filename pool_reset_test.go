@@ -15,26 +15,27 @@ import (
 // TestPooledSessionsReleaseZeroed is the end-to-end soundness check of
 // the machine's dirty high-water mark, through public API only: after
 // every builtin experiment and every committed dynamic definition has
-// run over one shared pool — concurrently, with gang-width steps — each
-// idle session the pool would hand out next reads zero at every word of
-// its capacity. Reset clears only below the mark, so a write path that
-// failed to raise it would leave a nonzero word here.
+// run over one shared pool — concurrently, with gang-width steps that
+// settle both member-locally and sharded — each idle session the pool
+// would hand out next reads zero at every word of its capacity. Reset
+// clears only below the mark, so a write path that failed to raise it
+// would leave a nonzero word here.
 func TestPooledSessionsReleaseZeroed(t *testing.T) {
-	pool := &core.SessionPool{
-		Workers: 2,
-		Tuning:  &machine.Tuning{SerialCutoff: 256, MinChunk: 64, Fixed: true},
-	}
+	pool := &core.SessionPool{Workers: 2}
 	defer pool.Close()
 	runner := &spec.Runner{Parallel: 4, Pool: pool}
 
-	// Builtins run at the golden size; definitions on their own grid.
+	// Builtins run at 2048, the smallest size whose steps reach the
+	// machine's default serial cutoff, so the gang engages; definitions
+	// run on their own grid.
+	const gangSize = 2048
 	type job struct {
 		e     spec.Experiment
 		sizes []int
 	}
 	var jobs []job
 	for _, e := range exp.Registry() {
-		jobs = append(jobs, job{e, []int{goldenSize}})
+		jobs = append(jobs, job{e, []int{gangSize}})
 	}
 	defs, err := filepath.Glob(filepath.Join("testdata", "definitions", "*.json"))
 	if err != nil || len(defs) == 0 {
@@ -56,6 +57,10 @@ func TestPooledSessionsReleaseZeroed(t *testing.T) {
 		if err := runner.Run(j.e, j.sizes, goldenSeed).FirstErr(); err != nil {
 			t.Fatalf("%s: %v", j.e.Name, err)
 		}
+	}
+	if _, ex := pool.StatsLive(); ex.GangFusedSettles == 0 || ex.GangShardedSettles == 0 {
+		t.Fatalf("gang settlement paths not both exercised: fused=%d sharded=%d",
+			ex.GangFusedSettles, ex.GangShardedSettles)
 	}
 
 	// Drain every idle session of every shape the registry and the
