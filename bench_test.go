@@ -72,13 +72,15 @@ func BenchmarkExperiments(b *testing.B) {
 // determinism contract); only host wall-clock may differ.
 func BenchmarkRegenerateAll(b *testing.B) {
 	for _, par := range []int{1, 2, 4} {
+		// The pool outlives the b.Run closure, which Go calls once per
+		// b.N round: a pool built inside it would pay first-lease growth
+		// in every timed round instead of measuring the steady state.
+		pool := core.NewSessionPool()
+		if par > 1 {
+			pool.Workers = 1
+		}
+		r := &spec.Runner{Parallel: par, Pool: pool}
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
-			pool := core.NewSessionPool()
-			if par > 1 {
-				pool.Workers = 1
-			}
-			defer pool.Close()
-			r := &spec.Runner{Parallel: par, Pool: pool}
 			for i := 0; i < b.N; i++ {
 				for _, e := range exp.Registry() {
 					if err := r.Run(e, e.DefaultSizes, 1).FirstErr(); err != nil {
@@ -87,6 +89,7 @@ func BenchmarkRegenerateAll(b *testing.B) {
 				}
 			}
 		})
+		pool.Close()
 	}
 }
 

@@ -17,6 +17,30 @@ func checkDirtySound(t testing.TB, m *Machine) {
 	}
 }
 
+// checkScratchZero fails t unless the contention scratch is sound after
+// a step: none is still out on lease, and every idle scratch is
+// all-zero — a leftover count would corrupt the contention of whichever
+// machine leases that scratch next.
+func checkScratchZero(t testing.TB) {
+	t.Helper()
+	f := &scratchFree
+	f.Lock()
+	defer f.Unlock()
+	if f.out != 0 {
+		t.Fatalf("%d contention scratch still on lease after the step", f.out)
+	}
+	for i, c := range f.list {
+		if len(c.w) != len(c.r) {
+			t.Fatalf("idle scratch %d: %d read counters, %d write counters", i, len(c.r), len(c.w))
+		}
+		for a := range c.r {
+			if c.r[a] != 0 || c.w[a] != 0 {
+				t.Fatalf("idle scratch %d: counters at %d are %d/%d, want 0", i, a, c.r[a], c.w[a])
+			}
+		}
+	}
+}
+
 // checkResetClean resets m and checks that every word reads zero and
 // the mark is back at zero.
 func checkResetClean(t testing.TB, m *Machine) {
@@ -52,6 +76,7 @@ func TestDirtyMarkSerialStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDirtyMark(t, m, 3008)
+	checkScratchZero(t)
 	// A later step writing lower addresses never lowers the mark.
 	if err := m.ParDo(4, func(c *Ctx, i int) { c.Write(i, 9) }); err != nil {
 		t.Fatal(err)
@@ -74,6 +99,7 @@ func TestDirtyMarkGangFastPath(t *testing.T) {
 		t.Fatalf("fused settles = %d, want 1 (step must take the gang fast path)", fused)
 	}
 	checkDirtyMark(t, m, 1000+3*(p-1)+1)
+	checkScratchZero(t)
 	checkResetClean(t, m)
 }
 
@@ -98,6 +124,7 @@ func TestDirtyMarkSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkDirtyMark(t, m, top+1)
+		checkScratchZero(t)
 		// The highest-indexed writer wins each contended cell.
 		if got, want := m.Word(10000), Word(p-64+1); got != want {
 			t.Errorf("workers=%d: arbitrated cell = %d, want %d", workers, got, want)
@@ -110,6 +137,7 @@ func TestDirtyMarkSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkDirtyMark(t, m, 20008)
+		checkScratchZero(t)
 		checkResetClean(t, m)
 		m.Free()
 	}
@@ -124,6 +152,7 @@ func TestDirtyMarkViolation(t *testing.T) {
 		t.Fatal("EREW concurrent write did not violate")
 	}
 	checkDirtySound(t, m)
+	checkScratchZero(t)
 	checkResetClean(t, m)
 }
 
@@ -165,6 +194,7 @@ func TestDirtyMarkDescriptors(t *testing.T) {
 				t.Fatalf("descriptors=%d expanded=%d, want expanded=%v", ex.BulkDescriptors, ex.BulkExpanded, tc.expanded)
 			}
 			checkDirtyMark(t, m, tc.want)
+			checkScratchZero(t)
 			checkResetClean(t, m)
 		})
 	}
@@ -179,7 +209,37 @@ func TestDirtyMarkDescriptors(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDirtyMark(t, m, 607)
+	checkScratchZero(t)
 	checkResetClean(t, m)
+}
+
+// TestDirtyMarkHotCells: hot-cell attribution reads the counters before
+// settlement resets them, serially and on gang members, and every
+// descriptor of a profiled step expands through the same counters.
+func TestDirtyMarkHotCells(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		m := New(QRQW, 1<<15, WithWorkers(workers), WithHotCells(4))
+		m.noAdapt = true
+		p := 4 * serialCutoff
+		err := m.ParDo(p, func(c *Ctx, i int) {
+			c.Read(i % 16)
+			c.Write(20000+i%32, Word(i+1))
+			if i < 8 {
+				c.Scatter([]int{30000 + i, 31000 + i}, []Word{1, 2})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := m.StepTraces()
+		if len(tr) != 1 || len(tr[0].HotCells) != 4 || tr[0].HotCells[0].Cont() != int64(p/16) {
+			t.Fatalf("workers=%d: hot cells %+v, want 4 led by contention %d", workers, tr, p/16)
+		}
+		checkDirtyMark(t, m, 31008)
+		checkScratchZero(t)
+		checkResetClean(t, m)
+		m.Free()
+	}
 }
 
 func TestDirtyMarkHostWrites(t *testing.T) {

@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -195,6 +196,11 @@ type gangStep struct {
 	arrivedCh chan struct{}
 	mode      atomic.Int32 // settlement mode, gangModeUndecided until published
 	modeCh    chan struct{}
+
+	// cnt is the step's contention scratch: member 0 leases it in
+	// decideMode, before the mode publish orders it for the helpers, and
+	// gangRun returns it once the step is settled.
+	cnt counters
 }
 
 // gangEnsure arms the gang on first use. A finalizer retires the gang
@@ -259,8 +265,10 @@ func (m *Machine) gangRun(p int, label string, simd bool, body func(c *Ctx, i in
 	g.dispatch(m.stepMember)
 	if st.mode.Load() == gangModeSlow {
 		m.gangSharded.Add(1)
-		m.settleSharded(nw, m.pool[:nw])
+		m.settleSharded(nw, m.pool[:nw], st.cnt)
 	}
+	releaseCounters(st.cnt)
+	st.cnt = counters{}
 	// Utilization fold: dispatch completion orders the members' claim
 	// counters before these reads. A member's fair share is the even
 	// chunk split; claims above it are chunks stolen from slower members.
@@ -274,6 +282,7 @@ func (m *Machine) gangRun(p int, label string, simd bool, body func(c *Ctx, i in
 	}
 	m.chunksClaimed.Add(claimed)
 	m.cursorSteals.Add(steals)
+	m.growMembers(nw)
 	m.gangActive = false
 	st.body = nil // don't pin the closure until the next step
 	err := m.mergeAndCharge(p, label, m.pool[:nw], &m.gangBS)
@@ -325,7 +334,23 @@ func (m *Machine) stepMember(member int) {
 		waitMode(st)
 	}
 	if st.mode.Load() == gangModeFast {
-		w.settleLocal(m)
+		w.settleLocal(m, st.cnt)
+	}
+}
+
+// growMembers grows every member's scalar buffers to the step's total
+// entry count. Dynamic claiming can hand a member more chunks than it
+// has ever held, which would otherwise ratchet its buffer capacity up
+// mid-body, step after step; no member can hold more than the total.
+func (m *Machine) growMembers(nw int) {
+	var nr, nwr int
+	for _, w := range m.pool[:nw] {
+		nr += len(w.readAddrs)
+		nwr += len(w.writes)
+	}
+	for _, w := range m.pool[:nw] {
+		w.readAddrs = slices.Grow(w.readAddrs, nr-len(w.readAddrs))
+		w.writes = slices.Grow(w.writes, nwr-len(w.writes))
 	}
 }
 
@@ -348,20 +373,36 @@ func waitMode(st *gangStep) {
 
 // decideMode runs on member 0 between the arrival barrier and the mode
 // publish: it settles the step's bulk descriptors (the serial middle of
-// the fused step) and picks the settlement mode. The fast path requires
-// that no descriptor expanded into the scalar buffers (expansion splices
-// cells the chunk bounds never saw) and that the chunks' touched
-// intervals are pairwise disjoint, so no cell is shared across members.
+// the fused step), leases the step's contention scratch, and picks the
+// settlement mode. The fast path requires that no descriptor expanded
+// into the scalar buffers (expansion splices cells the chunk bounds
+// never saw) and that the chunks' touched intervals are pairwise
+// disjoint, so no cell is shared across members.
 func (m *Machine) decideMode() int32 {
 	bs := &m.gangBS
 	*bs = bulkSettle{}
 	m.settleBulk(m.pool[:m.gang.members], bs)
+	m.gstep.cnt = leaseCounters(m.gangSpan())
 	if m.noFastPath || bs.expanded || !chunksDisjoint(m.chunkB, m.ivScratch[:0], &m.ivScratch) {
 		return gangModeSlow
 	}
 	m.fastSteps++
 	m.gangFused.Add(1)
 	return gangModeFast
+}
+
+// gangSpan returns one past the highest scalar address of a fused
+// step: the chunk bounds cover every entry the bodies buffered, and the
+// members' own bounds the cells descriptor expansion spliced in.
+func (m *Machine) gangSpan() int {
+	hi := -1
+	for _, b := range m.chunkB {
+		hi = max(hi, b.rHi, b.wHi)
+	}
+	for _, w := range m.pool[:m.gang.members] {
+		hi = max(hi, w.rHi, w.wHi)
+	}
+	return hi + 1
 }
 
 // addrIv is one nonempty touched-address interval of the chunk

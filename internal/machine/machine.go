@@ -30,8 +30,9 @@
 // serial cutoff execute on the machine's resident gang (gang.go) — worker
 // goroutines parked on an epoch barrier between steps that claim
 // fixed-size processor chunks from an atomic cursor — and contention
-// counting uses atomic per-cell counters that are reset via touched-address
-// lists so that cost is proportional to the operations actually performed.
+// counting uses per-cell counters, leased from a package-level free list
+// for the duration of one settlement and reset via touched-address lists,
+// so that cost is proportional to the operations actually performed.
 // Steps whose chunks provably touch disjoint address ranges (and every
 // single-worker step) settle on a contention-free fast path with no
 // atomics: gang members settle their own cells inside the same dispatch
@@ -57,10 +58,11 @@ type Machine struct {
 	model Model
 	seed  uint64
 
-	mem     []Word
-	countsR []int32 // per-cell read-contention scratch (zero between steps)
-	countsW []int32 // per-cell write-contention scratch (zero between steps)
-	brk     int     // bump-allocation watermark
+	// mem is the machine's only per-word state. The per-cell contention
+	// counters live in a package-level free list (step.go) and are
+	// leased only while a step settles.
+	mem []Word
+	brk int // bump-allocation watermark
 
 	// dirty is the memory high-water mark: every word of mem at or above
 	// it is zero. Every write path raises it (settlement folds the
@@ -271,11 +273,6 @@ func (m *Machine) growTo(n int) {
 	mem := make([]Word, n)
 	copy(mem, m.mem[:m.dirty])
 	m.mem = mem
-	// The contention scratch is zero between steps (settlement resets
-	// every touched counter), so growing it never needs to preserve
-	// contents: fresh zeroed arrays replace the old ones outright.
-	m.countsR = make([]int32, n)
-	m.countsW = make([]int32, n)
 }
 
 // Alloc reserves n zeroed words of shared memory and returns the base
@@ -381,12 +378,11 @@ func (m *Machine) ResetStats() {
 
 // Reset zeroes memory, releases all allocations, clears statistics and
 // the trace, and restores the construction-time profiling settings,
-// keeping every backing array (mem, the contention scratch, and the
-// pooled step workers) at its current capacity — and the resident gang,
-// if armed, stays parked and re-arms nothing. It is the cheap way to
-// reuse one Machine across algorithm runs without reallocating, and the
-// reason pooled sessions can never leak a previous run's trace or
-// tracing cost.
+// keeping every backing array (mem and the pooled step workers) at its
+// current capacity — and the resident gang, if armed, stays parked and
+// re-arms nothing. It is the cheap way to reuse one Machine across
+// algorithm runs without reallocating, and the reason pooled sessions
+// can never leak a previous run's trace or tracing cost.
 //
 // Zeroing costs O(words written), not O(capacity): every word at or
 // above the machine's dirty high-water mark is already zero, so Reset
@@ -401,17 +397,18 @@ func (m *Machine) Reset() {
 }
 
 // Free releases the machine's backing stores: shared memory, the
-// contention-accounting scratch arrays, the per-step worker buffers
-// (which return to a package-level pool for other machines to reuse),
-// and the resident execution gang — its goroutines exit before Free
-// returns, so a freed machine holds no host resources at all.
+// per-step worker buffers (which return to a package-level pool for
+// other machines to reuse), and the resident execution gang — its
+// goroutines exit before Free returns, so a freed machine holds no host
+// resources at all. (The contention scratch is never the machine's to
+// free: it is leased per settlement from a package-level free list.)
 // The machine stays valid — allocation restarts at address zero and the
 // arrays are re-grown on demand — but unlike Reset nothing is retained,
 // so Free is the right call when a machine becomes idle for a long time
 // or was sized for a much larger workload than what follows.
 func (m *Machine) Free() {
 	m.retireGang() // synchronously: no resident goroutines survive Free
-	m.mem, m.countsR, m.countsW = nil, nil, nil
+	m.mem = nil
 	m.brk, m.dirty = 0, 0
 	for _, w := range m.pool {
 		putWorker(w)

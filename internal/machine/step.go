@@ -130,6 +130,65 @@ func putWorker(w *worker) {
 	workerPool.Put(w)
 }
 
+// counters is one lease of per-cell contention scratch: read and write
+// counts for addresses [0, len(r)). Settlement resets every counter it
+// raised, so a scratch is all-zero whenever it is not on lease, and any
+// machine can settle into any scratch that covers its touched addresses.
+type counters struct {
+	r, w []int32
+}
+
+// scratchFree is the free list of idle contention scratch, sorted by
+// length. Counts are needed only while a step settles, so no machine
+// holds scratch between steps: an idle session keeps only its memory.
+// out counts the scratch on lease, for the tests' leak check.
+var scratchFree struct {
+	sync.Mutex
+	list []counters
+	out  int
+}
+
+func countersLen(c counters, n int) int { return cmp.Compare(len(c.r), n) }
+
+// leaseCounters returns zeroed scratch covering addresses [0, n): the
+// shortest idle scratch that fits, or else the longest one replaced by
+// one of doubled length (at least n). A settlement with no scalar
+// entries (n == 0) counts nothing and leases nothing.
+func leaseCounters(n int) counters {
+	if n <= 0 {
+		return counters{}
+	}
+	f := &scratchFree
+	f.Lock()
+	var c counters
+	if k := len(f.list); k > 0 {
+		i, _ := slices.BinarySearchFunc(f.list, n, countersLen)
+		i = min(i, k-1)
+		c = f.list[i]
+		f.list = slices.Delete(f.list, i, i+1)
+	}
+	f.out++
+	f.Unlock()
+	if len(c.r) < n {
+		n = max(n, 2*len(c.r))
+		c = counters{make([]int32, n), make([]int32, n)}
+	}
+	return c
+}
+
+// releaseCounters returns a settled (all-zero) lease to the free list.
+func releaseCounters(c counters) {
+	if len(c.r) == 0 {
+		return
+	}
+	f := &scratchFree
+	f.Lock()
+	i, _ := slices.BinarySearchFunc(f.list, len(c.r), countersLen)
+	f.list = slices.Insert(f.list, i, c)
+	f.out--
+	f.Unlock()
+}
+
 func (w *worker) reset() {
 	w.readAddrs = w.readAddrs[:0]
 	w.writes = w.writes[:0]
@@ -450,15 +509,21 @@ func (m *Machine) finishStep(p int, label string, workers []*worker) error {
 	m.serialSteps.Add(1)
 	var bs bulkSettle
 	m.settleBulk(workers, &bs)
+	// The worker's bounds cover its scalar entries, expanded descriptor
+	// cells included (expansion touches them), so the lease spans exactly
+	// the addresses this settlement counts.
+	w := workers[0]
+	cnt := leaseCounters(max(w.rHi, w.wHi) + 1)
 	// A single worker owns every cell it touched, so the contention-free
 	// local settlement is always legal (noFastPath still forces the
 	// sharded machinery, for testing that both paths charge identically).
 	if !m.noFastPath {
 		m.fastSteps++
-		workers[0].settleLocal(m)
+		w.settleLocal(m, cnt)
 	} else {
-		m.settleSharded(1, workers)
+		m.settleSharded(1, workers, cnt)
 	}
+	releaseCounters(cnt)
 	return m.mergeAndCharge(p, label, workers, &bs)
 }
 
@@ -580,49 +645,50 @@ func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bul
 // the machine's arbitration invariant. The kappa arg-max breaks count
 // ties toward the smallest address, so the reported address is the same
 // whatever partition produced the shards.
-func (w *worker) settleLocal(m *Machine) {
+func (w *worker) settleLocal(m *Machine, cnt counters) {
 	for _, a := range w.readAddrs {
-		m.countsR[a]++
+		cnt.r[a]++
 	}
 	for _, op := range w.writes {
-		m.countsW[op.addr]++
+		cnt.w[op.addr]++
 	}
 	for _, a := range w.readAddrs {
-		if c := int64(m.countsR[a]); c > w.maxR || (c == w.maxR && a < w.maxRAddr) {
+		if c := int64(cnt.r[a]); c > w.maxR || (c == w.maxR && a < w.maxRAddr) {
 			w.maxR, w.maxRAddr = c, a
 		}
 	}
 	for _, op := range w.writes {
-		if c := int64(m.countsW[op.addr]); c > w.maxW || (c == w.maxW && op.addr < w.maxWAddr) {
+		if c := int64(cnt.w[op.addr]); c > w.maxW || (c == w.maxW && op.addr < w.maxWAddr) {
 			w.maxW, w.maxWAddr = c, op.addr
 		}
 		m.mem[op.addr] = op.val
 		w.dirtyHi = max(w.dirtyHi, op.addr+1)
 	}
 	if m.hotK > 0 {
-		w.collectHot(m)
+		w.collectHot(m.hotK, cnt)
 	}
 	for _, a := range w.readAddrs {
-		m.countsR[a] = 0
+		cnt.r[a] = 0
 	}
 	for _, op := range w.writes {
-		m.countsW[op.addr] = 0
+		cnt.w[op.addr] = 0
 	}
 }
 
 // settleSharded is the general path: cells may be shared across shards,
 // so contention is counted with atomic per-cell counters and contended
 // writes are arbitrated centrally. Fan-out goes through the resident
-// gang (runPar), or runs inline when nw == 1.
-func (m *Machine) settleSharded(nw int, workers []*worker) {
+// gang (runPar), or runs inline when nw == 1. cnt must cover every
+// address the workers' buffers hold.
+func (m *Machine) settleSharded(nw int, workers []*worker, cnt counters) {
 	// Phase A: count contention per cell.
 	m.runPar(nw, func(s int) {
 		w := workers[s]
 		for _, a := range w.readAddrs {
-			atomic.AddInt32(&m.countsR[a], 1)
+			atomic.AddInt32(&cnt.r[a], 1)
 		}
 		for _, op := range w.writes {
-			atomic.AddInt32(&m.countsW[op.addr], 1)
+			atomic.AddInt32(&cnt.w[op.addr], 1)
 		}
 	})
 
@@ -633,15 +699,15 @@ func (m *Machine) settleSharded(nw int, workers []*worker) {
 	m.runPar(nw, func(s int) {
 		w := workers[s]
 		for _, a := range w.readAddrs {
-			if c := int64(m.countsR[a]); c > w.maxR || (c == w.maxR && a < w.maxRAddr) {
+			if c := int64(cnt.r[a]); c > w.maxR || (c == w.maxR && a < w.maxRAddr) {
 				w.maxR, w.maxRAddr = c, a
 			}
 		}
 		for _, op := range w.writes {
-			if c := int64(m.countsW[op.addr]); c > w.maxW || (c == w.maxW && op.addr < w.maxWAddr) {
+			if c := int64(cnt.w[op.addr]); c > w.maxW || (c == w.maxW && op.addr < w.maxWAddr) {
 				w.maxW, w.maxWAddr = c, op.addr
 			}
-			if m.countsW[op.addr] == 1 {
+			if cnt.w[op.addr] == 1 {
 				m.mem[op.addr] = op.val
 				w.dirtyHi = max(w.dirtyHi, op.addr+1)
 			} else {
@@ -652,7 +718,7 @@ func (m *Machine) settleSharded(nw int, workers []*worker) {
 		// in phase C), so hot-cell candidates collected here carry
 		// global contention, exactly as on the fast path.
 		if m.hotK > 0 {
-			w.collectHot(m)
+			w.collectHot(m.hotK, cnt)
 		}
 	})
 
@@ -685,10 +751,10 @@ func (m *Machine) settleSharded(nw int, workers []*worker) {
 	m.runPar(nw, func(s int) {
 		w := workers[s]
 		for _, a := range w.readAddrs {
-			atomic.StoreInt32(&m.countsR[a], 0)
+			atomic.StoreInt32(&cnt.r[a], 0)
 		}
 		for _, op := range w.writes {
-			atomic.StoreInt32(&m.countsW[op.addr], 0)
+			atomic.StoreInt32(&cnt.w[op.addr], 0)
 		}
 	})
 }
@@ -698,15 +764,14 @@ func (m *Machine) settleSharded(nw int, workers []*worker) {
 // every touched cell's final count — on the fast path the shard owns its
 // cells outright; on the sharded path phase A has completed — so each
 // candidate carries the cell's global per-step contention.
-func (w *worker) collectHot(m *Machine) {
-	k := m.hotK
+func (w *worker) collectHot(k int, cnt counters) {
 	for _, a := range w.readAddrs {
-		c := hotCand{addr: a, reads: int64(m.countsR[a]), writes: int64(m.countsW[a])}
+		c := hotCand{addr: a, reads: int64(cnt.r[a]), writes: int64(cnt.w[a])}
 		c.rank = c.reads
 		w.hotR = insertHot(w.hotR, k, c)
 	}
 	for _, op := range w.writes {
-		c := hotCand{addr: op.addr, reads: int64(m.countsR[op.addr]), writes: int64(m.countsW[op.addr])}
+		c := hotCand{addr: op.addr, reads: int64(cnt.r[op.addr]), writes: int64(cnt.w[op.addr])}
 		c.rank = c.writes
 		w.hotW = insertHot(w.hotW, k, c)
 	}
