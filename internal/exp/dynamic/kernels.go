@@ -306,9 +306,7 @@ func runHashMembership(rt *phaseRT) (int, error) {
 // idle — the small-L regime where the QRQW dispersal wins.
 func runBalance(erew bool) func(*phaseRT) (int, error) {
 	return func(rt *phaseRT) (int, error) {
-		counts := make([]int, rt.n)
-		counts[0] = int(rt.params["max_load"])
-		counts[rt.n/2] = int(rt.params["second_load"])
+		counts := loadbalance.TwoHeavy(rt.n, int(rt.params["max_load"]), int(rt.params["second_load"]))
 		if erew {
 			if _, err := loadbalance.EREWBalance(rt.st.s.Machine(), counts); err != nil {
 				return 0, err

@@ -176,9 +176,8 @@ func tableICells(sizes []int) []spec.Cell {
 			// Load balancing (small L): QRQW dispersal vs EREW prefix
 			// sums.
 			spec.Cell{Name: fmt.Sprintf("load balancing (L=32)/%d", n), Run: func(c *spec.Ctx) error {
-				counts := make([]int, n)
-				counts[0] = 32 // small max load: the regime where QRQW wins
-				counts[n/2] = 16
+				// Small max load: the regime where QRQW wins.
+				counts := loadbalance.TwoHeavy(n, 32, 16)
 				qs := c.Session(core.QRQW, 1<<20, c.Seed)
 				if _, err := qs.BalanceLoads(counts); err != nil {
 					return err

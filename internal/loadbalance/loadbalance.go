@@ -492,6 +492,18 @@ func (b *Balancer) MaxTasks() int {
 	return mx
 }
 
+// TwoHeavy returns the small-L input of the Table I load-balancing row
+// and the loadbalance kernels: n processors, processor 0 holding maxLoad
+// tasks and processor n/2 holding second, everyone else idle. At n = 1
+// the two coincide and processor 0 holds maxLoad alone, so the maximum
+// load is maxLoad at every n.
+func TwoHeavy(n, maxLoad, second int) []int {
+	counts := make([]int, n)
+	counts[n/2] = second
+	counts[0] = maxLoad
+	return counts
+}
+
 // EREWBalance is the Theta(lg n) zero-contention baseline [LF80]: global
 // prefix sums rank every super-task, ranks are spread across an mU-cell
 // array with exclusive scatter + doubling fill, and super-task j is

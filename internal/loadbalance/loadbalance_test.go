@@ -1,6 +1,7 @@
 package loadbalance
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,37 @@ import (
 	"lowcontend/internal/prim"
 	"lowcontend/internal/xrand"
 )
+
+// TestTwoHeavy pins the small-L input: maximum load maxLoad at every n,
+// including n = 1 where both heavy positions are processor 0.
+func TestTwoHeavy(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		want  []int
+		total int
+	}{
+		{1, []int{32}, 32},
+		{2, []int{32, 16}, 48},
+		{1024, nil, 48},
+	} {
+		counts := TwoHeavy(c.n, 32, 16)
+		total, mx := 0, 0
+		for _, v := range counts {
+			total += v
+			mx = max(mx, v)
+		}
+		if len(counts) != c.n || mx != 32 || counts[0] != 32 || total != c.total {
+			t.Errorf("n=%d: len %d, max %d, counts[0] %d, total %d; want len %d, max 32, counts[0] 32, total %d",
+				c.n, len(counts), mx, counts[0], total, c.n, c.total)
+		}
+		if c.want != nil && !slices.Equal(counts, c.want) {
+			t.Errorf("n=%d: counts %v, want %v", c.n, counts, c.want)
+		}
+		if c.n > 1 && counts[c.n/2] != 16 {
+			t.Errorf("n=%d: counts[%d] = %d, want 16", c.n, c.n/2, counts[c.n/2])
+		}
+	}
+}
 
 // verifyAssignment checks that the union of ranges covers every task
 // exactly once.

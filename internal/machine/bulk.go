@@ -9,32 +9,24 @@ import (
 	"lowcontend/internal/xrand"
 )
 
-// This file implements the bulk access layer: whole strided ranges,
-// gathers, and scatters recorded as compact descriptors instead of one
-// buffer entry per element. Settlement proves descriptors disjoint from
-// everything else the step touched and then charges contention, detects
-// violations, and applies writes with O(1) bookkeeping per descriptor
-// (data movement aside); descriptors that genuinely overlap — or whose
-// contention the model forbids, or that carry unsorted index lists —
-// are expanded back into the scalar element buffers at exactly the
-// positions scalar code would have filled, so the per-cell counters,
-// the kappa arg-max, arbitration order, violations, traces, and hot
-// cells are bit-identical to an element-by-element replay.
-//
-// Two recording surfaces share the descriptor machinery:
-//
-//   - Ctx.ReadRange / Ctx.WriteRange / Ctx.Gather / Ctx.Scatter record
-//     single-processor descriptors from inside a ParDo body. Their ops
-//     are charged through the Ctx counters like scalar accesses
-//     (afterProc sees them), so settlement only owes them contention
-//     accounting and write application.
-//   - Machine.Bulk opens a builder for a whole descriptor-only step:
-//     one descriptor covers a range of processors (perProc cells each),
-//     so a regular phase like "processor i copies cell src+i to dst+i"
-//     is two descriptors and no per-processor host loop at all. These
-//     descriptors are uncharged: settlement derives the per-processor
-//     operation maximum (and the SIMD one-op rule) from a processor-
-//     interval sweep over the descriptors.
+// This file implements the bulk access layer. Machine.Bulk opens a
+// builder for a descriptor-only step: whole strided ranges, broadcasts,
+// gathers and scatters are recorded as compact descriptors instead of
+// one buffer entry per element, and each descriptor names the range of
+// processors that performs it (perProc cells each), so a regular phase
+// like "processor i copies cell src+i to dst+i" is two descriptors and
+// no per-processor host loop at all. Descriptors are uncharged at
+// recording: settlement derives the per-processor operation maximum
+// (and the SIMD one-op rule) from a processor-interval sweep, proves
+// descriptors disjoint from one another, and then charges contention,
+// detects violations, and applies writes with O(1) bookkeeping per
+// descriptor (data movement aside). Descriptors that genuinely overlap
+// — or whose contention the model forbids, or that carry unsorted index
+// lists — are expanded into the scalar element buffers in the order a
+// ParDo body issuing the same accesses would have filled them, so the
+// per-cell counters, the kappa arg-max, arbitration order, violations,
+// traces, and hot cells are bit-identical to an element-by-element
+// replay.
 type bulkKind uint8
 
 const (
@@ -44,8 +36,7 @@ const (
 	bulkChargeC                 // charged local computation: fill ops on each of count processors
 )
 
-func (k bulkKind) cells() bool   { return k <= bulkFill }
-func (k bulkKind) isWrite() bool { return k == bulkWrite || k == bulkFill }
+func (k bulkKind) cells() bool { return k <= bulkFill }
 
 // bulkDesc is one recorded bulk access. For cell-bearing kinds the count
 // cells are lo, lo+stride, ..., (stride >= 1), the single cell lo
@@ -56,7 +47,6 @@ func (k bulkKind) isWrite() bool { return k == bulkWrite || k == bulkFill }
 type bulkDesc struct {
 	kind    bulkKind
 	sorted  bool // idx strictly ascending (true for all strided descriptors)
-	charged bool // ops already counted by the recording Ctx (afterProc)
 	expand  bool // settlement decision: element expansion required
 	lo, hi  int  // inclusive address interval
 	stride  int  // >= 1 arithmetic; 0 one cell; -1 explicit idx
@@ -76,11 +66,6 @@ type bulkDesc struct {
 	// settling the overlap question in O(1) where a merge scan of the
 	// index lists would be O(count).
 	mod, rlo, rlen int
-	// rPos/wPos are the scalar-buffer lengths at recording time: the
-	// positions where this descriptor's elements belong if settlement
-	// has to expand it, so expansion reproduces the exact buffer order
-	// of an element-by-element replay.
-	rPos, wPos int
 }
 
 // nprocs returns how many processors the descriptor spans.
@@ -120,16 +105,6 @@ func (d *bulkDesc) covers(addr int) bool {
 		}
 		return slices.Contains(d.idx, addr-d.off)
 	}
-}
-
-// elemIndex returns k such that addrAt(k) == addr; the caller has
-// established coverage. Only used for sorted descriptors.
-func (d *bulkDesc) elemIndex(addr int) int {
-	if d.stride >= 1 {
-		return (addr - d.lo) / d.stride
-	}
-	k, _ := slices.BinarySearch(d.idx, addr-d.off)
-	return k
 }
 
 // descsOverlap reports whether two cell-bearing descriptors can share a
@@ -216,323 +191,8 @@ func sortedListsIntersect(a []int, aoff int, b []int, boff int) bool {
 	return false
 }
 
-// rangeDesc builds a throwaway descriptor for overlap queries against an
-// arithmetic range.
-func rangeDesc(lo, hi, stride, count int) bulkDesc {
-	return bulkDesc{sorted: true, lo: lo, hi: hi, stride: stride, count: count}
-}
-
 // ---------------------------------------------------------------------
-// Ctx-level recording (single-processor descriptors, charged).
-
-// ReadRange reads the n cells lo, lo+stride, ..., lo+(n-1)*stride and
-// returns their beginning-of-step values (for stride 1, a view of shared
-// memory; otherwise a buffer valid until the end of the step). It is
-// equivalent to n Read calls but records one descriptor when the range
-// does not meet this processor's other reads. stride 0 reads cell lo n
-// times (one distinct cell).
-func (c *Ctx) ReadRange(lo, n, stride int) []Word {
-	m := c.m
-	if n < 0 || stride < 0 {
-		panic(fmt.Sprintf("machine: ReadRange(%d, %d, %d)", lo, n, stride))
-	}
-	if n == 0 {
-		return nil
-	}
-	if stride == 0 {
-		m.checkAddr(lo)
-		c.r += int64(n)
-		if !(len(c.w.descs) > c.dStart && c.descCoveredR(lo)) {
-			c.readElem(lo)
-		}
-		out := c.retSlice(n)
-		v := m.mem[lo]
-		for i := range out {
-			out[i] = v
-		}
-		return out
-	}
-	hi := lo + (n-1)*stride
-	m.checkAddr(lo)
-	m.checkAddr(hi)
-	c.r += int64(n)
-	w := c.w
-	if c.rangeClashes(bulkRead, lo, hi, stride, n) {
-		// The range meets this processor's own earlier reads: dedupe
-		// element by element (Definition 2.1 counts distinct processors
-		// per cell, so a cell this processor already read is not
-		// recorded again).
-		for k := 0; k < n; k++ {
-			a := lo + k*stride
-			if !(len(w.descs) > c.dStart && c.descCoveredR(a)) {
-				c.readElem(a)
-			}
-		}
-		w.bulkRecN++
-		w.bulkExpN++
-	} else {
-		w.descs = append(w.descs, bulkDesc{
-			kind: bulkRead, sorted: true, charged: true,
-			lo: lo, hi: hi, stride: stride, count: n,
-			proc: c.proc, perProc: n,
-			rPos: len(w.readAddrs), wPos: len(w.writes),
-		})
-	}
-	if stride == 1 {
-		return m.mem[lo : lo+n : lo+n]
-	}
-	out := c.retSlice(n)
-	for k := range out {
-		out[k] = m.mem[lo+k*stride]
-	}
-	return out
-}
-
-// WriteRange writes vals[k] to cell lo + k*stride for k in [0, n). It is
-// equivalent to n Write calls: within the processor later writes win,
-// and cross-processor conflicts arbitrate to the highest index. vals is
-// copied at call time. stride 0 writes cell lo n times (vals[n-1]
-// survives program order).
-func (c *Ctx) WriteRange(lo, n, stride int, vals []Word) {
-	m := c.m
-	if n < 0 || stride < 0 || len(vals) != n {
-		panic(fmt.Sprintf("machine: WriteRange(%d, %d, %d) with %d vals", lo, n, stride, len(vals)))
-	}
-	if n == 0 {
-		return
-	}
-	if stride == 0 {
-		m.checkAddr(lo)
-		c.wr += int64(n)
-		v := vals[n-1]
-		if !(len(c.w.descs) > c.dStart && c.descUpdateW(lo, v)) {
-			c.writeElem(lo, v)
-		}
-		return
-	}
-	hi := lo + (n-1)*stride
-	m.checkAddr(lo)
-	m.checkAddr(hi)
-	c.wr += int64(n)
-	w := c.w
-	if c.rangeClashes(bulkWrite, lo, hi, stride, n) {
-		for k := 0; k < n; k++ {
-			a := lo + k*stride
-			if !(len(w.descs) > c.dStart && c.descUpdateW(a, vals[k])) {
-				c.writeElem(a, vals[k])
-			}
-		}
-		w.bulkRecN++
-		w.bulkExpN++
-		return
-	}
-	off := len(w.snapVals)
-	w.snapVals = append(w.snapVals, vals...)
-	w.descs = append(w.descs, bulkDesc{
-		kind: bulkWrite, sorted: true, charged: true,
-		lo: lo, hi: hi, stride: stride, count: n,
-		proc: c.proc, perProc: n,
-		vals: w.snapVals[off : off+n : off+n],
-		rPos: len(w.readAddrs), wPos: len(w.writes),
-	})
-}
-
-// Gather reads the cells idx[0..n) and returns their values (buffer
-// valid until the end of the step). A strictly ascending index list
-// records as one descriptor; any other list falls back to deduped
-// element recording (identical accounting, element cost).
-func (c *Ctx) Gather(idx []int) []Word {
-	n := len(idx)
-	if n == 0 {
-		return nil
-	}
-	m := c.m
-	w := c.w
-	c.r += int64(n)
-	out := c.retSlice(n)
-	asc := true
-	for k, a := range idx {
-		m.checkAddr(a)
-		out[k] = m.mem[a]
-		if k > 0 && a <= idx[k-1] {
-			asc = false
-		}
-	}
-	if asc && !c.idxClashes(bulkRead, idx) {
-		off := len(w.snapIdx)
-		w.snapIdx = append(w.snapIdx, idx...)
-		w.descs = append(w.descs, bulkDesc{
-			kind: bulkRead, sorted: true, charged: true,
-			lo: idx[0], hi: idx[n-1], stride: -1, count: n,
-			proc: c.proc, perProc: n,
-			idx:  w.snapIdx[off : off+n : off+n],
-			rPos: len(w.readAddrs), wPos: len(w.writes),
-		})
-		return out
-	}
-	for _, a := range idx {
-		if !(len(w.descs) > c.dStart && c.descCoveredR(a)) {
-			c.readElem(a)
-		}
-	}
-	w.bulkRecN++
-	w.bulkExpN++
-	return out
-}
-
-// Scatter writes vals[k] to cell idx[k]. A strictly ascending index
-// list records as one descriptor; any other falls back to element
-// recording with the usual program-order overwrite semantics. idx and
-// vals are copied at call time.
-func (c *Ctx) Scatter(idx []int, vals []Word) {
-	n := len(idx)
-	if len(vals) != n {
-		panic(fmt.Sprintf("machine: Scatter with %d indices, %d vals", n, len(vals)))
-	}
-	if n == 0 {
-		return
-	}
-	m := c.m
-	w := c.w
-	c.wr += int64(n)
-	asc := true
-	for k, a := range idx {
-		m.checkAddr(a)
-		if k > 0 && a <= idx[k-1] {
-			asc = false
-		}
-	}
-	if asc && !c.idxClashes(bulkWrite, idx) {
-		offI := len(w.snapIdx)
-		w.snapIdx = append(w.snapIdx, idx...)
-		offV := len(w.snapVals)
-		w.snapVals = append(w.snapVals, vals...)
-		w.descs = append(w.descs, bulkDesc{
-			kind: bulkWrite, sorted: true, charged: true,
-			lo: idx[0], hi: idx[n-1], stride: -1, count: n,
-			proc: c.proc, perProc: n,
-			idx:  w.snapIdx[offI : offI+n : offI+n],
-			vals: w.snapVals[offV : offV+n : offV+n],
-			rPos: len(w.readAddrs), wPos: len(w.writes),
-		})
-		return
-	}
-	for k, a := range idx {
-		if !(len(w.descs) > c.dStart && c.descUpdateW(a, vals[k])) {
-			c.writeElem(a, vals[k])
-		}
-	}
-	w.bulkRecN++
-	w.bulkExpN++
-}
-
-// descCoveredR reports whether one of this processor's read descriptors
-// already covers addr (a repeated read records nothing).
-func (c *Ctx) descCoveredR(addr int) bool {
-	w := c.w
-	for di := c.dStart; di < len(w.descs); di++ {
-		d := &w.descs[di]
-		if d.kind == bulkRead && d.covers(addr) {
-			return true
-		}
-	}
-	return false
-}
-
-// descUpdateW overwrites the buffered value when one of this
-// processor's write descriptors covers addr (program order within the
-// processor), reporting whether it did.
-func (c *Ctx) descUpdateW(addr int, v Word) bool {
-	w := c.w
-	for di := c.dStart; di < len(w.descs); di++ {
-		d := &w.descs[di]
-		if d.kind == bulkWrite && d.covers(addr) {
-			d.vals[d.elemIndex(addr)] = v
-			return true
-		}
-	}
-	return false
-}
-
-// rangeClashes reports whether the arithmetic range meets any of this
-// processor's earlier same-kind accesses — scalar entries or
-// descriptors — in which case the range must record element by element.
-func (c *Ctx) rangeClashes(kind bulkKind, lo, hi, stride, count int) bool {
-	w := c.w
-	if kind == bulkRead {
-		for _, a := range w.readAddrs[c.rStart:] {
-			if a >= lo && a <= hi && (stride == 1 || (a-lo)%stride == 0) {
-				return true
-			}
-		}
-	} else {
-		for j := c.wStart; j < len(w.writes); j++ {
-			a := w.writes[j].addr
-			if a >= lo && a <= hi && (stride == 1 || (a-lo)%stride == 0) {
-				return true
-			}
-		}
-	}
-	tmp := rangeDesc(lo, hi, stride, count)
-	for di := c.dStart; di < len(w.descs); di++ {
-		d := &w.descs[di]
-		if d.kind == kind && descsOverlap(d, &tmp) {
-			return true
-		}
-	}
-	return false
-}
-
-// idxClashes is rangeClashes for a strictly ascending index list.
-func (c *Ctx) idxClashes(kind bulkKind, idx []int) bool {
-	w := c.w
-	lo, hi := idx[0], idx[len(idx)-1]
-	if kind == bulkRead {
-		for _, a := range w.readAddrs[c.rStart:] {
-			if a >= lo && a <= hi {
-				if _, ok := slices.BinarySearch(idx, a); ok {
-					return true
-				}
-			}
-		}
-	} else {
-		for j := c.wStart; j < len(w.writes); j++ {
-			a := w.writes[j].addr
-			if a >= lo && a <= hi {
-				if _, ok := slices.BinarySearch(idx, a); ok {
-					return true
-				}
-			}
-		}
-	}
-	tmp := bulkDesc{sorted: true, lo: lo, hi: hi, stride: -1, count: len(idx), idx: idx}
-	for di := c.dStart; di < len(w.descs); di++ {
-		d := &w.descs[di]
-		if d.kind == kind && descsOverlap(d, &tmp) {
-			return true
-		}
-	}
-	return false
-}
-
-// retSlice carves n words out of the worker's per-step return arena.
-// Returned slices stay valid until the end of the step.
-func (c *Ctx) retSlice(n int) []Word {
-	w := c.w
-	off := len(w.retBuf)
-	need := off + n
-	if cap(w.retBuf) < need {
-		nb := make([]Word, need, max(need, 2*cap(w.retBuf)))
-		copy(nb, w.retBuf)
-		w.retBuf = nb
-	} else {
-		w.retBuf = w.retBuf[:need]
-	}
-	return w.retBuf[off:need:need]
-}
-
-// ---------------------------------------------------------------------
-// Step-level recording: the Bulk builder.
+// Recording: the Bulk builder.
 
 // Bulk accumulates the descriptors of one whole step. It is obtained
 // from Machine.Bulk and must be finished with Commit before any other
@@ -546,10 +206,16 @@ type Bulk struct {
 
 	descs    []bulkDesc
 	snapVals []Word
-	snapIdx  []int
 	scratch  []Word // Vals arena
 	ret      []Word // ReadRange/Gather copy-out arena
 	walks    []idxWalk
+
+	// Settlement scratch, reused across steps: the operation sweep's
+	// events, the per-kind overlap items, and the replay's descriptor
+	// order and active set.
+	ev             []bulkEvent
+	rItems, wItems []bulkItem
+	ord, act       []int32
 }
 
 // walkKey identifies an index list and the contract it was walked
@@ -593,7 +259,6 @@ func (m *Machine) Bulk(p int, label string) *Bulk {
 	b.active = true
 	b.descs = b.descs[:0]
 	b.snapVals = b.snapVals[:0]
-	b.snapIdx = b.snapIdx[:0]
 	b.scratch = b.scratch[:0]
 	b.ret = b.ret[:0]
 	b.walks = b.walks[:0]
@@ -973,24 +638,23 @@ func (b *Bulk) Commit() error {
 	}
 	w := m.pool[0]
 	w.reset()
-	w.bulkOnly = true
-	w.descs = append(w.descs[:0], b.descs...)
-	return m.finishStep(b.p, b.label, m.pool[:1])
+	var bs bulkSettle
+	b.settleBulk(w, &bs)
+	return m.finishStep(b.p, b.label, &bs)
 }
 
 // ---------------------------------------------------------------------
 // Settlement.
 
 // bulkEvent is one processor-interval delta for the per-processor
-// operation sweep over uncharged descriptors.
+// operation sweep over the descriptors.
 type bulkEvent struct {
 	proc       int
 	dr, dw, dc int64
 }
 
 // bulkItem is one entry of the per-kind disjointness check: a
-// descriptor, or (d == nil) the opaque interval of one shard's scalar
-// accesses of that kind.
+// descriptor with its address interval copied inline for the sort.
 type bulkItem struct {
 	d      *bulkDesc
 	lo, hi int
@@ -1005,164 +669,118 @@ type bulkSettle struct {
 	simdViol                bool
 	simdCount               int64
 	simdProc                int // lowest processor violating the SIMD rule
-	// expanded records that at least one descriptor expanded into the
-	// scalar buffers this step. A fused gang step must then take the
-	// sharded path: expansion splices cells the per-chunk bounds never
-	// saw, so the chunk-disjointness proof no longer covers them.
-	expanded bool
 }
 
-// settleBulk processes every recorded descriptor of the step: it
-// derives the uncharged descriptors' per-processor operation load,
-// decides which descriptors settle analytically and which must expand
-// into the scalar buffers, applies the analytic writes, and performs
-// the expansions. It runs before the scalar settlement, so expanded
-// elements flow through the per-cell counters exactly like scalar code.
-func (m *Machine) settleBulk(workers []*worker, bs *bulkSettle) {
+// settleBulk processes the step's descriptors: it derives their
+// per-processor operation load, decides which descriptors settle
+// analytically and which must expand into w's (empty) scalar buffers,
+// applies the analytic writes, and performs the expansions. It runs
+// before the scalar settlement, so expanded elements flow through the
+// per-cell counters exactly like scalar code.
+func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
+	m := b.m
 	bs.maxRAddr, bs.maxWAddr = -1, -1
 	bs.simdProc = -1
-	nd := 0
-	for _, w := range workers {
-		m.bulkDescs.Add(w.bulkRecN)
-		m.bulkExpanded.Add(w.bulkExpN)
-		w.bulkRecN, w.bulkExpN = 0, 0
-		nd += len(w.descs)
-	}
-	if nd == 0 {
+	if len(b.descs) == 0 {
 		return
 	}
-	m.bulkDescs.Add(int64(nd))
+	m.bulkDescs.Add(int64(len(b.descs)))
 
-	// Per-processor operation sweep over uncharged descriptors (charged
-	// ones already went through afterProc). Each descriptor contributes
-	// a flat interval of processors doing perProc ops, plus a possibly
-	// lighter last processor.
-	ev := m.bulkEv[:0]
-	for _, w := range workers {
-		for i := range w.descs {
-			d := &w.descs[i]
-			if d.charged {
-				continue
-			}
-			var dr, dw, dc int64
-			switch d.kind {
-			case bulkRead:
-				bs.reads += int64(d.count)
-				dr = int64(d.perProc)
-			case bulkWrite, bulkFill:
-				bs.writes += int64(d.count)
-				dw = int64(d.perProc)
-			case bulkChargeC:
-				bs.computes += int64(d.count) * d.fill
-				dc = d.fill
-			}
-			np := d.nprocs()
-			full := np
-			if d.kind.cells() {
-				if rem := d.count - (np-1)*d.perProc; rem != d.perProc {
-					// Lighter last processor: split the interval.
-					full = np - 1
-					r2, w2, c2 := dr, dw, dc
-					if dr > 0 {
-						r2 = int64(rem)
-					}
-					if dw > 0 {
-						w2 = int64(rem)
-					}
-					ev = append(ev,
-						bulkEvent{d.proc + full, r2, w2, c2},
-						bulkEvent{d.proc + np, -r2, -w2, -c2})
+	// Per-processor operation sweep. Each descriptor contributes a flat
+	// interval of processors doing perProc ops, plus a possibly lighter
+	// last processor.
+	ev := b.ev[:0]
+	for i := range b.descs {
+		d := &b.descs[i]
+		var dr, dw, dc int64
+		switch d.kind {
+		case bulkRead:
+			bs.reads += int64(d.count)
+			dr = int64(d.perProc)
+		case bulkWrite, bulkFill:
+			bs.writes += int64(d.count)
+			dw = int64(d.perProc)
+		case bulkChargeC:
+			bs.computes += int64(d.count) * d.fill
+			dc = d.fill
+		}
+		np := d.nprocs()
+		full := np
+		if d.kind.cells() {
+			if rem := d.count - (np-1)*d.perProc; rem != d.perProc {
+				// Lighter last processor: split the interval.
+				full = np - 1
+				r2, w2, c2 := dr, dw, dc
+				if dr > 0 {
+					r2 = int64(rem)
 				}
-			}
-			if full > 0 {
+				if dw > 0 {
+					w2 = int64(rem)
+				}
 				ev = append(ev,
-					bulkEvent{d.proc, dr, dw, dc},
-					bulkEvent{d.proc + full, -dr, -dw, -dc})
+					bulkEvent{d.proc + full, r2, w2, c2},
+					bulkEvent{d.proc + np, -r2, -w2, -c2})
+			}
+		}
+		if full > 0 {
+			ev = append(ev,
+				bulkEvent{d.proc, dr, dw, dc},
+				bulkEvent{d.proc + full, -dr, -dw, -dc})
+		}
+	}
+	slices.SortFunc(ev, func(a, b bulkEvent) int { return cmp.Compare(a.proc, b.proc) })
+	simd := m.model.SIMD()
+	var r, wr, c int64
+	for i := 0; i < len(ev); {
+		p := ev[i].proc
+		for i < len(ev) && ev[i].proc == p {
+			r += ev[i].dr
+			wr += ev[i].dw
+			c += ev[i].dc
+			i++
+		}
+		if mo := max(r, wr, c); mo > 0 {
+			bs.maxOps = max(bs.maxOps, mo)
+			if simd && mo > 1 && !bs.simdViol {
+				// Ascending sweep: this is the lowest-indexed processor
+				// exceeding the SIMD one-op rule, exactly the processor
+				// scalar replay would report.
+				bs.simdViol = true
+				bs.simdCount = mo
+				bs.simdProc = p
 			}
 		}
 	}
-	if len(ev) > 0 {
-		slices.SortFunc(ev, func(a, b bulkEvent) int { return cmp.Compare(a.proc, b.proc) })
-		simd := m.model.SIMD()
-		var r, w, c int64
-		for i := 0; i < len(ev); {
-			p := ev[i].proc
-			for i < len(ev) && ev[i].proc == p {
-				r += ev[i].dr
-				w += ev[i].dw
-				c += ev[i].dc
-				i++
-			}
-			if mo := max(r, w, c); mo > 0 {
-				bs.maxOps = max(bs.maxOps, mo)
-				if simd && mo > 1 && !bs.simdViol {
-					// Ascending sweep: this is the lowest-indexed
-					// processor exceeding the SIMD one-op rule, exactly
-					// the processor scalar replay would report.
-					bs.simdViol = true
-					bs.simdCount = mo
-					bs.simdProc = p
-				}
-			}
-		}
-	}
-	m.bulkEv = ev[:0]
+	b.ev = ev[:0]
 
 	// Disposition: a descriptor settles analytically only when its
-	// cells provably meet nothing else of the same access kind in the
-	// step. Unsorted index lists, contention the model forbids, and
-	// profiled steps (hot-cell attribution needs real counters) expand
+	// cells provably meet no other descriptor of the same access kind.
+	// Unsorted index lists, contention the model forbids, and profiled
+	// steps (hot-cell attribution needs real counters) expand
 	// unconditionally.
 	expandAll := m.hotK > 0 || m.noBulkFast
 	rForbidden := !m.model.ConcurrentReads()
 	wForbidden := !m.model.ConcurrentWrites()
-	rItems := m.bulkR[:0]
-	wItems := m.bulkW[:0]
-	if m.gangActive {
-		// Fused gang step: the workers' scalar bounds are stale
-		// chunk-locals (reset around every claimed chunk), so the opaque
-		// scalar intervals come from the per-chunk bounds instead — one
-		// interval per touched chunk, independent of the chunk schedule.
-		for i := range m.chunkB {
-			b := &m.chunkB[i]
-			if b.rHi >= b.rLo {
-				rItems = append(rItems, bulkItem{nil, b.rLo, b.rHi})
-			}
-			if b.wHi >= b.wLo {
-				wItems = append(wItems, bulkItem{nil, b.wLo, b.wHi})
-			}
+	rItems := b.rItems[:0]
+	wItems := b.wItems[:0]
+	for i := range b.descs {
+		d := &b.descs[i]
+		if !d.kind.cells() {
+			continue
 		}
-	} else {
-		for _, w := range workers {
-			if w.rHi >= w.rLo {
-				rItems = append(rItems, bulkItem{nil, w.rLo, w.rHi})
-			}
-			if w.wHi >= w.wLo {
-				wItems = append(wItems, bulkItem{nil, w.wLo, w.wHi})
-			}
-		}
-	}
-	for _, w := range workers {
-		for i := range w.descs {
-			d := &w.descs[i]
-			if !d.kind.cells() {
-				continue
-			}
-			if d.kind == bulkRead {
-				d.expand = expandAll || !d.sorted ||
-					(d.stride == 0 && d.nprocs() > 1 && rForbidden)
-				rItems = append(rItems, bulkItem{d, d.lo, d.hi})
-			} else {
-				d.expand = expandAll || !d.sorted ||
-					(d.stride == 0 && d.nprocs() > 1 && wForbidden)
-				wItems = append(wItems, bulkItem{d, d.lo, d.hi})
-			}
+		if d.kind == bulkRead {
+			d.expand = expandAll || !d.sorted ||
+				(d.stride == 0 && d.nprocs() > 1 && rForbidden)
+			rItems = append(rItems, bulkItem{d, d.lo, d.hi})
+		} else {
+			d.expand = expandAll || !d.sorted ||
+				(d.stride == 0 && d.nprocs() > 1 && wForbidden)
+			wItems = append(wItems, bulkItem{d, d.lo, d.hi})
 		}
 	}
 	markOverlaps(rItems)
 	markOverlaps(wItems)
-	m.bulkR = rItems[:0]
-	m.bulkW = wItems[:0]
+	b.rItems, b.wItems = rItems[:0], wItems[:0]
 
 	// Analytic settlement of the surviving descriptors: strided and
 	// sorted-index cells are touched by exactly one processor each
@@ -1170,53 +788,45 @@ func (m *Machine) settleBulk(workers []*worker, bs *bulkSettle) {
 	// processor. Writes apply directly — the descriptor's last buffered
 	// value per cell is the highest-indexed writer's, preserving the
 	// arbitration invariant.
-	for _, w := range workers {
-		expand := false
-		for i := range w.descs {
-			d := &w.descs[i]
-			if !d.kind.cells() {
-				continue
-			}
-			if d.expand {
-				expand = true
-				bs.expanded = true
-				m.bulkExpanded.Add(1)
-				continue
-			}
-			k := int64(1)
-			if d.stride == 0 {
-				k = int64(d.nprocs())
-			}
-			// Count ties break toward the smallest address (a charge-only
-			// sentinel at -1 never wins one), so the arg-max is the same
-			// whatever order the workers hold the descriptors in.
-			if d.kind == bulkRead {
-				if k > bs.maxR || (k == bs.maxR && (bs.maxRAddr < 0 || d.lo < bs.maxRAddr)) {
-					bs.maxR, bs.maxRAddr = k, d.lo
-				}
-			} else {
-				if k > bs.maxW || (k == bs.maxW && (bs.maxWAddr < 0 || d.lo < bs.maxWAddr)) {
-					bs.maxW, bs.maxWAddr = k, d.lo
-				}
-				m.applyDesc(d)
-			}
+	expand := false
+	for i := range b.descs {
+		d := &b.descs[i]
+		if !d.kind.cells() {
+			continue
 		}
-		if expand {
-			if w.bulkOnly {
-				w.buildReplay()
-			} else {
-				w.spliceExpand()
-			}
+		if d.expand {
+			expand = true
+			m.bulkExpanded.Add(1)
+			continue
 		}
+		k := int64(1)
+		if d.stride == 0 {
+			k = int64(d.nprocs())
+		}
+		// Count ties break toward the smallest address, as in the scalar
+		// settlement, so the merged arg-max names the same cell whichever
+		// side reached the maximum first.
+		if d.kind == bulkRead {
+			if k > bs.maxR || (k == bs.maxR && (bs.maxRAddr < 0 || d.lo < bs.maxRAddr)) {
+				bs.maxR, bs.maxRAddr = k, d.lo
+			}
+		} else {
+			if k > bs.maxW || (k == bs.maxW && (bs.maxWAddr < 0 || d.lo < bs.maxWAddr)) {
+				bs.maxW, bs.maxWAddr = k, d.lo
+			}
+			m.applyDesc(d)
+		}
+	}
+	if expand {
+		b.buildReplay(w)
 	}
 }
 
-// markOverlaps mutually marks for expansion every pair of items of one
-// access kind that may share a cell. Scalar intervals are opaque: a
-// descriptor meeting one expands. One pass suffices — expansion routes
-// a descriptor's cells through the same counters scalar cells use, so
-// an expanded descriptor endangers only items it actually shares cells
-// with, and those were marked by their own pairwise test.
+// markOverlaps mutually marks for expansion every pair of descriptors of
+// one access kind that may share a cell. One pass suffices — expansion
+// routes a descriptor's cells through the same counters scalar cells
+// use, so an expanded descriptor endangers only descriptors it actually
+// shares cells with, and those were marked by their own pairwise test.
 func markOverlaps(items []bulkItem) {
 	// Sweep in address order: after sorting by lo, the partners of
 	// items[i] are exactly the following items whose lo is within
@@ -1224,20 +834,11 @@ func markOverlaps(items []bulkItem) {
 	// than O(d^2) pair enumeration.
 	slices.SortFunc(items, func(x, y bulkItem) int { return x.lo - y.lo })
 	for i := range items {
-		a := &items[i]
-		for j := i + 1; j < len(items) && items[j].lo <= a.hi; j++ {
-			bt := &items[j]
-			if a.d == nil && bt.d == nil {
-				continue
-			}
-			switch {
-			case a.d == nil:
-				bt.d.expand = true
-			case bt.d == nil:
-				a.d.expand = true
-			case descsOverlap(a.d, bt.d):
-				a.d.expand = true
-				bt.d.expand = true
+		a := items[i].d
+		for j := i + 1; j < len(items) && items[j].lo <= items[i].hi; j++ {
+			if bd := items[j].d; descsOverlap(a, bd) {
+				a.expand = true
+				bd.expand = true
 			}
 		}
 	}
@@ -1281,117 +882,90 @@ func (m *Machine) applyDesc(d *bulkDesc) {
 	}
 }
 
-// spliceExpand rebuilds the scalar buffers with every expanded
-// descriptor's elements inserted at the positions recorded when the
-// descriptor was issued, reproducing the exact buffer order of an
-// element-by-element replay (which the kappa arg-max, violation
-// addresses, and write arbitration depend on). Ctx-recorded descriptors
-// only (single processor, distinct cells, kinds read/write).
-func (w *worker) spliceExpand() {
-	expR := w.expR[:0]
-	expW := w.expW[:0]
-	ri, wi := 0, 0
-	for i := range w.descs {
-		d := &w.descs[i]
-		expR = append(expR, w.readAddrs[ri:d.rPos]...)
-		expW = append(expW, w.writes[wi:d.wPos]...)
-		ri, wi = d.rPos, d.wPos
-		if !d.expand || !d.kind.cells() {
-			continue
-		}
-		if d.kind == bulkRead {
-			for k := 0; k < d.count; k++ {
-				a := d.addrAt(k)
-				expR = append(expR, a)
-				w.touchR(a)
-			}
-		} else {
-			p := int32(d.proc)
-			for k := 0; k < d.count; k++ {
-				a := d.addrAt(k)
-				expW = append(expW, writeOp{addr: a, val: d.vals[k], proc: p})
-				w.touchW(a)
-			}
+// buildReplay expands the step's marked descriptors into w's empty
+// scalar buffers in processor-major order — for each processor in
+// ascending index order, its cells in issue order — which is exactly the
+// order the equivalent ParDo body would have buffered them in, including
+// the per-processor dedupe: a processor reaching one cell through
+// several descriptors (or a Broadcast's repeats) records one read entry,
+// and its later writes overwrite the buffered value in place. A sweep
+// over the descriptors sorted by first processor keeps the set spanning
+// the current processor, so the cost is the cells replayed, not
+// processors times descriptors.
+func (b *Bulk) buildReplay(w *worker) {
+	descs := b.descs
+	ord := b.ord[:0]
+	for i := range descs {
+		if d := &descs[i]; d.expand && d.kind.cells() {
+			ord = append(ord, int32(i))
 		}
 	}
-	expR = append(expR, w.readAddrs[ri:]...)
-	expW = append(expW, w.writes[wi:]...)
-	w.readAddrs, w.expR = expR, w.readAddrs[:0]
-	w.writes, w.expW = expW, w.writes[:0]
+	slices.SortFunc(ord, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(descs[x].proc, descs[y].proc), cmp.Compare(x, y))
+	})
+	act := b.act[:0] // descriptors spanning processor p, in issue order
+	next := 0
+	for p := 0; next < len(ord) || len(act) > 0; p++ {
+		if len(act) == 0 {
+			p = descs[ord[next]].proc
+		}
+		for ; next < len(ord) && descs[ord[next]].proc == p; next++ {
+			j, _ := slices.BinarySearch(act, ord[next])
+			act = slices.Insert(act, j, ord[next])
+		}
+		rs, ws := len(w.readAddrs), len(w.writes)
+		for _, i := range act {
+			w.replayProc(&descs[i], p, rs, ws)
+		}
+		keep := act[:0]
+		for _, i := range act {
+			if d := &descs[i]; p+1 < d.proc+d.nprocs() {
+				keep = append(keep, i)
+			}
+		}
+		act = keep
+	}
+	b.ord, b.act = ord[:0], act[:0]
 }
 
-// buildReplay expands a descriptor-only (Bulk) step's marked
-// descriptors into the scalar buffers in processor-major order — for
-// each processor in ascending index order, its cells in issue order —
-// which is exactly the order the equivalent ParDo body would have
-// buffered them in, including the per-processor dedupe: a processor
-// reaching one cell through several descriptors (or a Broadcast's
-// repeats) records one read entry, and its later writes overwrite the
-// buffered value in place.
-func (w *worker) buildReplay() {
-	pmin, pmax := int(^uint(0)>>1), -1
-	for i := range w.descs {
-		d := &w.descs[i]
-		if !d.expand || !d.kind.cells() {
+// replayProc appends processor p's cells of descriptor d to the scalar
+// buffers, whose entries for p begin at rs and ws. One processor's cells
+// within a descriptor are distinct, so only the entries earlier
+// descriptors buffered for p need the dedupe scan.
+func (w *worker) replayProc(d *bulkDesc, p, rs, ws int) {
+	k0 := (p - d.proc) * d.perProc
+	k1 := min(d.count, k0+d.perProc)
+	if d.kind == bulkRead {
+		prev := w.readAddrs[rs:]
+		if d.stride == 0 {
+			k1 = k0 + 1 // a Broadcast's repeats record one entry
+		}
+		for k := k0; k < k1; k++ {
+			if a := d.addrAt(k); !slices.Contains(prev, a) {
+				w.readAddrs = append(w.readAddrs, a)
+				w.touch(a)
+			}
+		}
+		return
+	}
+	we := len(w.writes)
+	if d.stride == 0 {
+		k0 = k1 - 1 // program order: the processor's last value survives
+	}
+	for k := k0; k < k1; k++ {
+		a, v := d.addrAt(k), d.fill
+		if d.kind == bulkWrite {
+			v = d.vals[k]
+		}
+		j := ws
+		for j < we && w.writes[j].addr != a {
+			j++
+		}
+		if j < we {
+			w.writes[j].val = v
 			continue
 		}
-		pmin = min(pmin, d.proc)
-		pmax = max(pmax, d.proc+d.nprocs()-1)
+		w.writes = append(w.writes, writeOp{addr: a, val: v, proc: int32(p)})
+		w.touch(a)
 	}
-	expR := w.expR[:0]
-	expW := w.expW[:0]
-	for p := pmin; p <= pmax; p++ {
-		rs, ws := len(expR), len(expW)
-		pushR := func(a int) {
-			for _, prev := range expR[rs:] {
-				if prev == a {
-					return
-				}
-			}
-			expR = append(expR, a)
-			w.touchR(a)
-		}
-		pushW := func(a int, v Word) {
-			for j := len(expW) - 1; j >= ws; j-- {
-				if expW[j].addr == a {
-					expW[j].val = v
-					return
-				}
-			}
-			expW = append(expW, writeOp{addr: a, val: v, proc: int32(p)})
-			w.touchW(a)
-		}
-		for i := range w.descs {
-			d := &w.descs[i]
-			if !d.expand || !d.kind.cells() || p < d.proc || p >= d.proc+d.nprocs() {
-				continue
-			}
-			k0 := (p - d.proc) * d.perProc
-			k1 := min(d.count, k0+d.perProc)
-			switch {
-			case d.kind == bulkRead && d.stride == 0:
-				pushR(d.lo)
-			case d.kind == bulkRead:
-				for k := k0; k < k1; k++ {
-					pushR(d.addrAt(k))
-				}
-			case d.stride == 0:
-				v := d.fill
-				if d.kind == bulkWrite {
-					v = d.vals[k1-1]
-				}
-				pushW(d.lo, v)
-			default:
-				for k := k0; k < k1; k++ {
-					v := d.fill
-					if d.kind == bulkWrite {
-						v = d.vals[k]
-					}
-					pushW(d.addrAt(k), v)
-				}
-			}
-		}
-	}
-	w.readAddrs, w.expR = expR, w.readAddrs[:0]
-	w.writes, w.expW = expW, w.writes[:0]
 }

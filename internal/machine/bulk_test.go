@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,9 +12,10 @@ import (
 var allModels = []Model{EREW, CREW, QRQW, CRQW, CRCW, SIMDQRQW, ScanSIMDQRQW, FetchAdd, ScanQRQW}
 
 // specOp is one descriptor-shaped access driving both the bulk and the
-// scalar replay of a descriptor-only step.
+// scalar replay of a descriptor-only step. A bulkChargeC op charges
+// fill local operations to each of n processors from procLo.
 type specOp struct {
-	kind            bulkKind // bulkRead / bulkWrite / bulkFill
+	kind            bulkKind // bulkRead / bulkWrite / bulkFill / bulkChargeC
 	lo, n, stride   int      // stride -1: idx form, 0: broadcast form
 	idx             []int
 	vals            []Word
@@ -40,6 +42,8 @@ func runSpecBulk(m *Machine, p int, ops []specOp) error {
 	for i := range ops {
 		op := &ops[i]
 		switch {
+		case op.kind == bulkChargeC:
+			b.Compute(op.procLo, op.n, op.fill)
 		case op.kind == bulkRead && op.stride == 0:
 			b.Broadcast(op.lo, op.n, op.procLo)
 		case op.kind == bulkRead && op.stride == -1:
@@ -66,6 +70,10 @@ func runSpecScalar(m *Machine, p int, ops []specOp) error {
 			if i < op.procLo || i >= op.procLo+np {
 				continue
 			}
+			if op.kind == bulkChargeC {
+				c.Compute(int(op.fill))
+				continue
+			}
 			k0 := (i - op.procLo) * op.perProc
 			k1 := min(op.n, k0+op.perProc)
 			for k := k0; k < k1; k++ {
@@ -84,17 +92,53 @@ func runSpecScalar(m *Machine, p int, ops []specOp) error {
 }
 
 // genSpec draws one random descriptor-only step: strided ranges,
-// broadcasts, permutation and colliding index slices, with random
-// processor mappings. Index lists use perProc 1 so the
-// distinct-cells-per-processor contract holds by construction.
+// broadcasts, permutation and colliding index slices, Compute charges,
+// and repeats of other ops (so processors reach cells through several
+// descriptors), with random processor mappings. Index lists use
+// perProc 1 so the distinct-cells-per-processor contract holds by
+// construction.
 func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 	p := 4 + int(rng.Uint64n(29))
 	nops := 1 + int(rng.Uint64n(5))
 	ops := make([]specOp, 0, nops)
 	for len(ops) < nops {
+		if len(ops) > 0 && rng.Uint64n(4) == 0 {
+			// Repeat the cells of a suffix of another op's processors,
+			// anywhere in issue order: processors then reach cells
+			// through descriptors starting at different processors, and
+			// for writes program order decides which value survives.
+			op := ops[rng.Uint64n(uint64(len(ops)))]
+			s := int(rng.Uint64n(uint64(op.nprocs())))
+			k := min(op.n, s*op.perProc)
+			op.procLo += s
+			op.n -= k
+			switch {
+			case op.kind == bulkChargeC || op.stride == 0:
+			case op.stride > 0:
+				op.lo += k * op.stride
+			default:
+				op.idx = op.idx[k:]
+			}
+			op.fill = Word(rng.Uint64n(1 << 30))
+			if op.vals != nil {
+				op.vals = make([]Word, op.n)
+				for j := range op.vals {
+					op.vals[j] = Word(rng.Uint64n(1 << 30))
+				}
+			}
+			ops = slices.Insert(ops, int(rng.Uint64n(uint64(len(ops)+1))), op)
+			continue
+		}
 		var op specOp
-		op.kind = bulkKind(rng.Uint64n(3))
+		op.kind = bulkKind(rng.Uint64n(4))
 		op.procLo = int(rng.Uint64n(uint64(p)))
+		if op.kind == bulkChargeC {
+			op.perProc = 1
+			op.n = 1 + int(rng.Uint64n(uint64(p-op.procLo)))
+			op.fill = Word(rng.Uint64n(4))
+			ops = append(ops, op)
+			continue
+		}
 		op.perProc = 1 + int(rng.Uint64n(3))
 		maxCells := (p - op.procLo) * op.perProc
 		if maxCells == 0 {
@@ -149,199 +193,77 @@ func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 	return p, ops
 }
 
-// TestBulkPropertyAllModels is the descriptor/scalar equivalence
-// property: random descriptor mixes must charge identical stats, raise
-// identical violations, and leave identical memory under all nine
-// models, with and without analytic settlement allowed.
-func TestBulkPropertyAllModels(t *testing.T) {
-	const memN = 192
-	rng := xrand.NewStream(20260807)
-	for trial := 0; trial < 60; trial++ {
-		p, ops := genSpec(rng, memN)
+// FuzzBulkMatchesScalar is the descriptor/scalar equivalence property:
+// a random descriptor mix (genSpec, seeded by the fuzz input) must charge
+// identical stats, raise identical violations, and leave identical
+// memory and traces under all nine models as its element-by-element
+// ParDo replay — with analytic settlement allowed, with every
+// descriptor forced through expansion (settled on the fast path, and on
+// the sharded one, which arbitrates writes by processor index), and
+// under hot-cell attribution, where the traces pin buildReplay's
+// per-processor order.
+func FuzzBulkMatchesScalar(f *testing.F) {
+	seeds := xrand.NewStream(20260807)
+	for range 60 {
+		f.Add(seeds.Uint64())
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		const memN = 192
+		p, ops := genSpec(xrand.NewStream(seed), memN)
+		type outcome struct {
+			st   Stats
+			err  string
+			mem  string
+			desc string
+		}
+		run := func(model Model, hot bool, mode string) outcome {
+			opts := []Option{WithSeed(11), WithTrace()}
+			if hot {
+				opts = append(opts, WithHotCells(4))
+			}
+			m := New(model, memN, opts...)
+			m.noBulkFast = mode != "bulk"
+			m.noFastPath = mode == "bulk-sharded"
+			var err error
+			if mode == "scalar" {
+				err = runSpecScalar(m, p, ops)
+			} else {
+				err = runSpecBulk(m, p, ops)
+			}
+			checkDirtySound(t, m)
+			o := outcome{st: m.Stats(), mem: fmt.Sprint(m.LoadWords(0, memN))}
+			if err != nil {
+				o.err = err.Error()
+			}
+			o.desc = fmt.Sprintf("%+v", m.StepTraces())
+			return o
+		}
 		for _, model := range allModels {
-			type outcome struct {
-				st   Stats
-				err  string
-				mem  string
-				desc string
-			}
-			run := func(mode int) outcome {
-				m := New(model, memN, WithSeed(11), WithTrace())
-				m.noBulkFast = mode == 1
-				var err error
-				if mode == 2 {
-					err = runSpecScalar(m, p, ops)
-				} else {
-					err = runSpecBulk(m, p, ops)
-				}
-				checkDirtySound(t, m)
-				o := outcome{st: m.Stats(), mem: fmt.Sprint(m.LoadWords(0, memN))}
-				if err != nil {
-					o.err = err.Error()
-				}
-				o.desc = fmt.Sprintf("%+v", m.StepTraces())
-				return o
-			}
-			ref := run(2)
-			for mode, name := range map[int]string{0: "bulk", 1: "bulk-expanded"} {
-				got := run(mode)
-				if got.err != ref.err {
-					t.Fatalf("trial %d model %v %s: err %q, want %q\nops: %+v", trial, model, name, got.err, ref.err, ops)
-				}
-				if got.st != ref.st {
-					t.Fatalf("trial %d model %v %s: stats\n got %+v\nwant %+v\nops: %+v", trial, model, name, got.st, ref.st, ops)
-				}
-				if got.desc != ref.desc {
-					t.Fatalf("trial %d model %v %s: traces\n got %s\nwant %s\nops: %+v", trial, model, name, got.desc, ref.desc, ops)
-				}
-				if got.mem != ref.mem {
-					t.Fatalf("trial %d model %v %s: memory differs\nops: %+v", trial, model, name, ops)
+			for _, hot := range []bool{false, true} {
+				ref := run(model, hot, "scalar")
+				for _, mode := range []string{"bulk", "bulk-expanded", "bulk-sharded"} {
+					got := run(model, hot, mode)
+					name := fmt.Sprintf("model %v hot %v %s", model, hot, mode)
+					if got.err != ref.err {
+						t.Fatalf("%s: err %q, want %q\nops: %+v", name, got.err, ref.err, ops)
+					}
+					if got.st != ref.st {
+						t.Fatalf("%s: stats\n got %+v\nwant %+v\nops: %+v", name, got.st, ref.st, ops)
+					}
+					if got.desc != ref.desc {
+						t.Fatalf("%s: traces\n got %s\nwant %s\nops: %+v", name, got.desc, ref.desc, ops)
+					}
+					if got.mem != ref.mem {
+						t.Fatalf("%s: memory differs\nops: %+v", name, ops)
+					}
 				}
 			}
 		}
-	}
-}
-
-// ctxOp is one access a processor performs inside a ParDo body; bulk
-// bodies use the range/gather forms, scalar bodies replay them
-// element by element.
-type ctxOp struct {
-	kind          int // 0 ReadRange, 1 WriteRange, 2 Gather, 3 Scatter, 4 Read, 5 Write
-	lo, n, stride int
-	idx           []int
-	vals          []Word
-}
-
-func genCtxOps(rng *xrand.Stream, p, memN int) [][]ctxOp {
-	ops := make([][]ctxOp, p)
-	for i := range ops {
-		nop := 1 + int(rng.Uint64n(3))
-		for o := 0; o < nop; o++ {
-			var op ctxOp
-			op.kind = int(rng.Uint64n(6))
-			switch op.kind {
-			case 0, 1:
-				op.stride = 1 + int(rng.Uint64n(3))
-				op.n = 1 + int(rng.Uint64n(12))
-				span := (op.n-1)*op.stride + 1
-				op.lo = int(rng.Uint64n(uint64(memN - span + 1)))
-			case 2, 3:
-				op.n = 1 + int(rng.Uint64n(8))
-				op.idx = make([]int, op.n)
-				if rng.Uint64n(2) == 0 {
-					prev := -1
-					for k := range op.idx {
-						room := memN - (op.n - k) - prev
-						prev += 1 + int(rng.Uint64n(uint64(max(1, room))))
-						op.idx[k] = prev
-					}
-				} else {
-					for k := range op.idx {
-						op.idx[k] = int(rng.Uint64n(uint64(memN)))
-					}
-				}
-			default:
-				op.n = 1
-				op.lo = int(rng.Uint64n(uint64(memN)))
-			}
-			if op.kind == 1 || op.kind == 3 || op.kind == 5 {
-				op.vals = make([]Word, op.n)
-				for k := range op.vals {
-					op.vals[k] = Word(rng.Uint64n(1 << 30))
-				}
-			}
-			ops[i] = append(ops[i], op)
-		}
-	}
-	return ops
-}
-
-// TestBulkCtxPropertyAllModels checks the Ctx-level bulk forms against
-// element-by-element replay: same-processor overlaps (dedupe, program-
-// order overwrites), cross-processor contention, and value returns (the
-// checksum write makes a wrong gathered value a memory diff).
-func TestBulkCtxPropertyAllModels(t *testing.T) {
-	const memN = 160
-	rng := xrand.NewStream(77)
-	for trial := 0; trial < 60; trial++ {
-		p := 2 + int(rng.Uint64n(15))
-		ops := genCtxOps(rng, p, memN)
-		sum := memN // checksum cells live above the shared region
-		for _, model := range allModels {
-			run := func(bulk, noFast bool) (Stats, string, string) {
-				m := New(model, memN+p, WithSeed(5), WithTrace())
-				m.noBulkFast = noFast
-				err := m.ParDoL(p, "ctxprop", func(c *Ctx, i int) {
-					var acc Word
-					for oi := range ops[i] {
-						op := &ops[i][oi]
-						switch op.kind {
-						case 0:
-							if bulk {
-								for _, v := range c.ReadRange(op.lo, op.n, op.stride) {
-									acc += v
-								}
-							} else {
-								for k := 0; k < op.n; k++ {
-									acc += c.Read(op.lo + k*op.stride)
-								}
-							}
-						case 1:
-							if bulk {
-								c.WriteRange(op.lo, op.n, op.stride, op.vals)
-							} else {
-								for k := 0; k < op.n; k++ {
-									c.Write(op.lo+k*op.stride, op.vals[k])
-								}
-							}
-						case 2:
-							if bulk {
-								for _, v := range c.Gather(op.idx) {
-									acc += v
-								}
-							} else {
-								for _, a := range op.idx {
-									acc += c.Read(a)
-								}
-							}
-						case 3:
-							if bulk {
-								c.Scatter(op.idx, op.vals)
-							} else {
-								for k, a := range op.idx {
-									c.Write(a, op.vals[k])
-								}
-							}
-						case 4:
-							acc += c.Read(op.lo)
-						default:
-							c.Write(op.lo, op.vals[0])
-						}
-					}
-					c.Write(sum+i, acc)
-				})
-				checkDirtySound(t, m)
-				errs := ""
-				if err != nil {
-					errs = err.Error()
-				}
-				return m.Stats(), errs, fmt.Sprint(m.LoadWords(0, memN+p)) + fmt.Sprintf("%+v", m.StepTraces())
-			}
-			refSt, refErr, refState := run(false, false)
-			for _, noFast := range []bool{false, true} {
-				st, errS, state := run(true, noFast)
-				if errS != refErr || st != refSt || state != refState {
-					t.Fatalf("trial %d model %v noBulkFast=%v:\n err %q want %q\n stats %+v want %+v\n state equal: %v",
-						trial, model, noFast, errS, refErr, st, refSt, state == refState)
-				}
-			}
-		}
-	}
+	})
 }
 
 // TestBulkCounters checks the descriptor hit counters: analytic settles
-// count as descriptors, expansions (settle-time and recording-time) as
-// expanded.
+// count as descriptors, expansions as expanded.
 func TestBulkCounters(t *testing.T) {
 	m := New(QRQW, 64)
 	b := m.Bulk(8, "x")
@@ -360,17 +282,6 @@ func TestBulkCounters(t *testing.T) {
 	}
 	if ex := m.ExecStats(); ex.BulkDescriptors != 3 || ex.BulkExpanded != 2 {
 		t.Fatalf("descriptors,expanded = %d,%d, want 3,2", ex.BulkDescriptors, ex.BulkExpanded)
-	}
-	// Ctx recording-time fallback: a range overlapping the processor's
-	// own scalar read is an expanded descriptor.
-	if err := m.ParDo(1, func(c *Ctx, i int) {
-		c.Read(20)
-		c.ReadRange(18, 6, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if ex := m.ExecStats(); ex.BulkDescriptors != 4 || ex.BulkExpanded != 3 {
-		t.Fatalf("descriptors,expanded = %d,%d, want 4,3", ex.BulkDescriptors, ex.BulkExpanded)
 	}
 	m.ResetStats()
 	if ex := m.ExecStats(); ex.BulkDescriptors != 0 || ex.BulkExpanded != 0 {

@@ -198,24 +198,11 @@ func TestDirtyMarkDescriptors(t *testing.T) {
 			checkResetClean(t, m)
 		})
 	}
-
-	// Ctx-level descriptors settle through the same paths.
-	m := New(QRQW, 1<<10)
-	err := m.ParDo(4, func(c *Ctx, i int) {
-		c.WriteRange(100*i, 10, 1, vals(10))
-		c.Scatter([]int{500 + i, 600 + 2*i}, []Word{1, 2})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDirtyMark(t, m, 607)
-	checkScratchZero(t)
-	checkResetClean(t, m)
 }
 
 // TestDirtyMarkHotCells: hot-cell attribution reads the counters before
 // settlement resets them, serially and on gang members, and every
-// descriptor of a profiled step expands through the same counters.
+// descriptor of a profiled Bulk step expands through the same counters.
 func TestDirtyMarkHotCells(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		m := New(QRQW, 1<<15, WithWorkers(workers), WithHotCells(4))
@@ -225,7 +212,8 @@ func TestDirtyMarkHotCells(t *testing.T) {
 			c.Read(i % 16)
 			c.Write(20000+i%32, Word(i+1))
 			if i < 8 {
-				c.Scatter([]int{30000 + i, 31000 + i}, []Word{1, 2})
+				c.Write(30000+i, 1)
+				c.Write(31000+i, 2)
 			}
 		})
 		if err != nil {
@@ -236,6 +224,23 @@ func TestDirtyMarkHotCells(t *testing.T) {
 			t.Fatalf("workers=%d: hot cells %+v, want 4 led by contention %d", workers, tr, p/16)
 		}
 		checkDirtyMark(t, m, 31008)
+		checkScratchZero(t)
+
+		// A profiled descriptor step: its sorted scatter would settle
+		// analytically, but hot-cell attribution expands it.
+		b := m.Bulk(8, "scatter")
+		b.Broadcast(5, 8, 0)
+		b.Scatter([]int{32000, 32001, 32002, 32003, 32004, 32005, 32006, 32007}, 0, 1,
+			[]Word{1, 2, 3, 4, 5, 6, 7, 8})
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tr = m.StepTraces()
+		if ex := m.ExecStats(); ex.BulkExpanded != 2 || len(tr) != 2 || tr[1].HotCells[0] != (HotCell{Addr: 5, Reads: 8}) {
+			t.Fatalf("workers=%d: expanded %d, traces %+v, want 2 expanded and hot cell 5 read by 8",
+				workers, ex.BulkExpanded, tr)
+		}
+		checkDirtyMark(t, m, 32008)
 		checkScratchZero(t)
 		checkResetClean(t, m)
 		m.Free()

@@ -20,8 +20,8 @@ type ExecStats struct {
 	CursorSteals       int64 `json:"cursor_steals"`        // claims above a member's fair share
 	CutoffRaises       int64 `json:"cutoff_raises"`        // adaptive serial cutoff doublings
 	CutoffLowers       int64 `json:"cutoff_lowers"`        // adaptive serial cutoff halvings
-	BulkDescriptors    int64 `json:"bulk_descriptors"`     // bulk descriptors recorded
-	BulkExpanded       int64 `json:"bulk_expanded"`        // descriptors expanded to element granularity (incl. recording-time fallbacks)
+	BulkDescriptors    int64 `json:"bulk_descriptors"`     // Bulk descriptors committed
+	BulkExpanded       int64 `json:"bulk_expanded"`        // cell descriptors settled by element expansion
 }
 
 // ExecStats reads the machine's execution telemetry. Safe to call from

@@ -168,14 +168,6 @@ func waitDone(ctr *atomic.Int32, need int32, parked <-chan struct{}) {
 // ---------------------------------------------------------------------
 // Machine integration.
 
-// chunkBounds records the address intervals one dynamic chunk touched,
-// indexed by chunk — not by member — so the fast-path disjointness
-// proof and the bulk layer's scalar intervals are independent of the
-// chunk schedule.
-type chunkBounds struct {
-	rLo, rHi, wLo, wHi int
-}
-
 // Fused-step settlement modes, published by member 0 after the arrival
 // barrier.
 const (
@@ -243,7 +235,7 @@ func (m *Machine) gangRun(p int, label string, simd bool, body func(c *Ctx, i in
 	}
 	nChunks := (p + cs - 1) / cs
 	if cap(m.chunkB) < nChunks {
-		m.chunkB = make([]chunkBounds, nChunks)
+		m.chunkB = make([]addrIv, nChunks)
 	}
 	m.chunkB = m.chunkB[:nChunks]
 
@@ -255,7 +247,6 @@ func (m *Machine) gangRun(p int, label string, simd bool, body func(c *Ctx, i in
 	st.arrivedCh = make(chan struct{})
 	st.modeCh = make(chan struct{})
 
-	m.gangActive = true
 	m.gangDispatches.Add(1)
 	var t0 time.Time
 	adapt := m.adaptive()
@@ -283,9 +274,8 @@ func (m *Machine) gangRun(p int, label string, simd bool, body func(c *Ctx, i in
 	m.chunksClaimed.Add(claimed)
 	m.cursorSteals.Add(steals)
 	m.growMembers(nw)
-	m.gangActive = false
 	st.body = nil // don't pin the closure until the next step
-	err := m.mergeAndCharge(p, label, m.pool[:nw], &m.gangBS)
+	err := m.mergeAndCharge(p, label, m.pool[:nw], nil)
 	if adapt {
 		m.observeParallel(p, time.Since(t0))
 	}
@@ -312,12 +302,11 @@ func (m *Machine) stepMember(member int) {
 		w.claims++
 		lo := ck * cs
 		hi := min(p, lo+cs)
-		// Bounds are recorded per *chunk*: reset the per-kind bounds
-		// around each chunk's body run and save them by chunk index.
-		w.rLo, w.rHi = math.MaxInt, -1
-		w.wLo, w.wHi = math.MaxInt, -1
+		// Bounds are recorded per *chunk*: reset them around each
+		// chunk's body run and save them by chunk index.
+		w.lo, w.hi = math.MaxInt, -1
 		w.runRange(lo, hi, st.simd, st.body)
-		m.chunkB[ck] = chunkBounds{w.rLo, w.rHi, w.wLo, w.wHi}
+		m.chunkB[ck] = addrIv{w.lo, w.hi}
 	}
 
 	// Arrival barrier: every member has run its chunks and published
@@ -372,18 +361,13 @@ func waitMode(st *gangStep) {
 }
 
 // decideMode runs on member 0 between the arrival barrier and the mode
-// publish: it settles the step's bulk descriptors (the serial middle of
-// the fused step), leases the step's contention scratch, and picks the
-// settlement mode. The fast path requires that no descriptor expanded
-// into the scalar buffers (expansion splices cells the chunk bounds
-// never saw) and that the chunks' touched intervals are pairwise
-// disjoint, so no cell is shared across members.
+// publish (the serial middle of the fused step): it leases the step's
+// contention scratch and picks the settlement mode. The fast path
+// requires that the chunks' touched intervals are pairwise disjoint, so
+// no cell is shared across members.
 func (m *Machine) decideMode() int32 {
-	bs := &m.gangBS
-	*bs = bulkSettle{}
-	m.settleBulk(m.pool[:m.gang.members], bs)
 	m.gstep.cnt = leaseCounters(m.gangSpan())
-	if m.noFastPath || bs.expanded || !chunksDisjoint(m.chunkB, m.ivScratch[:0], &m.ivScratch) {
+	if m.noFastPath || !chunksDisjoint(m.chunkB, m.ivScratch[:0], &m.ivScratch) {
 		return gangModeSlow
 	}
 	m.fastSteps++
@@ -392,21 +376,19 @@ func (m *Machine) decideMode() int32 {
 }
 
 // gangSpan returns one past the highest scalar address of a fused
-// step: the chunk bounds cover every entry the bodies buffered, and the
-// members' own bounds the cells descriptor expansion spliced in.
+// step: the chunk bounds cover every entry the bodies buffered.
 func (m *Machine) gangSpan() int {
 	hi := -1
 	for _, b := range m.chunkB {
-		hi = max(hi, b.rHi, b.wHi)
-	}
-	for _, w := range m.pool[:m.gang.members] {
-		hi = max(hi, w.rHi, w.wHi)
+		hi = max(hi, b.hi)
 	}
 	return hi + 1
 }
 
-// addrIv is one nonempty touched-address interval of the chunk
-// disjointness check.
+// addrIv is one touched-address interval, [lo, hi] inclusive (empty when
+// hi < lo). Machine.chunkB holds one per dynamic chunk, indexed by chunk
+// — not by member — so the fast-path disjointness proof is independent
+// of the chunk schedule.
 type addrIv struct{ lo, hi int }
 
 // chunksDisjoint reports whether the chunks' touched-address intervals
@@ -414,13 +396,10 @@ type addrIv struct{ lo, hi int }
 // adjacent overlap. Conservative — any two chunks sharing an address
 // range send the step to the sharded path, even if the members that ran
 // them coincide.
-func chunksDisjoint(chunks []chunkBounds, iv []addrIv, keep *[]addrIv) bool {
-	for i := range chunks {
-		b := &chunks[i]
-		lo := min(b.rLo, b.wLo)
-		hi := max(b.rHi, b.wHi)
-		if hi >= lo {
-			iv = append(iv, addrIv{lo, hi})
+func chunksDisjoint(chunks []addrIv, iv []addrIv, keep *[]addrIv) bool {
+	for _, b := range chunks {
+		if b.hi >= b.lo {
+			iv = append(iv, b)
 		}
 	}
 	*keep = iv[:0] // retain grown capacity for the next step

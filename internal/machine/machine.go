@@ -94,12 +94,10 @@ type Machine struct {
 	noFastPath bool
 	fastSteps  int64
 
-	// Bulk access layer state (bulk.go): the machine-owned step
-	// builder, settlement scratch, the descriptor hit counters, and the
+	// Bulk access layer state (bulk.go): the machine-owned step builder
+	// (with its settlement scratch), the descriptor hit counters, and the
 	// test hook that forces every descriptor through element expansion.
 	bulkB        Bulk
-	bulkEv       []bulkEvent
-	bulkR, bulkW []bulkItem
 	bulkDescs    atomic.Int64
 	bulkExpanded atomic.Int64
 	noBulkFast   bool
@@ -112,9 +110,7 @@ type Machine struct {
 	// noAdapt to freeze the cutoff, as they set noFastPath.
 	gang        *gang
 	gstep       gangStep
-	gangBS      bulkSettle
-	gangActive  bool // a fused gang step is settling (settleBulk uses per-chunk intervals)
-	chunkB      []chunkBounds
+	chunkB      []addrIv
 	ivScratch   []addrIv
 	contScratch []writeOp
 	finalized   bool // the retire-on-GC finalizer is installed
@@ -416,7 +412,6 @@ func (m *Machine) Free() {
 	m.pool = nil
 	m.hotMerge = nil
 	m.bulkB = Bulk{}
-	m.bulkEv, m.bulkR, m.bulkW = nil, nil, nil
 	m.chunkB, m.ivScratch, m.contScratch = nil, nil, nil
 	m.DisableProfiling()
 	m.ResetStats()

@@ -608,64 +608,85 @@ func TestFastPathMatchesShardedPath(t *testing.T) {
 
 func TestBulkMatchesScalarAcrossPaths(t *testing.T) {
 	// Descriptor-vs-scalar replay (the bulk-layer extension of
-	// TestFastPathMatchesShardedPath): a program issuing every bulk op
-	// form — Ctx ranges, gathers, scatters, and a descriptor-only Bulk
-	// step — must produce identical Stats, violations, step traces, and
-	// hot cells as its element-by-element replay, across both settlement
-	// paths, with and without analytic bulk settlement, at worker
-	// counts 1 and 4.
+	// TestFastPathMatchesShardedPath): a program whose Bulk steps use
+	// every descriptor form — ranges, gathers, broadcasts, fills, and
+	// cells one processor reaches through several descriptors — must
+	// produce identical Stats, violations, step traces, and hot cells as
+	// its element-by-element ParDo replay, across both settlement paths,
+	// with and without analytic bulk settlement, at worker counts 1
+	// and 4.
 	const n = 3 * serialCutoff
 	const blk = 4
 	program := func(m *Machine, bulk bool) error {
 		base := m.Alloc(blk * n)
 		hot := m.Alloc(1)
 		sum := m.Alloc(n)
-		// Disjoint per-processor blocks (analytic settle at any worker
-		// count: descriptor intervals are pairwise disjoint).
-		if err := m.ParDo(n, func(c *Ctx, i int) {
-			if bulk {
-				vals := [blk]Word{Word(i), Word(i + 1), Word(i + 2), Word(i + 3)}
-				c.WriteRange(base+blk*i, blk, 1, vals[:])
-			} else {
-				for k := 0; k < blk; k++ {
-					c.Write(base+blk*i+k, Word(i+k))
+		// Disjoint per-processor blocks.
+		if bulk {
+			b := m.Bulk(n, "")
+			vals := b.Vals(blk * n)
+			for i := range n {
+				for k := range blk {
+					vals[blk*i+k] = Word(i + k)
 				}
+			}
+			b.WriteRange(base, blk*n, 1, 0, blk, vals)
+			if err := b.Commit(); err != nil {
+				return err
+			}
+		} else if err := m.ParDo(n, func(c *Ctx, i int) {
+			for k := 0; k < blk; k++ {
+				c.Write(base+blk*i+k, Word(i+k))
 			}
 		}); err != nil {
 			return err
 		}
-		// Strided reads plus a scatter into the next processor's block:
-		// shard-boundary interval overlaps at 4 workers (sharded path),
-		// still contention one.
-		if err := m.ParDo(n, func(c *Ctx, i int) {
+		// Strided reads plus writes into the next processor's block (the
+		// last processor wraps around to the first block): contention one.
+		if bulk {
+			b := m.Bulk(n, "")
+			vs := b.ReadRange(base, 2*n, 2, 0, 2)
+			b.WriteRange(base+blk, 2*(n-1), 2, 0, 2, vs[:2*(n-1)])
+			b.WriteRange(base, 2, 2, n-1, 2, vs[2*(n-1):])
+			if err := b.Commit(); err != nil {
+				return err
+			}
+		} else if err := m.ParDo(n, func(c *Ctx, i int) {
 			j := (i + 1) % n
-			if bulk {
-				vs := c.ReadRange(base+blk*i, 2, 2)
-				idx := [2]int{base + blk*j, base + blk*j + 2}
-				c.Scatter(idx[:], vs)
-			} else {
-				v0 := c.Read(base + blk*i)
-				v1 := c.Read(base + blk*i + 2)
-				c.Write(base+blk*j, v0)
-				c.Write(base+blk*j+2, v1)
-			}
+			v0 := c.Read(base + blk*i)
+			v1 := c.Read(base + blk*i + 2)
+			c.Write(base+blk*j, v0)
+			c.Write(base+blk*j+2, v1)
 		}); err != nil {
 			return err
 		}
-		// Colliding gather (recording-time fallback) plus a hot-cell
-		// read every 512th processor: real contention for the hot-cell
-		// attribution to rank.
-		if err := m.ParDo(n, func(c *Ctx, i int) {
+		// An unsorted gather read twice (a processor's repeated cells
+		// dedupe across descriptors) plus a hot-cell read every 512th
+		// processor: real contention for the hot-cell attribution to rank.
+		if bulk {
+			b := m.Bulk(n, "")
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = base + (i*37)%n
+			}
+			g1 := b.Gather(idx, 0, 1)
+			g2 := b.Gather(idx, 0, 1)
+			own := b.ReadRange(base, n, blk, 0, 1)
+			acc := b.Vals(n)
+			for i := range acc {
+				acc[i] = g1[i] + g2[i] + own[i]
+			}
+			for i := 0; i < n; i += 512 {
+				acc[i] += b.Broadcast(hot, 1, i)
+			}
+			b.WriteRange(sum, n, 1, 0, 1, acc)
+			if err := b.Commit(); err != nil {
+				return err
+			}
+		} else if err := m.ParDo(n, func(c *Ctx, i int) {
 			var acc Word
-			idx := [3]int{base + (i*37)%n, base + (i*37)%n, base + blk*i}
-			if bulk {
-				for _, v := range c.Gather(idx[:]) {
-					acc += v
-				}
-			} else {
-				for _, a := range idx {
-					acc += c.Read(a)
-				}
+			for _, a := range [3]int{base + (i*37)%n, base + (i*37)%n, base + blk*i} {
+				acc += c.Read(a)
 			}
 			if i%512 == 0 {
 				acc += c.Read(hot)

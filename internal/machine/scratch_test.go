@@ -19,8 +19,8 @@ type scratchRun struct {
 }
 
 // runScratchMix drives machine k through a contended mix — random
-// scalar reads and writes, Ctx descriptors that expand, an overlapping
-// Bulk step that expands, and (odd k) hot-cell profiling — on a memory
+// scalar reads and writes, an overlapping Bulk step that expands, and
+// (odd k) hot-cell profiling — on a memory
 // whose size depends on k, so concurrent machines lease, outgrow and
 // hand back scratch of different lengths.
 func runScratchMix(k, workers int) scratchRun {
@@ -41,10 +41,9 @@ func runScratchMix(k, workers int) scratchRun {
 				c.Read(i % 7)
 				c.Write(r.Intn(words), Word(i))
 				if i%512 == 0 {
-					// Sorted, so it records as a descriptor; it meets
-					// the random scalar writes, so it expands.
 					a := i % (words / 2)
-					c.Scatter([]int{a, a + words/2}, []Word{Word(i), 1})
+					c.Write(a, Word(i))
+					c.Write(a+words/2, 1)
 				}
 			})
 			if err != nil {
@@ -171,20 +170,22 @@ func TestScratchLeaseSizing(t *testing.T) {
 			t.Fatalf("workers=%d: a descriptor-only step leased scratch %v", workers, got)
 		}
 
-		// The descriptor meets the scalar write to 35000, so it expands,
-		// and its cell 40000 lies above every scalar address — on the
-		// gang when workers > 1.
-		step(4*serialCutoff, func(c *Ctx, i int) {
-			c.Write(i, 1)
-			switch i {
-			case 0:
-				c.Scatter([]int{30000, 40000}, []Word{1, 2})
-			case 1:
-				c.Write(35000, 3)
-			}
-		}, 40001)
-		if m.ExecStats().BulkExpanded == 0 {
-			t.Fatalf("workers=%d: the descriptor did not expand", workers)
+		// A gang-width scalar step leases up to its highest address.
+		step(4*serialCutoff, func(c *Ctx, i int) { c.Write(i, 1) }, 4*serialCutoff)
+
+		// The scatter and the fill share cell 40000, so both expand and
+		// the lease reaches it.
+		b = m.Bulk(2, "overlap")
+		b.Scatter([]int{30000, 40000}, 0, 1, []Word{1, 2})
+		b.FillRange(35000, 2, 5000, 0, 1, 3)
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := idleScratch(); !slices.Equal(got, []int{40001}) {
+			t.Fatalf("workers=%d: idle scratch lengths %v, want [40001]", workers, got)
+		}
+		if m.ExecStats().BulkExpanded != 2 {
+			t.Fatalf("workers=%d: the descriptors did not expand", workers)
 		}
 		m.Free()
 	}

@@ -34,35 +34,18 @@ type worker struct {
 	readAddrs []int
 	writes    []writeOp
 
-	// rLo/rHi and wLo/wHi bound the shared-memory addresses this shard's
-	// scalar accesses touched, per access kind (the bulk layer needs
-	// reads and writes bounded separately: a read descriptor only
-	// competes with other reads). On the serial path they bound the whole
-	// step; on the gang path they are reset around each claimed chunk and
+	// lo/hi bound the shared-memory addresses this shard's scalar
+	// accesses touched. On the serial path they bound the whole step; on
+	// the gang path they are reset around each claimed chunk and
 	// recorded per chunk in Machine.chunkB, so the fast-path disjointness
 	// proof is independent of which member ran which chunk.
-	rLo, rHi, wLo, wHi int
+	lo, hi int
 
 	// dirtyHi is one past the highest address this shard's settlement
 	// wrote to memory this step. Kept per shard so parallel settlement
 	// never shares it; mergeAndCharge folds it into the machine's dirty
-	// mark. (wHi cannot serve: the gang resets it around every chunk.)
+	// mark. (hi cannot serve: the gang resets it around every chunk.)
 	dirtyHi int
-
-	// descs holds the step's bulk access descriptors (see bulk.go);
-	// snapVals/snapIdx are the snapshot arenas descriptor payloads point
-	// into, retBuf the arena for values returned to processor bodies,
-	// and expR/expW the scratch buffers descriptor expansion rebuilds
-	// the scalar buffers through. bulkOnly marks a descriptor-only step
-	// committed by a Bulk builder (no scalar entries at all).
-	descs              []bulkDesc
-	snapVals           []Word
-	snapIdx            []int
-	retBuf             []Word
-	expR               []int
-	expW               []writeOp
-	bulkOnly           bool
-	bulkRecN, bulkExpN int64
 
 	// rSeen/wSeen are the over-threshold dedupe indexes for processors
 	// issuing many accesses in one step: below dedupeMapThreshold
@@ -124,9 +107,6 @@ func getWorker() *worker { return workerPool.Get().(*worker) }
 
 func putWorker(w *worker) {
 	w.ctx = Ctx{} // drop the machine reference so the pool never pins freed memory
-	w.descs = nil // descriptors point into the arenas below
-	w.snapVals, w.snapIdx, w.retBuf = nil, nil, nil
-	w.expR, w.expW = nil, nil
 	workerPool.Put(w)
 }
 
@@ -192,15 +172,8 @@ func releaseCounters(c counters) {
 func (w *worker) reset() {
 	w.readAddrs = w.readAddrs[:0]
 	w.writes = w.writes[:0]
-	w.rLo, w.rHi = math.MaxInt, -1
-	w.wLo, w.wHi = math.MaxInt, -1
+	w.lo, w.hi = math.MaxInt, -1
 	w.dirtyHi = 0
-	w.descs = w.descs[:0]
-	w.snapVals = w.snapVals[:0]
-	w.snapIdx = w.snapIdx[:0]
-	w.retBuf = w.retBuf[:0]
-	w.bulkOnly = false
-	w.bulkRecN, w.bulkExpN = 0, 0
 	w.claims = 0
 	w.maxOps = 0
 	w.reads, w.writesN, w.computes = 0, 0, 0
@@ -214,21 +187,12 @@ func (w *worker) reset() {
 	w.hotW = w.hotW[:0]
 }
 
-func (w *worker) touchR(addr int) {
-	if addr < w.rLo {
-		w.rLo = addr
+func (w *worker) touch(addr int) {
+	if addr < w.lo {
+		w.lo = addr
 	}
-	if addr > w.rHi {
-		w.rHi = addr
-	}
-}
-
-func (w *worker) touchW(addr int) {
-	if addr < w.wLo {
-		w.wLo = addr
-	}
-	if addr > w.wHi {
-		w.wHi = addr
+	if addr > w.hi {
+		w.hi = addr
 	}
 }
 
@@ -244,11 +208,9 @@ type Ctx struct {
 	// rStart/wStart mark where this processor's entries begin in the
 	// worker buffers; they bound the dedupe scans that keep contention
 	// counted per *distinct processor* (Definition 2.1), not per
-	// access. dStart bounds the processor's bulk descriptors the same
-	// way; rMapOn/wMapOn record that the over-threshold dedupe index
+	// access. rMapOn/wMapOn record that the over-threshold dedupe index
 	// has been built for this processor (see readElem/writeElem).
 	rStart, wStart int
-	dStart         int
 	rMapOn, wMapOn bool
 
 	rng   xrand.Stream
@@ -274,12 +236,8 @@ func (c *Ctx) Read(addr int) Word {
 	c.m.checkAddr(addr)
 	c.r++
 	// Definition 2.1 counts the number of *processors* reading a cell,
-	// so a repeated read by the same processor is recorded once —
-	// including one already covered by this processor's bulk
-	// descriptors.
-	if !(len(c.w.descs) > c.dStart && c.descCoveredR(addr)) {
-		c.readElem(addr)
-	}
+	// so a repeated read by the same processor is recorded once.
+	c.readElem(addr)
 	return c.m.mem[addr]
 }
 
@@ -297,7 +255,7 @@ func (c *Ctx) readElem(addr int) {
 				}
 			}
 			w.readAddrs = append(w.readAddrs, addr)
-			w.touchR(addr)
+			w.touch(addr)
 			return
 		}
 		if w.rSeen == nil {
@@ -315,7 +273,7 @@ func (c *Ctx) readElem(addr int) {
 	}
 	w.rSeen[addr] = struct{}{}
 	w.readAddrs = append(w.readAddrs, addr)
-	w.touchR(addr)
+	w.touch(addr)
 }
 
 // Write buffers a write to one shared-memory cell; it becomes visible at
@@ -327,11 +285,8 @@ func (c *Ctx) Write(addr int, v Word) {
 	c.wr++
 	// As with reads, contention counts distinct processors; a repeated
 	// write by the same processor overwrites its buffered value (program
-	// order within the processor), whether it lives in the scalar buffer
-	// or in one of this processor's bulk descriptors.
-	if !(len(c.w.descs) > c.dStart && c.descUpdateW(addr, v)) {
-		c.writeElem(addr, v)
-	}
+	// order within the processor).
+	c.writeElem(addr, v)
 }
 
 // writeElem buffers one write with per-processor dedupe, switching from
@@ -349,7 +304,7 @@ func (c *Ctx) writeElem(addr int, v Word) {
 				}
 			}
 			w.writes = append(w.writes, writeOp{addr: addr, val: v, proc: int32(c.proc)})
-			w.touchW(addr)
+			w.touch(addr)
 			return
 		}
 		if w.wSeen == nil {
@@ -368,7 +323,7 @@ func (c *Ctx) writeElem(addr int, v Word) {
 	}
 	w.wSeen[addr] = len(w.writes)
 	w.writes = append(w.writes, writeOp{addr: addr, val: v, proc: int32(c.proc)})
-	w.touchW(addr)
+	w.touch(addr)
 }
 
 // Compute charges n local RAM operations to this processor for this step.
@@ -448,7 +403,6 @@ func (w *worker) runRange(lo, hi int, simd bool, body func(c *Ctx, i int)) {
 		c.r, c.wr, c.cp = 0, 0, 0
 		c.rStart = len(w.readAddrs)
 		c.wStart = len(w.writes)
-		c.dStart = len(w.descs)
 		c.rMapOn, c.wMapOn = false, false
 		c.rngOK = false
 		body(c, i)
@@ -497,23 +451,23 @@ func (m *Machine) parDoLabeled(p int, label string, body func(c *Ctx, i int)) er
 	if adapt {
 		m.observeSerial(p, time.Since(t0))
 	}
-	return m.finishStep(p, label, m.pool[:1])
+	return m.finishStep(p, label, nil)
 }
 
-// finishStep settles one step executed on a single worker — bulk
-// descriptors first, then the scalar buffers — and merges, polices, and
-// charges it. It is shared by the serial ParDo route and Bulk.Commit
-// (descriptor-only steps, no bodies); gang steps settle inside the fused
+// finishStep settles the scalar buffers of one step executed on the
+// single worker m.pool[0] and merges, polices, and charges it. It is
+// shared by the serial ParDo route (bs nil) and Bulk.Commit, whose
+// descriptors settleBulk has already settled into bs — the expanded
+// ones into the worker's buffers; gang steps settle inside the fused
 // dispatch (gang.go) and merge through the same mergeAndCharge.
-func (m *Machine) finishStep(p int, label string, workers []*worker) error {
+func (m *Machine) finishStep(p int, label string, bs *bulkSettle) error {
 	m.serialSteps.Add(1)
-	var bs bulkSettle
-	m.settleBulk(workers, &bs)
+	workers := m.pool[:1]
+	w := workers[0]
 	// The worker's bounds cover its scalar entries, expanded descriptor
 	// cells included (expansion touches them), so the lease spans exactly
 	// the addresses this settlement counts.
-	w := workers[0]
-	cnt := leaseCounters(max(w.rHi, w.wHi) + 1)
+	cnt := leaseCounters(w.hi + 1)
 	// A single worker owns every cell it touched, so the contention-free
 	// local settlement is always legal (noFastPath still forces the
 	// sharded machinery, for testing that both paths charge identically).
@@ -524,14 +478,15 @@ func (m *Machine) finishStep(p int, label string, workers []*worker) error {
 		m.settleSharded(1, workers, cnt)
 	}
 	releaseCounters(cnt)
-	return m.mergeAndCharge(p, label, workers, &bs)
+	return m.mergeAndCharge(p, label, workers, bs)
 }
 
-// mergeAndCharge merges the workers' and the bulk layer's accounting,
-// checks model legality, and charges the step. Every fold is
-// order-independent — sums, maxima with a smallest-address (or
-// lowest-processor) tie-break — so the result is identical whatever
-// partition of the step's processors produced the workers' buffers.
+// mergeAndCharge merges the workers' accounting and, for a Bulk step,
+// the bulk layer's (bs; nil otherwise), checks model legality, and
+// charges the step. Every fold is order-independent — sums, maxima with
+// a smallest-address (or lowest-processor) tie-break — so the result is
+// identical whatever partition of the step's processors produced the
+// workers' buffers.
 func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bulkSettle) error {
 	var maxOps, maxR, maxW int64
 	maxRAddr, maxWAddr := -1, -1
@@ -561,24 +516,26 @@ func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bul
 			simdProc = w.simdProc
 		}
 	}
-	// Fold in the bulk layer's analytic contributions (uncharged
-	// descriptor totals, per-processor load, and the contention of
-	// descriptors that settled without expansion). bs.maxRAddr/maxWAddr
-	// may be the -1 sentinel (charge-only descriptors); a sentinel never
-	// wins a tie against a real address.
-	maxOps = max(maxOps, bs.maxOps)
-	if bs.maxR > maxR || (bs.maxR == maxR && maxR > 0 && bs.maxRAddr >= 0 && bs.maxRAddr < maxRAddr) {
-		maxR, maxRAddr = bs.maxR, bs.maxRAddr
-	}
-	if bs.maxW > maxW || (bs.maxW == maxW && maxW > 0 && bs.maxWAddr >= 0 && bs.maxWAddr < maxWAddr) {
-		maxW, maxWAddr = bs.maxW, bs.maxWAddr
-	}
-	reads += bs.reads
-	writes += bs.writes
-	computes += bs.computes
-	if bs.simdViol && bs.simdProc < simdProc {
-		simdViol = true
-		simdCount = bs.simdCount
+	// Fold in the bulk layer's analytic contributions (descriptor
+	// totals, per-processor load, and the contention of descriptors that
+	// settled without expansion). bs.maxRAddr/maxWAddr may be the -1
+	// sentinel (charge-only descriptors); a sentinel never wins a tie
+	// against a real address.
+	if bs != nil {
+		maxOps = max(maxOps, bs.maxOps)
+		if bs.maxR > maxR || (bs.maxR == maxR && maxR > 0 && bs.maxRAddr >= 0 && bs.maxRAddr < maxRAddr) {
+			maxR, maxRAddr = bs.maxR, bs.maxRAddr
+		}
+		if bs.maxW > maxW || (bs.maxW == maxW && maxW > 0 && bs.maxWAddr >= 0 && bs.maxWAddr < maxWAddr) {
+			maxW, maxWAddr = bs.maxW, bs.maxWAddr
+		}
+		reads += bs.reads
+		writes += bs.writes
+		computes += bs.computes
+		if bs.simdViol && bs.simdProc < simdProc {
+			simdViol = true
+			simdCount = bs.simdCount
+		}
 	}
 
 	// Model violation checks: the SIMD one-op-per-kind restriction is

@@ -278,8 +278,8 @@ func verifyCounts(m *machine.Machine, in Input) (bool, error) {
 	bad := m.Alloc(1)
 	if err := m.ParDoL(1, "mc/verify-counts", func(c *machine.Ctx, _ int) {
 		tallies := make(map[int]int)
-		for _, l := range c.ReadRange(in.Labels, in.N, 1) {
-			tallies[int(l)]++
+		for i := range in.N {
+			tallies[int(c.Read(in.Labels+i))]++
 		}
 		c.Compute(in.N)
 		for j := 0; j < in.NSets; j++ {

@@ -87,30 +87,7 @@ func DistributiveSort(m *machine.Machine, keys, n int, maxKey machine.Word) erro
 			return err
 		}
 	}
-	// Each subinterval is sorted sequentially by its standby processor
-	// (the paper's bucketed heapsort finishing, here charged as
-	// O(b lg b) compute).
-	zeros := make([]machine.Word, in.BLen)
-	if err := m.ParDoL(buckets, "dsort/seq", func(c *machine.Ctx, j int) {
-		ptr := int(c.Read(in.Ptrs + j))
-		cnt := int(c.Read(in.Counts + j))
-		if cnt == 0 {
-			return
-		}
-		vals := make([]machine.Word, 0, cnt)
-		for _, v := range c.ReadRange(bvals+ptr, 4*cnt, 1) {
-			if v != 0 {
-				vals = append(vals, v-1)
-			}
-		}
-		insertionSort(vals)
-		c.Compute(cnt * prim.Max(1, prim.CeilLog2(cnt+1)))
-		for idx := range vals {
-			vals[idx]++
-		}
-		c.WriteRange(bvals+ptr, len(vals), 1, vals)
-		c.WriteRange(bvals+ptr+len(vals), 4*cnt-len(vals), 1, zeros[:4*cnt-len(vals)])
-	}); err != nil {
+	if err := sortBuckets(m, in, bvals); err != nil {
 		return err
 	}
 	// Pack all subintervals, in order, back into keys.
@@ -144,6 +121,43 @@ func DistributiveSort(m *machine.Machine, keys, n int, maxKey machine.Word) erro
 		ov[i] = v - 1
 	}
 	b.WriteRange(keys, n, 1, 0, 1, ov)
+	return b.Commit()
+}
+
+// sortBuckets is DistributiveSort's dsort/seq step: each subinterval is
+// sorted sequentially by its standby processor (the paper's bucketed
+// heapsort finishing, here charged as O(b lg b) compute). Processor j
+// reads its bucket's pointer and count, and a non-empty bucket's whole
+// 4*cnt-cell subarray of bvals (key+1 per occupied cell, 0 otherwise),
+// then writes the subarray back as its sorted keys followed by zeros.
+// The buckets are disjoint, so the step is one Bulk step whose
+// descriptors all settle analytically.
+func sortBuckets(m *machine.Machine, in multicompact.Input, bvals int) error {
+	b := m.Bulk(in.NSets, "dsort/seq")
+	ptrs := b.ReadRange(in.Ptrs, in.NSets, 1, 0, 1)
+	counts := b.ReadRange(in.Counts, in.NSets, 1, 0, 1)
+	for j, c := range counts {
+		cnt := int(c)
+		if cnt == 0 {
+			continue
+		}
+		lo := bvals + int(ptrs[j])
+		out := b.Vals(4 * cnt)
+		k := 0
+		for _, v := range b.ReadRange(lo, 4*cnt, 1, j, 4*cnt) {
+			if v != 0 {
+				out[k] = v - 1
+				k++
+			}
+		}
+		insertionSort(out[:k])
+		for i := range out[:k] {
+			out[i]++
+		}
+		clear(out[k:])
+		b.Compute(j, 1, int64(cnt*prim.Max(1, prim.CeilLog2(cnt+1))))
+		b.WriteRange(lo, 4*cnt, 1, j, 4*cnt, out)
+	}
 	return b.Commit()
 }
 
@@ -198,18 +212,17 @@ func SampleSortQRQW(m *machine.Machine, keys, n int) error {
 	}
 	// Sort the sample by all-pairs ranking: processor (i, j) pairs
 	// contribute rank counts; with s = O(sqrt(n)), s^2 = O(n) work in
-	// O(1) steps plus a scatter. Each processor's full-sample read is
-	// one range descriptor; the descriptors overlap totally, so
-	// settlement expands them and charges the real contention s.
+	// O(1) steps plus a scatter. Every processor reads the whole sample,
+	// so the step charges the real contention s.
 	ranks := m.Alloc(sample)
 	if err := m.ParDoL(sample, "ssort/rank", func(c *machine.Ctx, i int) {
 		// The pivot cell is read once on its own and again inside the
-		// all-pairs scan, exactly as the element loop did — the repeat
-		// charges an operation but dedupes for contention.
+		// all-pairs scan — the repeat charges an operation but dedupes
+		// for contention.
 		ki := c.Read(samp + i)
 		r := 0
-		for j, kj := range c.ReadRange(samp, sample, 1) {
-			if kj < ki || (kj == ki && j < i) {
+		for j := range sample {
+			if kj := c.Read(samp + j); kj < ki || (kj == ki && j < i) {
 				r++
 			}
 		}
