@@ -122,20 +122,13 @@ func run() int {
 		modelOverride = &m
 	}
 
-	// One session pool serves every experiment of the invocation. When
-	// cells run concurrently, each pooled machine is bounded to one
-	// step-level worker so that cell parallelism is not multiplied by
-	// step parallelism (charged stats are independent of both).
+	// One session pool serves every action of the invocation; its
+	// step-level width is decided once the plan is known (below).
 	par := *parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	pool := core.NewSessionPool()
-	if *workers > 0 {
-		pool.Workers = *workers
-	} else if par > 1 {
-		pool.Workers = 1
-	}
 	defer pool.Close()
 	runner := &spec.Runner{Parallel: par, Pool: pool, Model: modelOverride}
 	profRunner := &spec.Runner{Parallel: par, Pool: pool, Profile: true, Model: modelOverride}
@@ -223,6 +216,30 @@ func run() int {
 			}
 			actions = append(actions, action{name: cmd})
 		}
+	}
+
+	// A pooled session keeps the step-level width it was built with, so
+	// the width is fixed here, before the first lease, from every action
+	// of the invocation: when any action runs cells or grid points
+	// concurrently, each machine is bounded to one step-level worker so
+	// that session parallelism is not multiplied by step parallelism
+	// (charged stats are independent of both). -workers overrides.
+	concurrent := false
+	for _, a := range actions {
+		runsCells := a.dyn != nil || a.name != "list" && a.name != "selftest"
+		concurrent = concurrent || runsCells && par > 1
+	}
+	if sweepInv != nil {
+		sp := sweepInv.plan.Parallel
+		if sp <= 0 {
+			sp = runtime.GOMAXPROCS(0)
+		}
+		concurrent = concurrent || sp > 1
+	}
+	if *workers > 0 {
+		pool.Workers = *workers
+	} else if concurrent {
+		pool.Workers = 1
 	}
 
 	exit := 0
@@ -454,11 +471,6 @@ func parseSweep(args []string, defSizes []int, defSeed uint64, defParallel int, 
 // marks in the artifact — so a completed sweep exits 0 even when some
 // grid cells violated their model.
 func runSweep(pool *core.SessionPool, inv sweepInvocation) int {
-	// Concurrent grid points must not multiply step-level workers; the
-	// shared pool is only un-bounded when the global -parallel was 1.
-	if par := inv.plan.Parallel; (par > 1 || par <= 0 && runtime.GOMAXPROCS(0) > 1) && pool.Workers == 0 {
-		pool.Workers = 1
-	}
 	res := (&sweep.Runner{Pool: pool}).Run(inv.e, inv.plan)
 	if inv.jsonOut {
 		out, err := json.MarshalIndent(res, "", "  ")

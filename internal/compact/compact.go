@@ -25,6 +25,7 @@ package compact
 
 import (
 	"fmt"
+	"slices"
 
 	"lowcontend/internal/machine"
 	"lowcontend/internal/prim"
@@ -257,7 +258,7 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 		}
 		var sv []machine.Word
 		if len(slotIdx) > 0 {
-			sv = b.Gather(slotIdx, 0, 1)
+			sv = b.Gather(slotIdx, 0)
 		}
 		var placedI, overflowI, unplacedI []int
 		var placedP []int
@@ -287,7 +288,7 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 			}
 		}
 		if len(rankIdx) > 0 {
-			b.Gather(rankIdx, 0, 1)
+			b.Gather(rankIdx, 0)
 		}
 		if nPl > 0 {
 			valIdx := make([]int, nPl)
@@ -300,12 +301,19 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 				posIdx[t] = pos + i
 				pw[t] = machine.Word(placedP[t])
 			}
-			ov := b.Gather(valIdx, 0, 1)
-			b.Scatter(outIdx, 0, 1, ov)
-			b.Scatter(posIdx, 0, 1, pw)
+			ov := b.Gather(valIdx, 0)
+			b.Scatter(outIdx, 0, ov)
+			b.Scatter(posIdx, 0, pw)
 		}
+		// The unplaced and overflow processors raise the cleanup flag:
+		// one list repeating the flag cell, which always expands, so the
+		// step charges the flag's real write contention.
 		if u := len(unplacedI) + nOv; u > 0 {
-			b.FillRange(needCleanup, u, 0, nPl, 1, 1)
+			ones := b.Vals(u)
+			for t := range ones {
+				ones[t] = 1
+			}
+			b.Scatter(slices.Repeat([]int{needCleanup}, u), nPl, ones)
 		}
 		if nOv > 0 {
 			ovIdx := make([]int, nOv)
@@ -314,7 +322,7 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 				ovIdx[t] = slot + i
 				mv[t] = -1
 			}
-			b.Scatter(ovIdx, nPl, 1, mv)
+			b.Scatter(ovIdx, nPl, mv)
 		}
 		if err := b.Commit(); err != nil {
 			return Result{}, err

@@ -24,6 +24,9 @@ type SessionPool struct {
 	// many sessions concurrently set it low — typically 1 — so that
 	// session-level parallelism is not multiplied by step-level
 	// parallelism. Charged stats are independent of the worker count.
+	// Workers applies only to sessions the pool constructs: an idle
+	// session keeps the width it was built with, so set Workers before
+	// the first Acquire.
 	Workers int
 
 	mu     sync.Mutex

@@ -161,7 +161,7 @@ func Build(m *machine.Machine, keys, n int) (*Table, error) {
 			wIdx[i] = bkeys + int(pv[i])
 			wv[i] = kv[i] + 1
 		}
-		b.Scatter(wIdx, 0, 1, wv)
+		b.Scatter(wIdx, 0, wv)
 		if err := b.Commit(); err != nil {
 			return nil, err
 		}
@@ -190,7 +190,7 @@ func Build(m *machine.Machine, keys, n int) (*Table, error) {
 			for j := range ev {
 				ev[j] = -2
 			}
-			b.Scatter(eIdx, 0, 1, ev)
+			b.Scatter(eIdx, 0, ev)
 		}
 		if err := b.Commit(); err != nil {
 			return nil, err
@@ -382,7 +382,7 @@ func (t *Table) evalInto(keys, dst, cnt int) error {
 		rs := b.Rand(i)
 		aIdx[i] = t.aBase + int(fx)*t.aCopies + rs.Intn(t.aCopies)
 	}
-	av := b.Gather(aIdx, 0, 1)
+	av := b.Gather(aIdx, 0)
 	dv := b.Vals(cnt)
 	for i := range dv {
 		dv[i] = (gxv[i] + av[i]) % machine.Word(t.n)
@@ -424,21 +424,21 @@ func (tb *Table) Lookup(queries, out, cnt int) error {
 	}
 	nH := len(hitI)
 	if nH > 0 {
-		qv := bk.Gather(at(queries, hitI), 0, 1)
-		lv := bk.Gather(at(lbl, hitI), 0, 1)
+		qv := bk.Gather(at(queries, hitI), 0)
+		lv := bk.Gather(at(lbl, hitI), 0)
 		jIdx := make([]int, nH)
 		for t, v := range lv {
 			jIdx[t] = int(v)
 		}
-		addr := bk.Gather(at(tb.blockAddr, jIdx), 0, 1)
-		av := bk.Gather(at(tb.hashA, jIdx), 0, 1)
-		bv := bk.Gather(at(tb.hashB, jIdx), 0, 1)
-		sz := bk.Gather(at(tb.blockSize, jIdx), 0, 1)
+		addr := bk.Gather(at(tb.blockAddr, jIdx), 0)
+		av := bk.Gather(at(tb.hashA, jIdx), 0)
+		bv := bk.Gather(at(tb.hashB, jIdx), 0)
+		sz := bk.Gather(at(tb.blockSize, jIdx), 0)
 		cellIdx := make([]int, nH)
 		for t := 0; t < nH; t++ {
 			cellIdx[t] = int(addr[t]) + int(linHash(av[t], bv[t], qv[t], sz[t]))
 		}
-		cv := bk.Gather(cellIdx, 0, 1)
+		cv := bk.Gather(cellIdx, 0)
 		ov := bk.Vals(nH)
 		for t := 0; t < nH; t++ {
 			if cv[t] == qv[t]+1 {
@@ -447,21 +447,21 @@ func (tb *Table) Lookup(queries, out, cnt int) error {
 				ov[t] = 0
 			}
 		}
-		bk.Scatter(at(out, hitI), 0, 1, ov)
+		bk.Scatter(at(out, hitI), 0, ov)
 	}
 	if nM := len(missI); nM > 0 {
-		bk.Gather(at(queries, missI), nH, 1)
-		mlv := bk.Gather(at(lbl, missI), nH, 1)
+		bk.Gather(at(queries, missI), nH)
+		mlv := bk.Gather(at(lbl, missI), nH)
 		mjIdx := make([]int, nM)
 		for t, v := range mlv {
 			mjIdx[t] = int(v)
 		}
-		bk.Gather(at(tb.blockAddr, mjIdx), nH, 1)
+		bk.Gather(at(tb.blockAddr, mjIdx), nH)
 		zv := bk.Vals(nM)
 		for t := range zv {
 			zv[t] = 0
 		}
-		bk.Scatter(at(out, missI), nH, 1, zv)
+		bk.Scatter(at(out, missI), nH, zv)
 	}
 	return bk.Commit()
 }
@@ -604,19 +604,19 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 		}
 		nK := len(keyP)
 		if nK > 0 {
-			cvv := b.Gather(at(comp, 0, keyP), 0, 1)
+			cvv := b.Gather(at(comp, 0, keyP), 0)
 			lv := b.Vals(nK)
 			for t := range lv {
 				lv[t] = cvv[t] / machine.Word(2*total)
 			}
-			b.Scatter(at(lastKey, 0, keyP), 0, 1, lv)
+			b.Scatter(at(lastKey, 0, keyP), 0, lv)
 		}
 		if len(qryP) > 0 {
 			mv := b.Vals(len(qryP))
 			for t := range mv {
 				mv[t] = -1
 			}
-			b.Scatter(at(lastKey, 0, qryP), nK, 1, mv)
+			b.Scatter(at(lastKey, 0, qryP), nK, mv)
 		}
 		if err := b.Commit(); err != nil {
 			return err
@@ -645,14 +645,14 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 		if nU > 0 {
 			sK := at(shadow, d, updJ)
 			lJ := at(lastKey, 0, updJ)
-			sv := b.Gather(sK, 0, 1) // condition read of shadow+k
-			b.Gather(lJ, 0, 1)       // condition read of lastKey+i
-			b.Gather(sK, 0, 1)       // value read (scalar reads it again)
-			b.Scatter(lJ, 0, 1, sv)
+			sv := b.Gather(sK, 0) // condition read of shadow+k
+			b.Gather(lJ, 0)       // condition read of lastKey+i
+			b.Gather(sK, 0)       // value read (scalar reads it again)
+			b.Scatter(lJ, 0, sv)
 		}
 		if len(actJ) > 0 {
-			b.Gather(at(shadow, d, actJ), nU, 1)
-			b.Gather(at(lastKey, 0, actJ), nU, 1)
+			b.Gather(at(shadow, d, actJ), nU)
+			b.Gather(at(lastKey, 0, actJ), nU)
 		}
 		if err := b.Commit(); err != nil {
 			return err
@@ -669,8 +669,8 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 		}
 	}
 	if t := len(qP); t > 0 {
-		cvv := b.Gather(at(comp, 0, qP), 0, 1)
-		lvv := b.Gather(at(lastKey, 0, qP), 0, 1)
+		cvv := b.Gather(at(comp, 0, qP), 0)
+		lvv := b.Gather(at(lastKey, 0, qP), 0)
 		oIdx := make([]int, t)
 		ov := b.Vals(t)
 		for s, i := range qP {
@@ -681,7 +681,7 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 				ov[s] = 0
 			}
 		}
-		b.Scatter(oIdx, 0, 1, ov)
+		b.Scatter(oIdx, 0, ov)
 	}
 	return b.Commit()
 }

@@ -224,8 +224,8 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 			for j := range ones {
 				ones[j] = 1
 			}
-			bk.Scatter(fIdx, 0, 1, ones)
-			bk.Scatter(iIdx, 0, 1, ivals)
+			bk.Scatter(fIdx, 0, ones)
+			bk.Scatter(iIdx, 0, ivals)
 		}
 		if err := bk.Commit(); err != nil {
 			return 0, err
@@ -321,18 +321,18 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 		if nU > 0 {
 			aK := at(aanch, updK)
 			aJ := at(aanch, updJ)
-			av := bk.Gather(aK, 0, 1) // condition read of aanch+k
-			bk.Gather(aJ, 0, 1)       // condition read of aanch+j
-			bk.Gather(aK, 0, 1)       // value read (scalar reads it again)
-			bk.Scatter(aJ, 0, 1, av)
-			pv := bk.Gather(at(aptr, updK), 0, 1)
-			bk.Scatter(at(aptr, updJ), 0, 1, pv)
-			lv := bk.Gather(at(alen, updK), 0, 1)
-			bk.Scatter(at(alen, updJ), 0, 1, lv)
+			av := bk.Gather(aK, 0) // condition read of aanch+k
+			bk.Gather(aJ, 0)       // condition read of aanch+j
+			bk.Gather(aK, 0)       // value read (scalar reads it again)
+			bk.Scatter(aJ, 0, av)
+			pv := bk.Gather(at(aptr, updK), 0)
+			bk.Scatter(at(aptr, updJ), 0, pv)
+			lv := bk.Gather(at(alen, updK), 0)
+			bk.Scatter(at(alen, updJ), 0, lv)
 		}
 		if len(actJ) > 0 {
-			bk.Gather(at(aanch, actK), nU, 1)
-			bk.Gather(at(aanch, actJ), nU, 1)
+			bk.Gather(at(aanch, actK), nU)
+			bk.Gather(at(aanch, actJ), nU)
 		}
 		if err := bk.Commit(); err != nil {
 			return 0, err
@@ -577,7 +577,7 @@ func EREWBalance(m *machine.Machine, counts []int) ([][]TaskRange, error) {
 			}
 		}
 		if t := len(sIdx); t > 0 {
-			sv := bk.Gather(sIdx, 0, 1)
+			sv := bk.Gather(sIdx, 0)
 			rIdx := make([]int, t)
 			tIdx := make([]int, t)
 			eIdx := make([]int, t)
@@ -593,9 +593,9 @@ func EREWBalance(m *machine.Machine, counts []int) ([][]TaskRange, error) {
 				tv[q] = machine.Word(off[i])
 				ev[q] = machine.Word(off[i] + counts[i])
 			}
-			bk.Scatter(rIdx, 0, 1, rv)
-			bk.Scatter(tIdx, 0, 1, tv)
-			bk.Scatter(eIdx, 0, 1, ev)
+			bk.Scatter(rIdx, 0, rv)
+			bk.Scatter(tIdx, 0, tv)
+			bk.Scatter(eIdx, 0, ev)
 		}
 		if err := bk.Commit(); err != nil {
 			return nil, err
@@ -639,18 +639,18 @@ func EREWBalance(m *machine.Machine, counts []int) ([][]TaskRange, error) {
 		if nU > 0 {
 			sK := at(shR, d, updJ)
 			rJ := at(rankA, 0, updJ)
-			sv := bk.Gather(sK, 0, 1) // condition read of shR+k
-			bk.Gather(rJ, 0, 1)       // condition read of rankA+j
-			bk.Gather(sK, 0, 1)       // value read (scalar reads it again)
-			bk.Scatter(rJ, 0, 1, sv)
-			tv := bk.Gather(at(shT, d, updJ), 0, 1)
-			bk.Scatter(at(taskA, 0, updJ), 0, 1, tv)
-			ev := bk.Gather(at(shE, d, updJ), 0, 1)
-			bk.Scatter(at(endA, 0, updJ), 0, 1, ev)
+			sv := bk.Gather(sK, 0) // condition read of shR+k
+			bk.Gather(rJ, 0)       // condition read of rankA+j
+			bk.Gather(sK, 0)       // value read (scalar reads it again)
+			bk.Scatter(rJ, 0, sv)
+			tv := bk.Gather(at(shT, d, updJ), 0)
+			bk.Scatter(at(taskA, 0, updJ), 0, tv)
+			ev := bk.Gather(at(shE, d, updJ), 0)
+			bk.Scatter(at(endA, 0, updJ), 0, ev)
 		}
 		if len(actJ) > 0 {
-			bk.Gather(at(shR, d, actJ), nU, 1)
-			bk.Gather(at(rankA, 0, actJ), nU, 1)
+			bk.Gather(at(shR, d, actJ), nU)
+			bk.Gather(at(rankA, 0, actJ), nU)
 		}
 		if err := bk.Commit(); err != nil {
 			return nil, err

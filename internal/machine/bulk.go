@@ -10,23 +10,25 @@ import (
 )
 
 // This file implements the bulk access layer. Machine.Bulk opens a
-// builder for a descriptor-only step: whole strided ranges, broadcasts,
-// gathers and scatters are recorded as compact descriptors instead of
-// one buffer entry per element, and each descriptor names the range of
-// processors that performs it (perProc cells each), so a regular phase
-// like "processor i copies cell src+i to dst+i" is two descriptors and
-// no per-processor host loop at all. Descriptors are uncharged at
-// recording: settlement derives the per-processor operation maximum
-// (and the SIMD one-op rule) from a processor-interval sweep, proves
-// descriptors disjoint from one another, and then charges contention,
-// detects violations, and applies writes with O(1) bookkeeping per
-// descriptor (data movement aside). Descriptors that genuinely overlap
-// — or whose contention the model forbids, or that carry unsorted index
-// lists — are expanded into the scalar element buffers in the order a
-// ParDo body issuing the same accesses would have filled them, so the
-// per-cell counters, the kappa arg-max, arbitration order, violations,
-// traces, and hot cells are bit-identical to an element-by-element
-// replay.
+// builder for a descriptor-only step: strided ranges (stride >= 1,
+// perProc cells per processor) and index lists (one cell per processor)
+// are recorded as compact descriptors instead of one buffer entry per
+// element, and each descriptor names the range of processors that
+// performs it, so a regular phase like "processor i copies cell src+i
+// to dst+i" is two descriptors and no per-processor host loop at all.
+// Descriptors are uncharged at recording: settlement derives the
+// per-processor operation maximum (and the SIMD one-op rule) from a
+// processor-interval sweep, proves descriptors disjoint from one
+// another, and then charges contention, detects violations, and applies
+// writes with O(1) bookkeeping per descriptor (data movement aside). A
+// range or a strictly ascending list touches each of its cells from one
+// processor, so a descriptor proven disjoint from the others has
+// contention exactly one. Descriptors that may overlap — and lists that
+// do not strictly ascend, which may repeat a cell — are expanded into
+// the scalar element buffers in the order a ParDo body issuing the same
+// accesses would have filled them, so the per-cell counters, the kappa
+// arg-max, arbitration order, violations, traces, and hot cells are
+// bit-identical to an element-by-element replay.
 type bulkKind uint8
 
 const (
@@ -39,17 +41,16 @@ const (
 func (k bulkKind) cells() bool { return k <= bulkFill }
 
 // bulkDesc is one recorded bulk access. For cell-bearing kinds the count
-// cells are lo, lo+stride, ..., (stride >= 1), the single cell lo
-// accessed count times (stride == 0), or the explicit list off+idx[k]
-// (stride == -1). Cell k belongs to processor proc + k/perProc. Charge
-// kinds carry no cells: count processors starting at proc are charged
-// fill operations each.
+// cells are lo, lo+stride, ... (stride >= 1) or the explicit list
+// off+idx[k] (stride == -1, perProc 1). Cell k belongs to processor
+// proc + k/perProc. Charge kinds carry no cells: count processors
+// starting at proc are charged fill operations each.
 type bulkDesc struct {
 	kind    bulkKind
 	sorted  bool // idx strictly ascending (true for all strided descriptors)
 	expand  bool // settlement decision: element expansion required
 	lo, hi  int  // inclusive address interval
-	stride  int  // >= 1 arithmetic; 0 one cell; -1 explicit idx
+	stride  int  // >= 1 arithmetic; -1 explicit idx
 	count   int
 	proc    int // first processor
 	perProc int // cells per processor (cell-bearing kinds)
@@ -78,93 +79,38 @@ func (d *bulkDesc) nprocs() int {
 
 // addrAt returns the address of cell k.
 func (d *bulkDesc) addrAt(k int) int {
-	switch {
-	case d.stride >= 1:
+	if d.stride >= 1 {
 		return d.lo + k*d.stride
-	case d.stride == 0:
-		return d.lo
-	default:
-		return d.off + d.idx[k]
 	}
-}
-
-// covers reports whether addr is one of the descriptor's cells.
-func (d *bulkDesc) covers(addr int) bool {
-	if addr < d.lo || addr > d.hi {
-		return false
-	}
-	switch {
-	case d.stride >= 1:
-		return (addr-d.lo)%d.stride == 0
-	case d.stride == 0:
-		return true // addr == lo given the interval check
-	default:
-		if d.sorted {
-			_, ok := slices.BinarySearch(d.idx, addr-d.off)
-			return ok
-		}
-		return slices.Contains(d.idx, addr-d.off)
-	}
+	return d.off + d.idx[k]
 }
 
 // descsOverlap reports whether two cell-bearing descriptors can share a
 // cell. It must never report false for descriptors that do share one;
 // reporting true for disjoint descriptors only costs performance (the
-// step expands them instead of settling analytically).
+// step expands them instead of settling analytically). Four proofs
+// settle the pairs production steps issue: disjoint address intervals,
+// two ranges of one stride in different residue classes, two certified
+// lists with disjoint residue intervals, and a merge scan of two sorted
+// lists. Any other pair — ranges of different strides, a list against
+// a range, an unsorted list — is reported as overlapping.
 func descsOverlap(a, b *bulkDesc) bool {
 	if a.hi < b.lo || b.hi < a.lo {
 		return false
 	}
-	if a.stride == 0 {
-		return b.covers(a.lo)
+	if a.stride >= 1 && a.stride == b.stride {
+		// Same stride and overlapping intervals: they collide iff they
+		// lie in the same residue class.
+		return (a.lo-b.lo)%a.stride == 0
 	}
-	if b.stride == 0 {
-		return a.covers(b.lo)
-	}
-	if a.stride >= 1 && b.stride >= 1 {
-		if a.stride == b.stride {
-			// Same stride and overlapping intervals: they collide iff
-			// they lie in the same residue class.
-			return (a.lo-b.lo)%a.stride == 0
-		}
-		// Different strides: enumerate the smaller one when cheap.
-		sm, lg := a, b
-		if lg.count < sm.count {
-			sm, lg = lg, sm
-		}
-		if sm.count <= 64 {
-			for k := 0; k < sm.count; k++ {
-				if lg.covers(sm.addrAt(k)) {
-					return true
-				}
-			}
-			return false
-		}
-		return true // unproven: assume overlap
-	}
-	// At least one explicit index list. Unsorted lists are always
-	// expanded, so treat them as overlapping everything in range.
-	if !a.sorted || !b.sorted {
+	if a.stride != -1 || b.stride != -1 || !a.sorted || !b.sorted {
 		return true
 	}
-	if a.stride == -1 && b.stride == -1 {
-		if a.mod != 0 && a.mod == b.mod &&
-			!cyclicIntervalsMeet(a.rlo, a.rlen, b.rlo, b.rlen, a.mod) {
-			return false
-		}
-		return sortedListsIntersect(a.idx, a.off, b.idx, b.off)
+	if a.mod != 0 && a.mod == b.mod &&
+		!cyclicIntervalsMeet(a.rlo, a.rlen, b.rlo, b.rlen, a.mod) {
+		return false
 	}
-	l, s := a, b
-	if l.stride != -1 {
-		l, s = b, a
-	}
-	i, _ := slices.BinarySearch(l.idx, s.lo-l.off)
-	for ; i < len(l.idx) && l.off+l.idx[i] <= s.hi; i++ {
-		if s.covers(l.off + l.idx[i]) {
-			return true
-		}
-	}
-	return false
+	return sortedListsIntersect(a.idx, a.off, b.idx, b.off)
 }
 
 // cyclicIntervalsMeet reports whether the cyclic intervals [r1, r1+l1)
@@ -218,18 +164,18 @@ type Bulk struct {
 	ord, act       []int32
 }
 
-// walkKey identifies an index list and the contract it was walked
+// walkKey identifies an index list and the certificate it was walked
 // against. A list is keyed by its first element's address and its
 // length: it must stay unmodified until Commit, so within one step the
 // same key always names the same contents.
 type walkKey struct {
-	first                 *int
-	n, perProc, mod, rlen int
+	first        *int
+	n, mod, rlen int
 }
 
 // idxWalk is the memoised offset-free validation of one index list:
-// ascent, residue certificate and per-processor distinctness checked,
-// and the list's relative bounds.
+// ascent and residue certificate checked, and the list's relative
+// bounds.
 type idxWalk struct {
 	key    walkKey
 	lo, hi int
@@ -241,8 +187,8 @@ type idxWalk struct {
 // processors that perform it, with no per-processor body at all. The
 // builder is owned by the machine (one open step at a time); Commit
 // settles the step. Within one descriptor, the cells accessed by one
-// processor must be distinct (the strided forms guarantee this; index
-// lists are checked).
+// processor are distinct by construction: ranges have stride >= 1, and
+// an index list gives each processor one cell.
 //
 // Randomness for host-side decisions is available via Bulk.Rand, which
 // replays exactly the stream Ctx.Rand would hand the same processor in
@@ -266,7 +212,7 @@ func (m *Machine) Bulk(p int, label string) *Bulk {
 }
 
 func (b *Bulk) checkShape(n, stride, procLo, perProc int) {
-	if n < 0 || stride < 0 || procLo < 0 || perProc < 1 {
+	if n < 0 || stride < 1 || procLo < 0 || perProc < 1 {
 		panic(fmt.Sprintf("machine: bulk range n=%d stride=%d procLo=%d perProc=%d", n, stride, procLo, perProc))
 	}
 }
@@ -282,9 +228,6 @@ func (b *Bulk) ReadRange(lo, n, stride, procLo, perProc int) []Word {
 		return nil
 	}
 	m := b.m
-	if stride == 0 {
-		panic("machine: bulk ReadRange with stride 0; use Broadcast")
-	}
 	hi := lo + (n-1)*stride
 	m.checkAddr(lo)
 	m.checkAddr(hi)
@@ -316,10 +259,7 @@ func (b *Bulk) WriteRange(lo, n, stride, procLo, perProc int, vals []Word) {
 		return
 	}
 	m := b.m
-	hi := lo
-	if stride >= 1 {
-		hi = lo + (n-1)*stride
-	}
+	hi := lo + (n-1)*stride
 	m.checkAddr(lo)
 	m.checkAddr(hi)
 	b.descs = append(b.descs, bulkDesc{
@@ -337,10 +277,7 @@ func (b *Bulk) FillRange(lo, n, stride, procLo, perProc int, v Word) {
 		return
 	}
 	m := b.m
-	hi := lo
-	if stride >= 1 {
-		hi = lo + (n-1)*stride
-	}
+	hi := lo + (n-1)*stride
 	m.checkAddr(lo)
 	m.checkAddr(hi)
 	b.descs = append(b.descs, bulkDesc{
@@ -350,29 +287,12 @@ func (b *Bulk) FillRange(lo, n, stride, procLo, perProc int, v Word) {
 	})
 }
 
-// Broadcast declares that nprocs processors starting at procLo all read
-// cell addr (contention nprocs on models that allow it; a violation
-// otherwise, detected by expansion). It returns the value read.
-func (b *Bulk) Broadcast(addr, nprocs, procLo int) Word {
-	b.checkShape(nprocs, 0, procLo, 1)
-	b.m.checkAddr(addr)
-	if nprocs == 0 {
-		return 0
-	}
-	b.descs = append(b.descs, bulkDesc{
-		kind: bulkRead, sorted: true,
-		lo: addr, hi: addr, stride: 0, count: nprocs,
-		proc: procLo, perProc: 1,
-	})
-	return b.m.mem[addr]
-}
-
-// Gather declares that processors procLo, procLo+1, ... read the cells
-// idx[0..n), perProc cells per processor, and returns their values
-// (buffer valid until the next Bulk). idx must stay unmodified until
-// Commit. Cells read by one processor must be distinct.
-func (b *Bulk) Gather(idx []int, procLo, perProc int) []Word {
-	return b.gather(0, idx, procLo, perProc, 0, 0)
+// Gather declares that processor procLo+k reads cell idx[k], and
+// returns the cells' values (buffer valid until the next Bulk). idx must
+// stay unmodified until Commit. A list may repeat a cell — several
+// processors reading it, a concurrent read the step charges as such.
+func (b *Bulk) Gather(idx []int, procLo int) []Word {
+	return b.gather(0, idx, procLo, 0, 0)
 }
 
 // GatherMod is Gather over the base-relative list base+pos[k], with a
@@ -384,18 +304,18 @@ func (b *Bulk) Gather(idx []int, procLo, perProc int) []Word {
 // one modulus and disjoint residue intervals cell-disjoint in O(1)
 // instead of merge-scanning them. One pos list may back any number of
 // descriptors of a step at different bases; it is walked once per step.
-func (b *Bulk) GatherMod(base int, pos []int, procLo, perProc, mod, rlen int) []Word {
+func (b *Bulk) GatherMod(base int, pos []int, procLo, mod, rlen int) []Word {
 	checkResidueCert(mod, rlen)
-	return b.gather(base, pos, procLo, perProc, mod, rlen)
+	return b.gather(base, pos, procLo, mod, rlen)
 }
 
-func (b *Bulk) gather(base int, idx []int, procLo, perProc, mod, rlen int) []Word {
-	b.checkShape(len(idx), 1, procLo, perProc)
+func (b *Bulk) gather(base int, idx []int, procLo, mod, rlen int) []Word {
+	b.checkShape(len(idx), 1, procLo, 1)
 	n := len(idx)
 	if n == 0 {
 		return nil
 	}
-	d := b.listDesc(bulkRead, base, idx, procLo, perProc, mod, rlen)
+	d := b.listDesc(bulkRead, base, idx, procLo, mod, rlen)
 	out := b.retSlice(n)
 	mem := b.m.mem
 	for k, a := range idx {
@@ -405,24 +325,23 @@ func (b *Bulk) gather(base int, idx []int, procLo, perProc, mod, rlen int) []Wor
 	return out
 }
 
-// Scatter declares that processors procLo, procLo+1, ... write vals[k]
-// to cell idx[k], perProc cells per processor. idx and vals must stay
-// unmodified until Commit (vals is snapshotted if it aliases shared
-// memory). Cells written by one processor must be distinct; conflicting
-// processors arbitrate to the highest index, as always.
-func (b *Bulk) Scatter(idx []int, procLo, perProc int, vals []Word) {
-	b.scatter(0, idx, procLo, perProc, vals, 0, 0)
+// Scatter declares that processor procLo+k writes vals[k] to cell
+// idx[k]. idx and vals must stay unmodified until Commit (vals is
+// snapshotted if it aliases shared memory). Processors writing one cell
+// arbitrate to the highest index, as always.
+func (b *Bulk) Scatter(idx []int, procLo int, vals []Word) {
+	b.scatter(0, idx, procLo, vals, 0, 0)
 }
 
 // ScatterMod is Scatter over the base-relative list base+pos[k] with a
 // residue certificate on the positions; see GatherMod.
-func (b *Bulk) ScatterMod(base int, pos []int, procLo, perProc int, vals []Word, mod, rlen int) {
+func (b *Bulk) ScatterMod(base int, pos []int, procLo int, vals []Word, mod, rlen int) {
 	checkResidueCert(mod, rlen)
-	b.scatter(base, pos, procLo, perProc, vals, mod, rlen)
+	b.scatter(base, pos, procLo, vals, mod, rlen)
 }
 
-func (b *Bulk) scatter(base int, idx []int, procLo, perProc int, vals []Word, mod, rlen int) {
-	b.checkShape(len(idx), 1, procLo, perProc)
+func (b *Bulk) scatter(base int, idx []int, procLo int, vals []Word, mod, rlen int) {
+	b.checkShape(len(idx), 1, procLo, 1)
 	n := len(idx)
 	if len(vals) != n {
 		panic(fmt.Sprintf("machine: bulk Scatter with %d indices, %d vals", n, len(vals)))
@@ -430,7 +349,7 @@ func (b *Bulk) scatter(base int, idx []int, procLo, perProc int, vals []Word, mo
 	if n == 0 {
 		return
 	}
-	d := b.listDesc(bulkWrite, base, idx, procLo, perProc, mod, rlen)
+	d := b.listDesc(bulkWrite, base, idx, procLo, mod, rlen)
 	d.vals = b.snapIfMem(vals)
 	b.descs = append(b.descs, d)
 }
@@ -439,11 +358,10 @@ func (b *Bulk) scatter(base int, idx []int, procLo, perProc int, vals []Word, mo
 // its descriptor, payload unset. Each call range-checks the list's own
 // addresses — only the two ends of an ascending list, which bound it,
 // and every address otherwise — while the offset-free walk (ascent,
-// residue certificate, per-processor distinctness, relative bounds) is
-// memoised for the rest of the step, so a list shared by several
-// descriptors is walked once.
-func (b *Bulk) listDesc(kind bulkKind, base int, idx []int, procLo, perProc, mod, rlen int) bulkDesc {
-	key := walkKey{&idx[0], len(idx), perProc, mod, rlen}
+// residue certificate, relative bounds) is memoised for the rest of the
+// step, so a list shared by several descriptors is walked once.
+func (b *Bulk) listDesc(kind bulkKind, base int, idx []int, procLo, mod, rlen int) bulkDesc {
+	key := walkKey{&idx[0], len(idx), mod, rlen}
 	var wk idxWalk
 	found := false
 	for i := range b.walks {
@@ -468,7 +386,7 @@ func (b *Bulk) listDesc(kind bulkKind, base int, idx []int, procLo, perProc, mod
 	d := bulkDesc{
 		kind: kind, sorted: wk.asc,
 		lo: base + wk.lo, hi: base + wk.hi, stride: -1, count: len(idx),
-		proc: procLo, perProc: perProc, idx: idx, off: base,
+		proc: procLo, perProc: 1, idx: idx, off: base,
 		mod: mod, rlen: rlen,
 	}
 	if mod != 0 {
@@ -478,8 +396,7 @@ func (b *Bulk) listDesc(kind bulkKind, base int, idx []int, procLo, perProc, mod
 }
 
 // walkIdx is the offset-free walk of an index list: it checks the
-// residue certificate (when key.mod != 0) and, for a list that does not
-// ascend strictly, per-processor distinctness, and returns the list's
+// residue certificate (when key.mod != 0) and returns the list's
 // relative bounds and ascent. base only names addresses in panics.
 func walkIdx(key walkKey, base int, idx []int) idxWalk {
 	mod, rlen := key.mod, key.rlen
@@ -497,7 +414,6 @@ func walkIdx(key walkKey, base int, idx []int) idxWalk {
 	if asc {
 		return idxWalk{key: key, lo: idx[0], hi: idx[len(idx)-1], asc: true}
 	}
-	checkPerProcDistinct(base, idx, key.perProc)
 	return idxWalk{key: key, lo: slices.Min(idx), hi: slices.Max(idx)}
 }
 
@@ -553,9 +469,6 @@ func (b *Bulk) Rand(proc int) xrand.Stream {
 	return xrand.StreamFrom(xrand.Mix3(b.m.seed, b.step, uint64(proc)))
 }
 
-// Step returns the step index this builder commits as.
-func (b *Bulk) Step() uint64 { return b.step }
-
 func (b *Bulk) retSlice(n int) []Word {
 	off := len(b.ret)
 	need := off + n
@@ -586,26 +499,6 @@ func (b *Bulk) snapIfMem(vals []Word) []Word {
 	off := len(b.snapVals)
 	b.snapVals = append(b.snapVals, vals...)
 	return b.snapVals[off : off+len(vals) : off+len(vals)]
-}
-
-// checkPerProcDistinct enforces the distinct-cells-per-processor
-// contract for unsorted index lists base+idx[k] (sorted lists are
-// distinct by ascent; a violation would silently miscount contention,
-// so it is a programming error worth a panic).
-func checkPerProcDistinct(base int, idx []int, perProc int) {
-	if perProc == 1 {
-		return
-	}
-	for g := 0; g < len(idx); g += perProc {
-		e := min(g+perProc, len(idx))
-		for i := g; i < e; i++ {
-			for j := i + 1; j < e; j++ {
-				if idx[i] == idx[j] {
-					panic(fmt.Sprintf("machine: bulk index list repeats cell %d within one processor", base+idx[i]))
-				}
-			}
-		}
-	}
 }
 
 // Commit executes the accumulated descriptors as one synchronous step:
@@ -755,12 +648,9 @@ func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
 
 	// Disposition: a descriptor settles analytically only when its
 	// cells provably meet no other descriptor of the same access kind.
-	// Unsorted index lists, contention the model forbids, and profiled
-	// steps (hot-cell attribution needs real counters) expand
-	// unconditionally.
+	// Unsorted index lists and profiled steps (hot-cell attribution
+	// needs real counters) expand unconditionally.
 	expandAll := m.hotK > 0 || m.noBulkFast
-	rForbidden := !m.model.ConcurrentReads()
-	wForbidden := !m.model.ConcurrentWrites()
 	rItems := b.rItems[:0]
 	wItems := b.wItems[:0]
 	for i := range b.descs {
@@ -768,13 +658,10 @@ func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
 		if !d.kind.cells() {
 			continue
 		}
+		d.expand = expandAll || !d.sorted
 		if d.kind == bulkRead {
-			d.expand = expandAll || !d.sorted ||
-				(d.stride == 0 && d.nprocs() > 1 && rForbidden)
 			rItems = append(rItems, bulkItem{d, d.lo, d.hi})
 		} else {
-			d.expand = expandAll || !d.sorted ||
-				(d.stride == 0 && d.nprocs() > 1 && wForbidden)
 			wItems = append(wItems, bulkItem{d, d.lo, d.hi})
 		}
 	}
@@ -782,12 +669,12 @@ func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
 	markOverlaps(wItems)
 	b.rItems, b.wItems = rItems[:0], wItems[:0]
 
-	// Analytic settlement of the surviving descriptors: strided and
-	// sorted-index cells are touched by exactly one processor each
-	// (contention one); a Broadcast cell is touched by every spanned
-	// processor. Writes apply directly — the descriptor's last buffered
-	// value per cell is the highest-indexed writer's, preserving the
-	// arbitration invariant.
+	// Analytic settlement of the surviving descriptors: each of their
+	// cells is touched by exactly one processor, so each kind's maximum
+	// is contention one at its smallest analytic address (count ties
+	// break toward the smallest address, as in the scalar settlement,
+	// so the merged arg-max names the same cell whichever side reached
+	// the maximum first). Writes apply directly.
 	expand := false
 	for i := range b.descs {
 		d := &b.descs[i]
@@ -799,27 +686,25 @@ func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
 			m.bulkExpanded.Add(1)
 			continue
 		}
-		k := int64(1)
-		if d.stride == 0 {
-			k = int64(d.nprocs())
-		}
-		// Count ties break toward the smallest address, as in the scalar
-		// settlement, so the merged arg-max names the same cell whichever
-		// side reached the maximum first.
 		if d.kind == bulkRead {
-			if k > bs.maxR || (k == bs.maxR && (bs.maxRAddr < 0 || d.lo < bs.maxRAddr)) {
-				bs.maxR, bs.maxRAddr = k, d.lo
-			}
+			bs.maxR, bs.maxRAddr = 1, lowerAddr(bs.maxRAddr, d.lo)
 		} else {
-			if k > bs.maxW || (k == bs.maxW && (bs.maxWAddr < 0 || d.lo < bs.maxWAddr)) {
-				bs.maxW, bs.maxWAddr = k, d.lo
-			}
+			bs.maxW, bs.maxWAddr = 1, lowerAddr(bs.maxWAddr, d.lo)
 			m.applyDesc(d)
 		}
 	}
 	if expand {
 		b.buildReplay(w)
 	}
+}
+
+// lowerAddr returns the smaller of the arg-max address cur (-1 when
+// unset) and lo.
+func lowerAddr(cur, lo int) int {
+	if cur < 0 {
+		return lo
+	}
+	return min(cur, lo)
 }
 
 // markOverlaps mutually marks for expansion every pair of descriptors of
@@ -851,12 +736,6 @@ func markOverlaps(items []bulkItem) {
 func (m *Machine) applyDesc(d *bulkDesc) {
 	m.dirty = max(m.dirty, d.hi+1)
 	switch {
-	case d.stride == 0:
-		if d.kind == bulkFill {
-			m.mem[d.lo] = d.fill
-		} else {
-			m.mem[d.lo] = d.vals[d.count-1]
-		}
 	case d.kind == bulkFill:
 		if d.stride == 1 {
 			base := d.lo
@@ -887,8 +766,8 @@ func (m *Machine) applyDesc(d *bulkDesc) {
 // ascending index order, its cells in issue order — which is exactly the
 // order the equivalent ParDo body would have buffered them in, including
 // the per-processor dedupe: a processor reaching one cell through
-// several descriptors (or a Broadcast's repeats) records one read entry,
-// and its later writes overwrite the buffered value in place. A sweep
+// several descriptors records one read entry, and its later writes
+// overwrite the buffered value in place. A sweep
 // over the descriptors sorted by first processor keeps the set spanning
 // the current processor, so the cost is the cells replayed, not
 // processors times descriptors.
@@ -937,9 +816,6 @@ func (w *worker) replayProc(d *bulkDesc, p, rs, ws int) {
 	k1 := min(d.count, k0+d.perProc)
 	if d.kind == bulkRead {
 		prev := w.readAddrs[rs:]
-		if d.stride == 0 {
-			k1 = k0 + 1 // a Broadcast's repeats record one entry
-		}
 		for k := k0; k < k1; k++ {
 			if a := d.addrAt(k); !slices.Contains(prev, a) {
 				w.readAddrs = append(w.readAddrs, a)
@@ -949,9 +825,6 @@ func (w *worker) replayProc(d *bulkDesc, p, rs, ws int) {
 		return
 	}
 	we := len(w.writes)
-	if d.stride == 0 {
-		k0 = k1 - 1 // program order: the processor's last value survives
-	}
 	for k := k0; k < k1; k++ {
 		a, v := d.addrAt(k), d.fill
 		if d.kind == bulkWrite {

@@ -16,7 +16,7 @@ var allModels = []Model{EREW, CREW, QRQW, CRQW, CRCW, SIMDQRQW, ScanSIMDQRQW, Fe
 // fill local operations to each of n processors from procLo.
 type specOp struct {
 	kind            bulkKind // bulkRead / bulkWrite / bulkFill / bulkChargeC
-	lo, n, stride   int      // stride -1: idx form, 0: broadcast form
+	lo, n, stride   int      // stride -1: idx form (perProc 1)
 	idx             []int
 	vals            []Word
 	fill            Word
@@ -26,14 +26,10 @@ type specOp struct {
 func (op *specOp) nprocs() int { return (op.n + op.perProc - 1) / op.perProc }
 
 func (op *specOp) addrAt(k int) int {
-	switch {
-	case op.stride >= 1:
+	if op.stride >= 1 {
 		return op.lo + k*op.stride
-	case op.stride == 0:
-		return op.lo
-	default:
-		return op.idx[k]
 	}
+	return op.idx[k]
 }
 
 // runSpecBulk executes the ops as one Bulk step.
@@ -44,16 +40,14 @@ func runSpecBulk(m *Machine, p int, ops []specOp) error {
 		switch {
 		case op.kind == bulkChargeC:
 			b.Compute(op.procLo, op.n, op.fill)
-		case op.kind == bulkRead && op.stride == 0:
-			b.Broadcast(op.lo, op.n, op.procLo)
 		case op.kind == bulkRead && op.stride == -1:
-			b.Gather(op.idx, op.procLo, op.perProc)
+			b.Gather(op.idx, op.procLo)
 		case op.kind == bulkRead:
 			b.ReadRange(op.lo, op.n, op.stride, op.procLo, op.perProc)
 		case op.kind == bulkFill:
 			b.FillRange(op.lo, op.n, op.stride, op.procLo, op.perProc, op.fill)
 		case op.stride == -1:
-			b.Scatter(op.idx, op.procLo, op.perProc, op.vals)
+			b.Scatter(op.idx, op.procLo, op.vals)
 		default:
 			b.WriteRange(op.lo, op.n, op.stride, op.procLo, op.perProc, op.vals)
 		}
@@ -92,11 +86,11 @@ func runSpecScalar(m *Machine, p int, ops []specOp) error {
 }
 
 // genSpec draws one random descriptor-only step: strided ranges,
-// broadcasts, permutation and colliding index slices, Compute charges,
-// and repeats of other ops (so processors reach cells through several
-// descriptors), with random processor mappings. Index lists use
-// perProc 1 so the distinct-cells-per-processor contract holds by
-// construction.
+// ascending, colliding and hot-cell index lists (one hot cell repeated
+// once per spanned processor, read or written), Compute charges, and
+// repeats of other ops (so processors reach cells through several
+// descriptors), with random processor mappings. Index lists carry one
+// cell per processor, as the Gather and Scatter forms require.
 func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 	p := 4 + int(rng.Uint64n(29))
 	nops := 1 + int(rng.Uint64n(5))
@@ -113,7 +107,7 @@ func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 			op.procLo += s
 			op.n -= k
 			switch {
-			case op.kind == bulkChargeC || op.stride == 0:
+			case op.kind == bulkChargeC:
 			case op.stride > 0:
 				op.lo += k * op.stride
 			default:
@@ -147,9 +141,11 @@ func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 		op.n = 1 + int(rng.Uint64n(uint64(min(24, maxCells))))
 		form := rng.Uint64n(4)
 		switch {
-		case form == 0 && op.perProc == 1: // broadcast / hot cell
-			op.stride = 0
-			op.lo = int(rng.Uint64n(uint64(memN)))
+		case form == 0: // hot cell: one cell repeated per processor
+			op.stride = -1
+			op.perProc = 1
+			op.n = min(op.n, p-op.procLo)
+			op.idx = slices.Repeat([]int{int(rng.Uint64n(uint64(memN)))}, op.n)
 		case form == 1 || form == 2: // strided range
 			op.stride = 1 + int(rng.Uint64n(3))
 			span := (op.n-1)*op.stride + 1
@@ -313,8 +309,8 @@ func TestBulkGuards(t *testing.T) {
 		_ = b.Commit()
 	})
 	b = m.Bulk(4, "d")
-	mustPanic("repeated cell within one processor", func() {
-		b.Gather([]int{5, 5, 3, 1}, 0, 2)
+	mustPanic("stride-0 range", func() {
+		b.FillRange(5, 4, 0, 0, 1, 1)
 	})
 	_ = b.Commit()
 }
@@ -405,10 +401,10 @@ func TestBulkCertifiedListChecks(t *testing.T) {
 	// Position 2 has residue 2 mod 4, outside [0, 2): the panic names
 	// the absolute address 10+2.
 	b := m.Bulk(4, "cert")
-	wantPanic("gather certificate", "index 12 breaks", func() { b.GatherMod(10, []int{0, 1, 2}, 0, 1, 4, 2) })
+	wantPanic("gather certificate", "index 12 breaks", func() { b.GatherMod(10, []int{0, 1, 2}, 0, 4, 2) })
 	_ = b.Commit()
 	b = m.Bulk(4, "cert")
-	wantPanic("scatter certificate", "index 12 breaks", func() { b.ScatterMod(10, []int{0, 1, 2}, 0, 1, vals, 4, 2) })
+	wantPanic("scatter certificate", "index 12 breaks", func() { b.ScatterMod(10, []int{0, 1, 2}, 0, vals, 4, 2) })
 	_ = b.Commit()
 
 	// One list at several bases: the first descriptor walks it, the
@@ -419,30 +415,30 @@ func TestBulkCertifiedListChecks(t *testing.T) {
 		addr string
 	}{{-1, "address -1 "}, {56, "address 64 "}} {
 		b = m.Bulk(4, "range")
-		b.GatherMod(0, pos, 0, 1, 4, 1)
-		b.ScatterMod(1, pos, 0, 1, vals, 4, 1)
-		wantPanic(fmt.Sprintf("gather at base %d", c.base), c.addr, func() { b.GatherMod(c.base, pos, 0, 1, 4, 1) })
-		wantPanic(fmt.Sprintf("scatter at base %d", c.base), c.addr, func() { b.ScatterMod(c.base, pos, 0, 1, vals, 4, 1) })
+		b.GatherMod(0, pos, 0, 4, 1)
+		b.ScatterMod(1, pos, 0, vals, 4, 1)
+		wantPanic(fmt.Sprintf("gather at base %d", c.base), c.addr, func() { b.GatherMod(c.base, pos, 0, 4, 1) })
+		wantPanic(fmt.Sprintf("scatter at base %d", c.base), c.addr, func() { b.ScatterMod(c.base, pos, 0, vals, 4, 1) })
 		_ = b.Commit()
 	}
 
 	// A different list of the same length in the same step is walked
 	// on its own and can fail where the first passed.
 	b = m.Bulk(4, "second")
-	b.GatherMod(0, []int{0, 1, 4}, 0, 1, 4, 2)
-	wantPanic("second list", "index 6 breaks", func() { b.GatherMod(0, []int{0, 1, 6}, 0, 1, 4, 2) })
+	b.GatherMod(0, []int{0, 1, 4}, 0, 4, 2)
+	wantPanic("second list", "index 6 breaks", func() { b.GatherMod(0, []int{0, 1, 6}, 0, 4, 2) })
 	_ = b.Commit()
 
 	// A list mutated between two steps is walked again.
 	pos = []int{0, 1, 4}
 	b = m.Bulk(4, "before")
-	b.ScatterMod(0, pos, 0, 1, vals, 4, 2)
+	b.ScatterMod(0, pos, 0, vals, 4, 2)
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	pos[2] = 7
 	b = m.Bulk(4, "after")
-	wantPanic("mutated list", "index 7 breaks", func() { b.ScatterMod(0, pos, 0, 1, vals, 4, 2) })
+	wantPanic("mutated list", "index 7 breaks", func() { b.ScatterMod(0, pos, 0, vals, 4, 2) })
 	_ = b.Commit()
 }
 
@@ -495,10 +491,10 @@ func TestBulkOffsetListsOverlap(t *testing.T) {
 					})
 				} else {
 					b := m.Bulk(p, "overlap")
-					b.GatherMod(base, pos, 0, 1, c.mod, c.rlen)
-					b.GatherMod(b2, c.posB, 0, 1, c.mod, c.rlen)
-					b.ScatterMod(base, pos, 0, 1, va, c.mod, c.rlen)
-					b.ScatterMod(b2, c.posB, 0, 1, vb, c.mod, c.rlen)
+					b.GatherMod(base, pos, 0, c.mod, c.rlen)
+					b.GatherMod(b2, c.posB, 0, c.mod, c.rlen)
+					b.ScatterMod(base, pos, 0, va, c.mod, c.rlen)
+					b.ScatterMod(b2, c.posB, 0, vb, c.mod, c.rlen)
 					err = b.Commit()
 					if ex := m.ExecStats(); ex.BulkDescriptors != 4 || ex.BulkExpanded != c.expanded {
 						t.Errorf("%s: descriptors,expanded = %d,%d, want 4,%d",

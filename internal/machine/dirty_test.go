@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // checkDirtySound fails t unless the dirty high-water mark is sound:
 // every word of mem at or above it is zero. It scans the whole capacity
@@ -178,9 +181,8 @@ func TestDirtyMarkDescriptors(t *testing.T) {
 		{"fill-strided", 16, func(b *Bulk) { b.FillRange(100, 16, 3, 0, 1, 7) }, 100 + 3*15 + 1, false},
 		{"write-stride-1", 16, func(b *Bulk) { b.WriteRange(200, 16, 1, 0, 1, vals(16)) }, 216, false},
 		{"write-strided", 8, func(b *Bulk) { b.WriteRange(200, 16, 5, 0, 2, vals(16)) }, 200 + 5*15 + 1, false},
-		{"scatter-sorted", 4, func(b *Bulk) { b.Scatter([]int{5, 90, 400, 901}, 0, 1, vals(4)) }, 902, false},
-		{"scatter-per-proc", 2, func(b *Bulk) { b.Scatter([]int{3, 9, 650, 700}, 0, 2, vals(4)) }, 701, false},
-		{"scatter-unsorted", 4, func(b *Bulk) { b.Scatter([]int{901, 5, 400, 90}, 0, 1, vals(4)) }, 902, true},
+		{"scatter-sorted", 4, func(b *Bulk) { b.Scatter([]int{5, 90, 400, 901}, 0, vals(4)) }, 902, false},
+		{"scatter-unsorted", 4, func(b *Bulk) { b.Scatter([]int{901, 5, 400, 90}, 0, vals(4)) }, 902, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,8 +231,8 @@ func TestDirtyMarkHotCells(t *testing.T) {
 		// A profiled descriptor step: its sorted scatter would settle
 		// analytically, but hot-cell attribution expands it.
 		b := m.Bulk(8, "scatter")
-		b.Broadcast(5, 8, 0)
-		b.Scatter([]int{32000, 32001, 32002, 32003, 32004, 32005, 32006, 32007}, 0, 1,
+		b.Gather(slices.Repeat([]int{5}, 8), 0)
+		b.Scatter([]int{32000, 32001, 32002, 32003, 32004, 32005, 32006, 32007}, 0,
 			[]Word{1, 2, 3, 4, 5, 6, 7, 8})
 		if err := b.Commit(); err != nil {
 			t.Fatal(err)
@@ -261,7 +263,7 @@ func TestDirtyMarkHostWrites(t *testing.T) {
 
 	s := New(ScanQRQW, 1<<10)
 	s.Fill(0, 8, 1)
-	if err := s.ScanStep(ScanAdd, 0, 700, 8); err != nil {
+	if err := s.ScanStep(0, 700, 8); err != nil {
 		t.Fatal(err)
 	}
 	checkDirtyMark(t, s, 708)

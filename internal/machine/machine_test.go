@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -609,7 +610,7 @@ func TestFastPathMatchesShardedPath(t *testing.T) {
 func TestBulkMatchesScalarAcrossPaths(t *testing.T) {
 	// Descriptor-vs-scalar replay (the bulk-layer extension of
 	// TestFastPathMatchesShardedPath): a program whose Bulk steps use
-	// every descriptor form — ranges, gathers, broadcasts, fills, and
+	// every descriptor form — ranges, gathers, hot-cell lists, fills, and
 	// cells one processor reaches through several descriptors — must
 	// produce identical Stats, violations, step traces, and hot cells as
 	// its element-by-element ParDo replay, across both settlement paths,
@@ -669,15 +670,15 @@ func TestBulkMatchesScalarAcrossPaths(t *testing.T) {
 			for i := range idx {
 				idx[i] = base + (i*37)%n
 			}
-			g1 := b.Gather(idx, 0, 1)
-			g2 := b.Gather(idx, 0, 1)
+			g1 := b.Gather(idx, 0)
+			g2 := b.Gather(idx, 0)
 			own := b.ReadRange(base, n, blk, 0, 1)
 			acc := b.Vals(n)
 			for i := range acc {
 				acc[i] = g1[i] + g2[i] + own[i]
 			}
 			for i := 0; i < n; i += 512 {
-				acc[i] += b.Broadcast(hot, 1, i)
+				acc[i] += b.Gather([]int{hot}, i)[0]
 			}
 			b.WriteRange(sum, n, 1, 0, 1, acc)
 			if err := b.Commit(); err != nil {
@@ -695,12 +696,31 @@ func TestBulkMatchesScalarAcrossPaths(t *testing.T) {
 		}); err != nil {
 			return err
 		}
-		// Descriptor-only step vs its ParDo replay: a broadcast, a
-		// strided copy, and a fill.
+		// A hot cell written by a quarter of the processors (one
+		// repeated-cell scatter): the highest writer's value survives.
+		if bulk {
+			b := m.Bulk(n, "hotwrite")
+			vals := b.Vals(n / 4)
+			for k := range vals {
+				vals[k] = Word(k + 1)
+			}
+			b.Scatter(slices.Repeat([]int{hot}, n/4), n/4, vals)
+			if err := b.Commit(); err != nil {
+				return err
+			}
+		} else if err := m.ParDoL(n, "hotwrite", func(c *Ctx, i int) {
+			if i >= n/4 && i < n/2 {
+				c.Write(hot, Word(i-n/4+1))
+			}
+		}); err != nil {
+			return err
+		}
+		// Descriptor-only step vs its ParDo replay: a hot cell read by
+		// half the processors (one repeated-cell gather), a strided
+		// copy, and a fill.
 		if bulk {
 			b := m.Bulk(n, "bulkstep")
-			v := b.Broadcast(hot, n/2, 0)
-			_ = v
+			b.Gather(slices.Repeat([]int{hot}, n/2), 0)
 			b.WriteRange(hot, 1, 1, n-1, 1, []Word{42})
 			src := b.ReadRange(base, n, 1, 0, 1)
 			b.WriteRange(base+blk*n-n, n, 1, 0, 1, src)
@@ -780,7 +800,7 @@ func TestParDoRejectsBadP(t *testing.T) {
 
 func TestScanStepOnlyOnScanModel(t *testing.T) {
 	m := New(SIMDQRQW, 8)
-	if err := m.ScanStep(ScanAdd, 0, 0, 4); !errors.Is(err, ErrNoUnitScan) {
+	if err := m.ScanStep(0, 0, 4); !errors.Is(err, ErrNoUnitScan) {
 		t.Errorf("err = %v, want ErrNoUnitScan", err)
 	}
 }
@@ -788,7 +808,7 @@ func TestScanStepOnlyOnScanModel(t *testing.T) {
 func TestScanAdd(t *testing.T) {
 	m := New(ScanSIMDQRQW, 16)
 	m.Store(0, []Word{3, 1, 4, 1, 5})
-	if err := m.ScanStep(ScanAdd, 0, 8, 5); err != nil {
+	if err := m.ScanStep(0, 8, 5); err != nil {
 		t.Fatal(err)
 	}
 	want := []Word{0, 3, 4, 8, 9}
@@ -806,7 +826,7 @@ func TestScanAdd(t *testing.T) {
 func TestScanAddInPlace(t *testing.T) {
 	m := New(ScanSIMDQRQW, 8)
 	m.Store(0, []Word{1, 1, 1, 1})
-	if err := m.ScanStep(ScanAdd, 0, 0, 4); err != nil {
+	if err := m.ScanStep(0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := []Word{0, 1, 2, 3}
@@ -814,45 +834,6 @@ func TestScanAddInPlace(t *testing.T) {
 		if m.Word(i) != w {
 			t.Fatalf("in-place scan cell %d = %d, want %d", i, m.Word(i), w)
 		}
-	}
-}
-
-func TestScanMaxAndEnumerate(t *testing.T) {
-	m := New(ScanSIMDQRQW, 32)
-	m.Store(0, []Word{2, 9, 1, 5})
-	if err := m.ScanStep(ScanMax, 0, 8, 4); err != nil {
-		t.Fatal(err)
-	}
-	if m.Word(8) != minInt64 || m.Word(9) != 2 || m.Word(10) != 9 || m.Word(11) != 9 {
-		t.Errorf("scan max = %v", m.LoadWords(8, 4))
-	}
-	m.Store(16, []Word{0, 7, 0, 3, 1})
-	if err := m.ScanStep(ScanEnumerate, 16, 24, 5); err != nil {
-		t.Fatal(err)
-	}
-	want := []Word{0, 0, 1, 1, 2}
-	got := m.LoadWords(24, 5)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("enumerate = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestGlobalOr(t *testing.T) {
-	m := New(ScanSIMDQRQW, 8)
-	any, err := m.GlobalOr(0, 8)
-	if err != nil || any {
-		t.Fatalf("GlobalOr on zeros = %v,%v", any, err)
-	}
-	m.SetWord(5, 1)
-	any, err = m.GlobalOr(0, 8)
-	if err != nil || !any {
-		t.Fatalf("GlobalOr with one = %v,%v", any, err)
-	}
-	m2 := New(QRQW, 8)
-	if _, err := m2.GlobalOr(0, 8); !errors.Is(err, ErrNoUnitScan) {
-		t.Error("GlobalOr should require scan model")
 	}
 }
 

@@ -57,7 +57,7 @@ func runScratchMix(k, workers int) scratchRun {
 			return err
 		}
 		b := m.Bulk(64, "overlap")
-		b.Gather([]int{words - 1, 5, 9, words / 2}, 0, 1)
+		b.Gather([]int{words - 1, 5, 9, words / 2}, 0)
 		b.ReadRange(0, 64, 1, 0, 1)
 		b.WriteRange(words/4, 64, 1, 0, 1, b.Vals(64))
 		if err := b.Commit(); err != nil {
@@ -176,7 +176,7 @@ func TestScratchLeaseSizing(t *testing.T) {
 		// The scatter and the fill share cell 40000, so both expand and
 		// the lease reaches it.
 		b = m.Bulk(2, "overlap")
-		b.Scatter([]int{30000, 40000}, 0, 1, []Word{1, 2})
+		b.Scatter([]int{30000, 40000}, 0, []Word{1, 2})
 		b.FillRange(35000, 2, 5000, 0, 1, 3)
 		if err := b.Commit(); err != nil {
 			t.Fatal(err)

@@ -223,12 +223,6 @@ type Ctx struct {
 // above it the scan's O(k^2) total cost would dominate the step.
 const dedupeMapThreshold = 16
 
-// Proc returns the index of the virtual processor executing the body.
-func (c *Ctx) Proc() int { return c.proc }
-
-// NumMem returns the shared-memory capacity (free local information).
-func (c *Ctx) NumMem() int { return len(c.m.mem) }
-
 // Read reads one shared-memory cell. The value observed is the cell's
 // contents at the beginning of the step (writes of the same step are not
 // visible). The access is recorded for contention accounting.

@@ -200,23 +200,20 @@ func TestProfilingRuntimeToggle(t *testing.T) {
 	}
 }
 
-// TestGlobalOrIsTraced: every Time-charging engine path must leave a
+// TestScanStepIsTraced: every Time-charging engine path must leave a
 // trace entry, or per-phase profile time could not sum to Stats.Time.
-func TestGlobalOrIsTraced(t *testing.T) {
+func TestScanStepIsTraced(t *testing.T) {
 	m := New(ScanQRQW, 16, WithTrace())
 	m.Alloc(16)
-	if _, err := m.GlobalOr(0, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ScanStep(ScanAdd, 0, 8, 8); err != nil {
+	if err := m.ScanStep(0, 8, 8); err != nil {
 		t.Fatal(err)
 	}
 	tr := m.StepTraces()
-	if len(tr) != 2 {
-		t.Fatalf("trace len = %d, want 2", len(tr))
+	if len(tr) != 1 {
+		t.Fatalf("trace len = %d, want 1", len(tr))
 	}
-	if tr[0].Label != "globalor" || tr[0].Cost != 1 || tr[0].Ops != 8 {
-		t.Errorf("GlobalOr trace = %+v", tr[0])
+	if tr[0].Label != "scan" || tr[0].Cost != 1 || tr[0].Ops != 8 {
+		t.Errorf("ScanStep trace = %+v", tr[0])
 	}
 	var traced int64
 	for _, st := range tr {

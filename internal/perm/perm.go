@@ -18,6 +18,7 @@ package perm
 
 import (
 	"fmt"
+	"slices"
 
 	"lowcontend/internal/machine"
 	"lowcontend/internal/prim"
@@ -105,8 +106,8 @@ func Random(m *machine.Machine, n int) (int, error) {
 					for p, at := range tgtIdx {
 						cv[p] = machine.Word(at - a)
 					}
-					b.Scatter(tgtIdx, 0, 1, scratch)
-					b.Scatter(actIdx, 0, 1, cv)
+					b.Scatter(tgtIdx, 0, scratch)
+					b.Scatter(actIdx, 0, cv)
 				}
 				if err := b.Commit(); err != nil {
 					return 0, err
@@ -125,11 +126,11 @@ func Random(m *machine.Machine, n int) (int, error) {
 					actIdx = append(actIdx, choice+i)
 				}
 				if len(actIdx) > 0 {
-					cv := b.Gather(actIdx, 0, 1)
+					cv := b.Gather(actIdx, 0)
 					for _, t := range cv {
 						tgtIdx = append(tgtIdx, a+int(t))
 					}
-					av := b.Gather(tgtIdx, 0, 1)
+					av := b.Gather(tgtIdx, 0)
 					lost := make([]int, 0, len(tgtIdx))
 					for p, at := range tgtIdx {
 						if av[p] != machine.Word(actIdx[p]-choice)+1 {
@@ -141,7 +142,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 						for p := range dv {
 							dv[p] = dirty
 						}
-						b.Scatter(lost, 0, 1, dv)
+						b.Scatter(lost, 0, dv)
 					}
 				}
 				if err := b.Commit(); err != nil {
@@ -160,11 +161,11 @@ func Random(m *machine.Machine, n int) (int, error) {
 					actIdx = append(actIdx, choice+i)
 				}
 				if len(actIdx) > 0 {
-					cv := b.Gather(actIdx, 0, 1)
+					cv := b.Gather(actIdx, 0)
 					for _, t := range cv {
 						tgtIdx = append(tgtIdx, a+int(t))
 					}
-					av := b.Gather(tgtIdx, 0, 1)
+					av := b.Gather(tgtIdx, 0)
 					winIdx := make([]int, 0, len(actIdx))
 					wv := b.Vals(len(actIdx))
 					wi := 0
@@ -177,7 +178,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 						}
 					}
 					if wi > 0 {
-						b.Scatter(winIdx, 0, 1, wv[:wi])
+						b.Scatter(winIdx, 0, wv[:wi])
 					}
 				}
 				if err := b.Commit(); err != nil {
@@ -185,25 +186,8 @@ func Random(m *machine.Machine, n int) (int, error) {
 				}
 			}
 		}
-		// Any unplaced item raises the restart flag (an OR computed by
-		// queued writes to one cell: expected contention is O(1) since
-		// w.h.p. nobody writes). The flag writes are one stride-0
-		// descriptor whose count is the write contention.
-		{
-			b := m.Bulk(n, "perm/check")
-			sv := b.ReadRange(status, n, 1, 0, 1)
-			u := 0
-			for _, s := range sv {
-				if s < 0 {
-					u++
-				}
-			}
-			if u > 0 {
-				b.FillRange(unplaced, u, 0, 0, 1, 1)
-			}
-			if err := b.Commit(); err != nil {
-				return 0, err
-			}
+		if err := checkPlaced(m, n, status, unplaced); err != nil {
+			return 0, err
 		}
 		if m.Word(unplaced) != 0 {
 			m.Release(mark)
@@ -242,7 +226,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 					rIdx = append(rIdx, ranks+j)
 				}
 			}
-			b.Gather(rIdx, 0, 1)
+			b.Gather(rIdx, 0)
 			ov := b.Vals(len(rIdx))
 			t := 0
 			for _, v := range av {
@@ -260,6 +244,32 @@ func Random(m *machine.Machine, n int) (int, error) {
 		return out, nil
 	}
 	return 0, fmt.Errorf("perm: Random exceeded %d restarts", maxRestarts)
+}
+
+// checkPlaced is Random's perm/check step: processor i reads item i's
+// status, and an item still unplaced (status < 0) raises the restart
+// flag — an OR computed by queued writes to one cell, whose contention
+// is the number of unplaced items (w.h.p. none). The flag writes are
+// one Scatter of the flag cell, repeated once per unplaced item on
+// processors 0, 1, ...: any assignment of the writes to processors
+// charges the same contention to the one cell.
+func checkPlaced(m *machine.Machine, n, status, flag int) error {
+	b := m.Bulk(n, "perm/check")
+	sv := b.ReadRange(status, n, 1, 0, 1)
+	u := 0
+	for _, s := range sv {
+		if s < 0 {
+			u++
+		}
+	}
+	if u > 0 {
+		ones := b.Vals(u)
+		for k := range ones {
+			ones[k] = 1
+		}
+		b.Scatter(slices.Repeat([]int{flag}, u), 0, ones)
+	}
+	return b.Commit()
 }
 
 // ScanDart generates a uniformly random permutation with the
@@ -315,8 +325,8 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 				for p, at := range tgtIdx {
 					cv[p] = machine.Word(at - a)
 				}
-				b.Scatter(tgtIdx, 0, 1, ids)
-				b.Scatter(actIdx, 0, 1, cv)
+				b.Scatter(tgtIdx, 0, ids)
+				b.Scatter(actIdx, 0, cv)
 			}
 			if err := b.Commit(); err != nil {
 				return 0, err
@@ -333,11 +343,11 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 				actIdx = append(actIdx, choice+i)
 			}
 			if len(actIdx) > 0 {
-				cv := b.Gather(actIdx, 0, 1)
+				cv := b.Gather(actIdx, 0)
 				for _, t := range cv {
 					tgtIdx = append(tgtIdx, a+int(t))
 				}
-				av := b.Gather(tgtIdx, 0, 1)
+				av := b.Gather(tgtIdx, 0)
 				lost := make([]int, 0, len(tgtIdx))
 				for p, at := range tgtIdx {
 					if av[p] != machine.Word(actIdx[p]-choice)+1 {
@@ -349,7 +359,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 					for p := range dv {
 						dv[p] = dirty
 					}
-					b.Scatter(lost, 0, 1, dv)
+					b.Scatter(lost, 0, dv)
 				}
 			}
 			if err := b.Commit(); err != nil {
@@ -367,11 +377,11 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 				actIdx = append(actIdx, choice+i)
 			}
 			if len(actIdx) > 0 {
-				cv := b.Gather(actIdx, 0, 1)
+				cv := b.Gather(actIdx, 0)
 				for _, t := range cv {
 					tgtIdx = append(tgtIdx, a+int(t))
 				}
-				av := b.Gather(tgtIdx, 0, 1)
+				av := b.Gather(tgtIdx, 0)
 				winIdx := make([]int, 0, len(actIdx))
 				wv := b.Vals(len(actIdx))
 				wi := 0
@@ -384,7 +394,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 					}
 				}
 				if wi > 0 {
-					b.Scatter(winIdx, 0, 1, wv[:wi])
+					b.Scatter(winIdx, 0, wv[:wi])
 				}
 			}
 			if err := b.Commit(); err != nil {
@@ -430,7 +440,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 					clrIdx = append(clrIdx, a+j)
 				}
 			}
-			b.Gather(rIdx, 0, 1)
+			b.Gather(rIdx, 0)
 			ov := b.Vals(len(rIdx))
 			t := 0
 			for _, v := range av {
@@ -445,7 +455,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 				for p := range zv {
 					zv[p] = 0
 				}
-				b.Scatter(clrIdx, 0, 1, zv)
+				b.Scatter(clrIdx, 0, zv)
 			}
 			if err := b.Commit(); err != nil {
 				return 0, err

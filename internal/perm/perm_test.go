@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -278,5 +279,68 @@ func TestQuickPermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkPlacedScalar is the reference for checkPlaced: the perm/check
+// step as a ParDo body in which each processor reads its item's status
+// and raises the flag if the item is unplaced.
+func checkPlacedScalar(m *machine.Machine, n, status, flag int) error {
+	return m.ParDoL(n, "perm/check", func(c *machine.Ctx, i int) {
+		if c.Read(status+i) < 0 {
+			c.Write(flag, 1)
+		}
+	})
+}
+
+// TestCheckPlacedMatchesScalar pins the perm/check Bulk step to its
+// element-by-element ParDo reference under all nine models, with and
+// without hot-cell attribution, at u = 0, 1, 2 and n unplaced items:
+// same Stats, traces, flag value and error. Restarts are rare enough
+// that no Random run reaches u > 0, so the step is driven directly.
+func TestCheckPlacedMatchesScalar(t *testing.T) {
+	type outcome struct {
+		st         machine.Stats
+		trace, err string
+		flag       machine.Word
+	}
+	for _, n := range []int{1, 8, 64} {
+		for _, u := range []int{0, 1, 2, n} {
+			if u > n {
+				continue
+			}
+			status := make([]machine.Word, n)
+			for i := range status {
+				// i -> (5i+3) mod n is a bijection for these n, so the u
+				// unplaced items are spread over the processors.
+				if (5*i+3)%n < u {
+					status[i] = -1
+				} else {
+					status[i] = machine.Word(i)
+				}
+			}
+			for model := machine.EREW; model <= machine.ScanQRQW; model++ {
+				for _, hotK := range []int{0, 4} {
+					run := func(step func(*machine.Machine, int, int, int) error) outcome {
+						m := machine.New(model, 1<<10, machine.WithTrace(), machine.WithHotCells(hotK))
+						st := m.Alloc(n)
+						flag := m.Alloc(1)
+						m.Store(st, status)
+						var o outcome
+						if err := step(m, n, st, flag); err != nil {
+							o.err = err.Error()
+						}
+						o.st = m.Stats()
+						o.trace = fmt.Sprintf("%+v", m.StepTraces())
+						o.flag = m.Word(flag)
+						return o
+					}
+					got, want := run(checkPlaced), run(checkPlacedScalar)
+					if got != want {
+						t.Errorf("n=%d u=%d %v hotK=%d:\n got %+v\nwant %+v", n, u, model, hotK, got, want)
+					}
+				}
+			}
+		}
 	}
 }

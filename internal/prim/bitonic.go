@@ -75,13 +75,13 @@ func BitonicSegments(m *machine.Machine, keys, vals, n, seg int, label string) e
 				// complementary residue classes mod 2j: certify them and
 				// let settlement skip the merge scan.
 				mod := 2 * j
-				b.ScatterMod(keys, ps, 0, 1, wi, mod, j)
-				b.ScatterMod(keys+j, ps, 0, 1, wl, mod, j)
+				b.ScatterMod(keys, ps, 0, wi, mod, j)
+				b.ScatterMod(keys+j, ps, 0, wl, mod, j)
 				if vals >= 0 {
-					va := b.GatherMod(vals, ps, 0, 1, mod, j)
-					vb := b.GatherMod(vals+j, ps, 0, 1, mod, j)
-					b.ScatterMod(vals, ps, 0, 1, vb, mod, j)
-					b.ScatterMod(vals+j, ps, 0, 1, va, mod, j)
+					va := b.GatherMod(vals, ps, 0, mod, j)
+					vb := b.GatherMod(vals+j, ps, 0, mod, j)
+					b.ScatterMod(vals, ps, 0, vb, mod, j)
+					b.ScatterMod(vals+j, ps, 0, va, mod, j)
 				}
 			}
 			if err := b.Commit(); err != nil {

@@ -50,8 +50,8 @@ func Pack(m *machine.Machine, flags, vals, out, n int) (int, error) {
 	if t := len(posIdx); t > 0 {
 		// The position reads are charged but their values are known by
 		// construction: flagged cell number k lands at out+k.
-		b.Gather(posIdx, 0, 1)
-		pv := b.Gather(valIdx, 0, 1)
+		b.Gather(posIdx, 0)
+		pv := b.Gather(valIdx, 0)
 		b.WriteRange(out, t, 1, 0, 1, pv)
 	}
 	if err := b.Commit(); err != nil {

@@ -27,7 +27,7 @@ func PrefixSums(m *machine.Machine, src, dst, n int) (machine.Word, error) {
 		// Total = last prefix + last value; grab them before the scan
 		// overwrites src when src == dst.
 		last := m.Word(src + n - 1)
-		if err := m.ScanStep(machine.ScanAdd, src, dst, n); err != nil {
+		if err := m.ScanStep(src, dst, n); err != nil {
 			return 0, err
 		}
 		return m.Word(dst+n-1) + last, nil

@@ -13,7 +13,7 @@
 // both renderers produce byte-identical output for equal profiles.
 //
 // The charged-time invariant: every Time-charging path of the engine
-// (ParDo steps, ScanStep, GlobalOr, FetchAddStep) leaves a trace entry,
+// (ParDo and Bulk steps, ScanStep, FetchAddStep) leaves a trace entry,
 // so the per-phase Time column always sums to the machine's total
 // Stats.Time for a trace that covers the whole run.
 package profile
@@ -40,7 +40,7 @@ const unlabeled = "(unlabeled)"
 
 // Phase is the aggregate cost of every traced step sharing one label:
 // one ParDoL call site (which typically executes many times — per round,
-// per level), or a collective ("scan", "globalor", "fetch&add").
+// per level), or a collective ("scan", "fetch&add").
 type Phase struct {
 	Label    string `json:"label"`
 	Steps    int64  `json:"steps"`

@@ -34,6 +34,9 @@ type contentionSample struct {
 	forced bool // sampler-forced profiling vs an explicitly profiled run
 }
 
+// contentionWindow bounds the contention view's retained samples.
+const contentionWindow = 64
+
 // contentionView is the rolling window of sampled profiles.
 type contentionView struct {
 	everyN int // sample every Nth simulated run job (<= 0: disabled)
@@ -45,11 +48,8 @@ type contentionView struct {
 	samples []contentionSample
 }
 
-func newContentionView(everyN, window int) *contentionView {
-	if window <= 0 {
-		window = 64
-	}
-	return &contentionView{everyN: everyN, window: window}
+func newContentionView(everyN int) *contentionView {
+	return &contentionView{everyN: everyN, window: contentionWindow}
 }
 
 // shouldSample counts one simulated run job and reports whether the

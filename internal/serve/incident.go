@@ -87,6 +87,20 @@ type IncidentSummary struct {
 // incident, so a large ring doesn't make every incident huge.
 const flightTailEvents = 64
 
+const (
+	// maxIncidents bounds the daemon's retained incident store; the
+	// oldest incidents are evicted past it.
+	maxIncidents = 32
+	// incidentCooldown rate-limits repeated captures of one HTTP-edge
+	// trigger kind, so a persistent anomaly yields periodic evidence
+	// instead of evicting its own history. Job-failure captures are
+	// never rate-limited.
+	incidentCooldown = 30 * time.Second
+	// burstWindow is the sliding window for backpressure burst
+	// detection.
+	burstWindow = 10 * time.Second
+)
+
 // incidentStore is the bounded in-memory incident table plus the
 // trigger state machines that feed it: a sliding 503 window for burst
 // detection and per-trigger cooldowns so a persistent anomaly yields
@@ -108,14 +122,13 @@ type incidentStore struct {
 	rejections  []time.Time          // recent 503s inside burstWin
 }
 
-func newIncidentStore(max int, flight *obs.Flight, cooldown time.Duration,
-	burstN int, burstWin time.Duration, thresholds map[string]float64) *incidentStore {
+func newIncidentStore(max int, flight *obs.Flight, burstN int, thresholds map[string]float64) *incidentStore {
 	return &incidentStore{
 		max:         max,
 		flight:      flight,
-		cooldown:    cooldown,
+		cooldown:    incidentCooldown,
 		burstN:      burstN,
-		burstWin:    burstWin,
+		burstWin:    burstWindow,
 		thresholds:  thresholds,
 		byID:        make(map[string]*Incident),
 		lastCapture: make(map[string]time.Time),

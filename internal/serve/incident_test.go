@@ -202,7 +202,7 @@ func TestJobIncidentSurvivesEviction(t *testing.T) {
 func TestBackpressureBurstIncident(t *testing.T) {
 	s := New(Config{
 		Workers: -1, QueueDepth: 1, MaxJobs: 16, CacheEntries: 8,
-		BackpressureBurst: 3, BurstWindow: time.Minute,
+		BackpressureBurst: 3,
 	})
 	// Workers: -1 means nothing drains: maxLive (2*1+0 = 2) accepted,
 	// everything after refused with 503.
@@ -265,10 +265,11 @@ func TestLatencyBreachIncident(t *testing.T) {
 	}
 }
 
-// TestIncidentStoreBounding: the store retains at most MaxIncidents,
+// TestIncidentStoreBounding: the store retains at most its bound,
 // evicting oldest-first, while the captured total keeps counting.
 func TestIncidentStoreBounding(t *testing.T) {
-	s := New(Config{MaxIncidents: 2})
+	s := New(Config{})
+	s.incidents.max = 2 // before any submission, so no capture races it
 	defer func() {
 		ctx, cancel := testContext(t)
 		defer cancel()

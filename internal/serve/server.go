@@ -104,39 +104,22 @@ type Config struct {
 	// /debug/flight on the debug handler (default
 	// obs.DefaultFlightEvents).
 	FlightEvents int
-	// MaxIncidents bounds the retained incident store; the oldest
-	// incidents are evicted past it (default 32).
-	MaxIncidents int
-	// IncidentCooldown rate-limits repeated captures of one HTTP-edge
-	// trigger kind, so a persistent anomaly yields periodic evidence
-	// instead of evicting its own history (default 30s). Job-failure
-	// captures are never rate-limited.
-	IncidentCooldown time.Duration
-	// BackpressureBurst is the number of 503 rejections inside
-	// BurstWindow that constitutes a backpressure incident (default 10).
+	// BackpressureBurst is the number of 503 rejections inside the
+	// burst window (10s) that constitutes a backpressure incident
+	// (default 10).
 	BackpressureBurst int
-	// BurstWindow is the sliding window for burst detection (default 10s).
-	BurstWindow time.Duration
 	// SLOs declares per-endpoint latency/error objectives, evaluated
-	// over SLOWindows from the HTTP latency histograms and served at
-	// GET /v1/slo. Empty means no objectives (the endpoint reports an
+	// over obs.DefaultSLOWindows (5m and 30m) from the HTTP latency
+	// histograms and served at GET /v1/slo. Empty means no objectives (the endpoint reports an
 	// empty document). An objective's latency threshold also arms the
 	// latency-breach incident trigger for its endpoint.
 	SLOs []obs.Objective
-	// SLOWindows are the rolling evaluation windows (default
-	// obs.DefaultSLOWindows: 5m and 30m).
-	SLOWindows []time.Duration
 	// ContentionSample, when positive, profiles every Nth simulated
-	// run job into the rolling contention view at GET /v1/contention
-	// (default 0: continuous profiling off; see contention.go for the
-	// telemetry perturbation trade-off).
+	// run job into the rolling contention view at GET /v1/contention,
+	// which retains the last 64 samples (default 0: continuous
+	// profiling off; see contention.go for the telemetry perturbation
+	// trade-off).
 	ContentionSample int
-	// ContentionWindow bounds the retained samples (default 64).
-	ContentionWindow int
-	// MaxDefinitions bounds the dynamic definition store; POSTs beyond
-	// it are refused until something is DELETEd (default
-	// dynamic.DefaultMaxDefinitions).
-	MaxDefinitions int
 }
 
 // Server is the HTTP simulation service. Construct with New, mount
@@ -197,17 +180,8 @@ func New(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.MaxIncidents <= 0 {
-		cfg.MaxIncidents = 32
-	}
-	if cfg.IncidentCooldown <= 0 {
-		cfg.IncidentCooldown = 30 * time.Second
-	}
 	if cfg.BackpressureBurst <= 0 {
 		cfg.BackpressureBurst = 10
-	}
-	if cfg.BurstWindow <= 0 {
-		cfg.BurstWindow = 10 * time.Second
 	}
 	s := &Server{
 		pool:    cfg.Pool,
@@ -219,7 +193,7 @@ func New(cfg Config) *Server {
 		started: time.Now().UTC(),
 		flight:  obs.NewFlight(cfg.FlightEvents),
 		sloStop: make(chan struct{}),
-		store:   dynamic.NewStore(cfg.MaxDefinitions),
+		store:   dynamic.NewStore(dynamic.DefaultMaxDefinitions),
 	}
 	s.resolver = exp.Layered(exp.Builtins(), s.store)
 	// An objective's latency threshold arms the latency-breach trigger
@@ -234,10 +208,9 @@ func New(cfg Config) *Server {
 			thresholds[o.Endpoint] = o.LatencySeconds
 		}
 	}
-	s.incidents = newIncidentStore(cfg.MaxIncidents, s.flight, cfg.IncidentCooldown,
-		cfg.BackpressureBurst, cfg.BurstWindow, thresholds)
-	s.slo = obs.NewSLOEngine(cfg.SLOs, cfg.SLOWindows)
-	s.contention = newContentionView(cfg.ContentionSample, cfg.ContentionWindow)
+	s.incidents = newIncidentStore(maxIncidents, s.flight, cfg.BackpressureBurst, thresholds)
+	s.slo = obs.NewSLOEngine(cfg.SLOs, obs.DefaultSLOWindows)
+	s.contention = newContentionView(cfg.ContentionSample)
 	if s.pool == nil {
 		s.pool = core.NewSessionPool()
 		s.pool.Workers = 1

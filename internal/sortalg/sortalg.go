@@ -82,7 +82,7 @@ func DistributiveSort(m *machine.Machine, keys, n int, maxKey machine.Word) erro
 				t++
 			}
 		}
-		b.Scatter(wIdx, 0, 1, wv)
+		b.Scatter(wIdx, 0, wv)
 		if err := b.Commit(); err != nil {
 			return err
 		}
@@ -205,7 +205,7 @@ func SampleSortQRQW(m *machine.Machine, keys, n int) error {
 			r := b.Rand(i)
 			sIdx[i] = keys + r.Intn(n)
 		}
-		b.WriteRange(samp, sample, 1, 0, 1, b.Gather(sIdx, 0, 1))
+		b.WriteRange(samp, sample, 1, 0, 1, b.Gather(sIdx, 0))
 		if err := b.Commit(); err != nil {
 			return err
 		}
@@ -306,7 +306,7 @@ func SampleSortQRQW(m *machine.Machine, keys, n int) error {
 			off := int(pv[i]) - int(iv[i]) // private slot within the 4*count subarray
 			wIdx[i] = arena + labels[i]*blk + off
 		}
-		b.Scatter(wIdx, 0, 1, kv)
+		b.Scatter(wIdx, 0, kv)
 		if err := b.Commit(); err != nil {
 			return err
 		}
