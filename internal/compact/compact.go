@@ -34,9 +34,10 @@ import (
 
 // Result describes where the compacted items landed.
 type Result struct {
-	// Out is the base of the output region; OutLen is its size (O(k)).
-	// Occupied cells hold the item values; empty cells hold the
-	// sentinel Empty.
+	// Out is the base of the output region; OutLen is its size: at
+	// most 14k-4 cells for k >= 2 (the load balancer's width bound
+	// relies on this). Occupied cells hold the item values; empty cells
+	// hold the sentinel Empty.
 	Out    int
 	OutLen int
 	// Pos is the base of an n-cell region giving, for each input index
@@ -105,9 +106,10 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 	}
 	// Segments are at least 2^(2f) cells (so the rank-tree depth stays
 	// O(f)) and large enough that each expects >= 2 items, which keeps
-	// the per-segment headroom summing to O(k) output cells (output is
-	// at most ~12k; consumers such as the load balancer rely on this
-	// density).
+	// the per-segment headroom summing to O(k) output cells. Either one
+	// segment spans the stage, or segSize >= 2*stageLen/k and so
+	// segs <= k/2; the output, segs*(4*ceil(k/segs)+16) <= 4k+20*segs-4
+	// cells, is then at most 14k-4 for every k >= 2 (Result.OutLen).
 	segSize := 1 << uint(2*f)
 	if k >= 1 {
 		if want := prim.NextPow2(prim.CeilDiv(2*stageLen, k)); want > segSize {

@@ -36,11 +36,44 @@ import (
 	"lowcontend/internal/prim"
 )
 
-// maxQ is the capacity (entries) of each processor's pointer array. The
-// width grows by at most the team multiplicity per stage and is reset by
-// consolidation, so a small constant capacity suffices for any
-// practically representable L.
+// maxQ caps the width (entries) of each processor's pointer array, so no
+// input reserves more than 96 entries per processor. An input whose
+// qWidth bound reaches the cap relies on its run staying narrower, which
+// lb/append's capacity panic guards.
 const maxQ = 96
+
+// qWidth bounds the pointer-array width that Run can reach on n
+// processors holding mU units with maximum load L units, capped at maxQ.
+//
+// Run tracks wmax, an upper bound on every processor's width. lb/init and
+// consolidate write entry 0 only and leave wmax = 1. In a stage an owner
+// drains to width 0 and every other processor keeps its width and
+// appends at most the multiplicity mu entries, after which Run sets
+// wmax += mu. So the width never exceeds wmax + mu for a stage that runs.
+//
+// A stage with parameter u runs only when 4(wmax+2) <= u, so
+// wmax <= u/4 - 2 and, as wmax >= 1, u >= 12. Bound never grows, so
+// u <= startU(L): for L <= 121 (startU(L) <= 11) no stage runs and the
+// width is 1. Otherwise the stage compacts into teams <= 14k-4 cells
+// (compact.Result.OutLen), k = compactTarget(n, mU, u) >= 2 (L >= 122
+// and L <= 2n in units, so n >= 61), and mu = ceil(teams*s/n) with
+// s = teamSize(u, wmax).
+// Both grow with wmax, so a stage at u leaves width at most
+//
+//	w(u) = wmax + ceil((14k-4)*s/n)  at wmax = u/4 - 2,
+//
+// and qWidth is the largest w(u) over 12 <= u <= startU(L). (mu can exceed
+// s: the compaction output may hold more cells than there are
+// processors.)
+func qWidth(n, mU, L int) int {
+	w := 1
+	for u, top := 12, startU(L); u <= top && w < maxQ; u++ {
+		wmax := u/4 - 2
+		k := compactTarget(n, mU, u)
+		w = prim.Max(w, wmax+prim.CeilDiv((14*k-4)*teamSize(u, wmax), n))
+	}
+	return prim.Min(w, maxQ)
+}
 
 // Balancer holds the machine-resident state of one load-balancing run.
 type Balancer struct {
@@ -54,9 +87,10 @@ type Balancer struct {
 	taskOff []int
 
 	// Machine regions. Processor p's pointer array lives at
-	// qptr[p*maxQ ..], qlen[p*maxQ ..]; qcnt[p] is its width and
-	// loadv[p] its load in units.
+	// qptr[p*qw ..], qlen[p*qw ..]; qcnt[p] is its width and loadv[p]
+	// its load in units.
 	qptr, qlen, qcnt, loadv int
+	qw                      int // pointer-array capacity per processor
 
 	indirect bool // pieces index consBlk instead of the task array
 	consBlk  int
@@ -78,6 +112,12 @@ type TaskRange struct {
 // starting at sum of earlier counts). The maximum load L is part of the
 // problem input (the paper's problem statement supplies it).
 func New(m *machine.Machine, counts []int) (*Balancer, error) {
+	return newBalancer(m, counts, qWidth)
+}
+
+// newBalancer is New with the pointer-array capacity chosen by
+// width(n, mU, L).
+func newBalancer(m *machine.Machine, counts []int, width func(n, mU, L int) int) (*Balancer, error) {
 	n := len(counts)
 	if n == 0 {
 		return nil, fmt.Errorf("loadbalance: no processors")
@@ -112,9 +152,10 @@ func New(m *machine.Machine, counts []int) (*Balancer, error) {
 		L = 1
 	}
 	b.Bound = L
+	b.qw = width(n, mU, L)
 
-	b.qptr = m.Alloc(n * maxQ)
-	b.qlen = m.Alloc(n * maxQ)
+	b.qptr = m.Alloc(n * b.qw)
+	b.qlen = m.Alloc(n * b.qw)
 	b.qcnt = m.Alloc(n)
 	b.loadv = m.Alloc(n)
 	// Initialization: each processor records its own descriptor. The
@@ -123,8 +164,8 @@ func New(m *machine.Machine, counts []int) (*Balancer, error) {
 	if err := m.ParDoL(n, "lb/init", func(c *machine.Ctx, i int) {
 		u := machine.Word(prim.CeilDiv(counts[i], unit))
 		if u > 0 {
-			c.Write(b.qptr+i*maxQ, machine.Word(off[i]))
-			c.Write(b.qlen+i*maxQ, u)
+			c.Write(b.qptr+i*b.qw, machine.Word(off[i]))
+			c.Write(b.qlen+i*b.qw, u)
 			c.Write(b.qcnt+i, 1)
 		}
 		c.Write(b.loadv+i, u)
@@ -134,14 +175,17 @@ func New(m *machine.Machine, counts []int) (*Balancer, error) {
 	return b, nil
 }
 
-// Unit returns the super-task size (1 unless m > 2n).
-func (b *Balancer) Unit() int { return b.unit }
-
 // Run executes the full algorithm: dispersal stages while teams are
 // viable, one consolidation, and a second round of stages (the paper's
 // two-phase structure). On return, Bound holds the guaranteed maximum
 // units per processor — a constant independent of L, so each processor
 // ends with O(1 + m/n) tasks.
+//
+// A stage needs 4(wmax+2) <= u with wmax = 1 at the start of a phase, so
+// the maximum load L decides how much runs. For L <= 36 (startU(L) <= 6)
+// Run returns at once. For 37 <= L <= 121 it runs one consolidation and
+// no stage, so the run charges consolidation alone; the first dispersal
+// stage runs at L = 122.
 func (b *Balancer) Run() error {
 	wmax := 1
 	phase := 1
@@ -182,6 +226,18 @@ func (b *Balancer) Run() error {
 	return nil
 }
 
+// compactTarget is the item count k a stage with parameter u passes to
+// the linear compaction: an upper bound on the overloaded processors.
+func compactTarget(n, mU, u int) int {
+	return prim.Min(n, prim.CeilDiv(mU, 2*u)+2)
+}
+
+// teamSize is the number of standby processors in each overloaded
+// processor's team.
+func teamSize(u, wmax int) int {
+	return prim.CeilDiv(u, 4) + wmax + 1
+}
+
 func startU(bound int) int {
 	u := prim.ISqrt(bound)
 	for u*u < bound {
@@ -198,9 +254,9 @@ func startU(bound int) int {
 func (b *Balancer) stage(u, wmax int) (int, error) {
 	m := b.m
 	n := b.n
-	s := prim.CeilDiv(u, 4) + wmax + 1 // team size
-	adopt := 4 * u                     // units adopted per team member
-	kHat := prim.Min(n, prim.CeilDiv(b.mU, 2*u)+2)
+	s := teamSize(u, wmax)
+	adopt := 4 * u // units adopted per team member
+	kHat := compactTarget(n, b.mU, u)
 
 	mark := m.Mark()
 	defer m.Release(mark)
@@ -264,7 +320,7 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 		w := int(c.Read(b.qcnt + i))
 		g := 0
 		for e := 0; e < w; e++ {
-			l := int(c.Read(b.qlen + i*maxQ + e))
+			l := int(c.Read(b.qlen + i*b.qw + e))
 			if l == 0 {
 				continue
 			}
@@ -273,7 +329,7 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 				panic("loadbalance: team exhausted (invariant violation)")
 			}
 			slot := t*s + g
-			c.Write(aptr+slot, c.Read(b.qptr+i*maxQ+e))
+			c.Write(aptr+slot, c.Read(b.qptr+i*b.qw+e))
 			c.Write(alen+slot, machine.Word(l))
 			c.Write(aanch+slot, machine.Word(slot))
 			g += need
@@ -378,11 +434,11 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 			if l == 0 {
 				continue
 			}
-			if w+e >= maxQ {
+			if w+e >= b.qw {
 				panic("loadbalance: pointer array capacity exceeded")
 			}
-			c.Write(b.qptr+(p*maxQ+w+e), c.Read(pieceP+r*n+p))
-			c.Write(b.qlen+(p*maxQ+w+e), l)
+			c.Write(b.qptr+(p*b.qw+w+e), c.Read(pieceP+r*n+p))
+			c.Write(b.qlen+(p*b.qw+w+e), l)
 			load += l
 			e++
 		}
@@ -413,8 +469,8 @@ func (b *Balancer) consolidate() error {
 		w := int(c.Read(b.qcnt + p))
 		idx := 0
 		for e := 0; e < w; e++ {
-			ptr := c.Read(b.qptr + p*maxQ + e)
-			l := int(c.Read(b.qlen + p*maxQ + e))
+			ptr := c.Read(b.qptr + p*b.qw + e)
+			l := int(c.Read(b.qlen + p*b.qw + e))
 			for h := 0; h < l; h++ {
 				var start machine.Word
 				if oldIndirect {
@@ -431,8 +487,8 @@ func (b *Balancer) consolidate() error {
 		}
 		if w > 0 {
 			c.Write(b.qcnt+p, 1)
-			c.Write(b.qptr+p*maxQ, machine.Word(p*B))
-			c.Write(b.qlen+p*maxQ, machine.Word(idx))
+			c.Write(b.qptr+p*b.qw, machine.Word(p*B))
+			c.Write(b.qlen+p*b.qw, machine.Word(idx))
 		}
 	}); err != nil {
 		return err
@@ -451,8 +507,8 @@ func (b *Balancer) Assignment() [][]TaskRange {
 	for p := 0; p < b.n; p++ {
 		w := int(m.Word(b.qcnt + p))
 		for e := 0; e < w; e++ {
-			ptr := int(m.Word(b.qptr + p*maxQ + e))
-			l := int(m.Word(b.qlen + p*maxQ + e))
+			ptr := int(m.Word(b.qptr + p*b.qw + e))
+			l := int(m.Word(b.qlen + p*b.qw + e))
 			for h := 0; h < l; h++ {
 				var start int
 				if b.indirect {
@@ -474,22 +530,6 @@ func (b *Balancer) resolve(start int) TaskRange {
 	end := b.taskOff[i] + b.counts[i]
 	l := prim.Min(b.unit, end-start)
 	return TaskRange{Start: start, Len: l}
-}
-
-// MaxTasks returns the maximum number of resolved tasks any processor
-// holds (host-side verification helper).
-func (b *Balancer) MaxTasks() int {
-	mx := 0
-	for _, rs := range b.Assignment() {
-		t := 0
-		for _, r := range rs {
-			t += r.Len
-		}
-		if t > mx {
-			mx = t
-		}
-	}
-	return mx
 }
 
 // TwoHeavy returns the small-L input of the Table I load-balancing row

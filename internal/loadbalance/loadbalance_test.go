@@ -107,7 +107,7 @@ func TestBalanceSingleHotProcessor(t *testing.T) {
 		if err := b.Run(); err != nil {
 			t.Fatalf("n=%d L=%d: %v", tc.n, tc.L, err)
 		}
-		verifyAssignment(t, counts, b.Assignment(), b.Bound*b.Unit())
+		verifyAssignment(t, counts, b.Assignment(), b.Bound*b.unit)
 		// The reconstruction's fixed-point constant is ~14*u* (= ~210
 		// units); the key property is that it does not grow with n or L.
 		if b.Bound > 256 {
@@ -142,16 +142,13 @@ func TestBalanceSuperTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Unit() <= 1 {
-		t.Fatalf("expected super-tasks, unit = %d", b.Unit())
+	if b.unit <= 1 {
+		t.Fatalf("expected super-tasks, unit = %d", b.unit)
 	}
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	verifyAssignment(t, counts, b.Assignment(), b.Bound*b.Unit())
-	if b.MaxTasks() > b.Bound*b.Unit() {
-		t.Errorf("MaxTasks %d > bound %d", b.MaxTasks(), b.Bound*b.Unit())
-	}
+	verifyAssignment(t, counts, b.Assignment(), b.Bound*b.unit)
 }
 
 func TestBalanceRandomInstances(t *testing.T) {
@@ -296,6 +293,128 @@ func TestStageDrainsOverloaded(t *testing.T) {
 	for p := 0; p < n; p++ {
 		if got := m.Word(b.loadv + p); got > machine.Word(b.Bound) {
 			t.Fatalf("proc %d load %d exceeds Bound %d", p, got, b.Bound)
+		}
+	}
+}
+
+// TestBalancerFootprint pins the pointer arrays' size to the run's width
+// bound: Table I's L = 32 cell at n = 65536 runs no stage, so each
+// processor needs one entry, and the balancer fits in its 1<<20-word
+// session without growing it.
+func TestBalancerFootprint(t *testing.T) {
+	const n = 65536
+	m := machine.New(machine.QRQW, 1<<20)
+	b, err := New(m, TwoHeavy(n, 32, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.MemWords(); got != 1<<20 {
+		t.Errorf("session grew to %d words, want %d", got, 1<<20)
+	}
+	if got := m.Allocated(); got > 4*n {
+		t.Errorf("allocated %d words, want at most %d", got, 4*n)
+	}
+}
+
+// TestQWidthBound checks the width bound's two ends: a single entry
+// wherever no dispersal stage can run (L <= 121), and never more than
+// maxQ entries.
+func TestQWidthBound(t *testing.T) {
+	for _, n := range []int{1, 2, 61, 64, 1000, 4096, 65536, 1 << 20} {
+		for _, mU := range []int{1, n, 2 * n} {
+			for L := 1; L <= 121; L++ {
+				if w := qWidth(n, mU, L); w != 1 {
+					t.Fatalf("qWidth(%d, %d, %d) = %d, want 1", n, mU, L, w)
+				}
+			}
+			for L := 122; L <= 1<<22; L += L/7 + 1 {
+				if w := qWidth(n, mU, L); w < 1 || w > maxQ {
+					t.Fatalf("qWidth(%d, %d, %d) = %d, want within [1, %d]", n, mU, L, w, maxQ)
+				}
+			}
+		}
+	}
+}
+
+// TestBalancerWidthGrid runs the balancer at its bounded width and at
+// the maxQ cap over a grid of sizes, loads and shapes. The bounded run
+// must never trip the capacity panic, must satisfy the assignment
+// bound, and must charge and assign exactly what the capped run does:
+// capacity moves addresses only.
+func TestBalancerWidthGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid of 240 balancer runs")
+	}
+	shapes := []struct {
+		name   string
+		counts func(n, L int) []int
+	}{
+		{"one-heavy", func(n, L int) []int {
+			c := make([]int, n)
+			c[0] = L
+			return c
+		}},
+		{"two-heavy", func(n, L int) []int { return TwoHeavy(n, L, L/2) }},
+		{"every-7th", func(n, L int) []int {
+			c := make([]int, n)
+			for i := 0; i < n; i += 7 {
+				c[i] = L
+			}
+			return c
+		}},
+		// Unit loads fill m up to 2n, so the compaction target is large
+		// and the multiplicity mu exceeds the team size (n = 64, L = 122).
+		{"dense", func(n, L int) []int {
+			c := make([]int, n)
+			c[0] = L
+			for i, left := 1, 2*n-L; i < n && left > 0; i++ {
+				c[i] = min(2, left)
+				left -= c[i]
+			}
+			return c
+		}},
+		{"random", func(n, L int) []int {
+			s := xrand.NewStream(uint64(n*L + 1))
+			c := make([]int, n)
+			for i := range c {
+				c[i] = s.Intn(L + 1)
+			}
+			c[1] = L
+			return c
+		}},
+	}
+	run := func(counts []int, seed uint64, width func(n, mU, L int) int) (*Balancer, machine.Stats) {
+		m := machine.New(machine.QRQW, 1<<16, machine.WithSeed(seed))
+		b, err := newBalancer(m, counts, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return b, m.Stats()
+	}
+	capped := func(int, int, int) int { return maxQ }
+	for _, n := range []int{64, 1024, 4096} {
+		for _, L := range []int{32, 37, 121, 122, 256, 1024, 4096, 15000} {
+			for _, sh := range shapes {
+				counts := sh.counts(n, L)
+				seed := uint64(n + L)
+				b, st := run(counts, seed, qWidth)
+				verifyAssignment(t, counts, b.Assignment(), b.Bound*b.unit)
+				ref, refSt := run(counts, seed, capped)
+				if st != refSt {
+					t.Errorf("n=%d L=%d %s: stats at width %d %+v, at width %d %+v",
+						n, L, sh.name, b.qw, st, maxQ, refSt)
+				}
+				if !slices.EqualFunc(b.Assignment(), ref.Assignment(), slices.Equal) {
+					t.Errorf("n=%d L=%d %s: assignment differs between width %d and %d",
+						n, L, sh.name, b.qw, maxQ)
+				}
+			}
 		}
 	}
 }
