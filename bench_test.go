@@ -1,9 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (driven by the internal/exp experiment registry), plus
-// ablations of the design choices called out in DESIGN.md and
-// wall-clock (native goroutine) counterparts of the headline
-// experiment. Reported "time-units/op" metrics are simulator-charged
-// PRAM time; ns/op is host wall-clock.
+// ablations of the design choices called out in DESIGN.md. Reported
+// "time-units/op" metrics are simulator-charged PRAM time; ns/op is
+// host wall-clock.
 package lowcontend
 
 import (
@@ -15,10 +14,8 @@ import (
 	"lowcontend/internal/exp"
 	"lowcontend/internal/exp/spec"
 	"lowcontend/internal/machine"
-	"lowcontend/internal/native"
 	"lowcontend/internal/perm"
 	"lowcontend/internal/prim"
-	"lowcontend/internal/sortalg"
 	"lowcontend/internal/xrand"
 )
 
@@ -93,25 +90,13 @@ func BenchmarkRegenerateAll(b *testing.B) {
 	}
 }
 
-// --- Figure 1: cyclic vs general permutation generation --------------
+// --- Figure 1: cyclic permutation generation ---------------------------
 
 func BenchmarkFig1_CyclicFast(b *testing.B) {
 	var st machine.Stats
 	for i := 0; i < b.N; i++ {
 		m := machine.New(machine.QRQW, 1<<20, machine.WithSeed(uint64(i)+1))
 		if _, err := perm.CyclicFast(m, 1<<12); err != nil {
-			b.Fatal(err)
-		}
-		st = m.Stats()
-	}
-	report(b, st)
-}
-
-func BenchmarkFig1_CyclicEfficient(b *testing.B) {
-	var st machine.Stats
-	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.QRQW, 1<<18, machine.WithSeed(uint64(i)+1))
-		if _, err := perm.CyclicEfficient(m, 1<<12); err != nil {
 			b.Fatal(err)
 		}
 		st = m.Stats()
@@ -132,12 +117,6 @@ func benchPerm(b *testing.B, n int, f func(*machine.Machine, int) (int, error)) 
 	}
 	report(b, st)
 }
-
-// Ablation (a), Section 5.1.2: the cyclic-permutation array-size
-// trade-off O(lg n/f + f) — compare the sqrt(lg n)-sized staging against
-// a minimal staging array (CyclicEfficient's O(n)).
-func BenchmarkAblation_CyclicStagingWide(b *testing.B)   { BenchmarkFig1_CyclicFast(b) }
-func BenchmarkAblation_CyclicStagingNarrow(b *testing.B) { BenchmarkFig1_CyclicEfficient(b) }
 
 // Ablation (d), Section 5.2: initial subarray size in dart throwing —
 // ScanDart uses a fixed 2n array vs Random's shrinking fresh subarrays.
@@ -189,34 +168,14 @@ func BenchmarkAblation_LinearCompactEREW(b *testing.B) {
 	report(b, st)
 }
 
-// --- General sorting (Section 7.2) -----------------------------------
-
-func BenchmarkSort_SampleSortQRQW(b *testing.B) {
-	n := 1 << 12
-	s := xrand.NewStream(10)
-	vals := make([]machine.Word, n)
-	for i := range vals {
-		vals[i] = machine.Word(s.Int63())
-	}
-	var st machine.Stats
-	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.QRQW, 1<<20, machine.WithSeed(uint64(i)+1))
-		keys := m.Alloc(n)
-		m.Store(keys, vals)
-		if err := sortalg.SampleSortQRQW(m, keys, n); err != nil {
-			b.Fatal(err)
-		}
-		st = m.Stats()
-	}
-	report(b, st)
-}
+// --- Sorting: the EREW bitonic baseline -------------------------------
 
 func BenchmarkSort_BitonicEREW(b *testing.B) {
 	n := 1 << 12
 	s := xrand.NewStream(10)
 	vals := make([]machine.Word, n)
 	for i := range vals {
-		vals[i] = machine.Word(s.Int63())
+		vals[i] = machine.Word(s.Uint64() >> 1)
 	}
 	var st machine.Stats
 	for i := 0; i < b.N; i++ {
@@ -224,26 +183,6 @@ func BenchmarkSort_BitonicEREW(b *testing.B) {
 		keys := m.Alloc(n)
 		m.Store(keys, vals)
 		if err := prim.BitonicSortPadded(m, keys, -1, n); err != nil {
-			b.Fatal(err)
-		}
-		st = m.Stats()
-	}
-	report(b, st)
-}
-
-func BenchmarkSort_IntegerCRQW(b *testing.B) {
-	n := 1 << 12
-	s := xrand.NewStream(11)
-	vals := make([]machine.Word, n)
-	for i := range vals {
-		vals[i] = machine.Word(s.Intn(16 * n))
-	}
-	var st machine.Stats
-	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.CRQW, 1<<20, machine.WithSeed(uint64(i)+1))
-		keys := m.Alloc(n)
-		m.Store(keys, vals)
-		if err := sortalg.IntegerSortCRQW(m, keys, n, machine.Word(16*n)); err != nil {
 			b.Fatal(err)
 		}
 		st = m.Stats()
@@ -281,26 +220,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			}
 			report(b, st)
 		})
-	}
-}
-
-// --- Native wall-clock counterparts ([BGMZ95] shape) ------------------
-
-func BenchmarkNative_DartPermutation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := native.DartPermutation(1<<16, uint64(i)+1, 0)
-		if len(p) != 1<<16 {
-			b.Fatal("bad length")
-		}
-	}
-}
-
-func BenchmarkNative_SortPermutation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := native.SortPermutation(1<<16, uint64(i)+1)
-		if len(p) != 1<<16 {
-			b.Fatal("bad length")
-		}
 	}
 }
 

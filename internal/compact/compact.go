@@ -1,10 +1,7 @@
-// Package compact implements the compaction problems of the paper
-// (Section 4 preliminaries) on the PRAM simulator:
-//
-//   - Linear compaction: move the contents of the k nonzero cells of an
-//     n-cell array (k known, positions unknown) into an output array of
-//     size O(k), each item in a private cell.
-//   - Compaction: additionally pack the items into the first k cells.
+// Package compact implements linear compaction (Section 4
+// preliminaries of the paper) on the PRAM simulator: move the contents
+// of the k nonzero cells of an n-cell array (k known, positions unknown)
+// into an output array of size O(k), each item in a private cell.
 //
 // The QRQW algorithm reconstructs the O(sqrt(lg n))-time linear
 // compaction of [GMR96a] that the paper invokes (Sections 3 and 5): items
@@ -374,45 +371,6 @@ func relocate(m *machine.Machine, mark, src, n int) int {
 	dst := m.Alloc(n)
 	m.Store(dst, tmp)
 	return dst
-}
-
-// Compact solves the compaction problem: the k items end up in the first
-// k cells of the returned region, in arbitrary order. QRQW time
-// O(sqrt(lg n) + lg k) w.h.p. (linear compaction plus a prefix-sums pack
-// of the O(k)-size output, as described in Section 4).
-func Compact(m *machine.Machine, flags, vals, n, k int) (int, error) {
-	res, err := LinearCompact(m, flags, vals, n, k)
-	if err != nil {
-		return 0, err
-	}
-	mark := m.Mark()
-	occ := m.Alloc(res.OutLen)
-	if res.OutLen == 0 {
-		if err := m.ParDoL(1, "compact/occ", func(c *machine.Ctx, i int) {}); err != nil {
-			return 0, err
-		}
-	} else {
-		b := m.Bulk(res.OutLen, "compact/occ")
-		ov := b.ReadRange(res.Out, res.OutLen, 1, 0, 1)
-		iw := b.Vals(res.OutLen)
-		for i, v := range ov {
-			if v != Empty {
-				iw[i] = 1
-			} else {
-				iw[i] = 0
-			}
-		}
-		b.WriteRange(occ, res.OutLen, 1, 0, 1, iw)
-		if err := b.Commit(); err != nil {
-			return 0, err
-		}
-	}
-	packed := m.Alloc(prim.Max(k, 1))
-	if _, err := prim.Pack(m, occ, res.Out, packed, res.OutLen); err != nil {
-		return 0, err
-	}
-	final := relocate(m, mark, packed, k)
-	return final, nil
 }
 
 // EREWCompact is the zero-contention baseline: prefix-sums packing in

@@ -168,28 +168,6 @@ func TestLinearCompactSublogarithmicTime(t *testing.T) {
 	}
 }
 
-func TestCompactPacksToFront(t *testing.T) {
-	n, k := 500, 37
-	m, flags, vals, want := makeInstance(t, machine.QRQW, 31, n, k)
-	out, err := Compact(m, flags, vals, n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[machine.Word]bool)
-	for i := 0; i < k; i++ {
-		v := m.Word(out + i)
-		if v == Empty || got[v] {
-			t.Fatalf("bad packed cell %d: %d", i, v)
-		}
-		got[v] = true
-	}
-	for v := range want {
-		if !got[v] {
-			t.Fatalf("missing %d", v)
-		}
-	}
-}
-
 func TestEREWCompact(t *testing.T) {
 	n, k := 300, 25
 	m, flags, vals, want := makeInstance(t, machine.EREW, 77, n, k)

@@ -94,17 +94,6 @@ func (s *Session) SortUniform(keys []Word, maxKey Word) error {
 	return nil
 }
 
-// SampleSort sorts arbitrary keys with the sqrt(n)-sample sort of
-// Section 7.2 (fat-tree splitter search), in place on the host slice.
-func (s *Session) SampleSort(keys []Word) error {
-	d := s.Upload(keys)
-	if err := sortalg.SampleSortQRQW(s.m, d.Base(), d.Len()); err != nil {
-		return err
-	}
-	d.DownloadInto(keys)
-	return nil
-}
-
 // HashTable is a machine-resident two-level hash table (Theorem 6.1)
 // bound to the session that built it.
 type HashTable struct {

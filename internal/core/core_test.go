@@ -57,13 +57,6 @@ func TestSortSessions(t *testing.T) {
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
 		t.Fatalf("not sorted: %v", keys)
 	}
-	keys2 := []Word{5, -3, 9, 1, -7, 2}
-	if err := s.SampleSort(keys2); err != nil {
-		t.Fatal(err)
-	}
-	if !sort.SliceIsSorted(keys2, func(i, j int) bool { return keys2[i] < keys2[j] }) {
-		t.Fatalf("not sorted: %v", keys2)
-	}
 }
 
 func TestHashAndBalanceSessions(t *testing.T) {

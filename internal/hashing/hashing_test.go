@@ -137,7 +137,7 @@ func TestLookupMixedProperty(t *testing.T) {
 		qs := make([]machine.Word, n)
 		want := make([]machine.Word, n)
 		for i := range qs {
-			if s.Bool() {
+			if s.Uint64()&1 == 1 {
 				qs[i] = keys[s.Intn(n)]
 				want[i] = 1
 			} else {

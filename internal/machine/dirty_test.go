@@ -268,13 +268,6 @@ func TestDirtyMarkHostWrites(t *testing.T) {
 	}
 	checkDirtyMark(t, s, 708)
 	checkResetClean(t, s)
-
-	f := New(FetchAdd, 1<<10)
-	if _, err := f.FetchAddStep([]FAOp{{Addr: 800, Delta: 2}, {Addr: 20, Delta: 1}, {Addr: 800, Delta: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	checkDirtyMark(t, f, 801)
-	checkResetClean(t, f)
 }
 
 // TestDirtyMarkGrowth: growth copies only the words below the mark,

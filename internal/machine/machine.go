@@ -16,7 +16,7 @@
 //	QRQW:         max(m, kappa_read, kappa_write)
 //	CRQW:         max(m, kappa_write)
 //	SIMD-QRQW:    max(1, kappa)          (m must be <= 1)
-//	FetchAdd:     m                       (plus unit-time FetchAddStep)
+//	FetchAdd:     m                       (CRCW cost)
 //
 // Algorithm time is the sum of step costs; Ops counts every shared read,
 // shared write, and charged local operation, and PTWork is the
@@ -383,7 +383,7 @@ func (m *Machine) ResetStats() {
 // Zeroing costs O(words written), not O(capacity): every word at or
 // above the machine's dirty high-water mark is already zero, so Reset
 // clears only the words below it — the span from address zero to the
-// highest address any step, scan, fetch&add or host store wrote.
+// highest address any step, scan or host store wrote.
 func (m *Machine) Reset() {
 	clear(m.mem[:m.dirty])
 	m.dirty = 0

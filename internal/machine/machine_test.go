@@ -837,35 +837,6 @@ func TestScanAddInPlace(t *testing.T) {
 	}
 }
 
-func TestFetchAddStep(t *testing.T) {
-	m := New(FetchAdd, 4)
-	old, err := m.FetchAddStep([]FAOp{
-		{Addr: 0, Delta: 1},
-		{Addr: 0, Delta: 1},
-		{Addr: 1, Delta: 5},
-		{Addr: 0, Delta: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old[0] != 0 || old[1] != 1 || old[3] != 2 {
-		t.Errorf("fetch&add prefix values = %v", old)
-	}
-	if old[2] != 0 {
-		t.Errorf("independent cell old = %d", old[2])
-	}
-	if m.Word(0) != 3 || m.Word(1) != 5 {
-		t.Errorf("final cells = %d,%d", m.Word(0), m.Word(1))
-	}
-	if m.Stats().Time != 1 || m.Stats().FetchAddSteps != 1 {
-		t.Errorf("fetch&add cost: %+v", m.Stats())
-	}
-	m2 := New(QRQW, 4)
-	if _, err := m2.FetchAddStep(nil); !errors.Is(err, ErrNoFetchAdd) {
-		t.Error("FetchAddStep should require FetchAdd model")
-	}
-}
-
 func TestQuickContentionCostProperty(t *testing.T) {
 	// Property: on QRQW, a step in which k processors hit one cell and
 	// the rest hit private cells costs exactly max(k, 1).

@@ -28,8 +28,8 @@ const (
 	// ScanSIMDQRQW is SIMDQRQW augmented with a unit-time scan
 	// primitive (Section 5.2's scan-simd-qrqw pram).
 	ScanSIMDQRQW
-	// FetchAdd is the fetch&add PRAM (Section 7.3): CRCW cost plus a
-	// combining unit-time FetchAddStep collective.
+	// FetchAdd is the fetch&add PRAM (Section 7.3). The engine has no
+	// combining fetch&add collective, so it charges CRCW cost.
 	FetchAdd
 	// ScanQRQW is QRQW augmented with a unit-time scan primitive but
 	// without the SIMD one-operation restriction; it charges the scan

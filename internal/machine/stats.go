@@ -41,8 +41,6 @@ type Stats struct {
 	MaxProcs int64 `json:"max_procs,omitzero"`
 	// ScanSteps counts unit-time scan primitives (scan models only).
 	ScanSteps int64 `json:"scan_steps,omitzero"`
-	// FetchAddSteps counts combining fetch&add collectives.
-	FetchAddSteps int64 `json:"fetch_add_steps,omitzero"`
 }
 
 // Add returns the component-wise accumulation of s and t (max fields take
@@ -63,7 +61,6 @@ func (s Stats) Add(t Stats) Stats {
 		s.MaxProcs = t.MaxProcs
 	}
 	s.ScanSteps += t.ScanSteps
-	s.FetchAddSteps += t.FetchAddSteps
 	return s
 }
 
@@ -80,7 +77,6 @@ func (s Stats) Sub(t Stats) Stats {
 	s.ComputeOps -= t.ComputeOps
 	s.SumContention -= t.SumContention
 	s.ScanSteps -= t.ScanSteps
-	s.FetchAddSteps -= t.FetchAddSteps
 	return s
 }
 

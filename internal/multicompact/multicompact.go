@@ -3,8 +3,8 @@
 // each set 8_j has a known count upper bound n_j and a private output
 // subarray of size 4*n_j. Every item must move to a private cell of its
 // set's subarray. The paper gives an O(lg n)-time, linear-work QRQW
-// algorithm; it is the engine of the integer-sorting and distributive-
-// sorting results of Section 7.
+// algorithm; it is the engine of the distributive sort of Section 7
+// (Theorem 7.1).
 //
 // This implementation runs the log-star paradigm uniformly over all sets
 // (the paper splits the analysis into heavy sets, count >= alpha*lg^2 n,
@@ -18,13 +18,9 @@
 // and no concurrent dart wins the arbitration; per-round failure
 // probability is at most 2^{-q_i}, so all items finish in O(lg* n)
 // rounds w.h.p., each round costing O(q_i + lg n / lg lg n) charged time.
-//
-// The "relaxed" variant used by the sorting algorithms reports failure
-// if a set exceeds its count bound instead of looping forever.
 package multicompact
 
 import (
-	"errors"
 	"fmt"
 
 	"lowcontend/internal/machine"
@@ -32,16 +28,11 @@ import (
 	"lowcontend/internal/xrand"
 )
 
-// ErrCountExceeded reports that some set held more items than its count
-// bound (only possible with relaxed inputs, Section 4.1's last
-// paragraph); callers are expected to restart with fresh randomness.
-var ErrCountExceeded = errors.New("multicompact: a set exceeded its count bound")
-
 // Input describes a multiple-compaction instance resident on a machine.
 // Per the paper's problem statement, every item carries its own label,
 // count and pointer fields (ILabels/ICounts/IPtrs are n-cell per-item
-// regions); the per-set arrays Counts/Ptrs are additional metadata used
-// by verification and leader election.
+// regions); the per-set arrays Counts/Ptrs are additional metadata that
+// DistributiveSort's finishing step reads.
 type Input struct {
 	N       int // number of items
 	NSets   int
@@ -115,17 +106,6 @@ func BuildInput(m *machine.Machine, labels []int, nsets int) (Input, error) {
 // on a QRQW machine. Every item ends in a private cell of its set's
 // subarray (B[cell] = item index + 1).
 func Run(m *machine.Machine, in Input) (Result, error) {
-	return run(m, in, false)
-}
-
-// RunRelaxed is Run for inputs whose counts are only probable bounds: if
-// a set turns out to exceed its bound, ErrCountExceeded is returned
-// (after O(lg n) verification) instead of looping.
-func RunRelaxed(m *machine.Machine, in Input) (Result, error) {
-	return run(m, in, true)
-}
-
-func run(m *machine.Machine, in Input, relaxed bool) (Result, error) {
 	n := in.N
 	if n == 0 {
 		return Result{Pos: m.Alloc(0)}, nil
@@ -155,15 +135,6 @@ func run(m *machine.Machine, in Input, relaxed bool) (Result, error) {
 	checkAt := logStar
 	for round := 0; ; round++ {
 		if round >= 3*logStar+40 {
-			if relaxed {
-				exceeded, err := verifyCounts(m, in)
-				if err != nil {
-					return Result{}, err
-				}
-				if exceeded {
-					return Result{}, ErrCountExceeded
-				}
-			}
 			return Result{}, fmt.Errorf("multicompact: did not converge after %d rounds", round)
 		}
 		qq := q
@@ -244,15 +215,6 @@ func run(m *machine.Machine, in Input, relaxed bool) (Result, error) {
 			if activeCnt == 0 {
 				return Result{Pos: pos}, nil
 			}
-			if relaxed {
-				exceeded, err := verifyCounts(m, in)
-				if err != nil {
-					return Result{}, err
-				}
-				if exceeded {
-					return Result{}, ErrCountExceeded
-				}
-			}
 			checkAt = round + 2
 		}
 		// Log-star team growth.
@@ -264,110 +226,4 @@ func run(m *machine.Machine, in Input, relaxed bool) (Result, error) {
 			}
 		}
 	}
-}
-
-// verifyCounts checks in O(lg n) time whether any set holds more items
-// than its count bound, using a prefix-sums census over the labels.
-func verifyCounts(m *machine.Machine, in Input) (bool, error) {
-	mark := m.Mark()
-	defer m.Release(mark)
-	// Census by sorted labels would need a sort; instead each item adds
-	// itself to a per-set tally tree: we use one queued-write round per
-	// bit of the count via... simpler: a designated processor sweeps
-	// (O(n) charged) only in this rare verification path.
-	bad := m.Alloc(1)
-	if err := m.ParDoL(1, "mc/verify-counts", func(c *machine.Ctx, _ int) {
-		tallies := make(map[int]int)
-		for i := range in.N {
-			tallies[int(c.Read(in.Labels+i))]++
-		}
-		c.Compute(in.N)
-		for j := 0; j < in.NSets; j++ {
-			if machine.Word(tallies[j]) > c.Read(in.Counts+j) {
-				c.Write(bad, 1)
-				return
-			}
-		}
-	}); err != nil {
-		return false, err
-	}
-	return m.Word(bad) != 0, nil
-}
-
-// ElectLeaders implements step (i) of the light multiple compaction
-// algorithm (Section 4.2) as a standalone primitive: every item writes
-// itself into a random cell of its set's subarray, a doubling max-scan
-// over B finds each occupied cell's predecessor, and the item in the
-// first occupied cell of each subarray becomes the set's leader.
-// Returns an NSets-cell region holding leader item indexes (-1 for empty
-// sets). O(lg n) time, O(n + BLen) operations.
-func ElectLeaders(m *machine.Machine, in Input) (int, error) {
-	leaders := m.Alloc(in.NSets)
-	if err := prim.FillPar(m, leaders, in.NSets, -1); err != nil {
-		return 0, err
-	}
-	if in.N == 0 {
-		return leaders, nil
-	}
-	mark := m.Mark()
-	defer m.Release(mark)
-	occ := m.Alloc(in.BLen)  // item+1 of a random claimant per cell
-	prev := m.Alloc(in.BLen) // index of nearest occupied cell <= j
-	itemCnt := in.ICounts
-	itemPtr := in.IPtrs
-
-	if err := m.ParDoL(in.N, "leaders/throw", func(c *machine.Ctx, i int) {
-		cnt := int(c.Read(itemCnt + i))
-		ptr := int(c.Read(itemPtr + i))
-		if cnt <= 0 {
-			return
-		}
-		c.Write(occ+ptr+c.Rand().Intn(4*cnt), machine.Word(i)+1)
-	}); err != nil {
-		return 0, err
-	}
-	if err := m.ParDoL(in.BLen, "leaders/seed", func(c *machine.Ctx, j int) {
-		if c.Read(occ+j) != 0 {
-			c.Write(prev+j, machine.Word(j))
-		} else {
-			c.Write(prev+j, -1)
-		}
-	}); err != nil {
-		return 0, err
-	}
-	for d := 1; d < in.BLen; d *= 2 {
-		dd := d
-		if err := m.ParDoL(in.BLen, "leaders/scan", func(c *machine.Ctx, j int) {
-			k := j - dd
-			if k < 0 {
-				return
-			}
-			if c.Read(prev+k) > c.Read(prev+j) {
-				c.Write(prev+j, c.Read(prev+k))
-			}
-		}); err != nil {
-			return 0, err
-		}
-	}
-	// The claimant of cell j leads its set iff no occupied cell precedes
-	// j within the subarray — i.e. prev[j-1] < ptr (or j == ptr).
-	if err := m.ParDoL(in.BLen, "leaders/pick", func(c *machine.Ctx, j int) {
-		v := c.Read(occ + j)
-		if v == 0 {
-			return
-		}
-		item := int(v - 1)
-		l := int(c.Read(in.Labels + item))
-		ptr := int(c.Read(itemPtr + item))
-		first := j == ptr
-		if !first && int(c.Read(prev+j-1)) < ptr {
-			first = true
-		}
-		if first {
-			c.Write(leaders+l, machine.Word(item))
-		}
-	}); err != nil {
-		return 0, err
-	}
-	return leaders, nil
 }

@@ -2,7 +2,6 @@ package multicompact
 
 import (
 	"testing"
-	"testing/quick"
 
 	"lowcontend/internal/machine"
 	"lowcontend/internal/prim"
@@ -128,103 +127,6 @@ func TestRunLogTime(t *testing.T) {
 		if d.Ops > int64(60*n) {
 			t.Errorf("n=2^%d: ops %d not O(n * lg* n)", lgn, d.Ops)
 		}
-	}
-}
-
-func TestRunRelaxedDetectsOverflow(t *testing.T) {
-	// Build an instance whose counts are deliberately too small: 10
-	// items with label 0 but count bound 2.
-	m := machine.New(machine.QRQW, 1<<14, machine.WithSeed(3))
-	n := 10
-	in := Input{N: n, NSets: 1, BLen: 8}
-	in.Labels = m.Alloc(n)
-	in.ICounts = m.Alloc(n)
-	in.IPtrs = m.Alloc(n)
-	in.Counts = m.Alloc(1)
-	in.Ptrs = m.Alloc(1)
-	in.B = m.Alloc(8)
-	m.SetWord(in.Counts, 2) // subarray size 8 < 10 items
-	for i := 0; i < n; i++ {
-		m.SetWord(in.ICounts+i, 2)
-	}
-	res, err := RunRelaxed(m, in)
-	if err != ErrCountExceeded {
-		t.Fatalf("err = %v (res=%+v), want ErrCountExceeded", err, res)
-	}
-}
-
-func TestRunRelaxedPassesGoodInput(t *testing.T) {
-	labels := randomLabels(9, 300, 20, 0)
-	m := machine.New(machine.QRQW, 1<<14, machine.WithSeed(9))
-	in, err := BuildInput(m, labels, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunRelaxed(m, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPlacement(t, m, in, res, labels)
-}
-
-func TestElectLeaders(t *testing.T) {
-	labels := []int{0, 0, 0, 1, 2, 2, 2, 2}
-	m := machine.New(machine.QRQW, 1<<12, machine.WithSeed(4))
-	in, err := BuildInput(m, labels, 4) // set 3 empty
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaders, err := ElectLeaders(m, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 4; j++ {
-		l := m.Word(leaders + j)
-		switch j {
-		case 3:
-			if l != -1 {
-				t.Errorf("empty set has leader %d", l)
-			}
-		default:
-			if l < 0 || labels[int(l)] != j {
-				t.Errorf("set %d leader = %d (labels=%v)", j, l, labels)
-			}
-		}
-	}
-}
-
-func TestElectLeadersProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, setsRaw uint8) bool {
-		n := int(nRaw%150) + 1
-		nsets := int(setsRaw%10) + 1
-		labels := randomLabels(seed, n, nsets, 0)
-		m := machine.New(machine.QRQW, 1<<13, machine.WithSeed(seed))
-		in, err := BuildInput(m, labels, nsets)
-		if err != nil {
-			return false
-		}
-		leaders, err := ElectLeaders(m, in)
-		if err != nil {
-			return false
-		}
-		present := make(map[int]bool)
-		for _, l := range labels {
-			present[l] = true
-		}
-		for j := 0; j < nsets; j++ {
-			l := m.Word(leaders + j)
-			if present[j] {
-				if l < 0 || labels[int(l)] != j {
-					return false
-				}
-			} else if l != -1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package perm
 
 import (
-	"fmt"
-
 	"lowcontend/internal/machine"
 	"lowcontend/internal/prim"
 	"lowcontend/internal/xrand"
@@ -245,85 +243,6 @@ func CyclicFast(m *machine.Machine, n int) (int, error) {
 			return 0, err
 		}
 		m.SetWord(bad, 0)
-	}
-	if err := successorWalk(m, a, aLen, succ, bad, n); err != nil {
-		return 0, err
-	}
-	if m.Word(bad) != 0 {
-		if err := sequentialStitch(m, a, aLen, succ); err != nil {
-			return 0, err
-		}
-	}
-	return succ, nil
-}
-
-// CyclicEfficient generates a random cyclic permutation in linear work
-// with the log-star paradigm of Theorem 5.3: active items throw into an
-// O(n)-cell array with dart budgets that grow as q -> min(2^q, lg n)
-// across O(lg* n) rounds, every claim using the unbiased collision
-// protocol, and successors come from the binary-tree walk.
-func CyclicEfficient(m *machine.Machine, n int) (int, error) {
-	if n <= 0 {
-		panic("perm: CyclicEfficient with non-positive n")
-	}
-	succ := m.Alloc(n)
-	aLen := prim.NextPow2(4 * n)
-	lgn := prim.Max(2, prim.CeilLog2(n+1))
-
-	mark := m.Mark()
-	defer m.Release(mark)
-	a := m.Alloc(aLen)
-	slot := m.Alloc(n)
-	freeMask := m.Alloc(n)
-	bad := m.Alloc(1)
-	ind := m.Alloc(n)
-	orOut := m.Alloc(1)
-	if err := prim.FillPar(m, slot, n, -1); err != nil {
-		return 0, err
-	}
-	if err := prim.FillPar(m, succ, n, -1); err != nil {
-		return 0, err
-	}
-
-	// Claim rounds run blind for lg* n rounds; termination is then
-	// checked with an O(lg n) OR-reduce (a per-round shared flag would
-	// itself be a high-contention step).
-	q := 2
-	checkAt := prim.Log2Star(n) + 2
-	for round := 0; ; round++ {
-		if round > maxRestarts {
-			return 0, fmt.Errorf("perm: CyclicEfficient exceeded %d rounds", maxRestarts)
-		}
-		if err := claimRound(m, a, aLen, slot, freeMask, n, prim.Min(q, 62)); err != nil {
-			return 0, err
-		}
-		if round == checkAt {
-			if err := m.ParDoL(n, "cyceff/indicator", func(c *machine.Ctx, i int) {
-				if c.Read(slot+i) < 0 {
-					c.Write(ind+i, 1)
-				} else {
-					c.Write(ind+i, 0)
-				}
-			}); err != nil {
-				return 0, err
-			}
-			activeCnt, err := prim.Reduce(m, ind, n, orOut)
-			if err != nil {
-				return 0, err
-			}
-			if activeCnt == 0 {
-				break
-			}
-			checkAt = round + 2
-		}
-		// Log-star growth of the dart budget.
-		if q < lgn {
-			if q >= 5 {
-				q = lgn
-			} else {
-				q = prim.Min(1<<uint(q), lgn)
-			}
-		}
 	}
 	if err := successorWalk(m, a, aLen, succ, bad, n); err != nil {
 		return 0, err

@@ -197,20 +197,6 @@ func TestCyclicFastSublogarithmic(t *testing.T) {
 	}
 }
 
-func TestCyclicEfficientIsCyclic(t *testing.T) {
-	for _, n := range []int{2, 5, 64, 500} {
-		m := machine.New(machine.QRQW, 1<<16, machine.WithSeed(uint64(n)+19))
-		base, err := CyclicEfficient(m, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		p := loadPerm(m, base, n)
-		if !IsCyclic(p) {
-			t.Fatalf("n=%d: not a single cycle: %v", n, CycleRepresentation(p))
-		}
-	}
-}
-
 func TestCyclicUniformityOfSuccessor(t *testing.T) {
 	// In a uniform cyclic permutation on n items, succ(0) is uniform
 	// over the other n-1 items.

@@ -2,33 +2,6 @@ package prim
 
 import "lowcontend/internal/machine"
 
-// Broadcast copies the value in cell src into the n cells starting at
-// dst using a binary broadcast tree: O(lg n) steps, O(n) operations, and
-// contention one — this is the "local broadcasting" technique the paper
-// substitutes for concurrent reads (Section 1.2). Each doubling round is
-// one strided read descriptor plus one write descriptor.
-func Broadcast(m *machine.Machine, src, dst, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	b := m.Bulk(1, "broadcast/seed")
-	v := b.ReadRange(src, 1, 1, 0, 1)
-	b.WriteRange(dst, 1, 1, 0, 1, v)
-	if err := b.Commit(); err != nil {
-		return err
-	}
-	for have := 1; have < n; have *= 2 {
-		cnt := Min(have, n-have)
-		b := m.Bulk(cnt, "broadcast/double")
-		vs := b.ReadRange(dst, cnt, 1, 0, 1)
-		b.WriteRange(dst+have, cnt, 1, 0, 1, vs)
-		if err := b.Commit(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Copy copies n cells from src to dst in one step (contention one).
 // The regions must not overlap.
 func Copy(m *machine.Machine, src, dst, n int) error {

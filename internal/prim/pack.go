@@ -59,24 +59,3 @@ func Pack(m *machine.Machine, flags, vals, out, n int) (int, error) {
 	}
 	return int(total), nil
 }
-
-// PackIndices packs the indices i (as Words) of the nonzero flags, in
-// order, into out, returning the count. Same cost profile as Pack.
-func PackIndices(m *machine.Machine, flags, out, n int) (int, error) {
-	if n == 0 {
-		return 0, nil
-	}
-	mark := m.Mark()
-	defer m.Release(mark)
-	idx := m.Alloc(n)
-	b := m.Bulk(n, "packidx/init")
-	iv := b.Vals(n)
-	for i := range iv {
-		iv[i] = machine.Word(i)
-	}
-	b.WriteRange(idx, n, 1, 0, 1, iv)
-	if err := b.Commit(); err != nil {
-		return 0, err
-	}
-	return Pack(m, flags, idx, out, n)
-}

@@ -123,50 +123,3 @@ func Reduce(m *machine.Machine, src, n, out int) (machine.Word, error) {
 	}
 	return m.Word(out), nil
 }
-
-// MaxReduce computes the maximum of the n cells starting at src, writes
-// it to cell out, and returns it. O(lg n) steps, exclusive access.
-// n must be positive.
-func MaxReduce(m *machine.Machine, src, n, out int) (machine.Word, error) {
-	if n <= 0 {
-		panic("prim: MaxReduce of empty range")
-	}
-	np2 := NextPow2(n)
-	mark := m.Mark()
-	defer m.Release(mark)
-	tree := m.Alloc(2 * np2)
-	const negInf = -1 << 62
-	b := m.Bulk(np2, "maxreduce/load")
-	leaf := b.Vals(np2)
-	copy(leaf, b.ReadRange(src, n, 1, 0, 1))
-	for i := n; i < np2; i++ {
-		leaf[i] = negInf
-	}
-	b.WriteRange(tree+np2, np2, 1, 0, 1, leaf)
-	if err := b.Commit(); err != nil {
-		return 0, err
-	}
-	for w := np2 / 2; w >= 1; w /= 2 {
-		lvl := w
-		b := m.Bulk(lvl, "maxreduce/up")
-		ch := b.ReadRange(tree+2*lvl, 2*lvl, 1, 0, 2)
-		tops := b.Vals(lvl)
-		for i := 0; i < lvl; i++ {
-			a, bb := ch[2*i], ch[2*i+1]
-			if bb > a {
-				a = bb
-			}
-			tops[i] = a
-		}
-		b.WriteRange(tree+lvl, lvl, 1, 0, 1, tops)
-		if err := b.Commit(); err != nil {
-			return 0, err
-		}
-	}
-	b = m.Bulk(1, "maxreduce/out")
-	b.WriteRange(out, 1, 1, 0, 1, b.ReadRange(tree+1, 1, 1, 0, 1))
-	if err := b.Commit(); err != nil {
-		return 0, err
-	}
-	return m.Word(out), nil
-}

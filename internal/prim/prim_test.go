@@ -178,49 +178,6 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestMaxReduce(t *testing.T) {
-	m := machine.New(machine.EREW, 128)
-	in := m.Alloc(6)
-	out := m.Alloc(1)
-	m.Store(in, []machine.Word{3, -9, 14, 2, 14, 0})
-	mx, err := MaxReduce(m, in, 6, out)
-	if err != nil || mx != 14 {
-		t.Fatalf("max=%d err=%v", mx, err)
-	}
-	// Non-power-of-two sizes must ignore padding.
-	m2 := machine.New(machine.EREW, 64)
-	in2 := m2.Alloc(3)
-	out2 := m2.Alloc(1)
-	m2.Store(in2, []machine.Word{-5, -2, -9})
-	if mx, _ := MaxReduce(m2, in2, 3, out2); mx != -2 {
-		t.Errorf("negative max = %d", mx)
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 17, 100} {
-		m := machine.New(machine.EREW, n+8)
-		src := m.Alloc(1)
-		dst := m.Alloc(n)
-		m.SetWord(src, 77)
-		if err := Broadcast(m, src, dst, n); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if m.Word(dst+i) != 77 {
-				t.Fatalf("n=%d: dst[%d] = %d", n, i, m.Word(dst+i))
-			}
-		}
-		if m.Err() != nil {
-			t.Fatalf("n=%d: EREW violation %v", n, m.Err())
-		}
-		st := m.Stats()
-		if st.Time > int64(4*CeilLog2(n+1)+6) {
-			t.Errorf("n=%d: broadcast time = %d, want O(lg n)", n, st.Time)
-		}
-	}
-}
-
 func TestCopyAndFillPar(t *testing.T) {
 	m := machine.New(machine.EREW, 64)
 	a := m.Alloc(4)
@@ -268,60 +225,6 @@ func TestPack(t *testing.T) {
 	}
 	if k, err := Pack(m, flags, vals, out, 0); err != nil || k != 0 {
 		t.Error("empty pack")
-	}
-}
-
-func TestPackIndices(t *testing.T) {
-	m := machine.New(machine.EREW, 256)
-	flags := m.Alloc(6)
-	out := m.Alloc(6)
-	m.Store(flags, []machine.Word{1, 0, 0, 5, 0, 2})
-	k, err := PackIndices(m, flags, out, 6)
-	if err != nil || k != 3 {
-		t.Fatalf("k=%d err=%v", k, err)
-	}
-	if m.Word(out) != 0 || m.Word(out+1) != 3 || m.Word(out+2) != 5 {
-		t.Errorf("indices = %v", m.LoadWords(out, 3))
-	}
-}
-
-func TestListRank(t *testing.T) {
-	// Two lists over 7 nodes: 0->2->4->-1 and 1->3->5->6->-1.
-	m := machine.New(machine.EREW, 256)
-	next := m.Alloc(7)
-	rank := m.Alloc(7)
-	m.Store(next, []machine.Word{2, 3, 4, 5, -1, 6, -1})
-	if err := ListRank(m, next, rank, 7); err != nil {
-		t.Fatal(err)
-	}
-	want := []machine.Word{2, 3, 1, 2, 0, 1, 0}
-	got := m.LoadWords(rank, 7)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ranks = %v, want %v", got, want)
-		}
-	}
-	if m.Err() != nil {
-		t.Errorf("EREW violation: %v", m.Err())
-	}
-}
-
-func TestListRankSingleChain(t *testing.T) {
-	const n = 100
-	m := machine.New(machine.EREW, 2048)
-	next := m.Alloc(n)
-	rank := m.Alloc(n)
-	for i := 0; i < n-1; i++ {
-		m.SetWord(next+i, machine.Word(i+1))
-	}
-	m.SetWord(next+n-1, -1)
-	if err := ListRank(m, next, rank, n); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if m.Word(rank+i) != machine.Word(n-1-i) {
-			t.Fatalf("rank[%d] = %d, want %d", i, m.Word(rank+i), n-1-i)
-		}
 	}
 }
 
@@ -417,133 +320,5 @@ func TestBitonicSortPaddedWithPayload(t *testing.T) {
 		if m.Word(vals+i) != 10*m.Word(keys+i) {
 			t.Fatalf("padded payload desynced: %v %v", m.LoadWords(keys, n), m.LoadWords(vals, n))
 		}
-	}
-}
-
-func TestStableSortPairs(t *testing.T) {
-	// Keys with duplicates; payload records original index so stability
-	// is checkable.
-	m := machine.New(machine.EREW, 4096)
-	in := []machine.Word{3, 1, 3, 0, 1, 3, 0, 2, 1, 2}
-	n := len(in)
-	keys := m.Alloc(n)
-	vals := m.Alloc(n)
-	m.Store(keys, in)
-	for i := 0; i < n; i++ {
-		m.SetWord(vals+i, machine.Word(i))
-	}
-	if err := StableSortPairs(m, keys, vals, n, 4); err != nil {
-		t.Fatal(err)
-	}
-	sortedCheck(t, m, keys, n, in)
-	// Stability: among equal keys, original indices ascend.
-	for i := 1; i < n; i++ {
-		if m.Word(keys+i) == m.Word(keys+i-1) && m.Word(vals+i) < m.Word(vals+i-1) {
-			t.Fatalf("not stable: keys=%v vals=%v", m.LoadWords(keys, n), m.LoadWords(vals, n))
-		}
-	}
-	if m.Err() != nil {
-		t.Errorf("EREW violation: %v", m.Err())
-	}
-}
-
-func TestStableSortPairsRandom(t *testing.T) {
-	f := func(seed uint64, nRaw uint16, kRaw uint8) bool {
-		n := int(nRaw%500) + 1
-		K := machine.Word(kRaw%64) + 2
-		s := xrand.NewStream(seed)
-		in := make([]machine.Word, n)
-		for i := range in {
-			in[i] = machine.Word(s.Intn(int(K)))
-		}
-		m := machine.New(machine.EREW, 8*n+256)
-		keys := m.Alloc(n)
-		m.Store(keys, in)
-		if err := SortSmallIntegers(m, keys, n, K); err != nil {
-			return false
-		}
-		got := m.LoadWords(keys, n)
-		want := append([]machine.Word(nil), in...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return m.Err() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStableSortLinearWorkLogTime(t *testing.T) {
-	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
-		m := machine.New(machine.EREW, 8*n)
-		keys := m.Alloc(n)
-		s := xrand.NewStream(uint64(n))
-		K := machine.Word(ILog2(n))
-		for i := 0; i < n; i++ {
-			m.SetWord(keys+i, machine.Word(s.Intn(int(K))))
-		}
-		if err := SortSmallIntegers(m, keys, n, K); err != nil {
-			t.Fatal(err)
-		}
-		st := m.Stats()
-		lg := int64(CeilLog2(n))
-		if st.Ops > int64(40*n) {
-			t.Errorf("n=%d: ops = %d, want O(n)", n, st.Ops)
-		}
-		if st.Time > 60*lg {
-			t.Errorf("n=%d: time = %d, want O(lg n) (lg=%d)", n, st.Time, lg)
-		}
-	}
-}
-
-func TestMergeSortCREW(t *testing.T) {
-	s := xrand.NewStream(8)
-	for _, n := range []int{1, 2, 7, 64, 333} {
-		in := make([]machine.Word, n)
-		for i := range in {
-			in[i] = machine.Word(s.Intn(100) - 50)
-		}
-		m := machine.New(machine.CREW, 4*n+64)
-		keys := m.Alloc(n)
-		m.Store(keys, in)
-		if err := MergeSortCREW(m, keys, -1, n); err != nil {
-			t.Fatal(err)
-		}
-		sortedCheck(t, m, keys, n, in)
-		if m.Err() != nil {
-			t.Fatalf("n=%d: CREW violation %v", n, m.Err())
-		}
-	}
-}
-
-func TestMergeSortCREWStable(t *testing.T) {
-	m := machine.New(machine.CREW, 1024)
-	in := []machine.Word{2, 1, 2, 1, 2, 1}
-	n := len(in)
-	keys := m.Alloc(n)
-	vals := m.Alloc(n)
-	m.Store(keys, in)
-	for i := 0; i < n; i++ {
-		m.SetWord(vals+i, machine.Word(i))
-	}
-	if err := MergeSortCREW(m, keys, vals, n); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
-		if m.Word(keys+i) == m.Word(keys+i-1) && m.Word(vals+i) < m.Word(vals+i-1) {
-			t.Fatalf("not stable: %v / %v", m.LoadWords(keys, n), m.LoadWords(vals, n))
-		}
-	}
-}
-
-func TestMergeSortRequiresConcurrentReads(t *testing.T) {
-	m := machine.New(machine.EREW, 64)
-	keys := m.Alloc(4)
-	if err := MergeSortCREW(m, keys, -1, 4); err == nil {
-		t.Error("MergeSortCREW should refuse EREW")
 	}
 }

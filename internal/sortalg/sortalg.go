@@ -1,28 +1,14 @@
-// Package sortalg implements Section 7 of the paper:
-//
-//   - DistributiveSort (Theorem 7.1): sorting n keys drawn uniformly
-//     from U(0,1) in O(lg n) time and linear work w.h.p. on a QRQW
-//     machine, via multiple compaction into n/lg n subintervals and
-//     per-subinterval sequential finishing.
-//   - SampleSortQRQW (Theorems 7.2/7.3): the sqrt(n)-sample sort
-//     "Algorithm A" with the binary-search fat-tree for low-contention
-//     splitter location; buckets are finished with a segmented bitonic
-//     network (prim.BitonicSegments, the kernel behind
-//     prim.BitonicSort, with one segment per bucket block). One
-//     recursion level is materialized (the recursion only changes the
-//     finishing size; see DESIGN.md).
-//   - IntegerSortCRQW (Theorem 7.4): sorting integers in [0, n*lg^c n)
-//     in O(lg n)-dominated time and near-linear work on a CRQW machine,
-//     following Rajasekaran & Reif's sample-and-count structure with
-//     relaxed heavy multiple compaction.
-//   - EmulateFetchAdd (Theorem 7.6 / Lemma 7.5): emulating one
-//     fetch&add PRAM step via integer sorting + segmented prefix sums.
+// Package sortalg implements the distributive sort of Section 7
+// (Theorem 7.1): sorting n keys drawn uniformly from U(0,1) in O(lg n)
+// time and linear work w.h.p. on a QRQW machine, via multiple
+// compaction into n/lg n subintervals and per-subinterval sequential
+// finishing. The section's other results (Theorems 7.2–7.4 and 7.6) have
+// no implementation here.
 package sortalg
 
 import (
 	"fmt"
 
-	"lowcontend/internal/fattree"
 	"lowcontend/internal/machine"
 	"lowcontend/internal/multicompact"
 	"lowcontend/internal/prim"
@@ -171,178 +157,4 @@ func insertionSort(v []machine.Word) {
 		}
 		v[j+1] = x
 	}
-}
-
-// SampleSortQRQW sorts n arbitrary keys at base keys in place on a QRQW
-// machine: sqrt(n) random samples are sorted by all-pairs ranking, every
-// key locates its bucket through the binary-search fat-tree (random-copy
-// probes keep contention low), buckets are placed by relaxed multiple
-// compaction, and each bucket is finished with a segmented bitonic
-// network (all buckets in lockstep). O(lg^2 n)-dominated time and
-// O(n lg n) work; the recursion of Algorithm A only shrinks the
-// finishing size, so one level demonstrates the crossover (DESIGN.md).
-func SampleSortQRQW(m *machine.Machine, keys, n int) error {
-	if n <= 1 {
-		return nil
-	}
-	if n <= 64 {
-		return prim.BitonicSortPadded(m, keys, -1, n)
-	}
-	s := prim.NextPow2(prim.Max(2, prim.ISqrt(n)/2)) // splitter count
-	sample := s                                      // sample size (= splitters)
-
-	mark := m.Mark()
-	defer m.Release(mark)
-	samp := m.Alloc(sample)
-	// Draw the sample (random positions; duplicates are harmless).
-	// Bulk.Rand replays each processor's private stream, so the drawn
-	// positions — and any read contention between them — are identical
-	// to the per-processor loop.
-	{
-		b := m.Bulk(sample, "ssort/sample")
-		sIdx := make([]int, sample)
-		for i := range sIdx {
-			r := b.Rand(i)
-			sIdx[i] = keys + r.Intn(n)
-		}
-		b.WriteRange(samp, sample, 1, 0, 1, b.Gather(sIdx, 0))
-		if err := b.Commit(); err != nil {
-			return err
-		}
-	}
-	// Sort the sample by all-pairs ranking: processor (i, j) pairs
-	// contribute rank counts; with s = O(sqrt(n)), s^2 = O(n) work in
-	// O(1) steps plus a scatter. Every processor reads the whole sample,
-	// so the step charges the real contention s.
-	ranks := m.Alloc(sample)
-	if err := m.ParDoL(sample, "ssort/rank", func(c *machine.Ctx, i int) {
-		// The pivot cell is read once on its own and again inside the
-		// all-pairs scan — the repeat charges an operation but dedupes
-		// for contention.
-		ki := c.Read(samp + i)
-		r := 0
-		for j := range sample {
-			if kj := c.Read(samp + j); kj < ki || (kj == ki && j < i) {
-				r++
-			}
-		}
-		c.Compute(sample)
-		c.Write(ranks+i, machine.Word(r))
-	}); err != nil {
-		return err
-	}
-	// The ranks are a permutation, so the rank-ordered writes are one
-	// contiguous range: sorted[r] = the sample key of rank r.
-	sorted := m.Alloc(sample)
-	{
-		b := m.Bulk(sample, "ssort/scatter")
-		rv := b.ReadRange(ranks, sample, 1, 0, 1)
-		sv := b.ReadRange(samp, sample, 1, 0, 1)
-		ov := b.Vals(sample)
-		for i, r := range rv {
-			ov[int(r)] = sv[i]
-		}
-		b.WriteRange(sorted, sample, 1, 0, 1, ov)
-		if err := b.Commit(); err != nil {
-			return err
-		}
-	}
-
-	// Fat-tree search: bucket of each key.
-	ft, err := fattree.Build(m, sorted, s, prim.Max(s, n/4))
-	if err != nil {
-		return err
-	}
-	path := m.Alloc(n)
-	if err := ft.Search(keys, path, n); err != nil {
-		return err
-	}
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		labels[i] = int(m.Word(path + i))
-	}
-
-	// Place keys into per-bucket subarrays by multiple compaction, then
-	// finish each bucket with a bitonic network over fixed-size padded
-	// blocks so all buckets sort in lockstep.
-	in, err := multicompact.BuildInput(m, labels, s)
-	if err != nil {
-		return err
-	}
-	res, err := multicompact.Run(m, in)
-	if err != nil {
-		return err
-	}
-	// Per-bucket padded blocks sized to the largest bucket.
-	maxB := 1
-	counts := make([]int, s)
-	for _, l := range labels {
-		counts[l]++
-	}
-	for _, c := range counts {
-		if c > maxB {
-			maxB = c
-		}
-	}
-	// Block size covers the whole 4*maxB subarray span so that the
-	// multicompact cell offset is directly a private block slot.
-	blk := prim.NextPow2(4 * maxB)
-	const inf = 1<<62 - 1
-	arena := m.Alloc(s * blk)
-	if err := prim.FillPar(m, arena, s*blk, inf); err != nil {
-		return err
-	}
-	{
-		// Three whole-region range reads; the block-slot writes are
-		// distinct cells (multicompact positions are private within a
-		// bucket, blocks are private to a bucket) but not address-
-		// ordered, so the scatter expands at settlement.
-		b := m.Bulk(n, "ssort/move")
-		pv := b.ReadRange(res.Pos, n, 1, 0, 1)
-		iv := b.ReadRange(in.IPtrs, n, 1, 0, 1)
-		kv := b.ReadRange(keys, n, 1, 0, 1)
-		wIdx := make([]int, n)
-		for i := 0; i < n; i++ {
-			off := int(pv[i]) - int(iv[i]) // private slot within the 4*count subarray
-			wIdx[i] = arena + labels[i]*blk + off
-		}
-		b.Scatter(wIdx, 0, kv)
-		if err := b.Commit(); err != nil {
-			return err
-		}
-	}
-	// Segmented bitonic sort over all blocks in lockstep: the same
-	// kernel as prim.BitonicSort, with every blk-cell block a segment,
-	// so each network round is one bulk step whose single swap-position
-	// list backs both certified key scatters.
-	if err := prim.BitonicSegments(m, arena, -1, s*blk, blk, "ssort/bitonic"); err != nil {
-		return err
-	}
-	// Concatenate blocks in splitter order, dropping padding.
-	flags := m.Alloc(s * blk)
-	{
-		b := m.Bulk(s*blk, "ssort/flags")
-		av := b.ReadRange(arena, s*blk, 1, 0, 1)
-		fw := b.Vals(s * blk)
-		for j, v := range av {
-			if v != inf {
-				fw[j] = 1
-			} else {
-				fw[j] = 0
-			}
-		}
-		b.WriteRange(flags, s*blk, 1, 0, 1, fw)
-		if err := b.Commit(); err != nil {
-			return err
-		}
-	}
-	out := m.Alloc(n)
-	cnt, err := prim.Pack(m, flags, arena, out, s*blk)
-	if err != nil {
-		return err
-	}
-	if cnt != n {
-		return fmt.Errorf("sortalg: sample sort packed %d of %d", cnt, n)
-	}
-	return prim.Copy(m, out, keys, n)
 }

@@ -1,5 +1,5 @@
 // Package xrand provides deterministic, splittable pseudo-random number
-// streams for the PRAM simulator and the native algorithm implementations.
+// streams for the PRAM simulator.
 //
 // All algorithms in the reproduced paper are Las Vegas randomized
 // algorithms. To make runs reproducible independent of goroutine
@@ -9,10 +9,7 @@
 // the host interleaves execution.
 package xrand
 
-import (
-	"math/bits"
-	"math/rand"
-)
+import "math/bits"
 
 // SplitMix64 advances the SplitMix64 state and returns the next value.
 // It is the standard mixer from Steele, Lea & Flood (OOPSLA 2014) and is
@@ -43,11 +40,6 @@ func NewStream(key uint64) *Stream {
 	s := &Stream{}
 	s.Reseed(key)
 	return s
-}
-
-// NewStream3 returns a stream keyed by a (seed, step, proc) triple.
-func NewStream3(seed, step, proc uint64) *Stream {
-	return NewStream(Mix3(seed, step, proc))
 }
 
 // StreamFrom returns a stream value (no heap allocation) whose output is
@@ -104,19 +96,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
-// Float64 returns a value uniform in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
-// Bool returns a uniform random boolean.
-func (s *Stream) Bool() bool { return s.Uint64()&1 == 1 }
-
 // Perm returns a uniformly random permutation of [0, n) generated
 // sequentially with Fisher-Yates. It is used by tests and baselines, not
 // by the parallel algorithms themselves.
@@ -129,13 +108,3 @@ func (s *Stream) Perm(n int) []int {
 	}
 	return p
 }
-
-// Source adapts Stream to math/rand.Source64 so stdlib helpers can be
-// used in tests.
-func (s *Stream) Source() rand.Source64 { return (*source)(s) }
-
-type source Stream
-
-func (s *source) Int63() int64    { return (*Stream)(s).Int63() }
-func (s *source) Uint64() uint64  { return (*Stream)(s).Uint64() }
-func (s *source) Seed(seed int64) { (*Stream)(s).Reseed(uint64(seed)) }

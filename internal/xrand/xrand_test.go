@@ -1,8 +1,6 @@
 package xrand
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -59,18 +57,6 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
-func TestNewStream3(t *testing.T) {
-	a := NewStream3(1, 2, 3)
-	b := NewStream3(1, 2, 3)
-	if a.Uint64() != b.Uint64() {
-		t.Error("NewStream3 not deterministic")
-	}
-	c := NewStream3(1, 2, 4)
-	if a.Uint64() == c.Uint64() {
-		t.Error("NewStream3 proc should matter")
-	}
-}
-
 func TestUint64nBounds(t *testing.T) {
 	s := NewStream(7)
 	for _, n := range []uint64{1, 2, 3, 10, 1000, 1 << 40} {
@@ -121,35 +107,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestFloat64Range(t *testing.T) {
-	s := NewStream(9)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := s.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 = %v out of [0,1)", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("Float64 mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestBool(t *testing.T) {
-	s := NewStream(11)
-	trues := 0
-	for i := 0; i < 10000; i++ {
-		if s.Bool() {
-			trues++
-		}
-	}
-	if trues < 4500 || trues > 5500 {
-		t.Errorf("Bool trues = %d/10000", trues)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%100) + 1
@@ -168,33 +125,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	s := NewStream(3)
-	for i := 0; i < 1000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}
-
-func TestSourceAdapter(t *testing.T) {
-	src := NewStream(21).Source()
-	r := rand.New(src)
-	v := r.Intn(100)
-	if v < 0 || v >= 100 {
-		t.Fatalf("adapter Intn out of range: %d", v)
-	}
-	src.Seed(5)
-	a := src.Uint64()
-	src.Seed(5)
-	if b := src.Uint64(); a != b {
-		t.Error("Seed via adapter not deterministic")
-	}
-	if src.Int63() < 0 {
-		t.Error("adapter Int63 negative")
 	}
 }
 
