@@ -45,7 +45,7 @@
 //	-sizes a,b   sizes of the sweep's size axis
 //	-seeds a,b   base seeds (the grid is models × sizes × seeds)
 //	-seed N      shorthand for a single-entry -seeds
-//	-parallel N  concurrent grid points (0 = GOMAXPROCS)
+//	-parallel N  concurrent cells, across all grid points (0 = GOMAXPROCS)
 //	-json        emit the sweep result as JSON instead of text
 //
 // Experiments are declared in the internal/exp registry and executed by
@@ -220,22 +220,16 @@ func run() int {
 
 	// A pooled session keeps the step-level width it was built with, so
 	// the width is fixed here, before the first lease, from every action
-	// of the invocation: when any action runs cells or grid points
-	// concurrently, each machine is bounded to one step-level worker so
-	// that session parallelism is not multiplied by step parallelism
-	// (charged stats are independent of both). -workers overrides.
+	// of the invocation: when any action runs cells concurrently, each
+	// machine is bounded to one step-level worker so that session
+	// parallelism is not multiplied by step parallelism (charged stats
+	// are independent of both). -workers overrides.
 	concurrent := false
 	for _, a := range actions {
 		runsCells := a.dyn != nil || a.name != "list" && a.name != "selftest"
 		concurrent = concurrent || runsCells && par > 1
 	}
-	if sweepInv != nil {
-		sp := sweepInv.plan.Parallel
-		if sp <= 0 {
-			sp = runtime.GOMAXPROCS(0)
-		}
-		concurrent = concurrent || sp > 1
-	}
+	concurrent = concurrent || sweepInv != nil && sweepInv.parallel > 1
 	if *workers > 0 {
 		pool.Workers = *workers
 	} else if concurrent {
@@ -383,9 +377,10 @@ func (t *timingSink) summary(w io.Writer, pool *core.SessionPool) {
 
 // sweepInvocation is a fully validated sweep subcommand, ready to run.
 type sweepInvocation struct {
-	e       spec.Experiment
-	plan    sweep.Plan
-	jsonOut bool
+	e        spec.Experiment
+	plan     sweep.Plan
+	parallel int // concurrent cells, GOMAXPROCS when unset
+	jsonOut  bool
 }
 
 // parseSweep resolves the sweep subcommand's tail — `<experiment>`
@@ -410,7 +405,7 @@ func parseSweep(args []string, defSizes []int, defSeed uint64, defParallel int, 
 	sizesFlag := fs.String("sizes", "", "comma-separated sizes of the sweep's size axis")
 	seedsFlag := fs.String("seeds", "", "comma-separated base seeds (grid = models x sizes x seeds)")
 	seedFlag := fs.Uint64("seed", defSeed, "single base seed (shorthand for -seeds)")
-	par := fs.Int("parallel", defParallel, "concurrent grid points (0 = GOMAXPROCS)")
+	par := fs.Int("parallel", defParallel, "concurrent cells (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", defJSON, "emit the sweep result as JSON instead of text")
 	if err := fs.Parse(args[1:]); err != nil {
 		return inv, 2
@@ -420,8 +415,11 @@ func parseSweep(args []string, defSizes []int, defSeed uint64, defParallel int, 
 		return inv, 2
 	}
 	inv.jsonOut = *jsonOut
+	if inv.parallel = *par; inv.parallel <= 0 {
+		inv.parallel = runtime.GOMAXPROCS(0)
+	}
 
-	plan := sweep.Plan{Experiment: e.Name, Parallel: *par}
+	plan := sweep.Plan{Experiment: e.Name}
 	var err error
 	switch {
 	case *models != "":
@@ -471,7 +469,7 @@ func parseSweep(args []string, defSizes []int, defSeed uint64, defParallel int, 
 // marks in the artifact — so a completed sweep exits 0 even when some
 // grid cells violated their model.
 func runSweep(pool *core.SessionPool, inv sweepInvocation) int {
-	res := (&sweep.Runner{Pool: pool}).Run(inv.e, inv.plan)
+	res := (&sweep.Runner{Parallel: inv.parallel, Pool: pool}).Run(inv.e, inv.plan)
 	if inv.jsonOut {
 		out, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {

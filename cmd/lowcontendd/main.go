@@ -13,7 +13,7 @@
 //	-sweep-workers N  sweep worker goroutines (default 1; a sweep is a
 //	                  whole grid of runs)
 //	-queue N          bounded job queue depth, per queue (default 32)
-//	-parallel N       per-job cell/grid parallelism when a request omits it (default 1)
+//	-parallel N       per-job cell parallelism when a request omits it (default 1)
 //	-max-size N       largest accepted problem size per request (default 1<<20)
 //	-drain D          graceful-shutdown drain timeout (default 30s)
 //	-debug-addr A     when set, serve net/http/pprof and the flight-recorder
@@ -81,7 +81,7 @@ func run() int {
 	workers := flag.Int("workers", 2, "run worker goroutines")
 	sweepWorkers := flag.Int("sweep-workers", 1, "sweep worker goroutines")
 	queue := flag.Int("queue", 32, "bounded job queue depth, per queue")
-	parallel := flag.Int("parallel", 1, "per-job cell/grid parallelism when a request omits it")
+	parallel := flag.Int("parallel", 1, "per-job cell parallelism when a request omits it")
 	maxSize := flag.Int("max-size", serve.DefaultLimits().MaxSize, "largest accepted problem size per request")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /debug/flight on this second listener (empty = disabled)")

@@ -92,9 +92,7 @@ func TestGoldenSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func(parallel int) string {
-		p := plan
-		p.Parallel = parallel
-		return sweep.RenderText((&sweep.Runner{}).Run(e, p)) + "\n"
+		return sweep.RenderText((&sweep.Runner{Parallel: parallel}).Run(e, plan)) + "\n"
 	}
 	seq, par := render(1), render(8)
 	if seq != par {

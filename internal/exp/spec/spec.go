@@ -68,7 +68,7 @@ type Ctx struct {
 
 // Session acquires a pooled session with the given model, memory
 // capacity, and seed — profiled when the runner is profiling, and with
-// the model replaced when the runner carries a model override (the
+// the model replaced when the cell's task carries a model override (the
 // sweep layer's mechanism for charging the same cells under a different
 // contention rule). It is released back to the pool when the cell
 // finishes; do not retain it (or any DeviceSlice bound to it) beyond
@@ -90,7 +90,7 @@ func (c *Ctx) Session(model machine.Model, memWords int, seed uint64) *core.Sess
 }
 
 // Model resolves the model a Session call would actually use: the
-// runner's override when one is set, the cell's own choice otherwise.
+// task's override when one is set, the cell's own choice otherwise.
 // Cells that branch on the model (e.g. to pick a scan-aware algorithm)
 // must consult it instead of their pinned constant.
 func (c *Ctx) Model(def machine.Model) machine.Model {
@@ -110,10 +110,11 @@ func (c *Ctx) Note(format string, args ...any) {
 
 // CellResult is one cell's outcome: its measurements in recording
 // order, or the error that stopped it. Index is the cell's position in
-// the experiment's declaration order. When the run was profiled,
-// Profiles holds one aggregated profile per session the cell acquired,
-// in acquisition order (failed cells keep their partial profiles for
-// inspection, but renderers skip them, mirroring Measurements).
+// the runner's task list — for Run, the experiment's declaration
+// order. When the run was profiled, Profiles holds one aggregated
+// profile per session the cell acquired, in acquisition order (failed
+// cells keep their partial profiles for inspection, but renderers skip
+// them, mirroring Measurements).
 type CellResult struct {
 	Cell         string
 	Index        int
@@ -254,13 +255,34 @@ type Runner struct {
 // panics are recorded per cell, never aborting sibling cells.
 func (r *Runner) Run(e Experiment, sizes []int, seed uint64) Result {
 	cells := e.Cells(sizes)
-	res := Result{Experiment: e.Name, Cells: make([]CellResult, len(cells))}
+	tasks := make([]Task, len(cells))
+	for i, c := range cells {
+		tasks[i] = Task{Cell: c, Seed: seed, Model: r.Model}
+	}
+	return Result{Experiment: e.Name, Cells: r.RunTasks(tasks)}
+}
+
+// Task is one schedulable cell, bound to the base seed its Ctx carries
+// and the model override its sessions are charged under (nil: the
+// models the cell pins).
+type Task struct {
+	Cell  Cell
+	Seed  uint64
+	Model *machine.Model
+}
+
+// RunTasks is the runner's one scheduler: it executes tasks over a
+// bounded worker pool and returns their results in task order, each
+// result's Index its task's position. Each task carries its own seed
+// and model override; Runner.Model is ignored here.
+func (r *Runner) RunTasks(tasks []Task) []CellResult {
+	out := make([]CellResult, len(tasks))
 	par := r.Parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(cells) {
-		par = len(cells)
+	if par > len(tasks) {
+		par = len(tasks)
 	}
 	pool := r.Pool
 	if pool == nil {
@@ -270,12 +292,6 @@ func (r *Runner) Run(e Experiment, sizes []int, seed uint64) Result {
 		}
 		defer pool.Close()
 	}
-	if par <= 1 {
-		for i, c := range cells {
-			res.Cells[i] = r.runCell(pool, c, i, seed)
-		}
-		return res
-	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for range par {
@@ -283,16 +299,16 @@ func (r *Runner) Run(e Experiment, sizes []int, seed uint64) Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				res.Cells[i] = r.runCell(pool, cells[i], i, seed)
+				out[i] = r.runCell(pool, tasks[i], i)
 			}
 		}()
 	}
-	for i := range cells {
+	for i := range tasks {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return res
+	return out
 }
 
 // CellTiming is the wall-clock side of one executed cell, reported to
@@ -304,7 +320,8 @@ type CellTiming struct {
 	Acquire time.Duration
 }
 
-func (r *Runner) runCell(pool *core.SessionPool, c Cell, index int, seed uint64) (out CellResult) {
+func (r *Runner) runCell(pool *core.SessionPool, t Task, index int) (out CellResult) {
+	c := t.Cell
 	start := time.Now()
 	acquire := new(int64)
 	if r.CellObserver != nil {
@@ -330,7 +347,7 @@ func (r *Runner) runCell(pool *core.SessionPool, c Cell, index int, seed uint64)
 			hotK = r.ProfileCells
 		}
 	}
-	ctx := &Ctx{Seed: seed, pool: pool, model: r.Model, profiled: r.Profile, hotK: hotK}
+	ctx := &Ctx{Seed: t.Seed, pool: pool, model: t.Model, profiled: r.Profile, hotK: hotK}
 	acquire = &ctx.acquireNs
 	out = CellResult{Cell: c.Name, Index: index}
 	defer func() {

@@ -27,34 +27,19 @@ func BitonicSort(m *machine.Machine, keys, vals, n int) error {
 	if n <= 1 {
 		return nil
 	}
-	return BitonicSegments(m, keys, vals, n, n, "bitonic/cmpx")
-}
-
-// BitonicSegments runs BitonicSort's network on every seg-cell segment
-// of the n-cell region at keys (and the payload at vals, if vals >= 0)
-// simultaneously, one bulk step labelled label per compare-exchange
-// round. seg must be a power of two dividing n.
-func BitonicSegments(m *machine.Machine, keys, vals, n, seg int, label string) error {
-	if seg <= 0 || seg&(seg-1) != 0 || n%seg != 0 {
-		panic("prim: BitonicSegments needs a power-of-two segment size dividing n")
-	}
-	if seg == 1 {
-		return nil
-	}
 	pos := make([]int, n/2)
-	for k := 2; k <= seg; k <<= 1 {
+	for k := 2; k <= n; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
-			b := m.Bulk(n, label)
+			b := m.Bulk(n, "bitonic/cmpx")
 			kv := b.ReadRange(keys, n, 1, 0, 2)
 			// The i with bit j clear are the runs [g, g+j) for g a
-			// multiple of 2j; segment starts are multiples of seg >= 2j,
-			// so bit lg(k) of i is constant on each run and the sort
-			// direction hoists out of it. Every i is written and the
-			// cursor advances only on a swap, so the pass has no
-			// data-dependent branch.
+			// multiple of 2j; since 2j <= k, bit lg(k) of i is constant
+			// on each run and the sort direction hoists out of it. Every
+			// i is written and the cursor advances only on a swap, so
+			// the pass has no data-dependent branch.
 			s := 0
 			for g := 0; g < n; g += 2 * j {
-				up := g&(seg-1)&k == 0
+				up := g&k == 0
 				for i := g; i < g+j; i++ {
 					pos[s] = i
 					if (kv[i] > kv[i+j]) == up {

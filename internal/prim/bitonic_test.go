@@ -8,22 +8,21 @@ import (
 	"lowcontend/internal/xrand"
 )
 
-// scalarBitonic is the element-wise reference of BitonicSegments: per
+// scalarBitonic is the element-wise reference of BitonicSort: per
 // round, processor t < n/2 reads its pair (i, i+j), i the t-th index
-// with bit j clear, and, when the pair is out of order for its
-// segment's direction, writes both keys and reads and writes both
-// payload cells.
-func scalarBitonic(m *machine.Machine, keys, vals, n, seg int, label string) error {
-	for k := 2; k <= seg; k <<= 1 {
+// with bit j clear, and, when the pair is out of order for its run's
+// direction, writes both keys and reads and writes both payload cells.
+func scalarBitonic(m *machine.Machine, keys, vals, n int) error {
+	for k := 2; k <= n; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
-			err := m.ParDoL(n, label, func(c *machine.Ctx, t int) {
+			err := m.ParDoL(n, "bitonic/cmpx", func(c *machine.Ctx, t int) {
 				if t >= n/2 {
 					return
 				}
 				i := t/j*2*j + t%j
 				l := i + j
 				a, b := c.Read(keys+i), c.Read(keys+l)
-				if (a > b) != (i%seg&k == 0) {
+				if (a > b) != (i&k == 0) {
 					return
 				}
 				c.Write(keys+i, b)
@@ -51,7 +50,7 @@ func scalarBitonicPadded(m *machine.Machine, keys, vals, n int) error {
 	}
 	np2 := NextPow2(n)
 	if np2 == n {
-		return scalarBitonic(m, keys, vals, n, n, "bitonic/cmpx")
+		return scalarBitonic(m, keys, vals, n)
 	}
 	mark := m.Mark()
 	defer m.Release(mark)
@@ -76,7 +75,7 @@ func scalarBitonicPadded(m *machine.Machine, keys, vals, n int) error {
 	}); err != nil {
 		return err
 	}
-	if err := scalarBitonic(m, k2, v2, np2, np2, "bitonic/cmpx"); err != nil {
+	if err := scalarBitonic(m, k2, v2, np2); err != nil {
 		return err
 	}
 	copyBack := func(src, dst int) error {
@@ -102,10 +101,9 @@ type bitonicOutcome struct {
 	trace string
 }
 
-// bitonicForms names the three entry points under test: BitonicSort on
-// n cells, BitonicSortPadded on n/2+1 and BitonicSegments on n cells in
-// max(2, n/4)-cell segments.
-var bitonicForms = []string{"sort", "padded", "segmented"}
+// bitonicForms names the two entry points under test: BitonicSort on n
+// cells and BitonicSortPadded on n/2+1.
+var bitonicForms = []string{"sort", "padded"}
 
 // runBitonicCase runs one form of the network, descriptor or scalar, on
 // a fresh machine holding seeded keys (with duplicates) at base off and
@@ -127,21 +125,16 @@ func runBitonicCase(model machine.Model, form string, n, off int, payload bool, 
 			m.SetWord(vals+i, machine.Word(i))
 		}
 	}
-	seg := max(2, n/4)
 	var err error
 	switch {
 	case form == "sort" && scalar:
-		err = scalarBitonic(m, keys, vals, n, n, "bitonic/cmpx")
+		err = scalarBitonic(m, keys, vals, n)
 	case form == "sort":
 		err = BitonicSort(m, keys, vals, n)
-	case form == "padded" && scalar:
-		err = scalarBitonicPadded(m, keys, vals, n/2+1)
-	case form == "padded":
-		err = BitonicSortPadded(m, keys, vals, n/2+1)
 	case scalar:
-		err = scalarBitonic(m, keys, vals, n, seg, "ssort/bitonic")
+		err = scalarBitonicPadded(m, keys, vals, n/2+1)
 	default:
-		err = BitonicSegments(m, keys, vals, n, seg, "ssort/bitonic")
+		err = BitonicSortPadded(m, keys, vals, n/2+1)
 	}
 	o := bitonicOutcome{
 		st:    m.Stats(),
@@ -180,9 +173,9 @@ func checkBitonicMatchesScalar(t *testing.T, model machine.Model, n, off int, pa
 var bitonicModels = []machine.Model{machine.EREW, machine.QRQW, machine.CRCW}
 
 // TestBitonicMatchesScalar is the descriptor/scalar equivalence of the
-// bitonic network: BitonicSort, BitonicSortPadded and the segmented
-// form charge the same stats, record the same step traces and leave the
-// same memory as an element-wise ParDo replay of the same network.
+// bitonic network: BitonicSort and BitonicSortPadded charge the same
+// stats, record the same step traces and leave the same memory as an
+// element-wise ParDo replay of the same network.
 func TestBitonicMatchesScalar(t *testing.T) {
 	for _, model := range bitonicModels {
 		for _, n := range []int{2, 8, 64, 1024} {

@@ -447,9 +447,7 @@ func (m *manager) simulate(j *job) outcome {
 			CellHook:      m.cellHook,
 			PointObserver: func(pt sweep.Point, wall time.Duration) { record(pointEvent(pt, wall)) },
 		}
-		plan := p.plan
-		plan.Parallel = par
-		res := runner.Run(p.exp, plan)
+		res := runner.Run(p.exp, p.plan)
 		// Violating grid cells are the sweep's comparative payload, so
 		// they never fail the job; the artifact renders them.
 		render = func() outcome { return outcome{artifact: sweep.RenderText(res) + "\n", sweepRes: &res} }

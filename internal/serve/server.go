@@ -84,9 +84,9 @@ type Config struct {
 	MaxJobs int
 	// CacheEntries bounds the artifact cache (default 128).
 	CacheEntries int
-	// Parallel is the per-job cell (or grid-point) parallelism used
-	// when a request does not ask for one (default 1: concurrency
-	// comes from the worker pools, not from within a job).
+	// Parallel is the per-job cell parallelism (across all grid points
+	// of a sweep) used when a request does not ask for one (default 1:
+	// concurrency comes from the worker pools, not from within a job).
 	Parallel int
 	// Limits bound request validation; zero fields take DefaultLimits.
 	Limits Limits

@@ -23,7 +23,7 @@ type Limits struct {
 	MaxSizes int
 	// MaxSize caps each individual size (problem size or L value).
 	MaxSize int
-	// MaxParallel caps the per-job cell (or grid-point) parallelism a
+	// MaxParallel caps the per-job cell parallelism a run or sweep
 	// request may ask for.
 	MaxParallel int
 	// MaxBody caps the request body in bytes.
@@ -79,8 +79,8 @@ type RunRequest struct {
 // the first model is the ratio baseline), Sizes empty the experiment's
 // defaults, Seeds empty the single seed 1 (or Seed when set). The grid
 // is the full cross-product models × sizes × seeds; Parallel bounds
-// concurrently executing grid points (0 = the daemon's per-job
-// default) and never affects the artifact.
+// concurrently executing cells across the whole grid (0 = the daemon's
+// per-job default) and never affects the artifact.
 type SweepRequest struct {
 	Experiment string   `json:"experiment"`
 	Models     []string `json:"models,omitempty"`
@@ -267,14 +267,13 @@ func validateSweep(req SweepRequest, lim Limits, r exp.Resolver) (jobParams, *ht
 		Models:     req.Models,
 		Sizes:      sizes,
 		Seeds:      seeds,
-		Parallel:   req.Parallel,
 	})
 	if err != nil {
 		return p, errf(http.StatusBadRequest, "%v", err)
 	}
 	p.plan = plan
 	p.sizes = plan.Sizes
-	p.parallel = plan.Parallel
+	p.parallel = req.Parallel
 	p.key = sweepCacheKey(p.expKey, plan)
 	return p, nil
 }

@@ -163,30 +163,3 @@ func TestSortBucketsMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-func TestSegmentedBitonic(t *testing.T) {
-	m := machine.New(machine.QRQW, 4096, machine.WithSeed(4))
-	segs, blk := 5, 8
-	base := m.Alloc(segs * blk)
-	s := xrand.NewStream(17)
-	vals := make([][]machine.Word, segs)
-	for g := 0; g < segs; g++ {
-		vals[g] = make([]machine.Word, blk)
-		for i := range vals[g] {
-			vals[g][i] = machine.Word(s.Intn(100))
-			m.SetWord(base+g*blk+i, vals[g][i])
-		}
-	}
-	if err := prim.BitonicSegments(m, base, -1, segs*blk, blk, "ssort/bitonic"); err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < segs; g++ {
-		ws := append([]machine.Word(nil), vals[g]...)
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-		for i := 0; i < blk; i++ {
-			if m.Word(base+g*blk+i) != ws[i] {
-				t.Fatalf("segment %d not sorted: %v", g, m.LoadWords(base+g*blk, blk))
-			}
-		}
-	}
-}

@@ -1,10 +1,10 @@
 // Package sweep turns one experiment — builtin registry entry or
 // dynamically defined — into a family of scenarios: a declarative Plan
 // names the experiment, the contention models to charge it under, the
-// problem sizes, and the seeds, and the
-// Runner executes the full cross-product of grid points over the
-// existing spec.Runner/core.SessionPool machinery, reducing the runs
-// into comparative artifacts — a model×size charged-time matrix with
+// problem sizes, and the seeds, and the Runner schedules every cell of
+// the full cross-product of grid points as one flat task list on a
+// spec.Runner over a core.SessionPool, reducing the runs into
+// comparative artifacts — a model×size charged-time matrix with
 // ratios against a baseline model, and per-model kappa histograms
 // aggregated through internal/profile.
 //
@@ -18,6 +18,7 @@
 // Sweeps inherit the registry's determinism contract. Every grid point
 // is a pure function of (experiment, model, size, seed): points land in
 // plan order whatever the runner's parallelism, per-point reduction
+// folds cells in declaration order whatever order they finish in, and
 // uses only the engine's parallelism-invariant outputs (charged stats,
 // traces, and sanitized violation descriptions — never the
 // shard-dependent violation address), so a sweep's Result, text
@@ -27,9 +28,9 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"lowcontend/internal/core"
@@ -57,9 +58,6 @@ type Plan struct {
 	Models     []string `json:"models"`
 	Sizes      []int    `json:"sizes"`
 	Seeds      []uint64 `json:"seeds"`
-	// Parallel bounds the number of grid points executing concurrently
-	// (<= 0 means GOMAXPROCS). It never affects the Result.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // Points returns the grid size of a normalized plan.
@@ -126,9 +124,6 @@ func Normalize(e spec.Experiment, p Plan) (Plan, error) {
 	if len(p.Seeds) == 0 {
 		p.Seeds = []uint64{1}
 	}
-	if p.Parallel < 0 {
-		p.Parallel = 0
-	}
 	return p, nil
 }
 
@@ -175,29 +170,29 @@ type Result struct {
 
 // Runner executes sweep grid points over a shared session pool.
 type Runner struct {
-	// Parallel bounds concurrently executing grid points when the plan
-	// itself does not (plan.Parallel wins when positive). <= 0 means
-	// GOMAXPROCS.
+	// Parallel bounds the number of cells executing concurrently,
+	// across all grid points. <= 0 means GOMAXPROCS.
 	Parallel int
 	// Pool supplies sessions. When nil, each Run uses a private pool
-	// (step-level workers bounded to 1 when points run concurrently)
+	// (step-level workers bounded to 1 when cells run concurrently)
 	// and closes it on return.
 	Pool *core.SessionPool
-	// CellHook is forwarded to every grid point's spec.Runner; servers
-	// gauge in-flight cells with it. Must be safe for concurrent use.
+	// CellHook is forwarded to the spec.Runner executing the cells;
+	// servers gauge in-flight cells with it. Must be concurrency-safe.
 	CellHook func(cell string, start bool)
 	// PointObserver, when non-nil, receives each finished grid point
-	// (fully reduced, by value) and its wall-clock duration. Points may
-	// run concurrently, so the observer must be safe for concurrent use
-	// and must not block; the daemon's job event log consumes it.
+	// (fully reduced, by value) and its wall-clock duration, from its
+	// first cell's start to its last cell's end. Points may finish
+	// concurrently, so the observer must be safe for concurrent use and
+	// must not block; the daemon's job event log consumes it.
 	PointObserver func(pt Point, wall time.Duration)
 }
 
 // Run executes every grid point of a normalized plan (see Normalize)
 // for experiment e and returns the reduced result, points in plan
-// order. Grid points run concurrently up to the plan's (or runner's)
-// parallelism; each point's experiment run uses cell parallelism 1, so
-// sweep-level concurrency is not multiplied by cell-level concurrency.
+// order. The grid expands into one flat cell list (model-major, then
+// size, seed and declaration index) that one spec.Runner schedules up
+// to Parallel at a time; a point is reduced when its last cell lands.
 func (r *Runner) Run(e spec.Experiment, p Plan) Result {
 	res := Result{
 		Experiment: p.Experiment,
@@ -209,111 +204,110 @@ func (r *Runner) Run(e spec.Experiment, p Plan) Result {
 	if len(p.Models) > 0 {
 		res.Baseline = p.Models[0]
 	}
-	for _, model := range p.Models {
+	observe := r.PointObserver
+	if observe == nil {
+		observe = func(Point, time.Duration) {}
+	}
+	var tasks []spec.Task
+	var folds []*pointFold // folds[i] reduces task i's grid point
+	for _, name := range p.Models {
+		model, ok := machine.ParseModel(name)
 		for _, size := range p.Sizes {
 			for _, seed := range p.Seeds {
-				res.Points = append(res.Points, Point{Model: model, Size: size, Seed: seed})
+				res.Points = append(res.Points, Point{Model: name, Size: size, Seed: seed})
+				pt := &res.Points[len(res.Points)-1]
+				var cells []spec.Cell
+				if ok {
+					cells = e.Cells([]int{size})
+				} else {
+					// A caller bug (Normalize canonicalizes), reported per point.
+					pt.Cells = []CellOutcome{{Cell: "(plan)", Err: fmt.Sprintf("unknown model %q", name)}}
+					pt.Errors = 1
+				}
+				if len(cells) == 0 {
+					observe(*pt, 0)
+					continue
+				}
+				f := &pointFold{pt: pt, first: len(tasks), cells: make([]spec.CellResult, len(cells)),
+					starts: make([]time.Time, len(cells))}
+				f.left.Store(int32(len(cells)))
+				for _, c := range cells {
+					tasks = append(tasks, spec.Task{Cell: c, Seed: seed, Model: &model})
+					folds = append(folds, f)
+				}
 			}
 		}
-	}
-
-	par := p.Parallel
-	if par <= 0 {
-		par = r.Parallel
-	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(res.Points) {
-		par = len(res.Points)
-	}
-	pool := r.Pool
-	if pool == nil {
-		pool = core.NewSessionPool()
-		if par > 1 {
-			pool.Workers = 1
-		}
-		defer pool.Close()
-	}
-
-	if par <= 1 {
-		for i := range res.Points {
-			r.runPoint(e, pool, &res.Points[i])
-		}
-		return res
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for range par {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r.runPoint(e, pool, &res.Points[i])
-			}
-		}()
-	}
-	for i := range res.Points {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return res
-}
-
-// runPoint executes one grid point — the full experiment at a single
-// size under the point's model — and reduces it in place. Reduction
-// reads the per-session profiles (traced without hot-cell attribution:
-// ProfileCells < 0), whose charged-time invariant makes the per-cell
-// Time sums exact, and skips failed cells' partial traces entirely,
-// mirroring how spec.Result.Measurements gates artifacts.
-func (r *Runner) runPoint(e spec.Experiment, pool *core.SessionPool, pt *Point) {
-	if r.PointObserver != nil {
-		start := time.Now()
-		defer func() { r.PointObserver(*pt, time.Since(start)) }()
-	}
-	model, ok := machine.ParseModel(pt.Model)
-	if !ok {
-		// Normalize canonicalized the plan; an unknown model here is a
-		// caller bug, reported per point rather than panicking a worker.
-		pt.Cells = []CellOutcome{{Cell: "(plan)", Err: fmt.Sprintf("unknown model %q", pt.Model)}}
-		pt.Errors = 1
-		return
 	}
 	runner := &spec.Runner{
-		Parallel:     1,
-		Pool:         pool,
-		Model:        &model,
+		Parallel:     r.Parallel,
+		Pool:         r.Pool,
 		Profile:      true,
 		ProfileCells: -1,
 		CellHook:     r.CellHook,
+		CellObserver: func(c spec.CellResult, t spec.CellTiming) {
+			if f := folds[c.Index]; f.land(c, t) {
+				observe(*f.pt, time.Since(slices.MinFunc(f.starts, time.Time.Compare)))
+			}
+		},
 	}
-	run := runner.Run(e, []int{pt.Size}, pt.Seed)
-	for _, c := range run.Cells {
-		out := CellOutcome{Cell: c.Cell}
-		if c.Err != nil {
-			out.Err = describeErr(c.Err)
-			var ve *machine.ViolationError
-			if errors.As(c.Err, &ve) {
-				pt.Violations++
-			} else {
-				pt.Errors++
-			}
-			pt.Cells = append(pt.Cells, out)
-			continue
+	runner.RunTasks(tasks)
+	return res
+}
+
+// pointFold collects one grid point's cell results as they land, in
+// any order and from any worker; the landing that completes the point
+// reduces it.
+type pointFold struct {
+	pt     *Point
+	first  int               // task index of the point's first cell
+	cells  []spec.CellResult // by declaration index
+	starts []time.Time       // cell start times, by declaration index
+	left   atomic.Int32      // cells not yet landed
+}
+
+// land records one finished cell and reports whether it completed the
+// point, in which case the point is reduced in declaration order.
+func (f *pointFold) land(c spec.CellResult, t spec.CellTiming) bool {
+	i := c.Index - f.first
+	f.cells[i], f.starts[i] = c, time.Now().Add(-t.Wall)
+	if f.left.Add(-1) != 0 {
+		return false
+	}
+	for _, c := range f.cells {
+		f.pt.add(c)
+	}
+	return true
+}
+
+// add reduces one cell into the point. Reduction reads the per-session
+// profiles (traced without hot-cell attribution: ProfileCells < 0),
+// whose charged-time invariant makes the per-cell Time sums exact, and
+// skips failed cells' partial traces entirely, mirroring how
+// spec.Result.Measurements gates artifacts.
+func (pt *Point) add(c spec.CellResult) {
+	out := CellOutcome{Cell: c.Cell}
+	if c.Err != nil {
+		out.Err = describeErr(c.Err)
+		var ve *machine.ViolationError
+		if errors.As(c.Err, &ve) {
+			pt.Violations++
+		} else {
+			pt.Errors++
 		}
-		for _, pr := range c.Profiles {
-			out.Time += pr.Time
-			pt.Steps += pr.Steps
-			pt.Ops += pr.Ops
-			if pr.MaxKappa > pt.MaxKappa {
-				pt.MaxKappa = pr.MaxKappa
-			}
-			pt.Histogram = mergeHistogram(pt.Histogram, pr.Histogram)
-		}
-		pt.Time += out.Time
 		pt.Cells = append(pt.Cells, out)
+		return
 	}
+	for _, pr := range c.Profiles {
+		out.Time += pr.Time
+		pt.Steps += pr.Steps
+		pt.Ops += pr.Ops
+		if pr.MaxKappa > pt.MaxKappa {
+			pt.MaxKappa = pr.MaxKappa
+		}
+		pt.Histogram = mergeHistogram(pt.Histogram, pr.Histogram)
+	}
+	pt.Time += out.Time
+	pt.Cells = append(pt.Cells, out)
 }
 
 // describeErr renders a cell error deterministically. A ViolationError

@@ -1,21 +1,29 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"lowcontend/internal/core"
 	"lowcontend/internal/exp/spec"
+	"lowcontend/internal/prim"
 	"lowcontend/internal/profile"
 )
 
-// dartExperiment is a miniature registry-style experiment: one
-// random-permutation cell per size, pinning QRQW like the real
-// registry cells do. Dart throwing writes contended cells, so EREW
-// overrides violate and queued-vs-free models charge differently — the
-// exact comparative surface sweeps exist to expose.
+// dartExperiment is a miniature registry-style experiment with two
+// cells per size, pinning models like the real registry cells do: a
+// random permutation on QRQW and a bitonic sort on EREW. Dart throwing
+// writes contended cells, so EREW overrides violate and queued-vs-free
+// models charge differently — the exact comparative surface sweeps
+// exist to expose — while the exclusive sort survives every override,
+// so an EREW point mixes a violating and a surviving cell. Two cells
+// per point let a parallel sweep interleave one point's cells across
+// workers.
 func dartExperiment() spec.Experiment {
 	return spec.Experiment{
 		Name:         "dart",
@@ -31,6 +39,21 @@ func dartExperiment() spec.Experiment {
 							return err
 						}
 						c.Record(spec.Measurement{Group: "dart", N: n, Stats: s.Stats()})
+						return nil
+					},
+				}, spec.Cell{
+					Name: fmt.Sprintf("sort/%d", n),
+					Run: func(c *spec.Ctx) error {
+						s := c.Session(core.EREW, 2*n, c.Seed+uint64(n))
+						keys := make([]int, n)
+						for i := range keys {
+							keys[i] = n - i
+						}
+						d := s.UploadInts(keys)
+						if err := prim.BitonicSortPadded(s.Machine(), d.Base(), -1, n); err != nil {
+							return err
+						}
+						c.Record(spec.Measurement{Group: "sort", N: n, Stats: s.Stats()})
 						return nil
 					},
 				})
@@ -133,8 +156,8 @@ func TestSweepComparativeShape(t *testing.T) {
 		if !(c.Time < q.Time) {
 			t.Errorf("n=%d: CRCW time %d, want < QRQW time %d", n, c.Time, q.Time)
 		}
-		if ew.Violations == 0 {
-			t.Errorf("n=%d: EREW run recorded no violations: %+v", n, ew)
+		if ew.Violations != 1 || ew.Time == 0 {
+			t.Errorf("n=%d: EREW run want the dart cell violating and the sort cell charged: %+v", n, ew)
 		}
 		if q.Steps == 0 || q.Ops == 0 || len(q.Histogram) == 0 {
 			t.Errorf("n=%d: QRQW point missing aggregates: %+v", n, q)
@@ -167,8 +190,8 @@ func TestSweepComparativeShape(t *testing.T) {
 
 // TestSweepDeterministicAcrossParallelism locks the sweep determinism
 // contract: results are bit-identical and rendered artifacts
-// byte-identical at any grid parallelism, including parallelism crossed
-// with multiple seeds.
+// byte-identical at any parallelism, including parallelism crossed with
+// multiple seeds and points whose cells interleave across workers.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	e := dartExperiment()
 	p := mustPlan(t, e, Plan{Sizes: []int{64, 128}, Seeds: []uint64{7, 11}})
@@ -183,11 +206,75 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 			t.Errorf("Parallel=%d rendered sweep differs from sequential", par)
 		}
 	}
-	// plan.Parallel wins over the runner's: same bytes either way.
-	pp := p
-	pp.Parallel = 8
-	if got := (&Runner{Parallel: 1}).Run(e, pp); RenderText(got) != refText {
-		t.Error("plan-level parallelism changed the artifact")
+}
+
+// TestSweepRunsPointCellsConcurrently: a point's cells are scheduled
+// like any other cells, so at Parallel 2 a one-point sweep runs its two
+// cells at once. Each cell rendezvouses with its sibling on a shared
+// channel; run one after the other, both time out.
+func TestSweepRunsPointCellsConcurrently(t *testing.T) {
+	meet := make(chan struct{})
+	cell := func(name string) spec.Cell {
+		return spec.Cell{Name: name, Run: func(*spec.Ctx) error {
+			select {
+			case meet <- struct{}{}:
+			case <-meet:
+			case <-time.After(5 * time.Second):
+				return errors.New("sibling cell never ran concurrently")
+			}
+			return nil
+		}}
+	}
+	e := spec.Experiment{
+		Name:         "pair",
+		DefaultSizes: []int{1},
+		Cells: func([]int) []spec.Cell {
+			return []spec.Cell{cell("left"), cell("right")}
+		},
+	}
+	p := mustPlan(t, e, Plan{Models: []string{"qrqw"}})
+	res := (&Runner{Parallel: 2}).Run(e, p)
+	if len(res.Points) != 1 {
+		t.Fatalf("points = %d, want 1", len(res.Points))
+	}
+	if pt := res.Points[0]; pt.Errors != 0 || len(pt.Cells) != 2 {
+		t.Errorf("point cells did not run concurrently: %+v", pt)
+	}
+}
+
+// TestSweepPointObserver: the observer fires exactly once per grid
+// point, with the fully reduced Point the Result holds and a positive
+// wall time, whether or not points' cells interleave.
+func TestSweepPointObserver(t *testing.T) {
+	e := dartExperiment()
+	p := mustPlan(t, e, Plan{Sizes: []int{64, 128}, Seeds: []uint64{7, 11}})
+	for _, par := range []int{1, 4} {
+		var mu sync.Mutex
+		seen := map[string][]Point{}
+		r := &Runner{Parallel: par, PointObserver: func(pt Point, wall time.Duration) {
+			if wall <= 0 {
+				t.Errorf("Parallel=%d: point %s/%d/%d wall %v, want > 0", par, pt.Model, pt.Size, pt.Seed, wall)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			k := fmt.Sprintf("%s/%d/%d", pt.Model, pt.Size, pt.Seed)
+			seen[k] = append(seen[k], pt)
+		}}
+		res := r.Run(e, p)
+		if len(seen) != len(res.Points) {
+			t.Errorf("Parallel=%d: observed %d points, want %d", par, len(seen), len(res.Points))
+		}
+		for _, want := range res.Points {
+			got := seen[fmt.Sprintf("%s/%d/%d", want.Model, want.Size, want.Seed)]
+			if len(got) != 1 {
+				t.Errorf("Parallel=%d: point %s/%d/%d observed %d times, want once",
+					par, want.Model, want.Size, want.Seed, len(got))
+				continue
+			}
+			if !reflect.DeepEqual(got[0], want) {
+				t.Errorf("Parallel=%d: observed point\n%+v\nwant\n%+v", par, got[0], want)
+			}
+		}
 	}
 }
 
@@ -256,7 +343,7 @@ func TestSweepCellHook(t *testing.T) {
 			stops++
 		}
 	}
-	want := p.Points() * 1 // one cell per point at a single size
+	want := p.Points() * 2 // two cells per point at a single size
 	if starts != want || stops != want {
 		t.Errorf("cell hook fired %d starts / %d stops, want %d each", starts, stops, want)
 	}
