@@ -73,9 +73,6 @@ func BenchmarkRegenerateAll(b *testing.B) {
 		// b.N round: a pool built inside it would pay first-lease growth
 		// in every timed round instead of measuring the steady state.
 		pool := core.NewSessionPool()
-		if par > 1 {
-			pool.Workers = 1
-		}
 		r := &spec.Runner{Parallel: par, Pool: pool}
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -223,46 +220,35 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
-// --- Step dispatch: the resident-gang hot path ------------------------
+// --- Step dispatch: the engine's per-step hot path --------------------
 
-// BenchmarkStepDispatch isolates the per-step dispatch cost of the
-// resident execution gang: one machine reused across the whole run (the
-// gang arms once), issuing batches of disjoint-write ParDo steps that
-// take the fused single-barrier path. workers=1 is the serial-inline
-// baseline; workers=4 crosses the gang barrier every step. Charged
-// metrics are reset per iteration so time-units/op, pram-ops/op, and
-// max-contention stay constant at every width — the determinism gate
-// tools/benchcmp enforces. On the 1-CPU CI runner the workers=4 rows
-// measure dispatch overhead (regressions), not speedup; multi-core
-// speedups are reported in the PR.
-//
-// Each sub-benchmark's steps take one route, so the adaptive serial
-// cutoff, which needs timings of both, never moves.
+// BenchmarkStepDispatch isolates the per-step cost of the engine: one
+// machine reused across the whole run, issuing batches of disjoint-write
+// ParDo steps. Charged metrics are reset per iteration so time-units/op,
+// pram-ops/op, and max-contention stay constant — the determinism gate
+// tools/benchcmp enforces. The rows keep their historical /workers=1
+// suffix so they match the committed baselines.
 func BenchmarkStepDispatch(b *testing.B) {
 	const stepsPerOp = 64
 	for _, p := range []int{1 << 10, 1 << 12, 1 << 14} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("p=%d/workers=%d", p, workers), func(b *testing.B) {
-				m := machine.New(machine.QRQW, p,
-					machine.WithSeed(1),
-					machine.WithWorkers(workers))
-				defer m.Free()
-				var st machine.Stats
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.ResetStats()
-					for s := 0; s < stepsPerOp; s++ {
-						if err := m.ParDoL(p, "dispatch", func(c *machine.Ctx, j int) {
-							c.Write(j, machine.Word(j))
-						}); err != nil {
-							b.Fatal(err)
-						}
+		b.Run(fmt.Sprintf("p=%d/workers=1", p), func(b *testing.B) {
+			m := machine.New(machine.QRQW, p, machine.WithSeed(1))
+			defer m.Free()
+			var st machine.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ResetStats()
+				for s := 0; s < stepsPerOp; s++ {
+					if err := m.ParDoL(p, "dispatch", func(c *machine.Ctx, j int) {
+						c.Write(j, machine.Word(j))
+					}); err != nil {
+						b.Fatal(err)
 					}
-					st = m.Stats()
 				}
-				b.StopTimer()
-				report(b, st)
-			})
-		}
+				st = m.Stats()
+			}
+			b.StopTimer()
+			report(b, st)
+		})
 	}
 }

@@ -28,13 +28,8 @@
 //	-check         verify each experiment's expected paper shape after running
 //	-n N           problem size for selftest
 //	-timing        print per-cell wall-clock and engine execution telemetry
-//	               (gang dispatches, settlement routes, cursor claims/steals,
-//	               cutoff retunes) to stderr after each run
-//
-// Host execution (charged stats never depend on it):
-//
-//	-workers N     step-level host goroutines per machine (0 = auto:
-//	               1 when cells run concurrently, else GOMAXPROCS)
+//	               (steps settled, descriptor traffic) to stderr after
+//	               each run
 //
 // Sweep flags (after `sweep <experiment>`; global -sizes/-seed/-parallel/
 // -json provide the defaults):
@@ -103,7 +98,6 @@ func run() int {
 	sizesFlag := flag.String("sizes", "", "comma-separated sizes overriding each experiment's defaults")
 	modelFlag := flag.String("model", "", "charge every cell under this contention model instead of the experiment's pinned models")
 	check := flag.Bool("check", false, "verify each experiment's expected paper shape after running")
-	workers := flag.Int("workers", 0, "step-level host goroutines per machine (0 = auto)")
 	timing := flag.Bool("timing", false, "print per-cell wall-clock and engine execution telemetry to stderr after each run")
 	flag.Parse()
 
@@ -122,8 +116,7 @@ func run() int {
 		modelOverride = &m
 	}
 
-	// One session pool serves every action of the invocation; its
-	// step-level width is decided once the plan is known (below).
+	// One session pool serves every action of the invocation.
 	par := *parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -218,24 +211,6 @@ func run() int {
 		}
 	}
 
-	// A pooled session keeps the step-level width it was built with, so
-	// the width is fixed here, before the first lease, from every action
-	// of the invocation: when any action runs cells concurrently, each
-	// machine is bounded to one step-level worker so that session
-	// parallelism is not multiplied by step parallelism (charged stats
-	// are independent of both). -workers overrides.
-	concurrent := false
-	for _, a := range actions {
-		runsCells := a.dyn != nil || a.name != "list" && a.name != "selftest"
-		concurrent = concurrent || runsCells && par > 1
-	}
-	concurrent = concurrent || sweepInv != nil && sweepInv.parallel > 1
-	if *workers > 0 {
-		pool.Workers = *workers
-	} else if concurrent {
-		pool.Workers = 1
-	}
-
 	exit := 0
 	var results []spec.Result
 	for _, a := range actions {
@@ -291,10 +266,11 @@ func run() int {
 	}
 	if *jsonOut && results != nil {
 		// The pool and engine counters ride along so session reuse and
-		// dispatch routing are visible outside tests; they depend on
-		// -parallel (more concurrent cells need more fresh sessions)
-		// and the gang width, so determinism diffs pass -results-only,
-		// which drops them and leaves output byte-comparable across
+		// descriptor traffic are visible outside tests. The engine
+		// counters depend on the program alone, but the pool's depend
+		// on -parallel (more concurrent cells need more fresh
+		// sessions), so determinism diffs pass -results-only, which
+		// drops both and leaves output byte-comparable across
 		// -parallel values.
 		ps, ex := pool.StatsLive()
 		var doc any = struct {
@@ -354,14 +330,10 @@ func (t *timingSink) flush(w io.Writer, name string) {
 	t.mu.Unlock()
 	sort.Slice(rows, func(a, b int) bool { return rows[a].idx < rows[b].idx })
 	fmt.Fprintf(w, "timing: %s\n", name)
-	fmt.Fprintf(w, "  %-36s %12s %12s %6s %6s %6s %6s %7s %6s %5s\n",
-		"cell", "wall", "acquire", "disp", "fused", "shard", "serial", "chunks", "steal", "cut+-")
+	fmt.Fprintf(w, "  %-36s %12s %12s %6s\n", "cell", "wall", "acquire", "serial")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-36s %12v %12v %6d %6d %6d %6d %7d %6d %2d/%-2d\n",
-			r.cell, r.wall.Round(time.Microsecond), r.acquire.Round(time.Microsecond),
-			r.ex.GangDispatches, r.ex.GangFusedSettles, r.ex.GangShardedSettles,
-			r.ex.SerialSteps, r.ex.ChunksClaimed, r.ex.CursorSteals,
-			r.ex.CutoffRaises, r.ex.CutoffLowers)
+		fmt.Fprintf(w, "  %-36s %12v %12v %6d\n",
+			r.cell, r.wall.Round(time.Microsecond), r.acquire.Round(time.Microsecond), r.ex.SerialSteps)
 	}
 }
 
@@ -369,10 +341,8 @@ func (t *timingSink) flush(w io.Writer, name string) {
 func (t *timingSink) summary(w io.Writer, pool *core.SessionPool) {
 	ps, ex := pool.StatsLive()
 	fmt.Fprintf(w, "timing: pool acquires=%d reuses=%d news=%d\n", ps.Acquires, ps.Reuses, ps.News)
-	fmt.Fprintf(w, "timing: exec dispatches=%d fused=%d sharded=%d serial=%d chunks=%d steals=%d cutoff=+%d/-%d bulk=%d expanded=%d\n",
-		ex.GangDispatches, ex.GangFusedSettles, ex.GangShardedSettles, ex.SerialSteps,
-		ex.ChunksClaimed, ex.CursorSteals, ex.CutoffRaises, ex.CutoffLowers,
-		ex.BulkDescriptors, ex.BulkExpanded)
+	fmt.Fprintf(w, "timing: exec serial=%d bulk=%d expanded=%d\n",
+		ex.SerialSteps, ex.BulkDescriptors, ex.BulkExpanded)
 }
 
 // sweepInvocation is a fully validated sweep subcommand, ready to run.

@@ -43,9 +43,6 @@ const (
 // WithSeed re-exports the seeding option.
 var WithSeed = machine.WithSeed
 
-// WithWorkers re-exports the host-parallelism option.
-var WithWorkers = machine.WithWorkers
-
 // RandomPermutation generates a uniformly random permutation of [0, n)
 // in O(lg n) time and linear work w.h.p. (Theorem 5.1) and returns it as
 // a host slice.

@@ -19,14 +19,9 @@ import (
 // are not: each acquired session belongs to one goroutine until it is
 // Released.
 type SessionPool struct {
-	// Workers, when positive, bounds the host goroutines each pooled
-	// machine uses per step (machine.WithWorkers). Runners that execute
-	// many sessions concurrently set it low — typically 1 — so that
-	// session-level parallelism is not multiplied by step-level
-	// parallelism. Charged stats are independent of the worker count.
-	// Workers applies only to sessions the pool constructs: an idle
-	// session keeps the width it was built with, so set Workers before
-	// the first Acquire.
+	// Workers is ignored. Every step runs on the goroutine that issues
+	// it, so runners get host parallelism by running sessions
+	// concurrently. The field stays because the benchmark module sets it.
 	Workers int
 
 	mu     sync.Mutex
@@ -84,11 +79,7 @@ func (p *SessionPool) Acquire(model machine.Model, memWords int, seed uint64) *S
 	}
 	p.st.News++
 	p.mu.Unlock()
-	opts := []machine.Option{machine.WithSeed(seed)}
-	if p.Workers > 0 {
-		opts = append(opts, machine.WithWorkers(p.Workers))
-	}
-	s := NewSession(model, memWords, opts...)
+	s := NewSession(model, memWords, machine.WithSeed(seed))
 	p.mu.Lock()
 	p.leased[s] = struct{}{}
 	p.mu.Unlock()
@@ -143,7 +134,7 @@ func (p *SessionPool) Stats() PoolStats {
 // lease, whose atomic machine counters are read without waiting for
 // Release.
 // This is the scrape-time view: a run in flight for seconds shows its
-// gang/bulk traffic immediately instead of appearing all at once when
+// step and bulk traffic immediately instead of appearing all at once when
 // the lease ends. Live values are monotone between scrapes modulo lease
 // turnover — a concurrent Release can make one scrape lag (never
 // double-count) the session it is folding in.

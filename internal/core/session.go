@@ -40,9 +40,8 @@ func (s *Session) Stats() machine.Stats { return s.m.Stats() }
 // Err returns the first model violation encountered, or nil.
 func (s *Session) Err() error { return s.m.Err() }
 
-// ExecStats snapshots the machine's full host-execution telemetry:
-// dispatch routing, fused-vs-sharded settlement, cursor utilization,
-// adaptive-cutoff moves, and bulk descriptor traffic. Safe to call from
+// ExecStats snapshots the machine's host-execution telemetry: steps
+// settled and bulk descriptor traffic. Safe to call from
 // another goroutine while the session is running a program — the
 // counters are atomic — which is what lets a metrics scrape observe
 // in-flight sessions without waiting for Release.
@@ -78,7 +77,7 @@ func (s *Session) DisableProfiling() { s.m.DisableProfiling() }
 func (s *Session) StepTraces() []machine.StepTrace { return s.m.StepTraces() }
 
 // Close releases the machine's backing stores (shared memory, contention
-// scratch, pooled step workers). The session remains usable; the next
+// scratch, step buffers). The session remains usable; the next
 // upload reallocates on demand.
 func (s *Session) Close() { s.m.Free() }
 

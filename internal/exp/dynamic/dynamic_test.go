@@ -6,12 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"lowcontend/internal/exp/spec"
-	"lowcontend/internal/machine"
 )
 
 // minimalDef returns a small valid definition document; mutate fields
@@ -327,8 +325,9 @@ func TestCompiledCellsIntersectGrid(t *testing.T) {
 }
 
 // TestCompiledDeterminism is the determinism contract for dynamic
-// experiments: the table1 clone's results and rendered artifact are
-// byte-identical at -parallel 1 and 8.
+// experiments: the table1 clone's whole results, engine counters
+// included, and its rendered artifact are identical at -parallel 1
+// and 8.
 func TestCompiledDeterminism(t *testing.T) {
 	def := mustParse(t, readTestdata(t))
 	e := Compile(def)
@@ -344,27 +343,12 @@ func TestCompiledDeterminism(t *testing.T) {
 	if seq != par {
 		t.Fatalf("artifact not deterministic across parallelism:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", seq, par)
 	}
-	if !reflect.DeepEqual(stripExec(seqRes), stripExec(parRes)) {
-		t.Fatal("charged results differ across parallelism")
+	if !reflect.DeepEqual(seqRes, parRes) {
+		t.Fatal("results differ across parallelism")
 	}
 	for _, want := range []string{"perm.qrqw", "balance.erew", "x-"} {
 		if !strings.Contains(seq, want) {
 			t.Errorf("artifact missing %q:\n%s", want, seq)
 		}
 	}
-}
-
-// stripExec keeps only the program-determined part of each cell's
-// engine counters, the two descriptor counts MarshalJSON emits. The
-// rest (dispatch routes, cursor steals, cutoff moves) follows the host
-// schedule at any gang width above one.
-func stripExec(res spec.Result) spec.Result {
-	res.Cells = slices.Clone(res.Cells)
-	for i, c := range res.Cells {
-		res.Cells[i].Exec = machine.ExecStats{
-			BulkDescriptors: c.Exec.BulkDescriptors,
-			BulkExpanded:    c.Exec.BulkExpanded,
-		}
-	}
-	return res
 }

@@ -2,13 +2,11 @@ package exp
 
 import (
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"lowcontend/internal/core"
 	"lowcontend/internal/exp/spec"
-	"lowcontend/internal/machine"
 )
 
 // runBuiltin runs a registry experiment sequentially at sizes (nil
@@ -137,9 +135,9 @@ func TestRenderRowsRatioGuard(t *testing.T) {
 }
 
 // TestParallelRunMatchesSequential locks in the determinism contract:
-// per-cell measurements, profiles, errors, descriptor counts and
-// rendered artifacts are bit-identical between a sequential run and any
-// runner parallelism, shared pool or not.
+// whole cell results — measurements, profiles, errors and engine
+// counters — and rendered artifacts are bit-identical between a
+// sequential run and any runner parallelism, shared pool or not.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	sizes := map[string][]int{
 		"table1":     {1 << 9},
@@ -162,7 +160,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 			}
 			for _, par := range []int{4, 8} {
 				got := (&spec.Runner{Parallel: par, Pool: pool}).Run(e, sz, 11)
-				if !reflect.DeepEqual(stripExec(seq), stripExec(got)) {
+				if !reflect.DeepEqual(seq, got) {
 					t.Fatalf("Parallel=%d result differs from sequential:\n%+v\nvs\n%+v", par, got, seq)
 				}
 				if seq.Cells != nil && e.Render(got) != e.Render(seq) {
@@ -171,21 +169,6 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 			}
 		})
 	}
-}
-
-// stripExec keeps only the program-determined part of each cell's
-// engine counters, the two descriptor counts MarshalJSON emits. The
-// rest (dispatch routes, cursor steals, cutoff moves) follows the host
-// schedule at any gang width above one.
-func stripExec(res spec.Result) spec.Result {
-	res.Cells = slices.Clone(res.Cells)
-	for i, c := range res.Cells {
-		res.Cells[i].Exec = machine.ExecStats{
-			BulkDescriptors: c.Exec.BulkDescriptors,
-			BulkExpanded:    c.Exec.BulkExpanded,
-		}
-	}
-	return res
 }
 
 // TestExpectedShapeChecks runs each experiment's paper-shape check at

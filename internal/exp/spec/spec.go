@@ -121,13 +121,11 @@ type CellResult struct {
 	Measurements []Measurement
 	Profiles     []*profile.Profile
 	// Exec aggregates the engine counters of every session the cell
-	// acquired (dispatch routing, settlement paths, cursor utilization,
-	// descriptor traffic). MarshalJSON emits only its two descriptor
-	// counts, which depend on the program alone: the rest depend on the
-	// worker count at gang widths > 1, which would break the renderer's
-	// parallel-invariant JSON artifacts. All of it is deterministic — and
-	// safe to embed in reproducible documents — only when the pool pins
-	// Workers to 1, as the daemon's pool does.
+	// acquired (steps settled, descriptor traffic). Every step runs on
+	// the goroutine that issues it, so the counters are determined by
+	// the cell's program and safe to embed in reproducible documents.
+	// MarshalJSON emits only its two descriptor counts, the shape the
+	// JSON artifacts pin.
 	Exec machine.ExecStats
 	Err  error
 }
@@ -135,7 +133,9 @@ type CellResult struct {
 // MarshalJSON renders the result with the error (if any) as a string.
 // bulk_descriptors counts the bulk access descriptors the cell's
 // sessions recorded, and expanded_descriptors how many of them settled
-// by element expansion instead of analytically.
+// by element expansion instead of analytically. Like every engine
+// counter they depend on the cell's program alone; the other Exec
+// counters stay out of the JSON.
 func (r CellResult) MarshalJSON() ([]byte, error) {
 	var errText string
 	if r.Err != nil {
@@ -207,9 +207,7 @@ type Runner struct {
 	// <= 0 means GOMAXPROCS.
 	Parallel int
 	// Pool supplies sessions. When nil, each Run uses a private pool
-	// (with step-level workers bounded to 1 when Parallel > 1, so
-	// session-level parallelism is not multiplied by step-level
-	// parallelism) and closes it on return.
+	// and closes it on return.
 	Pool *core.SessionPool
 	// CellHook, when non-nil, is called immediately before
 	// (start=true) and after (start=false) each cell executes — the
@@ -287,9 +285,6 @@ func (r *Runner) RunTasks(tasks []Task) []CellResult {
 	pool := r.Pool
 	if pool == nil {
 		pool = core.NewSessionPool()
-		if par > 1 {
-			pool.Workers = 1
-		}
 		defer pool.Close()
 	}
 	idx := make(chan int)

@@ -268,7 +268,7 @@ func TestResultJSON(t *testing.T) {
 			}},
 			{Cell: "b", Index: 1, Err: errors.New("bad cell")},
 			// Descriptor counts live only in Exec; the rest of Exec
-			// depends on the gang width and must stay out of the JSON.
+			// stays out of the JSON.
 			{Cell: "c", Index: 2, Exec: machine.ExecStats{
 				GangDispatches: 5, GangFusedSettles: 4, SerialSteps: 3, CursorSteals: 1,
 				BulkDescriptors: 9, BulkExpanded: 2,
@@ -293,7 +293,7 @@ func TestResultJSON(t *testing.T) {
 	}
 	for _, key := range []string{"gang_", "serial_steps", "cursor_steals", "bulk_expanded"} {
 		if strings.Contains(s, key) {
-			t.Errorf("JSON carries host-only exec key %q:\n%s", key, s)
+			t.Errorf("JSON carries exec key %q:\n%s", key, s)
 		}
 	}
 	var round map[string]any

@@ -526,10 +526,7 @@ func (b *Bulk) Commit() error {
 		}
 	}
 	m.stepIndex++
-	if len(m.pool) < 1 {
-		m.pool = append(m.pool, getWorker())
-	}
-	w := m.pool[0]
+	w := m.worker()
 	w.reset()
 	var bs bulkSettle
 	b.settleBulk(w, &bs)
@@ -838,7 +835,7 @@ func (w *worker) replayProc(d *bulkDesc, p, rs, ws int) {
 			w.writes[j].val = v
 			continue
 		}
-		w.writes = append(w.writes, writeOp{addr: a, val: v, proc: int32(p)})
+		w.writes = append(w.writes, writeOp{addr: a, val: v})
 		w.touch(a)
 	}
 }

@@ -194,9 +194,7 @@ func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 // identical stats, raise identical violations, and leave identical
 // memory and traces under all nine models as its element-by-element
 // ParDo replay — with analytic settlement allowed, with every
-// descriptor forced through expansion (settled on the fast path, and on
-// the sharded one, which arbitrates writes by processor index), and
-// under hot-cell attribution, where the traces pin buildReplay's
+// descriptor forced through expansion, and under hot-cell attribution, where the traces pin buildReplay's
 // per-processor order.
 func FuzzBulkMatchesScalar(f *testing.F) {
 	seeds := xrand.NewStream(20260807)
@@ -219,7 +217,6 @@ func FuzzBulkMatchesScalar(f *testing.F) {
 			}
 			m := New(model, memN, opts...)
 			m.noBulkFast = mode != "bulk"
-			m.noFastPath = mode == "bulk-sharded"
 			var err error
 			if mode == "scalar" {
 				err = runSpecScalar(m, p, ops)
@@ -237,7 +234,7 @@ func FuzzBulkMatchesScalar(f *testing.F) {
 		for _, model := range allModels {
 			for _, hot := range []bool{false, true} {
 				ref := run(model, hot, "scalar")
-				for _, mode := range []string{"bulk", "bulk-expanded", "bulk-sharded"} {
+				for _, mode := range []string{"bulk", "bulk-expanded"} {
 					got := run(model, hot, mode)
 					name := fmt.Sprintf("model %v hot %v %s", model, hot, mode)
 					if got.err != ref.err {

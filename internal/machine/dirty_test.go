@@ -71,7 +71,7 @@ func checkDirtyMark(t testing.TB, m *Machine, want int) {
 }
 
 func TestDirtyMarkSerialStep(t *testing.T) {
-	m := New(QRQW, 1<<12, WithWorkers(1))
+	m := New(QRQW, 1<<12)
 	if m.dirty != 0 {
 		t.Fatalf("fresh machine dirty mark = %d, want 0", m.dirty)
 	}
@@ -88,62 +88,43 @@ func TestDirtyMarkSerialStep(t *testing.T) {
 	checkResetClean(t, m)
 }
 
-// TestDirtyMarkGangFastPath drives disjoint gang-width steps, which
-// members settle locally in parallel with a per-member mark.
-func TestDirtyMarkGangFastPath(t *testing.T) {
-	m := New(QRQW, 1<<16, WithWorkers(4))
-	m.noAdapt = true
-	defer m.Free()
-	p := 4 * serialCutoff
-	if err := m.ParDo(p, func(c *Ctx, i int) { c.Write(1000+3*i, Word(i+1)) }); err != nil {
-		t.Fatal(err)
-	}
-	if fused := m.ExecStats().GangFusedSettles; fused != 1 {
-		t.Fatalf("fused settles = %d, want 1 (step must take the gang fast path)", fused)
-	}
-	checkDirtyMark(t, m, 1000+3*(p-1)+1)
-	checkScratchZero(t)
-	checkResetClean(t, m)
-}
-
-// TestDirtyMarkSharded drives the sharded settlement with contended
-// writes, serially (noFastPath) and across gang members, so both the
-// parallel sole-writer apply and the serial arbitration raise the mark.
+// TestDirtyMarkSharded drives a CRCW step that mixes sole writers with
+// contended writes: both raise the mark, and the highest-indexed writer
+// wins each contended cell. (The name predates the single settlement
+// path; it once drove the sharded one.)
 func TestDirtyMarkSharded(t *testing.T) {
 	const top = 1<<16 - 1
-	for _, workers := range []int{1, 4} {
-		m := New(CRCW, 1<<16, WithWorkers(workers))
-		m.noAdapt = true
-		m.noFastPath = true
-		p := 4 * serialCutoff
-		// Sole writers fill the top p cells of memory, so only their
-		// (parallel) apply can raise the mark that high; the 64 cells at
-		// 10000.. take p/64 contending writers each.
-		err := m.ParDo(p, func(c *Ctx, i int) {
-			c.Write(10000+i%64, Word(i+1))
-			c.Write(top-i, Word(i+1))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDirtyMark(t, m, top+1)
-		checkScratchZero(t)
-		// The highest-indexed writer wins each contended cell.
-		if got, want := m.Word(10000), Word(p-64+1); got != want {
-			t.Errorf("workers=%d: arbitrated cell = %d, want %d", workers, got, want)
-		}
-		checkResetClean(t, m)
-
-		// Contended writes alone: the mark comes only from arbitration.
-		err = m.ParDo(p, func(c *Ctx, i int) { c.Write(20000+i%8, Word(i+1)) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDirtyMark(t, m, 20008)
-		checkScratchZero(t)
-		checkResetClean(t, m)
-		m.Free()
+	const p = 8192
+	m := New(CRCW, 1<<16)
+	defer m.Free()
+	// Sole writers fill the top p cells of memory, so only their apply
+	// can raise the mark that high; the 64 cells at 10000.. take p/64
+	// contending writers each.
+	err := m.ParDo(p, func(c *Ctx, i int) {
+		c.Write(10000+i%64, Word(i+1))
+		c.Write(top-i, Word(i+1))
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkDirtyMark(t, m, top+1)
+	checkScratchZero(t)
+	if got, want := m.Word(10000), Word(p-64+1); got != want {
+		t.Errorf("arbitrated cell = %d, want %d", got, want)
+	}
+	checkResetClean(t, m)
+
+	// Contended writes alone.
+	err = m.ParDo(p, func(c *Ctx, i int) { c.Write(20000+i%8, Word(i+1)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDirtyMark(t, m, 20008)
+	checkScratchZero(t)
+	if got, want := m.Word(20000), Word(p-8+1); got != want {
+		t.Errorf("arbitrated cell = %d, want %d", got, want)
+	}
+	checkResetClean(t, m)
 }
 
 // TestDirtyMarkViolation: a step that violates the model has still
@@ -203,50 +184,46 @@ func TestDirtyMarkDescriptors(t *testing.T) {
 }
 
 // TestDirtyMarkHotCells: hot-cell attribution reads the counters before
-// settlement resets them, serially and on gang members, and every
-// descriptor of a profiled Bulk step expands through the same counters.
+// settlement resets them, and every descriptor of a profiled Bulk step
+// expands through the same counters.
 func TestDirtyMarkHotCells(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		m := New(QRQW, 1<<15, WithWorkers(workers), WithHotCells(4))
-		m.noAdapt = true
-		p := 4 * serialCutoff
-		err := m.ParDo(p, func(c *Ctx, i int) {
-			c.Read(i % 16)
-			c.Write(20000+i%32, Word(i+1))
-			if i < 8 {
-				c.Write(30000+i, 1)
-				c.Write(31000+i, 2)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
+	const p = 8192
+	m := New(QRQW, 1<<15, WithHotCells(4))
+	defer m.Free()
+	err := m.ParDo(p, func(c *Ctx, i int) {
+		c.Read(i % 16)
+		c.Write(20000+i%32, Word(i+1))
+		if i < 8 {
+			c.Write(30000+i, 1)
+			c.Write(31000+i, 2)
 		}
-		tr := m.StepTraces()
-		if len(tr) != 1 || len(tr[0].HotCells) != 4 || tr[0].HotCells[0].Cont() != int64(p/16) {
-			t.Fatalf("workers=%d: hot cells %+v, want 4 led by contention %d", workers, tr, p/16)
-		}
-		checkDirtyMark(t, m, 31008)
-		checkScratchZero(t)
-
-		// A profiled descriptor step: its sorted scatter would settle
-		// analytically, but hot-cell attribution expands it.
-		b := m.Bulk(8, "scatter")
-		b.Gather(slices.Repeat([]int{5}, 8), 0)
-		b.Scatter([]int{32000, 32001, 32002, 32003, 32004, 32005, 32006, 32007}, 0,
-			[]Word{1, 2, 3, 4, 5, 6, 7, 8})
-		if err := b.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		tr = m.StepTraces()
-		if ex := m.ExecStats(); ex.BulkExpanded != 2 || len(tr) != 2 || tr[1].HotCells[0] != (HotCell{Addr: 5, Reads: 8}) {
-			t.Fatalf("workers=%d: expanded %d, traces %+v, want 2 expanded and hot cell 5 read by 8",
-				workers, ex.BulkExpanded, tr)
-		}
-		checkDirtyMark(t, m, 32008)
-		checkScratchZero(t)
-		checkResetClean(t, m)
-		m.Free()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr := m.StepTraces()
+	if len(tr) != 1 || len(tr[0].HotCells) != 4 || tr[0].HotCells[0].Cont() != int64(p/16) {
+		t.Fatalf("hot cells %+v, want 4 led by contention %d", tr, p/16)
+	}
+	checkDirtyMark(t, m, 31008)
+	checkScratchZero(t)
+
+	// A profiled descriptor step: its sorted scatter would settle
+	// analytically, but hot-cell attribution expands it.
+	b := m.Bulk(8, "scatter")
+	b.Gather(slices.Repeat([]int{5}, 8), 0)
+	b.Scatter([]int{32000, 32001, 32002, 32003, 32004, 32005, 32006, 32007}, 0,
+		[]Word{1, 2, 3, 4, 5, 6, 7, 8})
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tr = m.StepTraces()
+	if ex := m.ExecStats(); ex.BulkExpanded != 2 || len(tr) != 2 || tr[1].HotCells[0] != (HotCell{Addr: 5, Reads: 8}) {
+		t.Fatalf("expanded %d, traces %+v, want 2 expanded and hot cell 5 read by 8", ex.BulkExpanded, tr)
+	}
+	checkDirtyMark(t, m, 32008)
+	checkScratchZero(t)
+	checkResetClean(t, m)
 }
 
 func TestDirtyMarkHostWrites(t *testing.T) {

@@ -1,25 +1,27 @@
 package machine
 
 // ExecStats is a snapshot of the machine's host-execution telemetry:
-// how steps were dispatched (gang vs serial), how the fused dispatches
-// settled (member-local vs sharded), how evenly the gang's cursor
-// chunks were claimed, how often the adaptive serial cutoff moved, and
-// the bulk layer's descriptor traffic. All of it is wall-clock-side
-// accounting — none of these counters feed the charged Stats — but at
-// a single-worker configuration (no gang, no adaptation) every field
-// is deterministic for a given program, which is what lets services
-// embed per-run deltas in reproducible artifacts. It is the only way
-// any layer reads these counters: sessions, the session pool, cell
-// results, the daemon and the CLI all pass this struct along.
+// the steps it settled and the bulk layer's descriptor traffic. None of
+// these counters feed the charged Stats, but every step runs on the
+// goroutine that issues it, so each field is determined by the program
+// alone — which is what lets services embed per-run deltas in
+// reproducible artifacts. It is the only way any layer reads these
+// counters: sessions, the session pool, cell results, the daemon and
+// the CLI all pass this struct along.
+//
+// The seven gang, chunk, cursor and cutoff fields described a
+// step-execution gang the engine no longer has, and always read 0. They
+// stay because the benchmark module, the /metrics keys and the
+// Prometheus names serialize them.
 type ExecStats struct {
-	GangDispatches     int64 `json:"gang_dispatches"`      // gang barrier crossings
-	GangFusedSettles   int64 `json:"gang_fused_settles"`   // fused dispatches settled member-locally
-	GangShardedSettles int64 `json:"gang_sharded_settles"` // fused dispatches routed to the sharded path
-	SerialSteps        int64 `json:"serial_steps"`         // steps run on a single host goroutine
-	ChunksClaimed      int64 `json:"chunks_claimed"`       // cursor chunks claimed across fused dispatches
-	CursorSteals       int64 `json:"cursor_steals"`        // claims above a member's fair share
-	CutoffRaises       int64 `json:"cutoff_raises"`        // adaptive serial cutoff doublings
-	CutoffLowers       int64 `json:"cutoff_lowers"`        // adaptive serial cutoff halvings
+	GangDispatches     int64 `json:"gang_dispatches"`      // always 0
+	GangFusedSettles   int64 `json:"gang_fused_settles"`   // always 0
+	GangShardedSettles int64 `json:"gang_sharded_settles"` // always 0
+	SerialSteps        int64 `json:"serial_steps"`         // steps settled
+	ChunksClaimed      int64 `json:"chunks_claimed"`       // always 0
+	CursorSteals       int64 `json:"cursor_steals"`        // always 0
+	CutoffRaises       int64 `json:"cutoff_raises"`        // always 0
+	CutoffLowers       int64 `json:"cutoff_lowers"`        // always 0
 	BulkDescriptors    int64 `json:"bulk_descriptors"`     // Bulk descriptors committed
 	BulkExpanded       int64 `json:"bulk_expanded"`        // cell descriptors settled by element expansion
 }
@@ -31,29 +33,15 @@ type ExecStats struct {
 // counters are monotone between resets, so sums only ever lag).
 func (m *Machine) ExecStats() ExecStats {
 	return ExecStats{
-		GangDispatches:     m.gangDispatches.Load(),
-		GangFusedSettles:   m.gangFused.Load(),
-		GangShardedSettles: m.gangSharded.Load(),
-		SerialSteps:        m.serialSteps.Load(),
-		ChunksClaimed:      m.chunksClaimed.Load(),
-		CursorSteals:       m.cursorSteals.Load(),
-		CutoffRaises:       m.cutoffRaises.Load(),
-		CutoffLowers:       m.cutoffLowers.Load(),
-		BulkDescriptors:    m.bulkDescs.Load(),
-		BulkExpanded:       m.bulkExpanded.Load(),
+		SerialSteps:     m.serialSteps.Load(),
+		BulkDescriptors: m.bulkDescs.Load(),
+		BulkExpanded:    m.bulkExpanded.Load(),
 	}
 }
 
 // Add returns the fieldwise sum of two snapshots.
 func (e ExecStats) Add(o ExecStats) ExecStats {
-	e.GangDispatches += o.GangDispatches
-	e.GangFusedSettles += o.GangFusedSettles
-	e.GangShardedSettles += o.GangShardedSettles
 	e.SerialSteps += o.SerialSteps
-	e.ChunksClaimed += o.ChunksClaimed
-	e.CursorSteals += o.CursorSteals
-	e.CutoffRaises += o.CutoffRaises
-	e.CutoffLowers += o.CutoffLowers
 	e.BulkDescriptors += o.BulkDescriptors
 	e.BulkExpanded += o.BulkExpanded
 	return e
@@ -62,14 +50,7 @@ func (e ExecStats) Add(o ExecStats) ExecStats {
 // Sub returns the fieldwise difference e - o: the telemetry accrued
 // between snapshot o and snapshot e of the same machine.
 func (e ExecStats) Sub(o ExecStats) ExecStats {
-	e.GangDispatches -= o.GangDispatches
-	e.GangFusedSettles -= o.GangFusedSettles
-	e.GangShardedSettles -= o.GangShardedSettles
 	e.SerialSteps -= o.SerialSteps
-	e.ChunksClaimed -= o.ChunksClaimed
-	e.CursorSteals -= o.CursorSteals
-	e.CutoffRaises -= o.CutoffRaises
-	e.CutoffLowers -= o.CutoffLowers
 	e.BulkDescriptors -= o.BulkDescriptors
 	e.BulkExpanded -= o.BulkExpanded
 	return e

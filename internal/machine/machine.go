@@ -26,23 +26,18 @@
 // derived from its predicates; the step loop in step.go is
 // model-agnostic.
 //
-// The simulator is itself a parallel Go program: steps at or above the
-// serial cutoff execute on the machine's resident gang (gang.go) — worker
-// goroutines parked on an epoch barrier between steps that claim
-// fixed-size processor chunks from an atomic cursor — and contention
-// counting uses per-cell counters, leased from a package-level free list
-// for the duration of one settlement and reset via touched-address lists,
-// so that cost is proportional to the operations actually performed.
-// Steps whose chunks provably touch disjoint address ranges (and every
-// single-worker step) settle on a contention-free fast path with no
-// atomics: gang members settle their own cells inside the same dispatch
-// that ran the bodies, one barrier per step. Charged stats are
-// bit-identical at any worker count and any chunk schedule.
+// Every step runs on the goroutine that issues it: the processor bodies
+// execute in ascending index order against one buffered worker, and
+// settlement counts contention with per-cell counters leased from a
+// package-level free list for the duration of one settlement and reset
+// via touched-address lists, so that cost is proportional to the
+// operations actually performed. Host parallelism lives one level up,
+// in runners that execute independent machines concurrently; the
+// charged stats never depend on it.
 package machine
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync/atomic"
 )
@@ -52,8 +47,8 @@ import (
 type Word = int64
 
 // Machine is an instrumented PRAM. It is not safe for concurrent use by
-// multiple goroutines: one step executes at a time (the step itself runs
-// in parallel internally).
+// multiple goroutines: one step executes at a time, on the goroutine
+// that issues it.
 type Machine struct {
 	model Model
 	seed  uint64
@@ -65,13 +60,13 @@ type Machine struct {
 	brk int // bump-allocation watermark
 
 	// dirty is the memory high-water mark: every word of mem at or above
-	// it is zero. Every write path raises it (settlement folds the
-	// workers' local marks in mergeAndCharge), so Reset clears only
+	// it is zero. Every write path raises it, so Reset clears only
 	// mem[:dirty] and costs the words a run wrote, not the capacity.
 	dirty int
 
-	maxWorkers int
-	pool       []*worker
+	// wk holds the step buffers, taken from the package-level worker
+	// pool on the first step and returned by Free.
+	wk *worker
 
 	stepIndex uint64
 	stats     Stats
@@ -88,12 +83,6 @@ type Machine struct {
 	hotKOpt  int
 	hotMerge []HotCell // per-step hot-cell merge scratch, reused across steps
 
-	// noFastPath forces every step through the sharded atomic
-	// contention machinery, for testing that the fast path charges
-	// identical Stats; fastSteps counts steps settled on the fast path.
-	noFastPath bool
-	fastSteps  int64
-
 	// Bulk access layer state (bulk.go): the machine-owned step builder
 	// (with its settlement scratch), the descriptor hit counters, and the
 	// test hook that forces every descriptor through element expansion.
@@ -102,35 +91,10 @@ type Machine struct {
 	bulkExpanded atomic.Int64
 	noBulkFast   bool
 
-	// Resident execution gang state (gang.go): the lazily armed worker
-	// goroutines, the fused step descriptor they share, per-chunk bounds
-	// and scratch, and the dispatch-path counters. effCutoff is the
-	// serial cutoff in effect, adapted from measured step timings;
-	// chunksPer is defaultChunksPerWorker. Tests vary chunksPer and set
-	// noAdapt to freeze the cutoff, as they set noFastPath.
-	gang        *gang
-	gstep       gangStep
-	chunkB      []addrIv
-	ivScratch   []addrIv
-	contScratch []writeOp
-	finalized   bool // the retire-on-GC finalizer is installed
-
-	effCutoff int
-	chunksPer int
-	noAdapt   bool
-	ad        adaptState
-
-	// Dispatch-path telemetry. Atomic so observers (a metrics scrape
-	// over a leased session) may read a consistent value while a step
-	// is in flight; the owning goroutine is still the only writer.
-	gangDispatches atomic.Int64 // gang barrier crossings (fused steps + sharded phases)
-	gangFused      atomic.Int64 // fused dispatches that settled member-locally
-	gangSharded    atomic.Int64 // fused dispatches routed to the sharded settlement
-	serialSteps    atomic.Int64 // steps settled on a single host goroutine
-	chunksClaimed  atomic.Int64 // cursor chunks claimed across fused dispatches
-	cursorSteals   atomic.Int64 // claims above a member's fair share (work stolen)
-	cutoffRaises   atomic.Int64 // adaptive serial cutoff doublings (gang losing)
-	cutoffLowers   atomic.Int64 // adaptive serial cutoff halvings (gang winning)
+	// serialSteps counts settled steps. Atomic so observers (a metrics
+	// scrape over a leased session) may read it while a step is in
+	// flight; the owning goroutine is still the only writer.
+	serialSteps atomic.Int64
 }
 
 // Option configures a Machine at construction time.
@@ -139,16 +103,6 @@ type Option func(*Machine)
 // WithSeed fixes the seed from which all per-processor random streams are
 // derived. The default seed is 1.
 func WithSeed(seed uint64) Option { return func(m *Machine) { m.seed = seed } }
-
-// WithWorkers bounds the number of host goroutines used to execute one
-// step. The default is runtime.GOMAXPROCS(0).
-func WithWorkers(n int) Option {
-	return func(m *Machine) {
-		if n > 0 {
-			m.maxWorkers = n
-		}
-	}
-}
 
 // WithTrace enables per-step tracing (StepTraces accumulates one entry
 // per executed step).
@@ -213,13 +167,7 @@ func New(model Model, memWords int, opts ...Option) *Machine {
 	if int(model) >= len(modelNames) {
 		panic(fmt.Sprintf("machine: unknown model %d", uint8(model)))
 	}
-	m := &Machine{
-		model:      model,
-		seed:       1,
-		maxWorkers: runtime.GOMAXPROCS(0),
-		effCutoff:  serialCutoff,
-		chunksPer:  defaultChunksPerWorker,
-	}
+	m := &Machine{model: model, seed: 1}
 	for _, o := range opts {
 		o(m)
 	}
@@ -362,21 +310,13 @@ func (m *Machine) ResetStats() {
 	m.stepIndex = 0
 	m.bulkDescs.Store(0)
 	m.bulkExpanded.Store(0)
-	m.gangDispatches.Store(0)
-	m.gangFused.Store(0)
-	m.gangSharded.Store(0)
 	m.serialSteps.Store(0)
-	m.chunksClaimed.Store(0)
-	m.cursorSteals.Store(0)
-	m.cutoffRaises.Store(0)
-	m.cutoffLowers.Store(0)
 }
 
 // Reset zeroes memory, releases all allocations, clears statistics and
 // the trace, and restores the construction-time profiling settings,
-// keeping every backing array (mem and the pooled step workers) at its
-// current capacity — and the resident gang, if armed, stays parked and
-// re-arms nothing. It is the cheap way to reuse one Machine across
+// keeping every backing array (mem and the step buffers) at its current
+// capacity. It is the cheap way to reuse one Machine across
 // algorithm runs without reallocating, and the reason pooled sessions
 // can never leak a previous run's trace or tracing cost.
 //
@@ -392,27 +332,23 @@ func (m *Machine) Reset() {
 	m.ResetStats()
 }
 
-// Free releases the machine's backing stores: shared memory, the
-// per-step worker buffers (which return to a package-level pool for
-// other machines to reuse), and the resident execution gang — its
-// goroutines exit before Free returns, so a freed machine holds no host
-// resources at all. (The contention scratch is never the machine's to
+// Free releases the machine's backing stores: shared memory and the
+// step buffers (which return to a package-level pool for other machines
+// to reuse). (The contention scratch is never the machine's to
 // free: it is leased per settlement from a package-level free list.)
 // The machine stays valid — allocation restarts at address zero and the
 // arrays are re-grown on demand — but unlike Reset nothing is retained,
 // so Free is the right call when a machine becomes idle for a long time
 // or was sized for a much larger workload than what follows.
 func (m *Machine) Free() {
-	m.retireGang() // synchronously: no resident goroutines survive Free
 	m.mem = nil
 	m.brk, m.dirty = 0, 0
-	for _, w := range m.pool {
-		putWorker(w)
+	if m.wk != nil {
+		putWorker(m.wk)
+		m.wk = nil
 	}
-	m.pool = nil
 	m.hotMerge = nil
 	m.bulkB = Bulk{}
-	m.chunkB, m.ivScratch, m.contScratch = nil, nil, nil
 	m.DisableProfiling()
 	m.ResetStats()
 }

@@ -328,30 +328,6 @@ func TestDeterministicRand(t *testing.T) {
 	}
 }
 
-func TestParallelAndSerialPathsAgree(t *testing.T) {
-	// Above the serialCutoff the parallel path engages; the observed
-	// memory state and stats must match a single-worker run.
-	const n = 3 * serialCutoff
-	run := func(workers int) ([]Word, Stats) {
-		m := New(QRQW, n, WithSeed(7), WithWorkers(workers))
-		m.ParDo(n, func(c *Ctx, i int) {
-			j := c.Rand().Intn(n)
-			c.Write(j, Word(i))
-		})
-		return m.LoadWords(0, n), m.Stats()
-	}
-	memA, stA := run(1)
-	memB, stB := run(8)
-	if stA != stB {
-		t.Fatalf("stats differ: %v vs %v", stA, stB)
-	}
-	for i := range memA {
-		if memA[i] != memB[i] {
-			t.Fatalf("memory differs at %d: %d vs %d", i, memA[i], memB[i])
-		}
-	}
-}
-
 func TestStatsAccumulation(t *testing.T) {
 	m := New(QRQW, 16)
 	m.ParDo(4, func(c *Ctx, i int) { c.Read(i); c.Write(i+4, 1) })
@@ -522,101 +498,14 @@ func TestReseedReplaysFreshMachine(t *testing.T) {
 	}
 }
 
-func TestFastPathEngages(t *testing.T) {
-	// A disjoint-address step (proc i touches cell i) must settle on the
-	// contention-free fast path even above the parallel cutoff.
-	const n = 4 * serialCutoff
-	m := New(QRQW, n, WithWorkers(8))
-	if err := m.ParDo(n, func(c *Ctx, i int) { c.Write(i, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	if m.fastSteps != 1 {
-		t.Errorf("fastSteps = %d, want 1", m.fastSteps)
-	}
-	// A step where every shard reads one hot cell cannot prove
-	// disjointness and must take the sharded path.
-	if err := m.ParDo(n, func(c *Ctx, i int) { c.Read(0) }); err != nil {
-		t.Fatal(err)
-	}
-	if m.fastSteps != 1 {
-		t.Errorf("fastSteps after hot-cell step = %d, want 1", m.fastSteps)
-	}
-}
-
-func TestFastPathMatchesShardedPath(t *testing.T) {
-	// Regression for the fast path: the same program — mixing disjoint
-	// steps, hot cells, and contended writes — must charge identical
-	// Stats and leave identical memory whether or not the fast path is
-	// allowed, at several worker counts.
-	const n = 3 * serialCutoff
-	program := func(m *Machine) {
-		base := m.Alloc(n)
-		hot := m.Alloc(1)
-		// Disjoint: eligible for the fast path.
-		if err := m.ParDo(n, func(c *Ctx, i int) { c.Write(base+i, Word(i)) }); err != nil {
-			t.Fatal(err)
-		}
-		// Neighbor reads: still disjoint per shard except at boundaries.
-		if err := m.ParDo(n, func(c *Ctx, i int) {
-			v := c.Read(base + (i+1)%n)
-			c.Write(base+i, v+1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Contended writes onto one cell from a sparse subset.
-		if err := m.ParDo(n, func(c *Ctx, i int) {
-			if i%1024 == 0 {
-				c.Write(hot, Word(i))
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Random scatter: cross-shard collisions likely.
-		if err := m.ParDo(n, func(c *Ctx, i int) {
-			c.Write(base+c.Rand().Intn(n), Word(i))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type result struct {
-		st  Stats
-		mem []Word
-	}
-	run := func(workers int, disableFast bool) result {
-		m := New(QRQW, n+1, WithSeed(9), WithWorkers(workers))
-		m.noFastPath = disableFast
-		program(m)
-		if disableFast && m.fastSteps != 0 {
-			t.Fatal("noFastPath did not disable the fast path")
-		}
-		return result{m.Stats(), m.LoadWords(0, n+1)}
-	}
-	ref := run(1, true)
-	for _, workers := range []int{1, 2, 8} {
-		for _, disable := range []bool{true, false} {
-			got := run(workers, disable)
-			if got.st != ref.st {
-				t.Fatalf("workers=%d noFast=%v stats %v, want %v", workers, disable, got.st, ref.st)
-			}
-			for i := range ref.mem {
-				if got.mem[i] != ref.mem[i] {
-					t.Fatalf("workers=%d noFast=%v memory differs at %d", workers, disable, i)
-				}
-			}
-		}
-	}
-}
-
 func TestBulkMatchesScalarAcrossPaths(t *testing.T) {
-	// Descriptor-vs-scalar replay (the bulk-layer extension of
-	// TestFastPathMatchesShardedPath): a program whose Bulk steps use
-	// every descriptor form — ranges, gathers, hot-cell lists, fills, and
-	// cells one processor reaches through several descriptors — must
-	// produce identical Stats, violations, step traces, and hot cells as
-	// its element-by-element ParDo replay, across both settlement paths,
-	// with and without analytic bulk settlement, at worker counts 1
-	// and 4.
-	const n = 3 * serialCutoff
+	// Descriptor-vs-scalar replay: a program whose Bulk steps use every
+	// descriptor form — ranges, gathers, hot-cell lists, fills, and cells
+	// one processor reaches through several descriptors — must produce
+	// identical Stats, violations, step traces, and hot cells as its
+	// element-by-element ParDo replay, with and without analytic bulk
+	// settlement.
+	const n = 6144
 	const blk = 4
 	program := func(m *Machine, bulk bool) error {
 		base := m.Alloc(blk * n)
@@ -746,9 +635,8 @@ func TestBulkMatchesScalarAcrossPaths(t *testing.T) {
 		mem   []Word
 		err   string
 	}
-	run := func(workers int, disableFast, bulk, noBulkFast bool) result {
-		m := New(QRQW, 1, WithSeed(9), WithWorkers(workers), WithHotCells(3))
-		m.noFastPath = disableFast
+	run := func(bulk, noBulkFast bool) result {
+		m := New(QRQW, 1, WithSeed(9), WithHotCells(3))
 		m.noBulkFast = noBulkFast
 		err := program(m, bulk)
 		r := result{st: m.Stats(), trace: fmt.Sprintf("%+v", m.StepTraces()), mem: m.LoadWords(0, m.Allocated())}
@@ -757,32 +645,22 @@ func TestBulkMatchesScalarAcrossPaths(t *testing.T) {
 		}
 		return r
 	}
-	ref := run(1, true, false, false)
-	for _, workers := range []int{1, 4} {
-		for _, disable := range []bool{true, false} {
-			for _, noBulkFast := range []bool{false, true} {
-				got := run(workers, disable, true, noBulkFast)
-				label := fmt.Sprintf("workers=%d noFast=%v noBulkFast=%v", workers, disable, noBulkFast)
-				if got.err != ref.err {
-					t.Fatalf("%s: err %q, want %q", label, got.err, ref.err)
-				}
-				if got.st != ref.st {
-					t.Fatalf("%s: stats\n got %+v\nwant %+v", label, got.st, ref.st)
-				}
-				if got.trace != ref.trace {
-					t.Fatalf("%s: traces differ\n got %s\nwant %s", label, got.trace, ref.trace)
-				}
-				for i := range ref.mem {
-					if got.mem[i] != ref.mem[i] {
-						t.Fatalf("%s: memory differs at %d: %d vs %d", label, i, got.mem[i], ref.mem[i])
-					}
-				}
-				// The scalar reference must also agree with itself on
-				// the sharded path at this worker count.
-				sc := run(workers, disable, false, false)
-				if sc.st != ref.st || sc.trace != ref.trace {
-					t.Fatalf("%s: scalar replay diverges from reference", label)
-				}
+	ref := run(false, false)
+	for _, noBulkFast := range []bool{false, true} {
+		got := run(true, noBulkFast)
+		label := fmt.Sprintf("noBulkFast=%v", noBulkFast)
+		if got.err != ref.err {
+			t.Fatalf("%s: err %q, want %q", label, got.err, ref.err)
+		}
+		if got.st != ref.st {
+			t.Fatalf("%s: stats\n got %+v\nwant %+v", label, got.st, ref.st)
+		}
+		if got.trace != ref.trace {
+			t.Fatalf("%s: traces differ\n got %s\nwant %s", label, got.trace, ref.trace)
+		}
+		for i := range ref.mem {
+			if got.mem[i] != ref.mem[i] {
+				t.Fatalf("%s: memory differs at %d: %d vs %d", label, i, got.mem[i], ref.mem[i])
 			}
 		}
 	}

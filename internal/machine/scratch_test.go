@@ -13,7 +13,6 @@ type scratchRun struct {
 	stats    Stats
 	mem      []Word
 	trace    []StepTrace
-	fused    int64 // gang steps settled on the fast path
 	expanded int64 // descriptors settled by expansion
 	err      error
 }
@@ -23,16 +22,15 @@ type scratchRun struct {
 // (odd k) hot-cell profiling — on a memory
 // whose size depends on k, so concurrent machines lease, outgrow and
 // hand back scratch of different lengths.
-func runScratchMix(k, workers int) scratchRun {
+func runScratchMix(k int) scratchRun {
 	words := 1 << (11 + k%4)
-	opts := []Option{WithWorkers(workers), WithSeed(uint64(k + 1)), WithTrace()}
+	opts := []Option{WithSeed(uint64(k + 1)), WithTrace()}
 	if k%2 == 1 {
 		opts = append(opts, WithHotCells(4))
 	}
 	m := New(QRQW, words, opts...)
-	m.noAdapt = true
 	defer m.Free()
-	p := 4 * serialCutoff
+	const p = 8192
 	run := func() error {
 		for range 3 {
 			err := m.ParDo(p, func(c *Ctx, i int) {
@@ -50,8 +48,7 @@ func runScratchMix(k, workers int) scratchRun {
 				return err
 			}
 		}
-		// Chunk-monotone contended writes: the gang settles these on
-		// its fast path, members counting into one shared lease.
+		// Contended writes, monotone in the processor index.
 		err := m.ParDo(p, func(c *Ctx, i int) { c.Write(i*words/p, Word(i)) })
 		if err != nil {
 			return err
@@ -63,12 +60,12 @@ func runScratchMix(k, workers int) scratchRun {
 		if err := b.Commit(); err != nil {
 			return err
 		}
-		// A small serial step after the gang steps.
+		// A small step after the large ones.
 		return m.ParDo(100, func(c *Ctx, i int) { c.Write(words-1-i, c.Read(i%3)+1) })
 	}
 	err := run()
 	ex := m.ExecStats()
-	return scratchRun{m.Stats(), m.LoadWords(0, words), m.StepTraces(), ex.GangFusedSettles, ex.BulkExpanded, err}
+	return scratchRun{m.Stats(), m.LoadWords(0, words), m.StepTraces(), ex.BulkExpanded, err}
 }
 
 // TestScratchSharedAcrossMachines: machines settling concurrently share
@@ -76,35 +73,33 @@ func runScratchMix(k, workers int) scratchRun {
 // traces must match the same machines run one at a time, bit for bit.
 func TestScratchSharedAcrossMachines(t *testing.T) {
 	const K = 4
-	for _, workers := range []int{1, 4} {
-		var want [K]scratchRun
-		for k := range K {
-			want[k] = runScratchMix(k, workers)
-			if want[k].err != nil {
-				t.Fatalf("workers=%d machine %d: %v", workers, k, want[k].err)
-			}
+	var want [K]scratchRun
+	for k := range K {
+		want[k] = runScratchMix(k)
+		if want[k].err != nil {
+			t.Fatalf("machine %d: %v", k, want[k].err)
 		}
-		var got [K]scratchRun
-		var wg sync.WaitGroup
-		for k := range K {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[k] = runScratchMix(k, workers)
-			}()
-		}
-		wg.Wait()
-		for k := range K {
-			if !reflect.DeepEqual(got[k], want[k]) {
-				t.Errorf("workers=%d machine %d: concurrent run differs from its sequential run", workers, k)
-			}
-		}
-		if w := want[0]; w.stats.MaxContention < 2 || w.expanded == 0 || (workers > 1) != (w.fused > 0) ||
-			w.trace[0].HotCells != nil || want[1].trace[0].HotCells == nil {
-			t.Errorf("workers=%d: mix is not contended, expanded, profiled and fused as intended: %+v", workers, w)
-		}
-		checkScratchZero(t)
 	}
+	var got [K]scratchRun
+	var wg sync.WaitGroup
+	for k := range K {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k] = runScratchMix(k)
+		}()
+	}
+	wg.Wait()
+	for k := range K {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Errorf("machine %d: concurrent run differs from its sequential run", k)
+		}
+	}
+	if w := want[0]; w.stats.MaxContention < 2 || w.expanded == 0 ||
+		w.trace[0].HotCells != nil || want[1].trace[0].HotCells == nil {
+		t.Errorf("mix is not contended, expanded and profiled as intended: %+v", w)
+	}
+	checkScratchZero(t)
 }
 
 // TestMachineFootprint pins a machine's per-word cost at its memory
@@ -141,53 +136,50 @@ func idleScratch() []int {
 // never the machine's capacity; a short scratch is replaced by one of
 // doubled length; and a step with no scalar entries leases nothing.
 func TestScratchLeaseSizing(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		m := New(QRQW, 1<<16, WithWorkers(workers))
-		m.noAdapt = true
-		idleScratch()
-		step := func(p int, body func(c *Ctx, i int), want ...int) {
-			t.Helper()
-			if err := m.ParDo(p, body); err != nil {
-				t.Fatal(err)
-			}
-			if got := idleScratch(); !slices.Equal(got, want) {
-				t.Fatalf("workers=%d: idle scratch lengths %v, want %v", workers, got, want)
-			}
-		}
-		step(100, func(c *Ctx, i int) { c.Write(i, 1) }, 100)
-
-		if err := m.ParDo(100, func(c *Ctx, i int) { c.Read(i) }); err != nil {
+	m := New(QRQW, 1<<16)
+	defer m.Free()
+	idleScratch()
+	step := func(p int, body func(c *Ctx, i int), want ...int) {
+		t.Helper()
+		if err := m.ParDo(p, body); err != nil {
 			t.Fatal(err)
 		}
-		step(150, func(c *Ctx, i int) { c.Read(i) }, 200)
+		if got := idleScratch(); !slices.Equal(got, want) {
+			t.Fatalf("idle scratch lengths %v, want %v", got, want)
+		}
+	}
+	step(100, func(c *Ctx, i int) { c.Write(i, 1) }, 100)
 
-		b := m.Bulk(16, "fill")
-		b.FillRange(5000, 16, 1, 0, 1, 7)
-		if err := b.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if got := idleScratch(); len(got) != 0 {
-			t.Fatalf("workers=%d: a descriptor-only step leased scratch %v", workers, got)
-		}
+	if err := m.ParDo(100, func(c *Ctx, i int) { c.Read(i) }); err != nil {
+		t.Fatal(err)
+	}
+	step(150, func(c *Ctx, i int) { c.Read(i) }, 200)
 
-		// A gang-width scalar step leases up to its highest address.
-		step(4*serialCutoff, func(c *Ctx, i int) { c.Write(i, 1) }, 4*serialCutoff)
+	b := m.Bulk(16, "fill")
+	b.FillRange(5000, 16, 1, 0, 1, 7)
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := idleScratch(); len(got) != 0 {
+		t.Fatalf("a descriptor-only step leased scratch %v", got)
+	}
 
-		// The scatter and the fill share cell 40000, so both expand and
-		// the lease reaches it.
-		b = m.Bulk(2, "overlap")
-		b.Scatter([]int{30000, 40000}, 0, []Word{1, 2})
-		b.FillRange(35000, 2, 5000, 0, 1, 3)
-		if err := b.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if got := idleScratch(); !slices.Equal(got, []int{40001}) {
-			t.Fatalf("workers=%d: idle scratch lengths %v, want [40001]", workers, got)
-		}
-		if m.ExecStats().BulkExpanded != 2 {
-			t.Fatalf("workers=%d: the descriptors did not expand", workers)
-		}
-		m.Free()
+	// A large scalar step leases up to its highest address.
+	step(8192, func(c *Ctx, i int) { c.Write(i, 1) }, 8192)
+
+	// The scatter and the fill share cell 40000, so both expand and the
+	// lease reaches it.
+	b = m.Bulk(2, "overlap")
+	b.Scatter([]int{30000, 40000}, 0, []Word{1, 2})
+	b.FillRange(35000, 2, 5000, 0, 1, 3)
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := idleScratch(); !slices.Equal(got, []int{40001}) {
+		t.Fatalf("idle scratch lengths %v, want [40001]", got)
+	}
+	if m.ExecStats().BulkExpanded != 2 {
+		t.Fatal("the descriptors did not expand")
 	}
 	checkScratchZero(t)
 }

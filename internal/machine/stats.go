@@ -6,12 +6,11 @@ import "fmt"
 // Machine.
 //
 // Stats are deterministic for a fixed (program, model, seed): host
-// scheduling, worker count, and the engine's choice of settlement path
+// scheduling and the choice between scalar and descriptor settlement
 // never change them. Part of that guarantee is the machine's write
 // arbitration invariant — when several processors write one cell in a
-// step, the highest processor index wins — which every execution path
-// (single-worker, disjoint-shard fast path, sharded atomic path)
-// preserves.
+// step, the highest processor index wins — which both settlement paths
+// preserve.
 type Stats struct {
 	// Steps is the number of synchronous PRAM steps executed.
 	Steps int64 `json:"steps,omitzero"`
@@ -88,8 +87,8 @@ func (s Stats) String() string {
 
 // StepTrace records the accounting of one executed step (tracing must be
 // enabled with WithTrace or at runtime via EnableProfiling). Like Stats,
-// a trace is reproducible across worker counts and settlement paths:
-// contended cells always retain the value written by the highest-indexed
+// a trace is reproducible across hosts and settlement paths: contended
+// cells always retain the value written by the highest-indexed
 // processor, so the post-step memory a trace describes is unique, and
 // hot-cell rankings break every tie by address.
 type StepTrace struct {

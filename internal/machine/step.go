@@ -6,46 +6,27 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"lowcontend/internal/xrand"
 )
 
-// serialCutoff is the initial processor count below which a step runs on
-// a single host goroutine; the machine adapts it from measured step
-// timings (gang.go).
-const serialCutoff = 2048
-
-// minChunk is the floor on the size of one dynamically scheduled
-// processor chunk.
-const minChunk = 1024
-
 type writeOp struct {
 	addr int
 	val  Word
-	proc int32
 }
 
-// worker owns the per-goroutine buffers of one step shard. Workers are
-// pooled at package level (see workerPool) so that machines created and
-// dropped in a loop reuse buffer capacity instead of reallocating it.
+// worker owns the buffers of one step: the processors' scalar accesses
+// and the step's accounting. Workers are pooled at package level (see
+// workerPool) so that machines created and dropped in a loop reuse
+// buffer capacity instead of reallocating it.
 type worker struct {
 	readAddrs []int
 	writes    []writeOp
 
-	// lo/hi bound the shared-memory addresses this shard's scalar
-	// accesses touched. On the serial path they bound the whole step; on
-	// the gang path they are reset around each claimed chunk and
-	// recorded per chunk in Machine.chunkB, so the fast-path disjointness
-	// proof is independent of which member ran which chunk.
-	lo, hi int
-
-	// dirtyHi is one past the highest address this shard's settlement
-	// wrote to memory this step. Kept per shard so parallel settlement
-	// never shares it; mergeAndCharge folds it into the machine's dirty
-	// mark. (hi cannot serve: the gang resets it around every chunk.)
-	dirtyHi int
+	// hi is the highest shared-memory address the step's scalar
+	// accesses touched (-1 when none), so settlement leases contention
+	// scratch covering exactly [0, hi].
+	hi int
 
 	// rSeen/wSeen are the over-threshold dedupe indexes for processors
 	// issuing many accesses in one step: below dedupeMapThreshold
@@ -69,29 +50,20 @@ type worker struct {
 	simdCount int64
 	simdProc  int // lowest processor index violating the SIMD rule
 
-	// contended queues this shard's writes to cells other shards also
-	// wrote, for the sharded path's processor-order arbitration pass.
-	contended []writeOp
-
-	// claims counts the cursor chunks this member claimed in the current
-	// fused dispatch; gangRun folds it into the machine's utilization
-	// telemetry after the dispatch barrier.
-	claims int64
-
-	// hotR/hotW hold this shard's hot-cell candidates — its top-K
+	// hotR/hotW hold the step's hot-cell candidates — its top-K
 	// addresses by read and by write contention — when hot-cell
 	// attribution is enabled. Empty (and never touched) otherwise.
 	hotR []hotCand
 	hotW []hotCand
 
-	// ctx is the Ctx handed to every processor body this shard runs.
+	// ctx is the Ctx handed to every processor body of the step.
 	// Living inside the (pooled, heap-resident) worker rather than on
 	// the step loop's stack keeps ParDo allocation-free: a stack Ctx
 	// would escape through the unknown body function on every step.
 	ctx Ctx
 }
 
-// hotCand is one shard-local hot-cell candidate: a touched address with
+// hotCand is one hot-cell candidate: a touched address with
 // its final per-cell contention counts, ranked by the count of the list
 // it lives in (reads for hotR, writes for hotW).
 type hotCand struct {
@@ -172,9 +144,7 @@ func releaseCounters(c counters) {
 func (w *worker) reset() {
 	w.readAddrs = w.readAddrs[:0]
 	w.writes = w.writes[:0]
-	w.lo, w.hi = math.MaxInt, -1
-	w.dirtyHi = 0
-	w.claims = 0
+	w.hi = -1
 	w.maxOps = 0
 	w.reads, w.writesN, w.computes = 0, 0, 0
 	w.maxR, w.maxW = 0, 0
@@ -182,15 +152,11 @@ func (w *worker) reset() {
 	w.simdViol = false
 	w.simdCount = 0
 	w.simdProc = -1
-	w.contended = w.contended[:0]
 	w.hotR = w.hotR[:0]
 	w.hotW = w.hotW[:0]
 }
 
 func (w *worker) touch(addr int) {
-	if addr < w.lo {
-		w.lo = addr
-	}
 	if addr > w.hi {
 		w.hi = addr
 	}
@@ -297,7 +263,7 @@ func (c *Ctx) writeElem(addr int, v Word) {
 					return
 				}
 			}
-			w.writes = append(w.writes, writeOp{addr: addr, val: v, proc: int32(c.proc)})
+			w.writes = append(w.writes, writeOp{addr: addr, val: v})
 			w.touch(addr)
 			return
 		}
@@ -316,7 +282,7 @@ func (c *Ctx) writeElem(addr int, v Word) {
 		return
 	}
 	w.wSeen[addr] = len(w.writes)
-	w.writes = append(w.writes, writeOp{addr: addr, val: v, proc: int32(c.proc)})
+	w.writes = append(w.writes, writeOp{addr: addr, val: v})
 	w.touch(addr)
 }
 
@@ -368,31 +334,21 @@ func (w *worker) afterProc(c *Ctx, simd bool) {
 	w.writesN += c.wr
 	w.computes += c.cp
 	if simd && (c.r > 1 || c.wr > 1 || c.cp > 1) && !w.simdViol {
-		// Processors run in ascending index order within a shard (and
-		// within each gang chunk, with chunks claimed in ascending
-		// order), so the first violation seen is this shard's
-		// lowest-indexed violator — the merge picks the global minimum.
+		// Processors run in ascending index order, so the first
+		// violation seen is the lowest-indexed violator.
 		w.simdViol = true
 		w.simdCount = max(c.r, c.wr, c.cp)
 		w.simdProc = c.proc
 	}
 }
 
-// runProcs resets the shard and executes the processor bodies of
-// [lo, hi) against the shard's own Ctx.
-func (w *worker) runProcs(m *Machine, lo, hi int, simd bool, body func(c *Ctx, i int)) {
+// runProcs resets the worker and executes the processor bodies of
+// [0, p) in ascending index order against the worker's Ctx.
+func (w *worker) runProcs(m *Machine, p int, simd bool, body func(c *Ctx, i int)) {
 	w.reset()
 	c := &w.ctx
 	c.m, c.w, c.step = m, w, m.stepIndex
-	w.runRange(lo, hi, simd, body)
-}
-
-// runRange executes the processor bodies of [lo, hi) against the
-// shard's Ctx without resetting the shard; the gang's chunk loop calls
-// it once per claimed chunk.
-func (w *worker) runRange(lo, hi int, simd bool, body func(c *Ctx, i int)) {
-	c := &w.ctx
-	for i := lo; i < hi; i++ {
+	for i := range p {
 		c.proc = i
 		c.r, c.wr, c.cp = 0, 0, 0
 		c.rStart = len(w.readAddrs)
@@ -405,9 +361,9 @@ func (w *worker) runRange(lo, hi int, simd bool, body func(c *Ctx, i int)) {
 }
 
 // ParDo executes one synchronous PRAM step with p virtual processors.
-// body is invoked once per processor with that processor's Ctx and index.
-// body must not retain the Ctx, must not touch the machine directly, and
-// must be safe to call concurrently for distinct processors.
+// body is invoked once per processor with that processor's Ctx and
+// index, in ascending index order on the calling goroutine. body must
+// not retain the Ctx and must not touch the machine directly.
 func (m *Machine) ParDo(p int, body func(c *Ctx, i int)) error {
 	return m.parDoLabeled(p, "", body)
 }
@@ -425,90 +381,46 @@ func (m *Machine) parDoLabeled(p int, label string, body func(c *Ctx, i int)) er
 		return fmt.Errorf("machine: ParDo with %d processors", p)
 	}
 	m.stepIndex++
-	simd := m.model.SIMD()
-
-	// Route: steps at or above the serial cutoff go to the resident gang
-	// (gang.go) when one can engage; everything else runs inline on a
-	// single host goroutine — no dispatch, no closures, no allocation.
-	if m.maxWorkers > 1 && p >= m.effCutoff {
-		return m.gangRun(p, label, simd, body)
-	}
-	if len(m.pool) < 1 {
-		m.pool = append(m.pool, getWorker())
-	}
-	adapt := m.adaptive()
-	var t0 time.Time
-	if adapt {
-		t0 = time.Now()
-	}
-	m.pool[0].runProcs(m, 0, p, simd, body)
-	if adapt {
-		m.observeSerial(p, time.Since(t0))
-	}
+	w := m.worker()
+	w.runProcs(m, p, m.model.SIMD(), body)
 	return m.finishStep(p, label, nil)
 }
 
-// finishStep settles the scalar buffers of one step executed on the
-// single worker m.pool[0] and merges, polices, and charges it. It is
-// shared by the serial ParDo route (bs nil) and Bulk.Commit, whose
-// descriptors settleBulk has already settled into bs — the expanded
-// ones into the worker's buffers; gang steps settle inside the fused
-// dispatch (gang.go) and merge through the same mergeAndCharge.
+// worker returns the machine's step buffers, taking them from the
+// package-level pool on first use.
+func (m *Machine) worker() *worker {
+	if m.wk == nil {
+		m.wk = getWorker()
+	}
+	return m.wk
+}
+
+// finishStep settles the scalar buffers of one step and merges,
+// polices, and charges it. It is shared by ParDo (bs nil) and
+// Bulk.Commit, whose descriptors settleBulk has already settled into
+// bs — the expanded ones into the worker's buffers.
 func (m *Machine) finishStep(p int, label string, bs *bulkSettle) error {
 	m.serialSteps.Add(1)
-	workers := m.pool[:1]
-	w := workers[0]
-	// The worker's bounds cover its scalar entries, expanded descriptor
+	w := m.wk
+	// The worker's bound covers its scalar entries, expanded descriptor
 	// cells included (expansion touches them), so the lease spans exactly
 	// the addresses this settlement counts.
 	cnt := leaseCounters(w.hi + 1)
-	// A single worker owns every cell it touched, so the contention-free
-	// local settlement is always legal (noFastPath still forces the
-	// sharded machinery, for testing that both paths charge identically).
-	if !m.noFastPath {
-		m.fastSteps++
-		w.settleLocal(m, cnt)
-	} else {
-		m.settleSharded(1, workers, cnt)
-	}
+	w.settleLocal(m, cnt)
 	releaseCounters(cnt)
-	return m.mergeAndCharge(p, label, workers, bs)
+	return m.mergeAndCharge(p, label, w, bs)
 }
 
-// mergeAndCharge merges the workers' accounting and, for a Bulk step,
+// mergeAndCharge merges the worker's accounting with, for a Bulk step,
 // the bulk layer's (bs; nil otherwise), checks model legality, and
-// charges the step. Every fold is order-independent — sums, maxima with
-// a smallest-address (or lowest-processor) tie-break — so the result is
-// identical whatever partition of the step's processors produced the
-// workers' buffers.
-func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bulkSettle) error {
-	var maxOps, maxR, maxW int64
-	maxRAddr, maxWAddr := -1, -1
-	var reads, writes, computes int64
-	simdViol := false
-	var simdCount int64
-	simdProc := math.MaxInt
-	for _, w := range workers {
-		// Fold the settled writes into the dirty mark first: memory has
-		// changed even if the step turns out to be a model violation.
-		m.dirty = max(m.dirty, w.dirtyHi)
-		if w.maxOps > maxOps {
-			maxOps = w.maxOps
-		}
-		if w.maxR > maxR || (w.maxR == maxR && maxR > 0 && w.maxRAddr < maxRAddr) {
-			maxR, maxRAddr = w.maxR, w.maxRAddr
-		}
-		if w.maxW > maxW || (w.maxW == maxW && maxW > 0 && w.maxWAddr < maxWAddr) {
-			maxW, maxWAddr = w.maxW, w.maxWAddr
-		}
-		reads += w.reads
-		writes += w.writesN
-		computes += w.computes
-		if w.simdViol && w.simdProc < simdProc {
-			simdViol = true
-			simdCount = w.simdCount
-			simdProc = w.simdProc
-		}
+// charges the step.
+func (m *Machine) mergeAndCharge(p int, label string, w *worker, bs *bulkSettle) error {
+	maxOps, maxR, maxW := w.maxOps, w.maxR, w.maxW
+	maxRAddr, maxWAddr := w.maxRAddr, w.maxWAddr
+	reads, writes, computes := w.reads, w.writesN, w.computes
+	simdViol, simdCount, simdProc := w.simdViol, w.simdCount, w.simdProc
+	if !simdViol {
+		simdProc = math.MaxInt
 	}
 	// Fold in the bulk layer's analytic contributions (descriptor
 	// totals, per-processor load, and the contention of descriptors that
@@ -570,7 +482,7 @@ func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bul
 	if m.tracing {
 		var hot []HotCell
 		if m.hotK > 0 {
-			hot = m.mergeHotCells(workers)
+			hot = m.mergeHotCells(w)
 		}
 		m.trace = append(m.trace, StepTrace{
 			Step:      int64(m.stepIndex),
@@ -587,15 +499,12 @@ func (m *Machine) mergeAndCharge(p int, label string, workers []*worker, bs *bul
 	return nil
 }
 
-// settleLocal counts contention, extracts the shard's maxima, applies the
-// shard's writes, and resets the scratch counters — all without atomics,
-// legal only when no other shard touches this shard's cells. Writes are
-// applied in buffer order: processors run in increasing index order
-// within a shard (gang members claim chunks in ascending order), so the
-// last buffered write to a cell is the highest-indexed writer, preserving
-// the machine's arbitration invariant. The kappa arg-max breaks count
-// ties toward the smallest address, so the reported address is the same
-// whatever partition produced the shards.
+// settleLocal counts contention, extracts the step's maxima, applies the
+// step's writes, and resets the scratch counters. Writes are applied in
+// buffer order: processors run in increasing index order, so the last
+// buffered write to a cell is the highest-indexed writer, preserving the
+// machine's arbitration invariant. The kappa arg-max breaks count ties
+// toward the smallest address.
 func (w *worker) settleLocal(m *Machine, cnt counters) {
 	for _, a := range w.readAddrs {
 		cnt.r[a]++
@@ -613,7 +522,7 @@ func (w *worker) settleLocal(m *Machine, cnt counters) {
 			w.maxW, w.maxWAddr = c, op.addr
 		}
 		m.mem[op.addr] = op.val
-		w.dirtyHi = max(w.dirtyHi, op.addr+1)
+		m.dirty = max(m.dirty, op.addr+1)
 	}
 	if m.hotK > 0 {
 		w.collectHot(m.hotK, cnt)
@@ -626,95 +535,9 @@ func (w *worker) settleLocal(m *Machine, cnt counters) {
 	}
 }
 
-// settleSharded is the general path: cells may be shared across shards,
-// so contention is counted with atomic per-cell counters and contended
-// writes are arbitrated centrally. Fan-out goes through the resident
-// gang (runPar), or runs inline when nw == 1. cnt must cover every
-// address the workers' buffers hold.
-func (m *Machine) settleSharded(nw int, workers []*worker, cnt counters) {
-	// Phase A: count contention per cell.
-	m.runPar(nw, func(s int) {
-		w := workers[s]
-		for _, a := range w.readAddrs {
-			atomic.AddInt32(&cnt.r[a], 1)
-		}
-		for _, op := range w.writes {
-			atomic.AddInt32(&cnt.w[op.addr], 1)
-		}
-	})
-
-	// Phase B: extract per-shard contention maxima (count ties break
-	// toward the smallest address, so the arg-max is independent of the
-	// chunk schedule); apply sole-writer writes directly (no other shard
-	// can touch that cell) and queue contended ones for arbitration.
-	m.runPar(nw, func(s int) {
-		w := workers[s]
-		for _, a := range w.readAddrs {
-			if c := int64(cnt.r[a]); c > w.maxR || (c == w.maxR && a < w.maxRAddr) {
-				w.maxR, w.maxRAddr = c, a
-			}
-		}
-		for _, op := range w.writes {
-			if c := int64(cnt.w[op.addr]); c > w.maxW || (c == w.maxW && op.addr < w.maxWAddr) {
-				w.maxW, w.maxWAddr = c, op.addr
-			}
-			if cnt.w[op.addr] == 1 {
-				m.mem[op.addr] = op.val
-				w.dirtyHi = max(w.dirtyHi, op.addr+1)
-			} else {
-				w.contended = append(w.contended, op)
-			}
-		}
-		// The counters still hold every cell's final count (they reset
-		// in phase C), so hot-cell candidates collected here carry
-		// global contention, exactly as on the fast path.
-		if m.hotK > 0 {
-			w.collectHot(m.hotK, cnt)
-		}
-	})
-
-	// Arbitrate contended writes serially, in ascending processor order:
-	// a stable sort by processor index makes the highest-indexed writer
-	// win each cell (the machine's documented arbitration invariant)
-	// regardless of which shard buffered which write — the property that
-	// keeps memory contents identical under dynamic chunk scheduling.
-	// Within one processor the stable sort preserves buffer order, i.e.
-	// program order. Contention is what the paper's algorithms are
-	// designed to avoid, so this list is short on every hot path — and
-	// its length is already charged to the simulated step cost.
-	cont := m.contScratch[:0]
-	for s := 0; s < nw; s++ {
-		cont = append(cont, workers[s].contended...)
-	}
-	if len(cont) > 0 {
-		slices.SortStableFunc(cont, func(a, b writeOp) int { return cmp.Compare(a.proc, b.proc) })
-		for _, op := range cont {
-			m.mem[op.addr] = op.val
-			m.dirty = max(m.dirty, op.addr+1)
-		}
-	}
-	m.contScratch = cont[:0]
-
-	// Phase C: reset the scratch arrays via the touched-address lists.
-	// Shards may share cells here, so the stores must be atomic (they
-	// all write zero, but racing plain writes are undefined under the
-	// Go memory model).
-	m.runPar(nw, func(s int) {
-		w := workers[s]
-		for _, a := range w.readAddrs {
-			atomic.StoreInt32(&cnt.r[a], 0)
-		}
-		for _, op := range w.writes {
-			atomic.StoreInt32(&cnt.w[op.addr], 0)
-		}
-	})
-}
-
-// collectHot gathers this shard's top-K contended cells from the
-// populated contention counters. At the point it runs the counters hold
-// every touched cell's final count — on the fast path the shard owns its
-// cells outright; on the sharded path phase A has completed — so each
-// candidate carries the cell's global per-step contention.
+// collectHot gathers the step's top-K contended cells, by reads and by
+// writes, from the populated contention counters, which hold every
+// touched cell's final count.
 func (w *worker) collectHot(k int, cnt counters) {
 	for _, a := range w.readAddrs {
 		c := hotCand{addr: a, reads: int64(cnt.r[a]), writes: int64(cnt.w[a])}
@@ -731,9 +554,7 @@ func (w *worker) collectHot(k int, cnt counters) {
 // insertHot maintains a top-k candidate list: dedupe by address (a
 // repeated address carries the same final counts), fill to k, then
 // replace the weakest entry when a stronger candidate arrives. The
-// retained set is exactly the top k by (rank desc, addr asc) and is
-// independent of insertion order, which keeps hot cells deterministic
-// across worker counts and settlement paths.
+// retained set is exactly the top k by (rank desc, addr asc).
 func insertHot(s []hotCand, k int, c hotCand) []hotCand {
 	for i := range s {
 		if s[i].addr == c.addr {
@@ -757,15 +578,13 @@ func insertHot(s []hotCand, k int, c hotCand) []hotCand {
 	return s
 }
 
-// mergeHotCells merges the shards' candidate lists into the step's top-K
-// hot cells. Dedupe is by address (every shard that kept an address saw
-// its final counts); ranking is by contention — max(readers, writers) —
-// descending, address ascending as the tie-break. The union of shard
-// lists always contains the global top K: a cell evicted from a shard's
-// list lost to k cells that all outrank it globally. Truncating the
-// sorted merge to K therefore yields the same set whatever the shard
-// partition, so traces are identical across worker counts.
-func (m *Machine) mergeHotCells(workers []*worker) []HotCell {
+// mergeHotCells merges the read and write candidate lists into the
+// step's top-K hot cells. Dedupe is by address (both lists carry a
+// cell's final counts); ranking is by contention — max(readers,
+// writers) — descending, address ascending as the tie-break. The union
+// of the two lists always contains the top K by contention: a cell
+// evicted from a list lost to k cells that all outrank it.
+func (m *Machine) mergeHotCells(w *worker) []HotCell {
 	sc := m.hotMerge[:0]
 	merge := func(c hotCand) {
 		for i := range sc {
@@ -775,13 +594,11 @@ func (m *Machine) mergeHotCells(workers []*worker) []HotCell {
 		}
 		sc = append(sc, HotCell{Addr: c.addr, Reads: c.reads, Writes: c.writes})
 	}
-	for _, w := range workers {
-		for _, c := range w.hotR {
-			merge(c)
-		}
-		for _, c := range w.hotW {
-			merge(c)
-		}
+	for _, c := range w.hotR {
+		merge(c)
+	}
+	for _, c := range w.hotW {
+		merge(c)
 	}
 	slices.SortFunc(sc, func(a, b HotCell) int {
 		if ca, cb := a.Cont(), b.Cont(); ca != cb {

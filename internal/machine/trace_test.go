@@ -61,42 +61,10 @@ func TestHotCellAttribution(t *testing.T) {
 	}
 }
 
-// TestHotCellsMatchAcrossSettlementPaths locks the determinism claim:
-// the same program must record identical traces — hot cells included —
-// on the fast path, the sharded path, and at different worker counts.
-func TestHotCellsMatchAcrossSettlementPaths(t *testing.T) {
-	run := func(workers int, forceSharded bool) []StepTrace {
-		m := New(QRQW, 1<<13, WithSeed(7), WithWorkers(workers), WithHotCells(4))
-		m.noFastPath = forceSharded
-		base := m.Alloc(1 << 13)
-		// Large enough to shard (p >= serialCutoff), with randomized
-		// clustered writes so some cells are hot.
-		if err := m.ParDoL(1<<12, "scatter", func(c *Ctx, i int) {
-			c.Write(base+c.Rand().Intn(256), Word(i))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.ParDoL(1<<12, "gather", func(c *Ctx, i int) {
-			c.Read(base + c.Rand().Intn(64))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return m.StepTraces()
-	}
-	ref := run(1, false)
-	for _, w := range []int{1, 4, 8} {
-		for _, sharded := range []bool{false, true} {
-			if got := run(w, sharded); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("trace differs (workers=%d sharded=%v):\ngot  %+v\nwant %+v", w, sharded, got, ref)
-			}
-		}
-	}
-}
-
 // TestUntracedParDoAllocsZero is the zero-overhead-off guard: an
-// untraced, unprofiled fast-path step must not allocate.
+// untraced, unprofiled step must not allocate.
 func TestUntracedParDoAllocsZero(t *testing.T) {
-	m := New(QRQW, 256, WithWorkers(1))
+	m := New(QRQW, 256)
 	base := m.Alloc(256)
 	body := func(c *Ctx, i int) {
 		c.Read(base + i)
@@ -108,35 +76,6 @@ func TestUntracedParDoAllocsZero(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("untraced ParDo allocates %.1f objects/step, want 0", avg)
-	}
-}
-
-// TestUntracedGangParDoAllocBudget extends the zero-overhead-off guard
-// across the gang dispatch path with the execution-telemetry counters
-// live. The gang's own dispatch machinery allocates a fixed 6 objects
-// per step (the next epoch-chain link plus its two channels, and the
-// per-step arrival/mode barrier channels — inherent to the epoch
-// design); the telemetry — atomic counter bumps and the per-member
-// claim fold — must not raise that budget by even one object.
-func TestUntracedGangParDoAllocBudget(t *testing.T) {
-	const n = 1 << 15 // above the serial cutoff, so steps dispatch to the gang
-	m := New(QRQW, n, WithWorkers(4))
-	m.noAdapt = true
-	base := m.Alloc(n)
-	body := func(c *Ctx, i int) {
-		c.Read(base + i)
-		c.Write(base+i, Word(i))
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if err := m.ParDo(n, body); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 6 {
-		t.Errorf("untraced gang ParDo allocates %.1f objects/step, want <= 6 (the dispatch machinery's own budget)", avg)
-	}
-	ex := m.ExecStats()
-	if ex.GangDispatches == 0 || ex.ChunksClaimed == 0 {
-		t.Errorf("telemetry missed the gang dispatches: %+v", ex)
 	}
 }
 

@@ -12,8 +12,8 @@ const DefaultFlightEvents = 256
 
 // Event is one flight-recorder entry: a timestamped, structured fact
 // about what the daemon just did (a request finished, a queue rejected
-// a job, a cell settled, the gang moved its serial cutoff). Events are
-// wall-clock evidence, never part of any deterministic core.
+// a job, a cell settled). Events are wall-clock evidence, never part of
+// any deterministic core.
 type Event struct {
 	Seq       uint64  `json:"seq"`
 	TimeNanos int64   `json:"time_nanos"` // wall clock, Unix nanoseconds

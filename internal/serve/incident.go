@@ -22,9 +22,9 @@ import (
 // Like timelines, the document splits into a deterministic core and a
 // wall-clock half: for a failed run the core (trigger, error, embedded
 // timeline core, summed exec delta) is byte-identical at any job
-// parallelism against the daemon's single-worker session pool, so CI
-// can diff it across configurations; everything stamped by the clock —
-// capture time, latencies, the flight tail — stays in Wall.
+// parallelism, so CI can diff it across configurations; everything
+// stamped by the clock — capture time, latencies, the flight tail —
+// stays in Wall.
 
 // Incident trigger kinds.
 const (
@@ -34,7 +34,8 @@ const (
 	TriggerLatencyBreach     = "latency_breach"
 )
 
-// IncidentCore is the deterministic half of an incident.
+// IncidentCore is the deterministic half of an incident. Its exec
+// delta, like every engine counter, is determined by the program.
 type IncidentCore struct {
 	Trigger string `json:"trigger"`
 	// Kind/JobID identify the failed job for job_failed incidents.

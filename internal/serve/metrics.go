@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"lowcontend/internal/core"
-	"lowcontend/internal/machine"
 )
 
 // counterSet is the per-queue half of the daemon's counters: one set
@@ -54,13 +53,11 @@ type metrics struct {
 // snapshot renders the counters, the artifact-cache occupancy, and the
 // shared session pool's traffic (hit/miss/idle) as one flat document.
 // Run-queue counters keep their historical jobs_* keys; the sweep queue
-// reports under sweeps_*. The engine-side counters (gang and bulk
+// reports under sweeps_*. The engine-side counters (step and bulk
 // traffic) come from the pool's live view, so sessions still out on
 // lease — a sweep minutes into its grid — are counted at scrape time
-// rather than appearing all at once on release. That one engine
-// snapshot is returned too, so a Prometheus scrape renders its exec_*
-// gauges from the same instant as the flat keys.
-func (m *metrics) snapshot(pool *core.SessionPool, cacheEntries int) (map[string]int64, machine.ExecStats) {
+// rather than appearing all at once on release.
+func (m *metrics) snapshot(pool *core.SessionPool, cacheEntries int) map[string]int64 {
 	ps, ex := pool.StatsLive()
 	out := map[string]int64{
 		"cache_hits":     m.cacheHits.Load(),
@@ -76,16 +73,16 @@ func (m *metrics) snapshot(pool *core.SessionPool, cacheEntries int) (map[string
 		"bulk_descriptors":     ex.BulkDescriptors,
 		"expanded_descriptors": ex.BulkExpanded,
 
-		// Dispatch-path traffic of the pooled machines: resident-gang
-		// barrier crossings, fused single-barrier settles, and serial
-		// steps, live across released and leased sessions alike.
-		"gang_dispatches":    ex.GangDispatches,
-		"gang_fused_settles": ex.GangFusedSettles,
+		// Steps settled by the pooled machines, live across released
+		// and leased sessions alike. The engine has no step-execution
+		// gang, so the gang keys always read 0; they stay for scrapers.
+		"gang_dispatches":    0,
+		"gang_fused_settles": 0,
 		"serial_steps":       ex.SerialSteps,
 	}
 	m.runs.fill(out, "jobs")
 	m.sweeps.fill(out, "sweeps")
-	return out, ex
+	return out
 }
 
 // procGauges adds process-level gauges from runtime/metrics to the

@@ -146,9 +146,7 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 // renderProm renders the daemon's full Prometheus scrape: the four
 // latency histogram families, every flat JSON /metrics counter as a
 // lowcontend_-prefixed gauge (sorted by key, so the document is stable
-// across scrapes), and the rest of the engine's live counters from the
-// same snapshot — read from in-flight sessions too, not just released
-// ones.
+// across scrapes), and the engine's always-zero exec_* gauges.
 func (s *Server) renderProm() []byte {
 	var e obs.Exposition
 	e.HistogramVec(s.obs.httpLatency)
@@ -156,7 +154,7 @@ func (s *Server) renderProm() []byte {
 	e.HistogramVec(s.obs.cellDur)
 	e.HistogramVec(s.obs.renderDur)
 
-	snap, ex := s.metricsSnapshot()
+	snap := s.metricsSnapshot()
 	keys := make([]string, 0, len(snap))
 	for k := range snap {
 		keys = append(keys, k)
@@ -168,16 +166,13 @@ func (s *Server) renderProm() []byte {
 		e.Int(name, nil, snap[k])
 	}
 
-	execGauge := func(name, help string, v int64) {
+	// The engine has no step-execution gang, so these always read 0;
+	// the names stay for scrapers.
+	for _, name := range []string{"gang_sharded_settles", "chunks_claimed", "cursor_steals", "cutoff_raises", "cutoff_lowers"} {
 		n := "lowcontend_exec_" + name
-		e.Header(n, help, "gauge")
-		e.Int(n, nil, v)
+		e.Header(n, "Always 0: the engine runs every step on one goroutine.", "gauge")
+		e.Int(n, nil, 0)
 	}
-	execGauge("gang_sharded_settles", "Fused gang dispatches routed to the sharded settlement.", ex.GangShardedSettles)
-	execGauge("chunks_claimed", "Cursor chunks claimed across fused gang dispatches.", ex.ChunksClaimed)
-	execGauge("cursor_steals", "Chunk claims above a gang member's fair share.", ex.CursorSteals)
-	execGauge("cutoff_raises", "Adaptive serial-cutoff raises across pooled machines.", ex.CutoffRaises)
-	execGauge("cutoff_lowers", "Adaptive serial-cutoff halvings across pooled machines.", ex.CutoffLowers)
 
 	if rep := s.sloReport(); len(rep.Objectives) > 0 {
 		e.Header("lowcontend_slo_attainment",

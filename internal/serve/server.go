@@ -61,7 +61,6 @@ import (
 	"lowcontend/internal/core"
 	"lowcontend/internal/exp"
 	"lowcontend/internal/exp/dynamic"
-	"lowcontend/internal/machine"
 	"lowcontend/internal/obs"
 )
 
@@ -91,9 +90,8 @@ type Config struct {
 	// Limits bound request validation; zero fields take DefaultLimits.
 	Limits Limits
 	// Pool, when non-nil, supplies sessions and stays owned by the
-	// caller. When nil the server constructs its own single-worker
-	// pool (step-level parallelism stays 1 so concurrent jobs are not
-	// multiplied by step-level workers) and closes it on Shutdown.
+	// caller. When nil the server constructs its own pool and closes it
+	// on Shutdown.
 	Pool *core.SessionPool
 	// Logger receives the daemon's structured log lines (request
 	// traces, job lifecycle). Nil discards them, which is what tests
@@ -213,7 +211,6 @@ func New(cfg Config) *Server {
 	s.contention = newContentionView(cfg.ContentionSample)
 	if s.pool == nil {
 		s.pool = core.NewSessionPool()
-		s.pool.Workers = 1
 		s.ownPool = true
 	}
 	s.jobs = newManager(s, &s.met.runs, "run", cfg.Workers, cfg.QueueDepth, cfg.Parallel, cfg.MaxJobs)
@@ -488,15 +485,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Write(s.renderProm())
 		return
 	}
-	snap, _ := s.metricsSnapshot()
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, s.metricsSnapshot())
 }
 
 // metricsSnapshot is the manager counters plus the observability
-// layer's own accounting and the process gauges, with the pool's engine
-// counters they were filled from.
-func (s *Server) metricsSnapshot() (map[string]int64, machine.ExecStats) {
-	out, ex := s.met.snapshot(s.pool, s.cache.len())
+// layer's own accounting and the process gauges.
+func (s *Server) metricsSnapshot() map[string]int64 {
+	out := s.met.snapshot(s.pool, s.cache.len())
 	captured, retained := s.incidents.counts()
 	out["incidents_captured"] = captured
 	out["incidents_retained"] = retained
@@ -506,7 +501,7 @@ func (s *Server) metricsSnapshot() (map[string]int64, machine.ExecStats) {
 	out["definitions_deleted"] = s.met.defsDeleted.Load()
 	out["definitions_stored"] = int64(s.store.Len())
 	procGauges(out)
-	return out, ex
+	return out
 }
 
 // handleIncidents lists retained incidents, newest first.

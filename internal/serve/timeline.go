@@ -21,13 +21,12 @@ import (
 // the job histograms and the log. GET /v1/runs/{id}/timeline (sweeps
 // alike) serves the fold, split in two on purpose:
 //
-//   - Core is deterministic: for a given submission against the
-//     daemon's single-worker session pool it is byte-identical at any
-//     job parallelism and any worker count, because it contains only
-//     parallel-invariant facts (cell identity, measurement counts,
-//     settlement routes, exec counter deltas, lifecycle event order)
-//     with spans sorted into declaration/plan order. CI pins it with a
-//     golden file.
+//   - Core is deterministic: for a given submission it is
+//     byte-identical at any job parallelism and any worker count,
+//     because it contains only program-determined facts (cell
+//     identity, measurement counts, settlement routes, engine counter
+//     deltas, lifecycle event order) with spans sorted into
+//     declaration/plan order. CI pins it with a golden file.
 //   - Timing carries every wall-clock field (timestamps, durations),
 //     parallel to Core's span order, and is never byte-compared.
 
@@ -38,7 +37,9 @@ type Timeline struct {
 	Timing TimelineTiming `json:"timing"`
 }
 
-// TimelineCore is the deterministic half of a timeline.
+// TimelineCore is the deterministic half of a timeline: its engine
+// counter deltas are determined by each cell's program, since every
+// step runs on the goroutine that issues it.
 type TimelineCore struct {
 	Kind       string   `json:"kind"` // "run" | "sweep"
 	Experiment string   `json:"experiment"`
@@ -55,16 +56,14 @@ type TimelineCore struct {
 }
 
 // CellSpan is one experiment cell's deterministic span: identity,
-// outcome shape, the settlement route its steps took, and the engine
-// telemetry delta attributable to the cell's sessions.
+// outcome shape, and the engine telemetry delta attributable to the
+// cell's sessions.
 type CellSpan struct {
 	Cell         string `json:"cell"`
 	Index        int    `json:"index"`
 	Measurements int    `json:"measurements"`
-	// Settlement summarizes the dispatch route of the cell's steps:
-	// "serial" (single host goroutine throughout), "fused" (every gang
-	// dispatch settled member-locally), "sharded" (every gang dispatch
-	// took the sharded path), or "mixed".
+	// Settlement is always "serial": every step runs on the goroutine
+	// that issues it. The key stays for consumers of the document.
 	Settlement string            `json:"settlement"`
 	Exec       machine.ExecStats `json:"exec"`
 	Error      string            `json:"error,omitempty"`
@@ -166,8 +165,7 @@ func (m *manager) record(j *job, e jobEvent) {
 	case evCell:
 		m.sobs.cellDur.With(m.qlabel).Observe(e.dur)
 		level = slog.LevelDebug
-		attrs = append(attrs, slog.String("cell", e.cell.Cell), slog.String("settlement", e.cell.Settlement),
-			slog.Int64("gang_dispatches", e.cell.Exec.GangDispatches),
+		attrs = append(attrs, slog.String("cell", e.cell.Cell),
 			slog.Int64("serial_steps", e.cell.Exec.SerialSteps))
 	case evPoint:
 		level = slog.LevelDebug
@@ -261,21 +259,6 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// settlementRoute classifies a cell's exec delta into the Settlement
-// label of its span.
-func settlementRoute(ex machine.ExecStats) string {
-	switch {
-	case ex.GangDispatches == 0:
-		return "serial"
-	case ex.GangShardedSettles == 0 && ex.SerialSteps == 0:
-		return "fused"
-	case ex.GangFusedSettles == 0 && ex.SerialSteps == 0:
-		return "sharded"
-	default:
-		return "mixed"
-	}
-}
-
 // cellEvent is the log entry of one settled cell: its deterministic
 // span plus the runner's wall/acquire split.
 func cellEvent(res spec.CellResult, ct spec.CellTiming) jobEvent {
@@ -283,7 +266,7 @@ func cellEvent(res spec.CellResult, ct spec.CellTiming) jobEvent {
 		Cell:         res.Cell,
 		Index:        res.Index,
 		Measurements: len(res.Measurements),
-		Settlement:   settlementRoute(res.Exec),
+		Settlement:   "serial",
 		Exec:         res.Exec,
 		Error:        errText(res.Err),
 	}}

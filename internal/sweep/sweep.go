@@ -174,7 +174,6 @@ type Runner struct {
 	// across all grid points. <= 0 means GOMAXPROCS.
 	Parallel int
 	// Pool supplies sessions. When nil, each Run uses a private pool
-	// (step-level workers bounded to 1 when cells run concurrently)
 	// and closes it on return.
 	Pool *core.SessionPool
 	// CellHook is forwarded to the spec.Runner executing the cells;
@@ -311,11 +310,9 @@ func (pt *Point) add(c spec.CellResult) {
 }
 
 // describeErr renders a cell error deterministically. A ViolationError
-// is reported without its Addr field: the address attaining a step's
-// maximum contention can depend on how the engine sharded the step
-// across host workers, while the step index, violation kind, and
-// contention count are parallelism-invariant — and sweeps promise
-// byte-identical artifacts at any parallelism.
+// is reported by step index, violation kind, and contention count,
+// without its Addr field, which keeps sweep artifacts in their
+// established form.
 func describeErr(err error) string {
 	var ve *machine.ViolationError
 	if !errors.As(err, &ve) {

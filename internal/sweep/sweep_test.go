@@ -278,29 +278,6 @@ func TestSweepPointObserver(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossStepWorkers pins the subtler half of the
-// byte-identity promise: the engine's step-level worker count shards
-// contention counting differently (and the address reported in a
-// ViolationError is shard-dependent), yet the sweep's sanitized
-// failure descriptions — and everything else — must not move. n is
-// large enough that multi-worker machines actually shard their steps.
-func TestSweepDeterministicAcrossStepWorkers(t *testing.T) {
-	e := dartExperiment()
-	p := mustPlan(t, e, Plan{Models: []string{"qrqw", "erew"}, Sizes: []int{4096}, Seeds: []uint64{7}})
-	texts := make([]string, 0, 2)
-	for _, workers := range []int{1, 4} {
-		pool := core.NewSessionPool()
-		pool.Workers = workers
-		res := (&Runner{Parallel: 1, Pool: pool}).Run(e, p)
-		texts = append(texts, RenderText(res))
-		pool.Close()
-	}
-	if texts[0] != texts[1] {
-		t.Errorf("step-worker count changed the sweep artifact:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
-			texts[0], texts[1])
-	}
-}
-
 // TestSweepPooledReuseAcrossModels: repeated sweeps over one shared
 // pool reuse sessions (across grid points of every model) without any
 // stat leakage — run three times, bit-identical every time.

@@ -15,27 +15,24 @@ import (
 // TestPooledSessionsReleaseZeroed is the end-to-end soundness check of
 // the machine's dirty high-water mark, through public API only: after
 // every builtin experiment and every committed dynamic definition has
-// run over one shared pool — concurrently, with gang-width steps that
-// settle both member-locally and sharded — each idle session the pool
+// run over one shared pool, concurrently, each idle session the pool
 // would hand out next reads zero at every word of its capacity. Reset
 // clears only below the mark, so a write path that failed to raise it
 // would leave a nonzero word here.
 func TestPooledSessionsReleaseZeroed(t *testing.T) {
-	pool := &core.SessionPool{Workers: 2}
+	pool := core.NewSessionPool()
 	defer pool.Close()
 	runner := &spec.Runner{Parallel: 4, Pool: pool}
 
-	// Builtins run at 2048, the smallest size whose steps reach the
-	// machine's default serial cutoff, so the gang engages; definitions
-	// run on their own grid.
-	const gangSize = 2048
+	// Builtins run at 2048; definitions run on their own grid.
+	const size = 2048
 	type job struct {
 		e     spec.Experiment
 		sizes []int
 	}
 	var jobs []job
 	for _, e := range exp.Registry() {
-		jobs = append(jobs, job{e, []int{gangSize}})
+		jobs = append(jobs, job{e, []int{size}})
 	}
 	defs, err := filepath.Glob(filepath.Join("testdata", "definitions", "*.json"))
 	if err != nil || len(defs) == 0 {
@@ -57,10 +54,6 @@ func TestPooledSessionsReleaseZeroed(t *testing.T) {
 		if err := runner.Run(j.e, j.sizes, goldenSeed).FirstErr(); err != nil {
 			t.Fatalf("%s: %v", j.e.Name, err)
 		}
-	}
-	if _, ex := pool.StatsLive(); ex.GangFusedSettles == 0 || ex.GangShardedSettles == 0 {
-		t.Fatalf("gang settlement paths not both exercised: fused=%d sharded=%d",
-			ex.GangFusedSettles, ex.GangShardedSettles)
 	}
 
 	// Drain every idle session of every shape the registry and the
