@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"lowcontend/internal/machine"
@@ -8,12 +10,15 @@ import (
 
 // SessionPool recycles Sessions across independent runs so that callers
 // executing many short-lived measurements (experiment runners, servers)
-// do not churn machine allocations. Idle sessions are keyed by
-// (model, requested memory words): Acquire returns a pooled session of
-// the same shape when one is idle — Reset and Reseeded, so its behavior
-// and charged stats are bit-identical to a fresh
-// NewSession(model, memWords, WithSeed(seed)) — and constructs a new one
-// otherwise.
+// do not churn machine allocations. Idle sessions are parked per model,
+// and the memory words a caller requests are a minimum capacity:
+// Acquire hands out the model's idle session with the smallest capacity
+// that fits, Reset and Reseeded, so its behavior and charged stats are
+// bit-identical to a fresh NewSession(model, memWords, WithSeed(seed))
+// (no algorithm reads capacity, and Reset costs O(dirty words)). When
+// the model has idle sessions but none large enough, Acquire frees the
+// largest and constructs a fresh one of the requested size in its place,
+// so a model never parks more sessions than its peak concurrent leases.
 //
 // A SessionPool is safe for concurrent use. The Sessions it hands out
 // are not: each acquired session belongs to one goroutine until it is
@@ -25,24 +30,19 @@ type SessionPool struct {
 	Workers int
 
 	mu     sync.Mutex
-	idle   map[poolKey][]*Session
-	leased map[*Session]struct{} // sessions out on lease, for live-stat scrapes
+	idle   map[machine.Model][]*Session // per model, ascending by capacity
+	leased map[*Session]struct{}        // sessions out on lease, for live-stat scrapes
 	st     PoolStats
 	ex     machine.ExecStats // engine counters harvested from released leases
 }
 
-type poolKey struct {
-	model    machine.Model
-	memWords int
-}
-
 // PoolStats counts pool traffic: Acquires = Reuses + News. Reuses are
-// pool hits (an idle session of the requested shape was recycled), News
-// are misses. The JSON form is what cmd/lowcontend -json publishes
-// under "pool"; the lowcontendd /metrics endpoint flattens the same
-// counters into its own pool_* keys (internal/serve/metrics.go). The
-// pooled machines' engine counters are not pool traffic: StatsLive
-// reports them as one machine.ExecStats.
+// pool hits (an idle session of the model with at least the requested
+// capacity was recycled), News are misses. The JSON form is what
+// cmd/lowcontend -json publishes under "pool"; the lowcontendd
+// /metrics endpoint flattens the same counters into its own pool_* keys
+// (internal/serve/metrics.go). The pooled machines' engine counters are
+// not pool traffic: StatsLive reports them as one machine.ExecStats.
 type PoolStats struct {
 	Acquires int64 `json:"acquires"` // total Acquire calls
 	Reuses   int64 `json:"reuses"`   // acquires satisfied by an idle session (hits)
@@ -55,22 +55,28 @@ func NewSessionPool() *SessionPool {
 	return &SessionPool{}
 }
 
-// Acquire returns a session for the given model, memory capacity, and
-// seed — pooled if an idle session of that shape exists, freshly
-// constructed otherwise. The caller owns the session until Release.
+// Acquire returns a session for the given model, minimum memory
+// capacity, and seed: the model's smallest idle session that fits, or
+// else a fresh one, which replaces the model's largest idle session if
+// it has any. The caller owns the session until Release.
 func (p *SessionPool) Acquire(model machine.Model, memWords int, seed uint64) *Session {
-	key := poolKey{model, memWords}
 	p.mu.Lock()
 	p.st.Acquires++
-	if p.idle == nil {
-		p.idle = make(map[poolKey][]*Session)
-	}
 	if p.leased == nil {
 		p.leased = make(map[*Session]struct{})
 	}
-	if ss := p.idle[key]; len(ss) > 0 {
-		s := ss[len(ss)-1]
-		p.idle[key] = ss[:len(ss)-1]
+	ss := p.idle[model]
+	var s, evict *Session
+	if k := len(ss); k > 0 {
+		i, _ := slices.BinarySearchFunc(ss, memWords, sessionCap)
+		if i < k {
+			s = ss[i]
+		} else {
+			i, evict = k-1, ss[k-1]
+		}
+		p.idle[model] = slices.Delete(ss, i, i+1)
+	}
+	if s != nil {
 		p.st.Reuses++
 		p.leased[s] = struct{}{}
 		p.mu.Unlock()
@@ -79,12 +85,17 @@ func (p *SessionPool) Acquire(model machine.Model, memWords int, seed uint64) *S
 	}
 	p.st.News++
 	p.mu.Unlock()
-	s := NewSession(model, memWords, machine.WithSeed(seed))
+	if evict != nil {
+		evict.Close()
+	}
+	s = NewSession(model, memWords, machine.WithSeed(seed))
 	p.mu.Lock()
 	p.leased[s] = struct{}{}
 	p.mu.Unlock()
 	return s
 }
+
+func sessionCap(s *Session, memWords int) int { return cmp.Compare(s.m.MemWords(), memWords) }
 
 // AcquireProfiled is Acquire returning a session with per-step tracing
 // and top-hotK hot-cell attribution enabled. Profiling never changes
@@ -98,13 +109,13 @@ func (p *SessionPool) AcquireProfiled(model machine.Model, memWords int, seed ui
 	return s
 }
 
-// Release resets s and returns it to the pool for reuse. The caller must
-// not touch s (or any DeviceSlice bound to it) afterwards. The session's
-// engine counters (machine.ExecStats) are harvested before the Reset
-// clears them, so the pool accumulates them across leases.
+// Release resets s and parks it under its model, at the capacity it has
+// grown to, for reuse. The caller must not touch s (or any DeviceSlice
+// bound to it) afterwards. The session's engine counters
+// (machine.ExecStats) are harvested before the Reset clears them, so the
+// pool accumulates them across leases.
 func (p *SessionPool) Release(s *Session) {
 	ex := s.ExecStats()
-	key := poolKey{s.Model(), s.memWords}
 	// Fold the harvest and drop the lease in one critical section, so a
 	// concurrent StatsLive scrape never sees the session both in the
 	// leased set and already folded into the harvested totals.
@@ -113,11 +124,14 @@ func (p *SessionPool) Release(s *Session) {
 	delete(p.leased, s)
 	p.mu.Unlock()
 	s.Reset()
+	model := s.Model()
 	p.mu.Lock()
 	if p.idle == nil {
-		p.idle = make(map[poolKey][]*Session)
+		p.idle = make(map[machine.Model][]*Session)
 	}
-	p.idle[key] = append(p.idle[key], s)
+	ss := p.idle[model]
+	i, _ := slices.BinarySearchFunc(ss, s.m.MemWords(), sessionCap)
+	p.idle[model] = slices.Insert(ss, i, s)
 	p.mu.Unlock()
 }
 
@@ -153,7 +167,7 @@ func (p *SessionPool) StatsLive() (PoolStats, machine.ExecStats) {
 }
 
 // Idle returns the number of sessions currently parked in the pool,
-// summed over all shapes. Servers expose it as a gauge.
+// summed over all models. Servers expose it as a gauge.
 func (p *SessionPool) Idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -9,22 +10,116 @@ import (
 	"lowcontend/internal/perm"
 )
 
-func TestSessionPoolReusesByShape(t *testing.T) {
+// TestSessionPoolBestFit pins the fit rule: a request takes the model's
+// smallest idle session of at least the requested capacity; a request
+// no idle session fits replaces the model's largest idle session with a
+// fresh one of exactly the requested size; and a session never serves
+// another model.
+func TestSessionPoolBestFit(t *testing.T) {
 	p := NewSessionPool()
-	a := p.Acquire(QRQW, 1<<12, 1)
-	b := p.Acquire(QRQW, 1<<14, 1)
-	p.Release(a)
-	p.Release(b)
-	// Same shape comes back from the pool; a different shape does not.
-	if got := p.Acquire(QRQW, 1<<12, 2); got != a {
-		t.Error("same-shape Acquire did not reuse the idle session")
+	defer p.Close()
+	small := p.Acquire(QRQW, 1<<12, 1)
+	large := p.Acquire(QRQW, 1<<14, 1)
+	p.Release(large)
+	p.Release(small)
+	if got := p.Acquire(QRQW, 1<<13, 2); got != large {
+		t.Error("a 1<<13 request did not get the 1<<14 session")
 	}
-	if got := p.Acquire(EREW, 1<<14, 2); got == b {
+	if got := p.Acquire(QRQW, 1<<12, 2); got != small {
+		t.Error("a 1<<12 request did not get the 1<<12 session")
+	}
+	p.Release(small)
+	p.Release(large)
+
+	idle, news := p.Idle(), p.Stats().News
+	s := p.Acquire(QRQW, 1<<15, 3)
+	if s == small || s == large {
+		t.Fatal("a 1<<15 request was served by a smaller idle session")
+	}
+	if got := s.Machine().MemWords(); got != 1<<15 {
+		t.Errorf("fresh session holds %d words, want %d", got, 1<<15)
+	}
+	if got := p.Stats().News; got != news+1 {
+		t.Errorf("News = %d, want %d", got, news+1)
+	}
+	if large.Machine().MemWords() != 0 {
+		t.Error("the replaced largest idle session was not freed")
+	}
+	p.Release(s)
+	if got := p.Idle(); got != idle {
+		t.Errorf("Idle after replacement = %d, want %d", got, idle)
+	}
+
+	e := p.Acquire(EREW, 1<<10, 4)
+	if e.Model() != EREW {
+		t.Errorf("EREW request got a %v session", e.Model())
+	}
+	p.Release(e)
+	if got := p.Acquire(QRQW, 1<<16, 5); got == e {
 		t.Error("Acquire reused a session across models")
 	}
-	st := p.Stats()
-	if st.Acquires != 4 || st.Reuses != 1 || st.News != 3 {
-		t.Errorf("PoolStats = %+v, want 4 acquires / 1 reuse / 3 new", st)
+}
+
+// TestSessionPoolReuseAcrossCapacities: a small request served by a
+// larger idle session that an earlier lease dirtied runs exactly as on a
+// fresh session of the requested size: same charged stats, same result,
+// same memory contents.
+func TestSessionPoolReuseAcrossCapacities(t *testing.T) {
+	const want, held = 1 << 13, 1 << 16
+	runs := []struct {
+		name string
+		run  func(*Session) (any, error)
+	}{
+		{"RandomPermutation", func(s *Session) (any, error) { return s.RandomPermutation(300) }},
+		{"SortUniform", func(s *Session) (any, error) {
+			keys := sortInput(1024, 3)
+			err := s.SortUniform(keys, 1024)
+			return keys, err
+		}},
+		{"BalanceLoads", func(s *Session) (any, error) {
+			counts := make([]int, 256)
+			counts[0], counts[17], counts[200] = 40, 9, 33
+			return s.BalanceLoads(counts)
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			fresh := NewSession(QRQW, want, WithSeed(42))
+			defer fresh.Close()
+			wantRes, err := r.run(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			p := NewSessionPool()
+			defer p.Close()
+			big := p.Acquire(QRQW, held, 7)
+			if _, err := r.run(big); err != nil {
+				t.Fatal(err)
+			}
+			p.Release(big)
+			s := p.Acquire(QRQW, want, 42)
+			if s != big {
+				t.Fatal("the 1<<13 request was not served by the idle 1<<16 session")
+			}
+			gotRes, err := r.run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Stats() != fresh.Stats() {
+				t.Errorf("reused stats %v, fresh %v", s.Stats(), fresh.Stats())
+			}
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Error("reused session produced a different result")
+			}
+			got, ref := s.Machine().LoadWords(0, want), fresh.Machine().LoadWords(0, want)
+			for a := range ref {
+				if got[a] != ref[a] {
+					t.Fatalf("reused mem[%d] = %d, fresh %d", a, got[a], ref[a])
+				}
+			}
+			p.Release(s)
+		})
 	}
 }
 
@@ -61,7 +156,7 @@ func TestSessionPoolReuseIsBitIdentical(t *testing.T) {
 
 // TestAcquireProfiledLeavesNoResidue: a profiled lease must behave
 // identically to an unprofiled one (same charged stats, same results)
-// and release clean — the next lease of the same shape is unprofiled,
+// and release clean — the next lease of that model is unprofiled,
 // carries no trace, and replays fresh behavior bit-for-bit.
 func TestAcquireProfiledLeavesNoResidue(t *testing.T) {
 	fresh := NewSession(QRQW, 1<<13, WithSeed(42))
@@ -94,7 +189,7 @@ func TestAcquireProfiledLeavesNoResidue(t *testing.T) {
 
 	s2 := p.Acquire(QRQW, 1<<13, 42)
 	if s2 != s {
-		t.Fatal("same-shape Acquire did not reuse the profiled session")
+		t.Fatal("Acquire did not reuse the profiled session")
 	}
 	if tr := s2.StepTraces(); len(tr) != 0 {
 		t.Errorf("reused session leaked %d trace entries from the profiled lease", len(tr))
@@ -234,7 +329,7 @@ func TestStatsLiveSeesLeasedSessions(t *testing.T) {
 
 // TestSessionPoolCrossLeaseZero: a lease that wrote near the top of its
 // capacity — through an engine step and through a host store — hands
-// the next lease of that shape memory that reads zero there, and that
+// the next lease of that model memory that reads zero there, and that
 // lease charges and leaves exactly what a fresh session does.
 func TestSessionPoolCrossLeaseZero(t *testing.T) {
 	const capWords = 1 << 14
@@ -250,7 +345,7 @@ func TestSessionPoolCrossLeaseZero(t *testing.T) {
 
 	r := p.Acquire(QRQW, capWords, 42)
 	if r != s {
-		t.Fatal("same-shape Acquire did not reuse the released session")
+		t.Fatal("Acquire did not reuse the released session")
 	}
 	for a := capWords - 64; a < capWords; a++ {
 		if v := r.Machine().Word(a); v != 0 {

@@ -9,21 +9,17 @@ import (
 // through DeviceSlice, runs algorithms, and manages the machine's
 // memory lifecycle (Reset for cheap reuse across runs, Close to release
 // the backing stores). A Session is not safe for concurrent use, same
-// as the Machine it wraps.
+// as the Machine it wraps. A SessionPool may hand out a session whose
+// machine has more capacity than was asked for; no algorithm reads
+// capacity, so the run is the same as on a fresh session.
 type Session struct {
 	m *machine.Machine
-
-	// memWords is the capacity requested at construction (the machine may
-	// since have grown past it). SessionPool keys idle sessions on
-	// (model, memWords) so a released session is only handed back to
-	// callers that asked for the same shape.
-	memWords int
 }
 
 // NewSession constructs a session around a fresh PRAM with the given
 // model and initial memory capacity in words.
 func NewSession(model machine.Model, memWords int, opts ...machine.Option) *Session {
-	return &Session{m: machine.New(model, memWords, opts...), memWords: memWords}
+	return &Session{m: machine.New(model, memWords, opts...)}
 }
 
 // Machine exposes the underlying simulator for callers that drive
@@ -76,9 +72,10 @@ func (s *Session) DisableProfiling() { s.m.DisableProfiling() }
 // while profiling or construction-time tracing is enabled).
 func (s *Session) StepTraces() []machine.StepTrace { return s.m.StepTraces() }
 
-// Close releases the machine's backing stores (shared memory, contention
-// scratch, step buffers). The session remains usable; the next
-// upload reallocates on demand.
+// Close releases the machine's backing stores (shared memory and step
+// buffers; the contention scratch is leased per settlement and is never
+// a session's). The session remains usable; the next upload reallocates
+// on demand.
 func (s *Session) Close() { s.m.Free() }
 
 // DeviceSlice is a handle to a contiguous region of simulated shared

@@ -66,7 +66,7 @@ type Ctx struct {
 	acquireNs int64 // summed wall time spent acquiring sessions
 }
 
-// Session acquires a pooled session with the given model, memory
+// Session acquires a pooled session with the given model, minimum memory
 // capacity, and seed — profiled when the runner is profiling, and with
 // the model replaced when the cell's task carries a model override (the
 // sweep layer's mechanism for charging the same cells under a different

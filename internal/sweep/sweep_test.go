@@ -296,8 +296,8 @@ func TestSweepPooledReuseAcrossModels(t *testing.T) {
 	if st := pool.Stats(); st.Reuses == 0 {
 		t.Error("shared pool never reused a session across sweep runs")
 	}
-	// A model's sessions only ever serve that model: the pool keys on
-	// (model, memWords), so the three models' machines never alias.
+	// A model's sessions only ever serve that model: the pool parks idle
+	// sessions per model, so the three models' machines never alias.
 	if got := pool.Idle(); got < 2 {
 		t.Errorf("pool idle = %d, want one parked session per swept model", got)
 	}

@@ -56,38 +56,60 @@ func TestPooledSessionsReleaseZeroed(t *testing.T) {
 		}
 	}
 
-	// Drain every idle session of every shape the registry and the
-	// dynamic compiler acquire: Acquire keeps handing back idle ones
-	// until the pool has to construct a fresh session.
+	// Drain every model's idle sessions: a 1-word request fits every
+	// idle session, so Acquire keeps handing back idle ones until the
+	// pool has to construct a fresh session.
 	models := []machine.Model{machine.EREW, machine.CREW, machine.QRQW, machine.CRQW, machine.CRCW,
 		machine.SIMDQRQW, machine.ScanSIMDQRQW, machine.FetchAdd, machine.ScanQRQW}
-	shapes := []int{1 << 14, 1 << 18, 1 << 20, 1 << 21}
 	checked := 0
 	for _, model := range models {
-		for _, words := range shapes {
-			var leased []*core.Session
-			for {
-				news := pool.Stats().News
-				s := pool.Acquire(model, words, 1)
-				leased = append(leased, s)
-				if pool.Stats().News > news {
-					s.Close() // a fresh construction: nothing to check, free it now
-					break
-				}
-				checked++
-				m := s.Machine()
-				for a := range m.MemWords() {
-					if v := m.Word(a); v != 0 {
-						t.Fatalf("reused %v session of %d words reads %d at %d", model, words, v, a)
-					}
+		var leased []*core.Session
+		for {
+			news := pool.Stats().News
+			s := pool.Acquire(model, 1, 1)
+			leased = append(leased, s)
+			if pool.Stats().News > news {
+				s.Close() // a fresh construction: nothing to check, free it now
+				break
+			}
+			checked++
+			m := s.Machine()
+			for a := range m.MemWords() {
+				if v := m.Word(a); v != 0 {
+					t.Fatalf("reused %v session of %d words reads %d at %d", model, m.MemWords(), v, a)
 				}
 			}
-			for _, s := range leased {
-				pool.Release(s)
-			}
+		}
+		for _, s := range leased {
+			pool.Release(s)
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no idle sessions were checked")
+	}
+}
+
+// TestPoolIdleBoundedByConcurrency: a pool parks at most one idle
+// session per model for each cell that ran concurrently, however many
+// sizes the cells requested. The builtins lease QRQW and EREW sessions,
+// one of each at most per cell, so p concurrent cells leave at most 2p
+// idle sessions.
+func TestPoolIdleBoundedByConcurrency(t *testing.T) {
+	for _, p := range []int{1, 2, 4} {
+		pool := core.NewSessionPool()
+		runner := &spec.Runner{Parallel: p, Pool: pool}
+		for range 2 {
+			for _, e := range exp.Registry() {
+				if err := runner.Run(e, []int{1024}, goldenSeed).FirstErr(); err != nil {
+					t.Fatalf("%s: %v", e.Name, err)
+				}
+			}
+		}
+		got := pool.Idle()
+		t.Logf("Parallel %d: %d idle sessions", p, got)
+		if got > 2*p {
+			t.Errorf("Parallel %d: %d idle sessions, want at most %d", p, got, 2*p)
+		}
+		pool.Close()
 	}
 }
