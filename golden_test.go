@@ -1,14 +1,17 @@
 package lowcontend
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lowcontend/internal/exp"
 	"lowcontend/internal/exp/spec"
+	"lowcontend/internal/machine"
 	"lowcontend/internal/sweep"
 )
 
@@ -99,4 +102,42 @@ func TestGoldenSweep(t *testing.T) {
 		t.Fatalf("sweep artifact not deterministic across parallelism:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", seq, par)
 	}
 	checkGolden(t, fmt.Sprintf("sweep-table2-s1024x4096-seed%d.txt", goldenSeed), seq)
+}
+
+// TestGoldenChargedStats pins the charged stats of every measurement of
+// every builtin at its default sizes and seed 1 — the stats objects of
+// `lowcontend -json -results-only -seed 1 all` — one line per
+// measurement, keyed by experiment, cell, group, series and n. The
+// artifact goldens stop at n = 1024; this one reaches n = 65536, where
+// bulk steps span thousands of words, so an engine change that moves a
+// charged count at scale fails here. It is rendered at parallelism 1
+// and 2, which must agree.
+func TestGoldenChargedStats(t *testing.T) {
+	render := func(parallel int) string {
+		var sb strings.Builder
+		for _, e := range exp.Registry() {
+			res := (&spec.Runner{Parallel: parallel}).Run(e, e.DefaultSizes, 1)
+			for _, c := range res.Cells {
+				for _, m := range c.Measurements {
+					if m.Stats == (machine.Stats{}) {
+						continue
+					}
+					st, err := json.Marshal(m.Stats)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&sb, "%s | %s | %s | %s | %d | %s\n", e.Name, c.Cell, m.Group, m.Series, m.N, st)
+				}
+				if c.Err != nil {
+					fmt.Fprintf(&sb, "%s | %s | error: %v\n", e.Name, c.Cell, c.Err)
+				}
+			}
+		}
+		return sb.String()
+	}
+	seq, par := render(1), render(2)
+	if seq != par {
+		t.Fatalf("charged stats not deterministic across parallelism:\n--- parallel 1 ---\n%s\n--- parallel 2 ---\n%s", seq, par)
+	}
+	checkGolden(t, "charged-stats-default-seed1.txt", seq)
 }
