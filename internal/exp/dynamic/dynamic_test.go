@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -350,5 +352,36 @@ func TestCompiledDeterminism(t *testing.T) {
 		if !strings.Contains(seq, want) {
 			t.Errorf("artifact missing %q:\n%s", want, seq)
 		}
+	}
+}
+
+// TestBitonicPhaseRejectsSentinelKeys pins the phase error of a
+// sort.bitonic phase over a uniform array whose max reaches past the
+// padding sentinel 2^62-1 at a size that needs padding: the cell fails
+// and names the first offending key instead of dropping it. A max that
+// keeps every key below the sentinel sorts.
+func TestBitonicPhaseRejectsSentinelKeys(t *testing.T) {
+	run := func(max int64) spec.CellResult {
+		def := mustParse(t, minimalDef(func(m map[string]any) {
+			m["sizes"] = []int{100}
+			m["arrays"] = []map[string]any{{"name": "u", "fill": "uniform", "params": map[string]int64{"max": max}}}
+			m["phases"] = []map[string]any{{"algorithm": "sort.bitonic", "array": "u"}}
+		}))
+		res := (&spec.Runner{Parallel: 1}).Run(Compile(def), def.Sizes, 1)
+		if len(res.Cells) != 1 {
+			t.Fatalf("%d cells, want 1", len(res.Cells))
+		}
+		return res.Cells[0]
+	}
+	c := run(1<<63 - 1)
+	want := regexp.MustCompile(`^phase sort\.bitonic: prim: BitonicSortPadded key (\d+) at index \d+ is not below the padding sentinel 4611686018427387903$`)
+	if c.Err == nil || !want.MatchString(c.Err.Error()) {
+		t.Fatalf("max 2^63-1: cell error %v, want one matching %s", c.Err, want)
+	}
+	if key, _ := strconv.ParseInt(want.FindStringSubmatch(c.Err.Error())[1], 10, 64); key < 1<<62-1 {
+		t.Errorf("reported key %d is below the sentinel", key)
+	}
+	if c := run(1<<62 - 1); c.Err != nil {
+		t.Errorf("max 2^62-1: %v", c.Err)
 	}
 }

@@ -41,10 +41,10 @@ const (
 func (k bulkKind) cells() bool { return k <= bulkFill }
 
 // bulkDesc is one recorded bulk access. For cell-bearing kinds the count
-// cells are lo, lo+stride, ... (stride >= 1) or the explicit list
-// off+idx[k] (stride == -1, perProc 1). Cell k belongs to processor
-// proc + k/perProc. Charge kinds carry no cells: count processors
-// starting at proc are charged fill operations each.
+// cells are lo, lo+stride, ... (stride >= 1) or the explicit list idx[k]
+// (stride == -1, perProc 1). Cell k belongs to processor proc +
+// k/perProc. Charge kinds carry no cells: count processors starting at
+// proc are charged fill operations each.
 type bulkDesc struct {
 	kind    bulkKind
 	sorted  bool // idx strictly ascending (true for all strided descriptors)
@@ -55,18 +55,8 @@ type bulkDesc struct {
 	proc    int // first processor
 	perProc int // cells per processor (cell-bearing kinds)
 	idx     []int
-	off     int // added to every idx entry (base-relative lists; 0 otherwise)
 	vals    []Word
 	fill    Word // fill value, or the per-processor amount for charge kinds
-	// Residue certificate (GatherMod/ScatterMod): every address is
-	// congruent, modulo the power of two mod, to a value in the cyclic
-	// interval [rlo, rlo+rlen). Recording verifies it on the positions
-	// (every idx entry lies in [0, rlen) mod mod) and stores rlo = off
-	// mod mod; mod == 0 when absent. Two certified lists with one
-	// modulus and disjoint residue intervals cannot share a cell,
-	// settling the overlap question in O(1) where a merge scan of the
-	// index lists would be O(count).
-	mod, rlo, rlen int
 }
 
 // nprocs returns how many processors the descriptor spans.
@@ -82,18 +72,18 @@ func (d *bulkDesc) addrAt(k int) int {
 	if d.stride >= 1 {
 		return d.lo + k*d.stride
 	}
-	return d.off + d.idx[k]
+	return d.idx[k]
 }
 
 // descsOverlap reports whether two cell-bearing descriptors can share a
 // cell. It must never report false for descriptors that do share one;
 // reporting true for disjoint descriptors only costs performance (the
-// step expands them instead of settling analytically). Four proofs
+// step expands them instead of settling analytically). Three proofs
 // settle the pairs production steps issue: disjoint address intervals,
-// two ranges of one stride in different residue classes, two certified
-// lists with disjoint residue intervals, and a merge scan of two sorted
-// lists. Any other pair — ranges of different strides, a list against
-// a range, an unsorted list — is reported as overlapping.
+// two ranges of one stride in different residue classes, and a merge
+// scan of two sorted lists. Any other pair — ranges of different
+// strides, a list against a range, an unsorted list — is reported as
+// overlapping.
 func descsOverlap(a, b *bulkDesc) bool {
 	if a.hi < b.lo || b.hi < a.lo {
 		return false
@@ -106,25 +96,14 @@ func descsOverlap(a, b *bulkDesc) bool {
 	if a.stride != -1 || b.stride != -1 || !a.sorted || !b.sorted {
 		return true
 	}
-	if a.mod != 0 && a.mod == b.mod &&
-		!cyclicIntervalsMeet(a.rlo, a.rlen, b.rlo, b.rlen, a.mod) {
-		return false
-	}
-	return sortedListsIntersect(a.idx, a.off, b.idx, b.off)
+	return sortedListsIntersect(a.idx, b.idx)
 }
 
-// cyclicIntervalsMeet reports whether the cyclic intervals [r1, r1+l1)
-// and [r2, r2+l2) modulo the power of two m share a residue.
-func cyclicIntervalsMeet(r1, l1, r2, l2, m int) bool {
-	return (r2-r1)&(m-1) < l1 || (r1-r2)&(m-1) < l2
-}
-
-// sortedListsIntersect merge-scans two strictly ascending lists, offset
-// by aoff and boff.
-func sortedListsIntersect(a []int, aoff int, b []int, boff int) bool {
+// sortedListsIntersect merge-scans two strictly ascending lists.
+func sortedListsIntersect(a, b []int) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		x, y := aoff+a[i], boff+b[j]
+		x, y := a[i], b[j]
 		switch {
 		case x == y:
 			return true
@@ -154,7 +133,6 @@ type Bulk struct {
 	snapVals []Word
 	scratch  []Word // Vals arena
 	ret      []Word // ReadRange/Gather copy-out arena
-	walks    []idxWalk
 
 	// Settlement scratch, reused across steps: the operation sweep's
 	// events, the per-kind overlap items, and the replay's descriptor
@@ -162,24 +140,6 @@ type Bulk struct {
 	ev             []bulkEvent
 	rItems, wItems []bulkItem
 	ord, act       []int32
-}
-
-// walkKey identifies an index list and the certificate it was walked
-// against. A list is keyed by its first element's address and its
-// length: it must stay unmodified until Commit, so within one step the
-// same key always names the same contents.
-type walkKey struct {
-	first        *int
-	n, mod, rlen int
-}
-
-// idxWalk is the memoised offset-free validation of one index list:
-// ascent and residue certificate checked, and the list's relative
-// bounds.
-type idxWalk struct {
-	key    walkKey
-	lo, hi int
-	asc    bool
 }
 
 // Bulk opens a descriptor-only step with p virtual processors: every
@@ -207,14 +167,7 @@ func (m *Machine) Bulk(p int, label string) *Bulk {
 	b.snapVals = b.snapVals[:0]
 	b.scratch = b.scratch[:0]
 	b.ret = b.ret[:0]
-	b.walks = b.walks[:0]
 	return b
-}
-
-func (b *Bulk) checkShape(n, stride, procLo, perProc int) {
-	if n < 0 || stride < 1 || procLo < 0 || perProc < 1 {
-		panic(fmt.Sprintf("machine: bulk range n=%d stride=%d procLo=%d perProc=%d", n, stride, procLo, perProc))
-	}
 }
 
 // ReadRange declares that processors procLo, procLo+1, ... read the n
@@ -223,25 +176,16 @@ func (b *Bulk) checkShape(n, stride, procLo, perProc int) {
 // for stride 1 — valid because writes apply only at Commit — or a
 // buffer valid until the next Bulk).
 func (b *Bulk) ReadRange(lo, n, stride, procLo, perProc int) []Word {
-	b.checkShape(n, stride, procLo, perProc)
-	if n == 0 {
+	if !b.rangeDesc(bulkRead, lo, n, stride, procLo, perProc, nil, 0) {
 		return nil
 	}
-	m := b.m
-	hi := lo + (n-1)*stride
-	m.checkAddr(lo)
-	m.checkAddr(hi)
-	b.descs = append(b.descs, bulkDesc{
-		kind: bulkRead, sorted: true,
-		lo: lo, hi: hi, stride: stride, count: n,
-		proc: procLo, perProc: perProc,
-	})
+	mem := b.m.mem
 	if stride == 1 {
-		return m.mem[lo : lo+n : lo+n]
+		return mem[lo : lo+n : lo+n]
 	}
-	out := b.retSlice(n)
+	out := arena(&b.ret, n)
 	for k := range out {
-		out[k] = m.mem[lo+k*stride]
+		out[k] = mem[lo+k*stride]
 	}
 	return out
 }
@@ -251,40 +195,36 @@ func (b *Bulk) ReadRange(lo, n, stride, procLo, perProc int) []Word {
 // stay unmodified until Commit (it is snapshotted only if it aliases
 // shared memory, so a view returned by ReadRange is safe to pass).
 func (b *Bulk) WriteRange(lo, n, stride, procLo, perProc int, vals []Word) {
-	b.checkShape(n, stride, procLo, perProc)
 	if len(vals) != n {
 		panic(fmt.Sprintf("machine: bulk WriteRange of %d cells with %d vals", n, len(vals)))
 	}
-	if n == 0 {
-		return
-	}
-	m := b.m
-	hi := lo + (n-1)*stride
-	m.checkAddr(lo)
-	m.checkAddr(hi)
-	b.descs = append(b.descs, bulkDesc{
-		kind: bulkWrite, sorted: true,
-		lo: lo, hi: hi, stride: stride, count: n,
-		proc: procLo, perProc: perProc,
-		vals: b.snapIfMem(vals),
-	})
+	b.rangeDesc(bulkWrite, lo, n, stride, procLo, perProc, vals, 0)
 }
 
 // FillRange is WriteRange with a constant value and no vals slice.
 func (b *Bulk) FillRange(lo, n, stride, procLo, perProc int, v Word) {
-	b.checkShape(n, stride, procLo, perProc)
-	if n == 0 {
-		return
+	b.rangeDesc(bulkFill, lo, n, stride, procLo, perProc, nil, v)
+}
+
+// rangeDesc validates and records one range descriptor, and reports
+// whether it has any cells (an empty range records nothing).
+func (b *Bulk) rangeDesc(kind bulkKind, lo, n, stride, procLo, perProc int, vals []Word, fill Word) bool {
+	if n < 0 || stride < 1 || procLo < 0 || perProc < 1 {
+		panic(fmt.Sprintf("machine: bulk range n=%d stride=%d procLo=%d perProc=%d", n, stride, procLo, perProc))
 	}
-	m := b.m
+	if n == 0 {
+		return false
+	}
 	hi := lo + (n-1)*stride
-	m.checkAddr(lo)
-	m.checkAddr(hi)
+	b.m.checkAddr(lo)
+	b.m.checkAddr(hi)
 	b.descs = append(b.descs, bulkDesc{
-		kind: bulkFill, sorted: true,
+		kind: kind, sorted: true,
 		lo: lo, hi: hi, stride: stride, count: n,
-		proc: procLo, perProc: perProc, fill: v,
+		proc: procLo, perProc: perProc,
+		vals: b.snapIfMem(vals), fill: fill,
 	})
+	return true
 }
 
 // Gather declares that processor procLo+k reads cell idx[k], and
@@ -292,36 +232,14 @@ func (b *Bulk) FillRange(lo, n, stride, procLo, perProc int, v Word) {
 // stay unmodified until Commit. A list may repeat a cell — several
 // processors reading it, a concurrent read the step charges as such.
 func (b *Bulk) Gather(idx []int, procLo int) []Word {
-	return b.gather(0, idx, procLo, 0, 0)
-}
-
-// GatherMod is Gather over the base-relative list base+pos[k], with a
-// residue certificate: the caller asserts every pos[k] is congruent,
-// modulo mod (a power of two), to a value in [0, rlen), so every
-// address lies in the cyclic residue interval [base, base+rlen) mod
-// mod. The certificate is verified during recording (a violating
-// address panics) and lets settlement prove two certified lists with
-// one modulus and disjoint residue intervals cell-disjoint in O(1)
-// instead of merge-scanning them. One pos list may back any number of
-// descriptors of a step at different bases; it is walked once per step.
-func (b *Bulk) GatherMod(base int, pos []int, procLo, mod, rlen int) []Word {
-	checkResidueCert(mod, rlen)
-	return b.gather(base, pos, procLo, mod, rlen)
-}
-
-func (b *Bulk) gather(base int, idx []int, procLo, mod, rlen int) []Word {
-	b.checkShape(len(idx), 1, procLo, 1)
-	n := len(idx)
-	if n == 0 {
+	if !b.listDesc(bulkRead, idx, procLo, nil) {
 		return nil
 	}
-	d := b.listDesc(bulkRead, base, idx, procLo, mod, rlen)
-	out := b.retSlice(n)
+	out := arena(&b.ret, len(idx))
 	mem := b.m.mem
 	for k, a := range idx {
-		out[k] = mem[base+a]
+		out[k] = mem[a]
 	}
-	b.descs = append(b.descs, d)
 	return out
 }
 
@@ -330,103 +248,54 @@ func (b *Bulk) gather(base int, idx []int, procLo, mod, rlen int) []Word {
 // snapshotted if it aliases shared memory). Processors writing one cell
 // arbitrate to the highest index, as always.
 func (b *Bulk) Scatter(idx []int, procLo int, vals []Word) {
-	b.scatter(0, idx, procLo, vals, 0, 0)
+	if len(vals) != len(idx) {
+		panic(fmt.Sprintf("machine: bulk Scatter with %d indices, %d vals", len(idx), len(vals)))
+	}
+	b.listDesc(bulkWrite, idx, procLo, vals)
 }
 
-// ScatterMod is Scatter over the base-relative list base+pos[k] with a
-// residue certificate on the positions; see GatherMod.
-func (b *Bulk) ScatterMod(base int, pos []int, procLo int, vals []Word, mod, rlen int) {
-	checkResidueCert(mod, rlen)
-	b.scatter(base, pos, procLo, vals, mod, rlen)
-}
-
-func (b *Bulk) scatter(base int, idx []int, procLo int, vals []Word, mod, rlen int) {
-	b.checkShape(len(idx), 1, procLo, 1)
-	n := len(idx)
-	if len(vals) != n {
-		panic(fmt.Sprintf("machine: bulk Scatter with %d indices, %d vals", n, len(vals)))
+// listDesc validates and records the descriptor of the index list idx,
+// and reports whether it has any cells (an empty list records nothing).
+// A list must stay unmodified until Commit, so a list an earlier
+// descriptor of the step already walked (same first element and length)
+// takes that walk's ascent and bounds; otherwise it is walked here:
+// every address is range-checked (only the two ends of an ascending
+// list, which bound it).
+func (b *Bulk) listDesc(kind bulkKind, idx []int, procLo int, vals []Word) bool {
+	if procLo < 0 {
+		panic(fmt.Sprintf("machine: bulk list procLo=%d", procLo))
 	}
-	if n == 0 {
-		return
-	}
-	d := b.listDesc(bulkWrite, base, idx, procLo, mod, rlen)
-	d.vals = b.snapIfMem(vals)
-	b.descs = append(b.descs, d)
-}
-
-// listDesc validates the non-empty index list base+idx[k] and returns
-// its descriptor, payload unset. Each call range-checks the list's own
-// addresses — only the two ends of an ascending list, which bound it,
-// and every address otherwise — while the offset-free walk (ascent,
-// residue certificate, relative bounds) is memoised for the rest of the
-// step, so a list shared by several descriptors is walked once.
-func (b *Bulk) listDesc(kind bulkKind, base int, idx []int, procLo, mod, rlen int) bulkDesc {
-	key := walkKey{&idx[0], len(idx), mod, rlen}
-	var wk idxWalk
-	found := false
-	for i := range b.walks {
-		if b.walks[i].key == key {
-			wk, found = b.walks[i], true
-			break
-		}
-	}
-	if !found {
-		wk = walkIdx(key, base, idx)
-		b.walks = append(b.walks, wk)
-	}
-	m := b.m
-	if wk.asc {
-		m.checkAddr(base + wk.lo)
-		m.checkAddr(base + wk.hi)
-	} else {
-		for _, a := range idx {
-			m.checkAddr(base + a)
-		}
+	if len(idx) == 0 {
+		return false
 	}
 	d := bulkDesc{
-		kind: kind, sorted: wk.asc,
-		lo: base + wk.lo, hi: base + wk.hi, stride: -1, count: len(idx),
-		proc: procLo, perProc: 1, idx: idx, off: base,
-		mod: mod, rlen: rlen,
+		kind: kind, stride: -1, count: len(idx),
+		proc: procLo, perProc: 1, idx: idx, vals: b.snapIfMem(vals),
 	}
-	if mod != 0 {
-		d.rlo = base & (mod - 1)
-	}
-	return d
-}
-
-// walkIdx is the offset-free walk of an index list: it checks the
-// residue certificate (when key.mod != 0) and returns the list's
-// relative bounds and ascent. base only names addresses in panics.
-func walkIdx(key walkKey, base int, idx []int) idxWalk {
-	mod, rlen := key.mod, key.rlen
-	asc := true
-	prev := idx[0]
-	for k, a := range idx {
-		if mod != 0 && a&(mod-1) >= rlen {
-			panicResidueCert(base+a, mod, base&(mod-1), rlen)
+	walked := -1
+	for i := range b.descs {
+		if e := &b.descs[i]; e.stride == -1 && len(e.idx) == len(idx) && &e.idx[0] == &idx[0] {
+			walked = i
 		}
-		if k > 0 && a <= prev {
-			asc = false
+	}
+	if walked >= 0 {
+		d.sorted, d.lo, d.hi = b.descs[walked].sorted, b.descs[walked].lo, b.descs[walked].hi
+	} else {
+		d.sorted, d.lo, d.hi = true, idx[0], idx[len(idx)-1]
+		for k := 1; k < len(idx) && d.sorted; k++ {
+			d.sorted = idx[k] > idx[k-1]
 		}
-		prev = a
+		if !d.sorted {
+			for _, a := range idx {
+				b.m.checkAddr(a)
+			}
+			d.lo, d.hi = slices.Min(idx), slices.Max(idx)
+		}
+		b.m.checkAddr(d.lo)
+		b.m.checkAddr(d.hi)
 	}
-	if asc {
-		return idxWalk{key: key, lo: idx[0], hi: idx[len(idx)-1], asc: true}
-	}
-	return idxWalk{key: key, lo: slices.Min(idx), hi: slices.Max(idx)}
-}
-
-// checkResidueCert validates a GatherMod/ScatterMod certificate shape.
-func checkResidueCert(mod, rlen int) {
-	if mod <= 0 || mod&(mod-1) != 0 || rlen <= 0 || rlen > mod {
-		panic(fmt.Sprintf("machine: bulk residue certificate mod=%d rlen=%d", mod, rlen))
-	}
-}
-
-func panicResidueCert(a, mod, rlo, rlen int) {
-	panic(fmt.Sprintf("machine: bulk index %d breaks residue certificate [%d,%d) mod %d",
-		a, rlo, rlo+rlen, mod))
+	b.descs = append(b.descs, d)
+	return true
 }
 
 // Compute charges amount local RAM operations to each of nprocs
@@ -450,16 +319,7 @@ func (b *Bulk) Vals(n int) []Word {
 	if n < 0 {
 		panic("machine: Bulk.Vals with negative size")
 	}
-	off := len(b.scratch)
-	need := off + n
-	if cap(b.scratch) < need {
-		nb := make([]Word, need, max(need, 2*cap(b.scratch)))
-		copy(nb, b.scratch)
-		b.scratch = nb
-	} else {
-		b.scratch = b.scratch[:need]
-	}
-	return b.scratch[off:need:need]
+	return arena(&b.scratch, n)
 }
 
 // Rand returns processor proc's private random stream for this step —
@@ -469,17 +329,16 @@ func (b *Bulk) Rand(proc int) xrand.Stream {
 	return xrand.StreamFrom(xrand.Mix3(b.m.seed, b.step, uint64(proc)))
 }
 
-func (b *Bulk) retSlice(n int) []Word {
-	off := len(b.ret)
+// arena carves n words off the end of the arena *a, growing it by
+// doubling; slices carved earlier keep their contents.
+func arena(a *[]Word, n int) []Word {
+	off := len(*a)
 	need := off + n
-	if cap(b.ret) < need {
-		nb := make([]Word, need, max(need, 2*cap(b.ret)))
-		copy(nb, b.ret)
-		b.ret = nb
-	} else {
-		b.ret = b.ret[:need]
+	if cap(*a) < need {
+		*a = append(make([]Word, 0, max(need, 2*cap(*a))), *a...)
 	}
-	return b.ret[off:need:need]
+	*a = (*a)[:need]
+	return (*a)[off:need:need]
 }
 
 // snapIfMem snapshots vals into the builder arena when it aliases
@@ -528,9 +387,8 @@ func (b *Bulk) Commit() error {
 	m.stepIndex++
 	w := m.worker()
 	w.reset()
-	var bs bulkSettle
-	b.settleBulk(w, &bs)
-	return m.finishStep(b.p, b.label, &bs)
+	b.settleBulk(w)
+	return m.finishStep(b.p, b.label)
 }
 
 // ---------------------------------------------------------------------
@@ -550,27 +408,15 @@ type bulkItem struct {
 	lo, hi int
 }
 
-// bulkSettle carries the bulk layer's contributions into the step's
-// accounting merge.
-type bulkSettle struct {
-	maxOps, maxR, maxW      int64
-	maxRAddr, maxWAddr      int
-	reads, writes, computes int64
-	simdViol                bool
-	simdCount               int64
-	simdProc                int // lowest processor violating the SIMD rule
-}
-
-// settleBulk processes the step's descriptors: it derives their
-// per-processor operation load, decides which descriptors settle
-// analytically and which must expand into w's (empty) scalar buffers,
-// applies the analytic writes, and performs the expansions. It runs
-// before the scalar settlement, so expanded elements flow through the
-// per-cell counters exactly like scalar code.
-func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
+// settleBulk processes the step's descriptors into w's accounting: it
+// derives their per-processor operation load, decides which descriptors
+// settle analytically and which must expand into w's (empty) scalar
+// buffers, applies the analytic writes, and performs the expansions. It
+// runs before the scalar settlement, so expanded elements flow through
+// the per-cell counters exactly like scalar code, and their maxima meet
+// the analytic ones under the scalar tie rule.
+func (b *Bulk) settleBulk(w *worker) {
 	m := b.m
-	bs.maxRAddr, bs.maxWAddr = -1, -1
-	bs.simdProc = -1
 	if len(b.descs) == 0 {
 		return
 	}
@@ -585,13 +431,13 @@ func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
 		var dr, dw, dc int64
 		switch d.kind {
 		case bulkRead:
-			bs.reads += int64(d.count)
+			w.reads += int64(d.count)
 			dr = int64(d.perProc)
 		case bulkWrite, bulkFill:
-			bs.writes += int64(d.count)
+			w.writesN += int64(d.count)
 			dw = int64(d.perProc)
 		case bulkChargeC:
-			bs.computes += int64(d.count) * d.fill
+			w.computes += int64(d.count) * d.fill
 			dc = d.fill
 		}
 		np := d.nprocs()
@@ -630,14 +476,13 @@ func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
 			i++
 		}
 		if mo := max(r, wr, c); mo > 0 {
-			bs.maxOps = max(bs.maxOps, mo)
-			if simd && mo > 1 && !bs.simdViol {
+			w.maxOps = max(w.maxOps, mo)
+			if simd && mo > 1 && !w.simdViol {
 				// Ascending sweep: this is the lowest-indexed processor
 				// exceeding the SIMD one-op rule, exactly the processor
 				// scalar replay would report.
-				bs.simdViol = true
-				bs.simdCount = mo
-				bs.simdProc = p
+				w.simdViol = true
+				w.simdCount = mo
 			}
 		}
 	}
@@ -684,9 +529,9 @@ func (b *Bulk) settleBulk(w *worker, bs *bulkSettle) {
 			continue
 		}
 		if d.kind == bulkRead {
-			bs.maxR, bs.maxRAddr = 1, lowerAddr(bs.maxRAddr, d.lo)
+			w.maxR, w.maxRAddr = 1, lowerAddr(w.maxRAddr, d.lo)
 		} else {
-			bs.maxW, bs.maxWAddr = 1, lowerAddr(bs.maxWAddr, d.lo)
+			w.maxW, w.maxWAddr = 1, lowerAddr(w.maxWAddr, d.lo)
 			m.applyDesc(d)
 		}
 	}
@@ -751,9 +596,9 @@ func (m *Machine) applyDesc(d *bulkDesc) {
 			m.mem[d.lo+k*d.stride] = d.vals[k]
 		}
 	default:
-		mem, off, vals := m.mem, d.off, d.vals[:len(d.idx)]
+		mem, vals := m.mem, d.vals[:len(d.idx)]
 		for k, a := range d.idx {
-			mem[off+a] = vals[k]
+			mem[a] = vals[k]
 		}
 	}
 }

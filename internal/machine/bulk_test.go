@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"lowcontend/internal/xrand"
@@ -377,100 +376,87 @@ func panicMsg(f func()) (msg string) {
 	return ""
 }
 
-// TestBulkCertifiedListChecks covers the recording-time validation of
-// base-relative certified lists: the residue certificate, the range of
-// each descriptor's own ends even when the list's walk is memoised, a
-// second list of the same length walked on its own, and the memo reset
-// at the next Bulk.
-func TestBulkCertifiedListChecks(t *testing.T) {
+// TestBulkListChecks covers the recording-time validation of index
+// lists: an out-of-range address panics whether the list ascends (its
+// ends are checked) or not (every address is), a different list of the
+// same length as one already walked in the step is walked on its own,
+// and a list mutated between two steps is walked again.
+func TestBulkListChecks(t *testing.T) {
 	m := New(QRQW, 64)
 	vals := []Word{1, 2, 3}
 	wantPanic := func(name, want string, f func()) {
 		t.Helper()
-		msg := panicMsg(f)
-		if msg == "" {
-			t.Errorf("%s: did not panic", name)
-		} else if !strings.Contains(msg, want) {
-			t.Errorf("%s: panic %q, want it to mention %q", name, msg, want)
+		if msg := panicMsg(f); msg != want {
+			t.Errorf("%s: panic %q, want %q", name, msg, want)
 		}
 	}
 
-	// Position 2 has residue 2 mod 4, outside [0, 2): the panic names
-	// the absolute address 10+2.
-	b := m.Bulk(4, "cert")
-	wantPanic("gather certificate", "index 12 breaks", func() { b.GatherMod(10, []int{0, 1, 2}, 0, 4, 2) })
-	_ = b.Commit()
-	b = m.Bulk(4, "cert")
-	wantPanic("scatter certificate", "index 12 breaks", func() { b.ScatterMod(10, []int{0, 1, 2}, 0, vals, 4, 2) })
+	b := m.Bulk(4, "range")
+	wantPanic("ascending list", "machine: address 64 out of range 0..64", func() { b.Gather([]int{0, 4, 64}, 0) })
+	wantPanic("unsorted list", "machine: address -1 out of range 0..64", func() { b.Scatter([]int{3, -1, 2}, 0, vals) })
 	_ = b.Commit()
 
-	// One list at several bases: the first descriptor walks it, the
-	// later ones reuse the walk but still range-check their own ends.
-	pos := []int{0, 4, 8}
-	for _, c := range []struct {
-		base int
-		addr string
-	}{{-1, "address -1 "}, {56, "address 64 "}} {
-		b = m.Bulk(4, "range")
-		b.GatherMod(0, pos, 0, 4, 1)
-		b.ScatterMod(1, pos, 0, vals, 4, 1)
-		wantPanic(fmt.Sprintf("gather at base %d", c.base), c.addr, func() { b.GatherMod(c.base, pos, 0, 4, 1) })
-		wantPanic(fmt.Sprintf("scatter at base %d", c.base), c.addr, func() { b.ScatterMod(c.base, pos, 0, vals, 4, 1) })
-		_ = b.Commit()
-	}
-
-	// A different list of the same length in the same step is walked
-	// on its own and can fail where the first passed.
-	b = m.Bulk(4, "second")
-	b.GatherMod(0, []int{0, 1, 4}, 0, 4, 2)
-	wantPanic("second list", "index 6 breaks", func() { b.GatherMod(0, []int{0, 1, 6}, 0, 4, 2) })
+	pos := []int{0, 1, 4}
+	b = m.Bulk(4, "shared")
+	b.Gather(pos, 0)
+	b.Scatter(pos, 0, vals)
+	wantPanic("second list", "machine: address 70 out of range 0..64", func() { b.Gather([]int{0, 1, 70}, 0) })
 	_ = b.Commit()
 
-	// A list mutated between two steps is walked again.
-	pos = []int{0, 1, 4}
 	b = m.Bulk(4, "before")
-	b.ScatterMod(0, pos, 0, vals, 4, 2)
+	b.Scatter(pos, 0, vals)
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	pos[2] = 7
+	pos[2] = 70
 	b = m.Bulk(4, "after")
-	wantPanic("mutated list", "index 7 breaks", func() { b.ScatterMod(0, pos, 0, vals, 4, 2) })
+	wantPanic("mutated list", "machine: address 70 out of range 0..64", func() { b.Scatter(pos, 0, vals) })
 	_ = b.Commit()
 }
 
-// TestBulkOffsetListsOverlap issues two base-relative lists in one
-// step and checks the settlement decision against the cells they
-// really touch: lists whose cells meet — one list at bases b and b+1
-// uncertified (modulus 1), with overlapping residue intervals and with
-// equal residues, or two lists that differ only by their offsets — must
+// TestBulkDescsOverlap issues two descriptors of one kind in one step
+// and checks the settlement decision for each of descsOverlap's proofs
+// — disjoint intervals, one stride in different residue classes, and
+// the merge scan of two sorted lists — and for the pairs it reports as
+// overlapping without a proof. Descriptors whose cells may meet must
 // both expand, and disjoint ones must not. Either way stats, traces,
 // errors and memory (write arbitration included) must equal a scalar
-// Ctx replay of the same accesses.
-func TestBulkOffsetListsOverlap(t *testing.T) {
-	const memN, base = 64, 7
-	pos := []int{0, 1, 4, 5, 8, 9}
-	// posM2 at base+2 names exactly pos's cells at base, while the raw
-	// positions are disjoint: only the offsets reveal the overlap.
-	posM2 := []int{-2, -1, 2, 3, 6, 7}
-	va := []Word{10, 11, 12, 13, 14, 15}
-	vb := []Word{20, 21, 22, 23, 24, 25}
-	p := len(pos)
+// replay of the same accesses.
+func TestBulkDescsOverlap(t *testing.T) {
+	const memN = 64
+	rng := func(kind bulkKind, lo, n, stride int) specOp {
+		op := specOp{kind: kind, lo: lo, n: n, stride: stride, perProc: 1}
+		if kind == bulkWrite {
+			op.vals = make([]Word, n)
+			for k := range op.vals {
+				op.vals[k] = Word(100*lo + k + 1)
+			}
+		}
+		return op
+	}
+	list := func(kind bulkKind, idx ...int) specOp {
+		op := rng(kind, idx[0], len(idx), -1)
+		op.idx = idx
+		return op
+	}
 	for _, c := range []struct {
-		posB             []int
-		shift, mod, rlen int
-		expanded         int64
+		name     string
+		a, b     specOp
+		expanded int64
 	}{
-		{pos, 1, 1, 1, 4},
-		{pos, 1, 4, 2, 4},
-		{pos, 4, 4, 2, 4},
-		{posM2, 2, 1, 1, 4},
-		{pos, 2, 1, 1, 0},
-		{pos, 2, 4, 2, 0},
+		{"disjoint ranges", rng(bulkRead, 0, 4, 1), rng(bulkRead, 10, 4, 1), 0},
+		{"disjoint lists", list(bulkWrite, 0, 3, 5), list(bulkWrite, 6, 9), 0},
+		{"one stride, two residues", rng(bulkWrite, 0, 8, 2), rng(bulkWrite, 1, 8, 2), 0},
+		{"one stride, one residue", rng(bulkWrite, 0, 8, 2), rng(bulkWrite, 4, 8, 2), 2},
+		{"two strides", rng(bulkRead, 0, 8, 2), rng(bulkRead, 1, 5, 3), 2},
+		{"interleaved sorted lists", list(bulkWrite, 0, 2, 4, 6), list(bulkWrite, 1, 3, 5, 7), 0},
+		{"sorted lists sharing a cell", list(bulkRead, 0, 2, 4), list(bulkRead, 1, 4, 7), 2},
+		{"unsorted list", list(bulkWrite, 4, 0, 8), list(bulkWrite, 1, 3, 5), 2},
+		{"list against a range", list(bulkRead, 0, 3), rng(bulkRead, 1, 2, 1), 2},
 	} {
-		b2 := base + c.shift
+		ops := []specOp{c.a, c.b}
 		for _, model := range []Model{EREW, QRQW, CRCW} {
-			name := fmt.Sprintf("posB %v shift %d mod %d %v", c.posB, c.shift, c.mod, model)
+			name := fmt.Sprintf("%s/%v", c.name, model)
 			type outcome struct {
 				st         Stats
 				err, trace string
@@ -480,21 +466,11 @@ func TestBulkOffsetListsOverlap(t *testing.T) {
 				m := New(model, memN, WithTrace())
 				var err error
 				if scalar {
-					err = m.ParDoL(p, "overlap", func(ctx *Ctx, k int) {
-						ctx.Read(base + pos[k])
-						ctx.Read(b2 + c.posB[k])
-						ctx.Write(base+pos[k], va[k])
-						ctx.Write(b2+c.posB[k], vb[k])
-					})
+					err = runSpecScalar(m, 8, ops)
 				} else {
-					b := m.Bulk(p, "overlap")
-					b.GatherMod(base, pos, 0, c.mod, c.rlen)
-					b.GatherMod(b2, c.posB, 0, c.mod, c.rlen)
-					b.ScatterMod(base, pos, 0, va, c.mod, c.rlen)
-					b.ScatterMod(b2, c.posB, 0, vb, c.mod, c.rlen)
-					err = b.Commit()
-					if ex := m.ExecStats(); ex.BulkDescriptors != 4 || ex.BulkExpanded != c.expanded {
-						t.Errorf("%s: descriptors,expanded = %d,%d, want 4,%d",
+					err = runSpecBulk(m, 8, ops)
+					if ex := m.ExecStats(); ex.BulkDescriptors != 2 || ex.BulkExpanded != c.expanded {
+						t.Errorf("%s: descriptors,expanded = %d,%d, want 2,%d",
 							name, ex.BulkDescriptors, ex.BulkExpanded, c.expanded)
 					}
 				}

@@ -269,3 +269,17 @@ func TestDirtyMarkGrowth(t *testing.T) {
 	}
 	checkResetClean(t, m)
 }
+
+// TestDirtyMarkCompareExchange checks that an in-place bitonic round
+// raises the mark over the cells it writes: the keys above the mark are
+// zero until the round swaps nonzero keys into them.
+func TestDirtyMarkCompareExchange(t *testing.T) {
+	m := New(QRQW, 64)
+	m.Store(10, []Word{5, 6, 7, 8})
+	m.Store(30, []Word{1, 2, 3, 4})
+	if err := m.CompareExchange("cmpx", 10, 30, 8, 4, 8); err != nil {
+		t.Fatal(err)
+	}
+	checkDirtySound(t, m)
+	checkResetClean(t, m)
+}

@@ -3,7 +3,6 @@ package machine
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -47,8 +46,7 @@ type worker struct {
 	maxW      int64
 	maxWAddr  int
 	simdViol  bool
-	simdCount int64
-	simdProc  int // lowest processor index violating the SIMD rule
+	simdCount int64 // operations of the lowest processor violating the SIMD rule
 
 	// hotR/hotW hold the step's hot-cell candidates — its top-K
 	// addresses by read and by write contention — when hot-cell
@@ -151,7 +149,6 @@ func (w *worker) reset() {
 	w.maxRAddr, w.maxWAddr = -1, -1
 	w.simdViol = false
 	w.simdCount = 0
-	w.simdProc = -1
 	w.hotR = w.hotR[:0]
 	w.hotW = w.hotW[:0]
 }
@@ -338,7 +335,6 @@ func (w *worker) afterProc(c *Ctx, simd bool) {
 		// violation seen is the lowest-indexed violator.
 		w.simdViol = true
 		w.simdCount = max(c.r, c.wr, c.cp)
-		w.simdProc = c.proc
 	}
 }
 
@@ -383,7 +379,7 @@ func (m *Machine) parDoLabeled(p int, label string, body func(c *Ctx, i int)) er
 	m.stepIndex++
 	w := m.worker()
 	w.runProcs(m, p, m.model.SIMD(), body)
-	return m.finishStep(p, label, nil)
+	return m.finishStep(p, label)
 }
 
 // worker returns the machine's step buffers, taking them from the
@@ -395,11 +391,11 @@ func (m *Machine) worker() *worker {
 	return m.wk
 }
 
-// finishStep settles the scalar buffers of one step and merges,
-// polices, and charges it. It is shared by ParDo (bs nil) and
-// Bulk.Commit, whose descriptors settleBulk has already settled into
-// bs — the expanded ones into the worker's buffers.
-func (m *Machine) finishStep(p int, label string, bs *bulkSettle) error {
+// finishStep settles the scalar buffers of one step and polices and
+// charges it. It is shared by ParDo, Bulk.Commit and CompareExchange;
+// the last two have already folded their analytic accounting into the
+// worker, and Bulk.Commit its expanded descriptors into the buffers.
+func (m *Machine) finishStep(p int, label string) error {
 	m.serialSteps.Add(1)
 	w := m.wk
 	// The worker's bound covers its scalar entries, expanded descriptor
@@ -408,51 +404,18 @@ func (m *Machine) finishStep(p int, label string, bs *bulkSettle) error {
 	cnt := leaseCounters(w.hi + 1)
 	w.settleLocal(m, cnt)
 	releaseCounters(cnt)
-	return m.mergeAndCharge(p, label, w, bs)
-}
-
-// mergeAndCharge merges the worker's accounting with, for a Bulk step,
-// the bulk layer's (bs; nil otherwise), checks model legality, and
-// charges the step.
-func (m *Machine) mergeAndCharge(p int, label string, w *worker, bs *bulkSettle) error {
 	maxOps, maxR, maxW := w.maxOps, w.maxR, w.maxW
-	maxRAddr, maxWAddr := w.maxRAddr, w.maxWAddr
 	reads, writes, computes := w.reads, w.writesN, w.computes
-	simdViol, simdCount, simdProc := w.simdViol, w.simdCount, w.simdProc
-	if !simdViol {
-		simdProc = math.MaxInt
-	}
-	// Fold in the bulk layer's analytic contributions (descriptor
-	// totals, per-processor load, and the contention of descriptors that
-	// settled without expansion). bs.maxRAddr/maxWAddr may be the -1
-	// sentinel (charge-only descriptors); a sentinel never wins a tie
-	// against a real address.
-	if bs != nil {
-		maxOps = max(maxOps, bs.maxOps)
-		if bs.maxR > maxR || (bs.maxR == maxR && maxR > 0 && bs.maxRAddr >= 0 && bs.maxRAddr < maxRAddr) {
-			maxR, maxRAddr = bs.maxR, bs.maxRAddr
-		}
-		if bs.maxW > maxW || (bs.maxW == maxW && maxW > 0 && bs.maxWAddr >= 0 && bs.maxWAddr < maxWAddr) {
-			maxW, maxWAddr = bs.maxW, bs.maxWAddr
-		}
-		reads += bs.reads
-		writes += bs.writes
-		computes += bs.computes
-		if bs.simdViol && bs.simdProc < simdProc {
-			simdViol = true
-			simdCount = bs.simdCount
-		}
-	}
 
 	// Model violation checks: the SIMD one-op-per-kind restriction is
 	// per-processor and detected during Phase 0; cell-contention
 	// legality is the model's call.
-	if simdViol {
-		m.err = &ViolationError{Model: m.model, Step: int64(m.stepIndex), Kind: "simd-multi-op", Count: simdCount}
+	if w.simdViol {
+		m.err = &ViolationError{Model: m.model, Step: int64(m.stepIndex), Kind: "simd-multi-op", Count: w.simdCount}
 	} else if kind := m.model.violation(maxR, maxW); kind != "" {
-		addr, count := maxRAddr, maxR
+		addr, count := w.maxRAddr, maxR
 		if kind == "concurrent-write" {
-			addr, count = maxWAddr, maxW
+			addr, count = w.maxWAddr, maxW
 		}
 		m.err = &ViolationError{Model: m.model, Step: int64(m.stepIndex), Kind: kind, Addr: addr, Count: count}
 	}

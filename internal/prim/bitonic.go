@@ -1,6 +1,10 @@
 package prim
 
-import "lowcontend/internal/machine"
+import (
+	"fmt"
+
+	"lowcontend/internal/machine"
+)
 
 // BitonicSort sorts the n-cell region at keys ascending using Batcher's
 // bitonic network [Bat68]: O(lg^2 n) steps, O(n lg^2 n) operations,
@@ -8,15 +12,11 @@ import "lowcontend/internal/machine"
 // permuted alongside the keys. n must be a power of two (use
 // BitonicSortPadded otherwise).
 //
-// Each compare-exchange round is one bulk step: the pairs (i, i|j) for i
-// with bit j clear partition [0,n), so a single strided descriptor with
-// two cells per processor charges every active processor's reads, and
-// the swapping pairs are one ascending list of positions i. That list
-// serves every other descriptor of the round: the key scatters at bases
-// keys (the i sides) and keys+j (the l = i+j sides), and the payload
-// gathers and scatters at vals and vals+j. Processor relabeling keeps
-// the per-processor operation multiset — and hence the step cost on
-// every model — identical to the element-wise loop.
+// Each compare-exchange round is one Machine.CompareExchange step,
+// which applies the round in place over its analytic pairs (i, i+j)
+// and charges exactly the element-wise round: every pair's two key
+// reads, and for each swapped pair two key writes plus two payload
+// reads and writes, under processor relabeling.
 //
 // This is the EREW finishing sort of Theorem 7.3 and the sorting method
 // of the MasPar system sort used by the Table II baseline.
@@ -24,52 +24,9 @@ func BitonicSort(m *machine.Machine, keys, vals, n int) error {
 	if n&(n-1) != 0 {
 		panic("prim: BitonicSort size must be a power of two")
 	}
-	if n <= 1 {
-		return nil
-	}
-	pos := make([]int, n/2)
 	for k := 2; k <= n; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
-			b := m.Bulk(n, "bitonic/cmpx")
-			kv := b.ReadRange(keys, n, 1, 0, 2)
-			// The i with bit j clear are the runs [g, g+j) for g a
-			// multiple of 2j; since 2j <= k, bit lg(k) of i is constant
-			// on each run and the sort direction hoists out of it. Every
-			// i is written and the cursor advances only on a swap, so
-			// the pass has no data-dependent branch.
-			s := 0
-			for g := 0; g < n; g += 2 * j {
-				up := g&k == 0
-				for i := g; i < g+j; i++ {
-					pos[s] = i
-					if (kv[i] > kv[i+j]) == up {
-						s++
-					}
-				}
-			}
-			if s > 0 {
-				ps := pos[:s]
-				wi := b.Vals(s)
-				wl := b.Vals(s)
-				for t, i := range ps {
-					wi[t] = kv[i+j]
-					wl[t] = kv[i]
-				}
-				// Every position carries bit j clear, so the i sides
-				// (base keys) and the l sides (base keys+j) live in
-				// complementary residue classes mod 2j: certify them and
-				// let settlement skip the merge scan.
-				mod := 2 * j
-				b.ScatterMod(keys, ps, 0, wi, mod, j)
-				b.ScatterMod(keys+j, ps, 0, wl, mod, j)
-				if vals >= 0 {
-					va := b.GatherMod(vals, ps, 0, mod, j)
-					vb := b.GatherMod(vals+j, ps, 0, mod, j)
-					b.ScatterMod(vals, ps, 0, vb, mod, j)
-					b.ScatterMod(vals+j, ps, 0, va, mod, j)
-				}
-			}
-			if err := b.Commit(); err != nil {
+			if err := m.CompareExchange("bitonic/cmpx", keys, vals, n, j, k); err != nil {
 				return err
 			}
 		}
@@ -77,8 +34,14 @@ func BitonicSort(m *machine.Machine, keys, vals, n int) error {
 	return nil
 }
 
+// padSentinel is the +infinity key BitonicSortPadded pads with.
+const padSentinel = 1<<62 - 1
+
 // BitonicSortPadded sorts an arbitrary-length region by padding to the
-// next power of two with +infinity sentinels in scratch space.
+// next power of two with +infinity sentinels in scratch space. When it
+// pads, every key must lie below the sentinel, or it would sort among
+// the pads and could be dropped: the first key that does not is
+// reported as an error, and nothing is charged.
 func BitonicSortPadded(m *machine.Machine, keys, vals, n int) error {
 	if n <= 1 {
 		return nil
@@ -87,6 +50,11 @@ func BitonicSortPadded(m *machine.Machine, keys, vals, n int) error {
 	if np2 == n {
 		return BitonicSort(m, keys, vals, n)
 	}
+	for i := range n {
+		if v := m.Word(keys + i); v >= padSentinel {
+			return fmt.Errorf("prim: BitonicSortPadded key %d at index %d is not below the padding sentinel %d", v, i, padSentinel)
+		}
+	}
 	mark := m.Mark()
 	defer m.Release(mark)
 	k2 := m.Alloc(np2)
@@ -94,12 +62,11 @@ func BitonicSortPadded(m *machine.Machine, keys, vals, n int) error {
 	if vals >= 0 {
 		v2 = m.Alloc(np2)
 	}
-	const inf = 1<<62 - 1
 	b := m.Bulk(np2, "bitonicpad/load")
 	kvals := b.Vals(np2)
 	copy(kvals, b.ReadRange(keys, n, 1, 0, 1))
 	for i := n; i < np2; i++ {
-		kvals[i] = inf
+		kvals[i] = padSentinel
 	}
 	b.WriteRange(k2, np2, 1, 0, 1, kvals)
 	if vals >= 0 {

@@ -12,21 +12,43 @@ import (
 // round, processor t < n/2 reads its pair (i, i+j), i the t-th index
 // with bit j clear, and, when the pair is out of order for its run's
 // direction, writes both keys and reads and writes both payload cells.
+//
+// On SIMD models the processor labeling is observable — the violation
+// names the lowest violating processor's operation count — so there the
+// reference labels processors as the engine step does: processor t
+// reads the keys at 2t and 2t+1 and performs the t-th swapped pair's
+// exchange, with the pairs found on the host before the step. Every
+// other model charges only the per-processor operation multiset, which
+// both labelings share.
 func scalarBitonic(m *machine.Machine, keys, vals, n int) error {
+	relabel := m.Model().SIMD()
 	for k := 2; k <= n; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
+			kv := m.LoadWords(keys, n)
+			var swapped []int
+			for i := range n {
+				if i&j == 0 && (kv[i] > kv[i+j]) == (i&k == 0) {
+					swapped = append(swapped, i)
+				}
+			}
 			err := m.ParDoL(n, "bitonic/cmpx", func(c *machine.Ctx, t int) {
 				if t >= n/2 {
 					return
 				}
 				i := t/j*2*j + t%j
-				l := i + j
-				a, b := c.Read(keys+i), c.Read(keys+l)
-				if (a > b) != (i&k == 0) {
+				if relabel {
+					c.Read(keys + 2*t)
+					c.Read(keys + 2*t + 1)
+					if t >= len(swapped) {
+						return
+					}
+					i = swapped[t]
+				} else if a, b := c.Read(keys+i), c.Read(keys+i+j); (a > b) != (i&k == 0) {
 					return
 				}
-				c.Write(keys+i, b)
-				c.Write(keys+l, a)
+				l := i + j
+				c.Write(keys+i, kv[l])
+				c.Write(keys+l, kv[i])
 				if vals >= 0 {
 					va, vb := c.Read(vals+i), c.Read(vals+l)
 					c.Write(vals+i, vb)
@@ -105,12 +127,32 @@ type bitonicOutcome struct {
 // cells and BitonicSortPadded on n/2+1.
 var bitonicForms = []string{"sort", "padded"}
 
-// runBitonicCase runs one form of the network, descriptor or scalar, on
-// a fresh machine holding seeded keys (with duplicates) at base off and
-// a payload at an unaligned base after it.
-func runBitonicCase(model machine.Model, form string, n, off int, payload bool, seed uint64, scalar bool) bitonicOutcome {
+// bitonicCase is one differential case: the machine's model and
+// whether it records hot cells, and the network's input.
+type bitonicCase struct {
+	model   machine.Model
+	hot     bool
+	n, off  int
+	payload bool
+	seed    uint64
+}
+
+func (bc bitonicCase) String() string {
+	return fmt.Sprintf("%v/hot=%v/n=%d/off=%d/payload=%v/seed=%d", bc.model, bc.hot, bc.n, bc.off, bc.payload, bc.seed)
+}
+
+// runBitonicCase runs one form of the network, engine step or scalar,
+// on a fresh traced machine (with hot cells if bc.hot) holding seeded
+// keys (with duplicates) at base off and a payload at an unaligned base
+// after it.
+func runBitonicCase(bc bitonicCase, form string, scalar bool) bitonicOutcome {
+	n, off, payload := bc.n, bc.off, bc.payload
 	memN := 4*n + 2*off + 64
-	m := machine.New(model, memN, machine.WithSeed(3), machine.WithTrace())
+	opt := machine.WithTrace()
+	if bc.hot {
+		opt = machine.WithHotCells(4)
+	}
+	m := machine.New(bc.model, memN, machine.WithSeed(3), opt)
 	m.Alloc(off)
 	keys := m.Alloc(n)
 	m.Alloc(off%3 + 1)
@@ -118,7 +160,7 @@ func runBitonicCase(model machine.Model, form string, n, off int, payload bool, 
 	if payload {
 		vals = m.Alloc(n)
 	}
-	rng := xrand.NewStream(seed)
+	rng := xrand.NewStream(bc.seed)
 	for i := 0; i < n; i++ {
 		m.SetWord(keys+i, machine.Word(rng.Intn(n/2+1)))
 		if payload {
@@ -147,14 +189,15 @@ func runBitonicCase(model machine.Model, form string, n, off int, payload bool, 
 	return o
 }
 
-// checkBitonicMatchesScalar asserts that every form's descriptor run
-// matches its scalar reference exactly.
-func checkBitonicMatchesScalar(t *testing.T, model machine.Model, n, off int, payload bool, seed uint64) {
+// checkBitonicMatchesScalar asserts that every form's engine run
+// matches its scalar reference exactly: error text (step index
+// included), stats, traces (hot cells included) and memory.
+func checkBitonicMatchesScalar(t *testing.T, bc bitonicCase) {
 	t.Helper()
 	for _, form := range bitonicForms {
-		want := runBitonicCase(model, form, n, off, payload, seed, true)
-		got := runBitonicCase(model, form, n, off, payload, seed, false)
-		name := fmt.Sprintf("%v/%s/n=%d/off=%d/payload=%v/seed=%d", model, form, n, off, payload, seed)
+		want := runBitonicCase(bc, form, true)
+		got := runBitonicCase(bc, form, false)
+		name := fmt.Sprintf("%s/%v", form, bc)
 		if got.err != want.err {
 			t.Fatalf("%s: err %q, want %q", name, got.err, want.err)
 		}
@@ -170,34 +213,53 @@ func checkBitonicMatchesScalar(t *testing.T, model machine.Model, n, off int, pa
 	}
 }
 
-var bitonicModels = []machine.Model{machine.EREW, machine.QRQW, machine.CRCW}
+// bitonicModels are the models the differential tests run: the three
+// the experiments sort on, and SIMD-QRQW, on which the first step
+// violates the one-op rule.
+var bitonicModels = []machine.Model{machine.EREW, machine.QRQW, machine.CRCW, machine.SIMDQRQW}
 
-// TestBitonicMatchesScalar is the descriptor/scalar equivalence of the
+// TestBitonicMatchesScalar is the engine/scalar equivalence of the
 // bitonic network: BitonicSort and BitonicSortPadded charge the same
-// stats, record the same step traces and leave the same memory as an
-// element-wise ParDo replay of the same network.
+// stats, raise the same violations, record the same step traces (hot
+// cells included, which take the step's buffered path) and leave the
+// same memory as an element-wise ParDo replay of the same network.
 func TestBitonicMatchesScalar(t *testing.T) {
 	for _, model := range bitonicModels {
-		for _, n := range []int{2, 8, 64, 1024} {
-			for _, payload := range []bool{false, true} {
-				for _, off := range []int{0, 5} {
-					checkBitonicMatchesScalar(t, model, n, off, payload, uint64(n+off))
+		for _, hot := range []bool{false, true} {
+			for _, n := range []int{2, 8, 64, 1024} {
+				for _, payload := range []bool{false, true} {
+					for _, off := range []int{0, 5} {
+						checkBitonicMatchesScalar(t, bitonicCase{model, hot, n, off, payload, uint64(n + off)})
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestBitonicMatchesScalarLarge runs the equivalence at n = 65536 with
+// a payload on EREW, where a round's runs of 2j cells reach the whole
+// region.
+func TestBitonicMatchesScalarLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n = 65536 scalar replay")
+	}
+	checkBitonicMatchesScalar(t, bitonicCase{machine.EREW, false, 1 << 16, 3, true, 65536})
+}
+
 // FuzzBitonicMatchesScalar extends TestBitonicMatchesScalar to random
-// inputs, sizes up to 2^7, models, payloads and base offsets.
+// inputs, sizes up to 2^7, models, hot cells, payloads and base
+// offsets.
 func FuzzBitonicMatchesScalar(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint8(0), false, uint8(0))
-	f.Add(uint64(2), uint8(5), uint8(1), true, uint8(3))
-	f.Add(uint64(3), uint8(7), uint8(2), true, uint8(11))
-	f.Add(uint64(4), uint8(1), uint8(0), true, uint8(1))
-	f.Fuzz(func(t *testing.T, seed uint64, lgn, model uint8, payload bool, off uint8) {
+	f.Add(uint64(1), uint8(3), uint8(0), false, uint8(0), false)
+	f.Add(uint64(2), uint8(5), uint8(1), true, uint8(3), true)
+	f.Add(uint64(3), uint8(7), uint8(2), true, uint8(11), false)
+	f.Add(uint64(4), uint8(1), uint8(0), true, uint8(1), true)
+	f.Add(uint64(5), uint8(4), uint8(3), true, uint8(2), false)
+	f.Add(uint64(6), uint8(6), uint8(3), false, uint8(7), true)
+	f.Fuzz(func(t *testing.T, seed uint64, lgn, model uint8, payload bool, off uint8, hot bool) {
 		n := 1 << (lgn%7 + 1)
-		checkBitonicMatchesScalar(t, bitonicModels[int(model)%len(bitonicModels)], n, int(off%16), payload, seed)
+		checkBitonicMatchesScalar(t, bitonicCase{bitonicModels[int(model)%len(bitonicModels)], hot, n, int(off % 16), payload, seed})
 	})
 }
 

@@ -1,6 +1,7 @@
 package prim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -319,6 +320,45 @@ func TestBitonicSortPaddedWithPayload(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if m.Word(vals+i) != 10*m.Word(keys+i) {
 			t.Fatalf("padded payload desynced: %v %v", m.LoadWords(keys, n), m.LoadWords(vals, n))
+		}
+	}
+}
+
+// TestBitonicSortPaddedRejectsSentinelKeys is the regression test for
+// keys at or above the padding sentinel, which used to sort among the
+// pads and be dropped: keys [2^62-1, 2^62, 5] at n = 3 came back as
+// [5, 2^62-1, 2^62-1], and with a payload a pad's 0 replaced 2^62's.
+// The sort must instead name the first such key and its index, charge
+// nothing and leave memory as it was, with and without a payload.
+func TestBitonicSortPaddedRejectsSentinelKeys(t *testing.T) {
+	for _, c := range []struct {
+		keys []machine.Word
+		want string
+	}{
+		{[]machine.Word{1<<62 - 1, 1 << 62, 5}, "prim: BitonicSortPadded key 4611686018427387903 at index 0 is not below the padding sentinel 4611686018427387903"},
+		{[]machine.Word{7, 1 << 62, 5}, "prim: BitonicSortPadded key 4611686018427387904 at index 1 is not below the padding sentinel 4611686018427387903"},
+	} {
+		for _, payload := range []bool{false, true} {
+			m := machine.New(machine.EREW, 64)
+			n := len(c.keys)
+			keys := m.Alloc(n)
+			m.Store(keys, c.keys)
+			vals := -1
+			if payload {
+				vals = m.Alloc(n)
+				m.Store(vals, []machine.Word{10, 11, 12})
+			}
+			before, brk := m.LoadWords(0, 64), m.Allocated()
+			err := BitonicSortPadded(m, keys, vals, n)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("keys %v payload=%v: err %v, want %q", c.keys, payload, err, c.want)
+			}
+			if st := m.Stats(); st != (machine.Stats{}) {
+				t.Errorf("keys %v payload=%v: rejected sort charged %+v", c.keys, payload, st)
+			}
+			if after := m.LoadWords(0, 64); !slices.Equal(after, before) || m.Allocated() != brk {
+				t.Errorf("keys %v payload=%v: memory %v, want %v untouched", c.keys, payload, after, before)
+			}
 		}
 	}
 }
