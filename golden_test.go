@@ -141,3 +141,34 @@ func TestGoldenChargedStats(t *testing.T) {
 	}
 	checkGolden(t, "charged-stats-default-seed1.txt", seq)
 }
+
+// TestGoldenFootprint pins the memory record of every session of every
+// builtin at its default sizes and seed 1: the session's model, the
+// words its cell requested and the most words it had allocated at
+// once. Like the charged stats the record is a function of the program,
+// so a change that grows a cell's footprint, or a request that no
+// longer covers it, fails here exactly rather than through a noisy RSS
+// bound. It is rendered at parallelism 1 and 2, which must agree.
+func TestGoldenFootprint(t *testing.T) {
+	render := func(parallel int) string {
+		var sb strings.Builder
+		for _, e := range exp.Registry() {
+			res := (&spec.Runner{Parallel: parallel}).Run(e, e.DefaultSizes, 1)
+			if err := res.FirstErr(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range res.Cells {
+				for i, f := range c.Footprints {
+					fmt.Fprintf(&sb, "%s | %s | session %d | %v | requested %d | peak %d\n",
+						e.Name, c.Cell, i+1, f.Model, f.Requested, f.Peak)
+				}
+			}
+		}
+		return sb.String()
+	}
+	seq, par := render(1), render(2)
+	if seq != par {
+		t.Fatalf("footprints not deterministic across parallelism:\n--- parallel 1 ---\n%s\n--- parallel 2 ---\n%s", seq, par)
+	}
+	checkGolden(t, "footprint-default-seed1.txt", seq)
+}

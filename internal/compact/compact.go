@@ -93,8 +93,16 @@ func LinearCompact(m *machine.Machine, flags, vals, n, k int) (Result, error) {
 // memory.
 const maxStage = 1 << 22
 
-// linearCompactImpl is the real implementation; see LinearCompact.
-func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Result, error) {
+// layout is LinearCompact's geometry for n cells holding k >= 1 items:
+// g darts per item, and a staging array of stageLen cells cut into
+// segments of segSize cells, each owning blockSize output cells, outLen
+// in all. It depends on n and k alone, so the words a compaction
+// allocates do too.
+type layout struct {
+	g, stageLen, segSize, blockSize, outLen int
+}
+
+func newLayout(n, k int) layout {
 	f := sqrtLog(n)
 	g := (3*f + 1) / 2 // darts per item; failure prob ~ 2^(-f*g) <= n^(-1.5)
 	stageLen := prim.NextPow2(2*g*k) << uint(f)
@@ -108,18 +116,43 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 	// segs <= k/2; the output, segs*(4*ceil(k/segs)+16) <= 4k+20*segs-4
 	// cells, is then at most 14k-4 for every k >= 2 (Result.OutLen).
 	segSize := 1 << uint(2*f)
-	if k >= 1 {
-		if want := prim.NextPow2(prim.CeilDiv(2*stageLen, k)); want > segSize {
-			segSize = want
-		}
+	if want := prim.NextPow2(prim.CeilDiv(2*stageLen, k)); want > segSize {
+		segSize = want
 	}
 	segSize = prim.Min(segSize, stageLen)
 	segs := stageLen / segSize
 	// Expected items per segment; block size leaves enough headroom that
 	// overflow probability is negligible (P[X >= blockSize] <= (eE/b)^b).
-	expPerSeg := prim.CeilDiv(k, segs)
-	blockSize := 4*expPerSeg + 16
-	outLen := segs * blockSize
+	blockSize := 4*prim.CeilDiv(k, segs) + 16
+	return layout{g: g, stageLen: stageLen, segSize: segSize, blockSize: blockSize, outLen: segs * blockSize}
+}
+
+// OutLen is the Result.OutLen of LinearCompact over n cells holding k
+// items.
+func OutLen(n, k int) int {
+	if k == 0 {
+		return 0
+	}
+	return newLayout(n, k).outLen
+}
+
+// LinearCompactWords is the most shared-memory words LinearCompact over
+// n cells holding k items has allocated at once: the n-cell Pos region,
+// and while it runs the staging array, its rank tree, the per-item
+// staging slots, the output and one cleanup flag. On return it holds
+// n + OutLen(n, k) of them.
+func LinearCompactWords(n, k int) int {
+	if k == 0 {
+		return n
+	}
+	l := newLayout(n, k)
+	return 2*n + 3*l.stageLen + l.outLen + 1
+}
+
+// linearCompactImpl is the real implementation; see LinearCompact.
+func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Result, error) {
+	l := newLayout(n, k)
+	g, stageLen, segSize, blockSize, outLen := l.g, l.stageLen, l.segSize, l.blockSize, l.outLen
 
 	mark := m.Mark()
 	stage := m.Alloc(stageLen) // 0 = free, otherwise itemIndex+1

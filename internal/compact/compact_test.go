@@ -281,3 +281,33 @@ func TestLinearCompactTimeGrowsSlowly(t *testing.T) {
 	}
 	_ = prim.ILog2 // keep import if bounds change
 }
+
+// TestLinearCompactWords checks the size functions against a run:
+// LinearCompactWords is the allocation peak, OutLen the result's
+// output length, and n + OutLen words stay allocated on return.
+func TestLinearCompactWords(t *testing.T) {
+	for _, n := range []int{1, 2, 100, 1024, 4096} {
+		for _, k := range []int{0, 1, 2, n / 64, n / 2, n} {
+			if k > n {
+				continue
+			}
+			m := machine.New(machine.QRQW, 0, machine.WithSeed(uint64(n+k)))
+			flags := m.Alloc(n)
+			vals := m.Alloc(n)
+			for i := 0; i < k; i++ {
+				m.SetWord(flags+i*(n/max(k, 1)), 1)
+			}
+			base := m.Allocated()
+			res, err := LinearCompact(m, flags, vals, n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.PeakAllocated()-base, LinearCompactWords(n, k); got != want {
+				t.Errorf("n=%d k=%d: peak %d words, LinearCompactWords %d", n, k, got, want)
+			}
+			if res.OutLen != OutLen(n, k) || m.Allocated()-base != n+res.OutLen {
+				t.Errorf("n=%d k=%d: OutLen %d (OutLen() %d), %d words held, want n+OutLen", n, k, res.OutLen, OutLen(n, k), m.Allocated()-base)
+			}
+		}
+	}
+}

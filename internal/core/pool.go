@@ -16,9 +16,11 @@ import (
 // that fits, Reset and Reseeded, so its behavior and charged stats are
 // bit-identical to a fresh NewSession(model, memWords, WithSeed(seed))
 // (no algorithm reads capacity, and Reset costs O(dirty words)). When
-// the model has idle sessions but none large enough, Acquire frees the
-// largest and constructs a fresh one of the requested size in its place,
-// so a model never parks more sessions than its peak concurrent leases.
+// the model has idle sessions but none large enough, Acquire grows the
+// largest to exactly the requested size (a fresh array: the old one
+// held only zeros after Reset), keeping its step buffers; a session is
+// constructed only when the model has none idle, so a model never
+// parks more sessions than its peak concurrent leases.
 //
 // A SessionPool is safe for concurrent use. The Sessions it hands out
 // are not: each acquired session belongs to one goroutine until it is
@@ -37,16 +39,17 @@ type SessionPool struct {
 }
 
 // PoolStats counts pool traffic: Acquires = Reuses + News. Reuses are
-// pool hits (an idle session of the model with at least the requested
-// capacity was recycled), News are misses. The JSON form is what
+// pool hits (an idle session of the model was recycled, grown to the
+// request if none was large enough), News are misses (the model had no
+// idle session). The JSON form is what
 // cmd/lowcontend -json publishes under "pool"; the lowcontendd
 // /metrics endpoint flattens the same counters into its own pool_* keys
 // (internal/serve/metrics.go). The pooled machines' engine counters are
 // not pool traffic: StatsLive reports them as one machine.ExecStats.
 type PoolStats struct {
 	Acquires int64 `json:"acquires"` // total Acquire calls
-	Reuses   int64 `json:"reuses"`   // acquires satisfied by an idle session (hits)
-	News     int64 `json:"news"`     // acquires that constructed a fresh session (misses)
+	Reuses   int64 `json:"reuses"`   // acquires served by an idle session (hits)
+	News     int64 `json:"news"`     // acquires that constructed a session (misses)
 }
 
 // NewSessionPool constructs an empty pool. The zero value is also ready
@@ -56,39 +59,30 @@ func NewSessionPool() *SessionPool {
 }
 
 // Acquire returns a session for the given model, minimum memory
-// capacity, and seed: the model's smallest idle session that fits, or
-// else a fresh one, which replaces the model's largest idle session if
-// it has any. The caller owns the session until Release.
+// capacity, and seed: the model's smallest idle session that fits, else
+// its largest idle session grown to memWords, else a fresh one. The
+// caller owns the session until Release.
 func (p *SessionPool) Acquire(model machine.Model, memWords int, seed uint64) *Session {
 	p.mu.Lock()
 	p.st.Acquires++
 	if p.leased == nil {
 		p.leased = make(map[*Session]struct{})
 	}
-	ss := p.idle[model]
-	var s, evict *Session
-	if k := len(ss); k > 0 {
+	if ss := p.idle[model]; len(ss) > 0 {
 		i, _ := slices.BinarySearchFunc(ss, memWords, sessionCap)
-		if i < k {
-			s = ss[i]
-		} else {
-			i, evict = k-1, ss[k-1]
-		}
+		i = min(i, len(ss)-1) // none fits: the largest, grown below
+		s := ss[i]
 		p.idle[model] = slices.Delete(ss, i, i+1)
-	}
-	if s != nil {
 		p.st.Reuses++
 		p.leased[s] = struct{}{}
 		p.mu.Unlock()
+		s.m.Reserve(memWords)
 		s.Reseed(seed)
 		return s
 	}
 	p.st.News++
 	p.mu.Unlock()
-	if evict != nil {
-		evict.Close()
-	}
-	s = NewSession(model, memWords, machine.WithSeed(seed))
+	s := NewSession(model, memWords, machine.WithSeed(seed))
 	p.mu.Lock()
 	p.leased[s] = struct{}{}
 	p.mu.Unlock()

@@ -12,9 +12,9 @@ import (
 
 // TestSessionPoolBestFit pins the fit rule: a request takes the model's
 // smallest idle session of at least the requested capacity; a request
-// no idle session fits replaces the model's largest idle session with a
-// fresh one of exactly the requested size; and a session never serves
-// another model.
+// no idle session fits takes the model's largest idle session grown to
+// exactly the requested size; and a session never serves another
+// model.
 func TestSessionPoolBestFit(t *testing.T) {
 	p := NewSessionPool()
 	defer p.Close()
@@ -31,23 +31,20 @@ func TestSessionPoolBestFit(t *testing.T) {
 	p.Release(small)
 	p.Release(large)
 
-	idle, news := p.Idle(), p.Stats().News
+	idle, st := p.Idle(), p.Stats()
 	s := p.Acquire(QRQW, 1<<15, 3)
-	if s == small || s == large {
-		t.Fatal("a 1<<15 request was served by a smaller idle session")
+	if s != large {
+		t.Fatal("a 1<<15 request did not take the largest idle session")
 	}
 	if got := s.Machine().MemWords(); got != 1<<15 {
-		t.Errorf("fresh session holds %d words, want %d", got, 1<<15)
+		t.Errorf("grown session holds %d words, want %d", got, 1<<15)
 	}
-	if got := p.Stats().News; got != news+1 {
-		t.Errorf("News = %d, want %d", got, news+1)
-	}
-	if large.Machine().MemWords() != 0 {
-		t.Error("the replaced largest idle session was not freed")
+	if got := p.Stats(); got.News != st.News || got.Reuses != st.Reuses+1 {
+		t.Errorf("stats %+v after growing an idle session, want one more reuse than %+v", got, st)
 	}
 	p.Release(s)
 	if got := p.Idle(); got != idle {
-		t.Errorf("Idle after replacement = %d, want %d", got, idle)
+		t.Errorf("Idle after growth = %d, want %d", got, idle)
 	}
 
 	e := p.Acquire(EREW, 1<<10, 4)

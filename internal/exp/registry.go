@@ -45,6 +45,26 @@ func Find(name string) (spec.Experiment, bool) {
 	return spec.Experiment{}, false
 }
 
+// Every cell sizes its sessions from its n, so that a session holds
+// what the cell allocates at its peak and never grows mid-cell, and a
+// small cell does not lease a large session. The sizes come from the
+// footprint record that TestGoldenFootprint pins
+// (testdata/golden/footprint-default-seed1.txt), and
+// TestBuiltinRequestsCoverFootprint checks each request against its
+// measured peak. Where an algorithm package can state its footprint
+// exactly (perm.RandomWords, loadbalance.Words,
+// compact.LinearCompactWords), the cell asks it; elsewhere the size is
+// the measured words per element at powers of two plus slackWords for
+// the fixed costs and the seed-to-seed spread of randomized runs. A
+// non-power-of-two n pads some sorts to the next power of two, and a
+// session asked for too little grows by doubling: correct, only larger.
+const slackWords = 1024
+
+// sortingBasedWords sizes perm.SortingBased: its output, keys, shadow
+// copy and duplicate flags (4n words) and the 2n-word reduction tree
+// over the flags; the bitonic sort of a power-of-two n runs in place.
+func sortingBasedWords(n int) int { return 6*n + slackWords }
+
 // --- Table I ---------------------------------------------------------
 
 // tableIExperiment measures each Table I problem: the QRQW algorithm's
@@ -86,11 +106,11 @@ func tableICells(sizes []int) []spec.Cell {
 			// Random permutation: QRQW dart throwing vs EREW
 			// sorting-based.
 			spec.Cell{Name: fmt.Sprintf("random permutation/%d", n), Run: func(c *spec.Ctx) error {
-				qs := c.Session(core.QRQW, 1<<18, c.Seed)
+				qs := c.Session(core.QRQW, perm.RandomWords(n), c.Seed)
 				if _, err := perm.Random(qs.Machine(), n); err != nil {
 					return err
 				}
-				es := c.Session(core.EREW, 1<<18, c.Seed)
+				es := c.Session(core.EREW, sortingBasedWords(n), c.Seed)
 				if _, err := perm.SortingBased(es.Machine(), n); err != nil {
 					return err
 				}
@@ -107,7 +127,7 @@ func tableICells(sizes []int) []spec.Cell {
 				for i := range labels {
 					labels[i] = s.Intn(prim.Max(1, n/8))
 				}
-				qs := c.Session(core.QRQW, 1<<20, c.Seed)
+				qs := c.Session(core.QRQW, 11*n+n/4+slackWords, c.Seed)
 				in, err := multicompact.BuildInput(qs.Machine(), labels, prim.Max(1, n/8))
 				if err != nil {
 					return err
@@ -115,7 +135,7 @@ func tableICells(sizes []int) []spec.Cell {
 				if _, err := multicompact.Run(qs.Machine(), in); err != nil {
 					return err
 				}
-				es := c.Session(core.EREW, 1<<20, c.Seed)
+				es := c.Session(core.EREW, n+slackWords, c.Seed)
 				kb := es.UploadInts(labels)
 				if err := prim.BitonicSortPadded(es.Machine(), kb.Base(), -1, n); err != nil {
 					return err
@@ -132,12 +152,12 @@ func tableICells(sizes []int) []spec.Cell {
 				for i := range vals {
 					vals[i] = machine.Word(s.Uint64n(1 << 40))
 				}
-				qs := c.Session(core.QRQW, 1<<20, c.Seed)
+				qs := c.Session(core.QRQW, 34*n+n/8+slackWords, c.Seed)
 				keys := qs.Upload(vals)
 				if err := sortalg.DistributiveSort(qs.Machine(), keys.Base(), keys.Len(), 1<<40); err != nil {
 					return err
 				}
-				es := c.Session(core.EREW, 1<<20, c.Seed)
+				es := c.Session(core.EREW, n+slackWords, c.Seed)
 				kb := es.Upload(vals)
 				if err := prim.BitonicSortPadded(es.Machine(), kb.Base(), -1, n); err != nil {
 					return err
@@ -151,7 +171,9 @@ func tableICells(sizes []int) []spec.Cell {
 			spec.Cell{Name: fmt.Sprintf("parallel hashing/%d", n), Run: func(c *spec.Ctx) error {
 				hn := prim.Min(n, 1<<13) // hashing memory grows fastest
 				hkeys := distinct(c.Seed+9, hn)
-				qs := c.Session(core.QRQW, 1<<20, c.Seed)
+				// The table's retries make the QRQW peak vary by a few
+				// hundred words across seeds.
+				qs := c.Session(core.QRQW, 101*hn+2*slackWords, c.Seed)
 				hb := qs.Upload(hkeys)
 				tb, err := hashing.Build(qs.Machine(), hb.Base(), hb.Len())
 				if err != nil {
@@ -162,7 +184,7 @@ func tableICells(sizes []int) []spec.Cell {
 				if err := tb.Lookup(qb.Base(), ob.Base(), hn); err != nil {
 					return err
 				}
-				es := c.Session(core.EREW, 1<<20, c.Seed)
+				es := c.Session(core.EREW, 13*hn+slackWords, c.Seed)
 				kb := es.Upload(hkeys)
 				qb2 := es.Upload(hkeys)
 				ob2 := es.Malloc(hn)
@@ -178,11 +200,11 @@ func tableICells(sizes []int) []spec.Cell {
 			spec.Cell{Name: fmt.Sprintf("load balancing (L=32)/%d", n), Run: func(c *spec.Ctx) error {
 				// Small max load: the regime where QRQW wins.
 				counts := loadbalance.TwoHeavy(n, 32, 16)
-				qs := c.Session(core.QRQW, 1<<20, c.Seed)
+				qs := c.Session(core.QRQW, loadbalance.Words(counts), c.Seed)
 				if _, err := qs.BalanceLoads(counts); err != nil {
 					return err
 				}
-				es := c.Session(core.EREW, 1<<20, c.Seed)
+				es := c.Session(core.EREW, 4*n+slackWords, c.Seed)
 				if _, err := loadbalance.EREWBalance(es.Machine(), counts); err != nil {
 					return err
 				}
@@ -235,12 +257,13 @@ func tableIIExperiment() spec.Experiment {
 		DefaultSizes: []int{16384, 1024},
 		Cells: func(sizes []int) []spec.Cell {
 			algos := []struct {
-				name string
-				f    func(*machine.Machine, int) (int, error)
+				name  string
+				f     func(*machine.Machine, int) (int, error)
+				words func(n int) int
 			}{
-				{"sorting-based (EREW)", perm.SortingBased},
-				{"dart-throwing with scans", perm.ScanDart},
-				{"dart-throwing for QRQW", perm.Random},
+				{"sorting-based (EREW)", perm.SortingBased, sortingBasedWords},
+				{"dart-throwing with scans", perm.ScanDart, func(n int) int { return 13*n + slackWords }},
+				{"dart-throwing for QRQW", perm.Random, perm.RandomWords},
 			}
 			var cells []spec.Cell
 			for _, n := range sizes {
@@ -248,7 +271,7 @@ func tableIIExperiment() spec.Experiment {
 					cells = append(cells, spec.Cell{
 						Name: fmt.Sprintf("%s/%d", a.name, n),
 						Run: func(c *spec.Ctx) error {
-							s := c.Session(core.QRQW, 1<<18, c.Seed)
+							s := c.Session(core.QRQW, a.words(n), c.Seed)
 							if _, err := a.f(s.Machine(), n); err != nil {
 								return err
 							}
@@ -308,7 +331,7 @@ func fig1Experiment() spec.Experiment {
 				non := []int{1, 0, 3, 2, 4}
 				c.Note("cyclic    pi  = %v  cycles: %v", cyc, perm.CycleRepresentation(cyc))
 				c.Note("noncyclic phi = %v  cycles: %v", non, perm.CycleRepresentation(non))
-				s := c.Session(core.QRQW, 1<<14, c.Seed)
+				s := c.Session(core.QRQW, slackWords, c.Seed)
 				p, err := s.RandomCyclicPermutation(8)
 				if err != nil {
 					return err
@@ -359,7 +382,7 @@ func lowerBoundExperiment() spec.Experiment {
 					Run: func(c *spec.Ctx) error {
 						counts := make([]int, n)
 						counts[0] = L
-						s := c.Session(core.QRQW, 1<<20, c.Seed)
+						s := c.Session(core.QRQW, loadbalance.Words(counts), c.Seed)
 						if _, err := s.BalanceLoads(counts); err != nil {
 							return err
 						}
@@ -420,13 +443,13 @@ func compactionExperiment() spec.Experiment {
 							flagVals[pm[j]] = 1
 							cellVals[pm[j]] = machine.Word(j)
 						}
-						qs := c.Session(core.QRQW, 1<<21, c.Seed)
+						qs := c.Session(core.QRQW, 2*n+compact.LinearCompactWords(n, k), c.Seed)
 						flags := qs.Upload(flagVals)
 						vals := qs.Upload(cellVals)
 						if _, err := compact.LinearCompact(qs.Machine(), flags.Base(), vals.Base(), n, k); err != nil {
 							return err
 						}
-						es := c.Session(core.EREW, 1<<21, c.Seed)
+						es := c.Session(core.EREW, 6*n+k+slackWords, c.Seed)
 						flags2 := es.Upload(flagVals)
 						vals2 := es.Upload(cellVals)
 						if _, err := compact.EREWCompact(es.Machine(), flags2.Base(), vals2.Base(), n, k); err != nil {

@@ -62,6 +62,7 @@ type Ctx struct {
 	profiled  bool           // profile every acquired session
 	hotK      int            // hot-cell top-K when profiling (0 = none)
 	sessions  []*core.Session
+	requested []int // memWords of each Session call, in acquisition order
 	meas      []Measurement
 	acquireNs int64 // summed wall time spent acquiring sessions
 }
@@ -86,6 +87,7 @@ func (c *Ctx) Session(model machine.Model, memWords int, seed uint64) *core.Sess
 	}
 	c.acquireNs += int64(time.Since(t0))
 	c.sessions = append(c.sessions, s)
+	c.requested = append(c.requested, memWords)
 	return s
 }
 
@@ -127,7 +129,24 @@ type CellResult struct {
 	// MarshalJSON emits only its two descriptor counts, the shape the
 	// JSON artifacts pin.
 	Exec machine.ExecStats
-	Err  error
+	// Footprints holds one record per session the cell acquired, in
+	// acquisition order: the words it requested and the most it had
+	// allocated at once. Both are functions of the cell's program, like
+	// the charged stats, but they describe the host's memory, not the
+	// simulated run, so MarshalJSON leaves them out and no artifact
+	// renders them.
+	Footprints []Footprint
+	Err        error
+}
+
+// Footprint is one session's memory record within a cell: its model,
+// the capacity the cell requested in words, and the machine's
+// allocation high-water mark (machine.Machine.PeakAllocated) when the
+// cell finished. A request below Peak makes the session grow mid-cell.
+type Footprint struct {
+	Model     machine.Model
+	Requested int
+	Peak      int
 }
 
 // MarshalJSON renders the result with the error (if any) as a string.
@@ -346,9 +365,13 @@ func (r *Runner) runCell(pool *core.SessionPool, t Task, index int) (out CellRes
 	acquire = &ctx.acquireNs
 	out = CellResult{Cell: c.Name, Index: index}
 	defer func() {
-		for _, s := range ctx.sessions {
+		for i, s := range ctx.sessions {
 			// Aggregate before Release: releasing resets the machine,
-			// which clears its trace and disables profiling.
+			// which clears its trace, its allocation peak, and disables
+			// profiling.
+			out.Footprints = append(out.Footprints, Footprint{
+				Model: s.Model(), Requested: ctx.requested[i], Peak: s.Machine().PeakAllocated(),
+			})
 			if r.Profile {
 				out.Profiles = append(out.Profiles,
 					profile.FromTrace(s.Model().String(), s.StepTraces(), max(hotK, 1)))

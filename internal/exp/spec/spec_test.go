@@ -69,6 +69,30 @@ func TestRunnerSharedPoolMatchesPrivate(t *testing.T) {
 	}
 }
 
+// TestRunnerRecordsFootprints: each cell result carries one footprint
+// per acquired session, with the requested words and the allocation
+// peak a fresh session running the same program reaches, whichever
+// pooled session served it.
+func TestRunnerRecordsFootprints(t *testing.T) {
+	e := permExperiment()
+	pool := core.NewSessionPool()
+	defer pool.Close()
+	r := &Runner{Parallel: 2, Pool: pool}
+	for range 2 {
+		res := r.Run(e, e.DefaultSizes, 3)
+		for i, n := range e.DefaultSizes {
+			s := core.NewSession(core.QRQW, 0, machine.WithSeed(3+uint64(n)))
+			if _, err := s.RandomPermutation(n); err != nil {
+				t.Fatal(err)
+			}
+			want := []Footprint{{Model: core.QRQW, Requested: 1 << 12, Peak: s.Machine().PeakAllocated()}}
+			if got := res.Cells[i].Footprints; !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d: footprints %+v, want %+v", n, got, want)
+			}
+		}
+	}
+}
+
 func TestRunnerPerCellErrorAttribution(t *testing.T) {
 	boom := errors.New("boom")
 	e := Experiment{
@@ -272,7 +296,7 @@ func TestResultJSON(t *testing.T) {
 			{Cell: "c", Index: 2, Exec: machine.ExecStats{
 				GangDispatches: 5, GangFusedSettles: 4, SerialSteps: 3, CursorSteals: 1,
 				BulkDescriptors: 9, BulkExpanded: 2,
-			}},
+			}, Footprints: []Footprint{{Model: machine.QRQW, Requested: 4096, Peak: 4000}}},
 		},
 	}
 	b, err := json.Marshal(res)
@@ -294,6 +318,12 @@ func TestResultJSON(t *testing.T) {
 	for _, key := range []string{"gang_", "serial_steps", "cursor_steals", "bulk_expanded"} {
 		if strings.Contains(s, key) {
 			t.Errorf("JSON carries exec key %q:\n%s", key, s)
+		}
+	}
+	// Footprints describe host memory, not the simulated run.
+	for _, key := range []string{"footprint", "requested", "peak", "4096"} {
+		if strings.Contains(strings.ToLower(s), key) {
+			t.Errorf("JSON carries footprint key %q:\n%s", key, s)
 		}
 	}
 	var round map[string]any

@@ -29,7 +29,6 @@ package hashing
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 
 	"lowcontend/internal/machine"
@@ -581,12 +580,22 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 	// matches iff some cell q <= p holds a key (tag -1) with the same
 	// key value. Keys sort immediately before their equal queries, so a
 	// doubling fill of "last key value seen" suffices.
-	at := func(base, delta int, is []int) []int {
-		o := make([]int, len(is))
+	//
+	// The steps below build their host index lists in four buffers
+	// allocated once per call: positions in pos and rest, addresses in
+	// two address buffers. Each step commits before the next refills
+	// them, and within a step every list starts at its own element, so
+	// the Bulk's walk reuse, which identifies a list by its first
+	// element and length, matches only a list passed twice.
+	pos, rest := make([]int, 0, total), make([]int, 0, total)
+	addrA, addrB := make([]int, total), make([]int, total)
+	// at writes base+i-delta for each i of is into dst, and returns it.
+	at := func(dst []int, base, delta int, is []int) []int {
+		dst = dst[:len(is)]
 		for t, i := range is {
-			o[t] = base + i - delta
+			dst[t] = base + i - delta
 		}
-		return o
+		return dst
 	}
 	lastKey := m.Alloc(total)
 	{
@@ -594,7 +603,7 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 		// query positions (2 ops) follow.
 		b := m.Bulk(total, "erewmember/seed")
 		tv := b.ReadRange(tag, total, 1, 0, 1)
-		var keyP, qryP []int
+		keyP, qryP := pos, rest
 		for i, v := range tv {
 			if v < 0 {
 				keyP = append(keyP, i)
@@ -604,19 +613,19 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 		}
 		nK := len(keyP)
 		if nK > 0 {
-			cvv := b.Gather(at(comp, 0, keyP), 0)
+			cvv := b.Gather(at(addrA, comp, 0, keyP), 0)
 			lv := b.Vals(nK)
 			for t := range lv {
 				lv[t] = cvv[t] / machine.Word(2*total)
 			}
-			b.Scatter(at(lastKey, 0, keyP), 0, lv)
+			b.Scatter(at(addrB, lastKey, 0, keyP), 0, lv)
 		}
 		if len(qryP) > 0 {
 			mv := b.Vals(len(qryP))
 			for t := range mv {
 				mv[t] = -1
 			}
-			b.Scatter(at(lastKey, 0, qryP), nK, mv)
+			b.Scatter(at(addrB[nK:], lastKey, 0, qryP), nK, mv)
 		}
 		if err := b.Commit(); err != nil {
 			return err
@@ -633,7 +642,7 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 		}
 		// Updating cells (4 ops) first, condition-only cells (2 ops) next.
 		b := m.Bulk(total, "erewmember/fill")
-		var updJ, actJ []int
+		updJ, actJ := pos[:0], rest[:0]
 		for i := d; i < total; i++ {
 			if m.Word(shadow+i-d) > m.Word(lastKey+i) {
 				updJ = append(updJ, i)
@@ -643,16 +652,16 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 		}
 		nU := len(updJ)
 		if nU > 0 {
-			sK := at(shadow, d, updJ)
-			lJ := at(lastKey, 0, updJ)
+			sK := at(addrA, shadow, d, updJ)
+			lJ := at(addrB, lastKey, 0, updJ)
 			sv := b.Gather(sK, 0) // condition read of shadow+k
 			b.Gather(lJ, 0)       // condition read of lastKey+i
 			b.Gather(sK, 0)       // value read (scalar reads it again)
 			b.Scatter(lJ, 0, sv)
 		}
 		if len(actJ) > 0 {
-			b.Gather(at(shadow, d, actJ), nU)
-			b.Gather(at(lastKey, 0, actJ), nU)
+			b.Gather(at(addrA[nU:], shadow, d, actJ), nU)
+			b.Gather(at(addrB[nU:], lastKey, 0, actJ), nU)
 		}
 		if err := b.Commit(); err != nil {
 			return err
@@ -662,16 +671,16 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 	// positions only read their tag.
 	b := m.Bulk(total, "erewmember/emit")
 	tv := b.ReadRange(tag, total, 1, 0, 1)
-	var qP []int
+	qP := pos[:0]
 	for i, v := range tv {
 		if v >= 0 {
 			qP = append(qP, i)
 		}
 	}
 	if t := len(qP); t > 0 {
-		cvv := b.Gather(at(comp, 0, qP), 0)
-		lvv := b.Gather(at(lastKey, 0, qP), 0)
-		oIdx := make([]int, t)
+		cvv := b.Gather(at(addrA, comp, 0, qP), 0)
+		lvv := b.Gather(at(addrB, lastKey, 0, qP), 0)
+		oIdx := rest[:t]
 		ov := b.Vals(t)
 		for s, i := range qP {
 			oIdx[s] = out + int(tv[i])
@@ -685,5 +694,3 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 	}
 	return b.Commit()
 }
-
-var _ = fmt.Sprintf // reserved for richer error contexts

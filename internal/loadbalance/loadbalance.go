@@ -122,35 +122,21 @@ func newBalancer(m *machine.Machine, counts []int, width func(n, mU, L int) int)
 	if n == 0 {
 		return nil, fmt.Errorf("loadbalance: no processors")
 	}
+	unit, mU, L, err := units(counts)
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	off := make([]int, n)
 	for i, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("loadbalance: negative count at %d", i)
-		}
 		off[i] = total
 		total += c
 	}
-	unit := 1
-	if total > 2*n {
-		unit = prim.CeilDiv(total, n)
-	}
 	b := &Balancer{
-		m: m, n: n, M: total, unit: unit,
+		m: m, n: n, M: total, unit: unit, mU: mU, L: L,
 		counts: counts, taskOff: off,
 	}
-	mU, L := 0, 0
-	for _, c := range counts {
-		u := prim.CeilDiv(c, unit)
-		mU += u
-		if u > L {
-			L = u
-		}
-	}
-	b.mU, b.L = mU, L
-	if L == 0 {
-		L = 1
-	}
+	L = max(L, 1)
 	b.Bound = L
 	b.qw = width(n, mU, L)
 
@@ -175,6 +161,61 @@ func newBalancer(m *machine.Machine, counts []int, width func(n, mU, L int) int)
 	return b, nil
 }
 
+// units returns the super-task size (1 unless the tasks number more
+// than 2n), the total super-tasks mU and the maximum load L in
+// super-tasks of counts, or an error on a negative count.
+func units(counts []int) (unit, mU, L int, err error) {
+	total := 0
+	for i, c := range counts {
+		if c < 0 {
+			return 0, 0, 0, fmt.Errorf("loadbalance: negative count at %d", i)
+		}
+		total += c
+	}
+	unit = 1
+	if total > 2*len(counts) {
+		unit = prim.CeilDiv(total, len(counts))
+	}
+	for _, c := range counts {
+		u := prim.CeilDiv(c, unit)
+		mU += u
+		L = max(L, u)
+	}
+	return unit, mU, L, nil
+}
+
+// Words returns the most shared-memory words a run over counts (New,
+// then Run) has allocated at once, 0 when New would fail. Every region
+// the balancer and its compactions allocate is sized by n, mU, L and
+// the stage schedule, never by the data or the random draws, so a
+// machine sized by Words never grows during the run.
+func Words(counts []int) int {
+	n := len(counts)
+	_, mU, L, err := units(counts)
+	if n == 0 || err != nil {
+		return 0
+	}
+	L = max(L, 1)
+	held := 2*n*qWidth(n, mU, L) + 2*n // qptr, qlen, qcnt, loadv
+	peak := held
+	schedule(L, func(u, wmax int) (int, error) {
+		k := compactTarget(n, mU, u)
+		teams := compact.OutLen(n, k)
+		slots, mu := teamSlots(teams, teamSize(u, wmax), n)
+		// flags and ids, then the compaction; after it its Pos and
+		// output stay, joined by the three slot arrays and the pieces.
+		peak = max(peak,
+			held+2*n+compact.LinearCompactWords(n, k),
+			held+3*n+teams+3*slots+2*mu*n)
+		return mu, nil
+	}, func(bound int) error {
+		held += n * bound // the consolidated block stays
+		peak = max(peak, held)
+		return nil
+	})
+	return peak
+}
+
 // Run executes the full algorithm: dispersal stages while teams are
 // viable, one consolidation, and a second round of stages (the paper's
 // two-phase structure). On return, Bound holds the guaranteed maximum
@@ -187,9 +228,20 @@ func newBalancer(m *machine.Machine, counts []int, width func(n, mU, L int) int)
 // no stage, so the run charges consolidation alone; the first dispersal
 // stage runs at L = 122.
 func (b *Balancer) Run() error {
+	bound, err := schedule(b.Bound, b.stage, b.consolidate)
+	b.Bound = bound
+	return err
+}
+
+// schedule is Run's control flow from the initial bound: it calls
+// stage(u, wmax) for each dispersal stage, which returns the stage's
+// multiplicity mu, and consolidate(bound) once between the two phases,
+// and returns the final bound. Its decisions read only u, wmax, mu and
+// the bound, so Words replays the schedule on the host.
+func schedule(bound int, stage func(u, wmax int) (int, error), consolidate func(bound int) error) (int, error) {
 	wmax := 1
 	phase := 1
-	u := startU(b.Bound)
+	u := startU(bound)
 	for {
 		if u <= 6 {
 			break
@@ -198,38 +250,44 @@ func (b *Balancer) Run() error {
 			if phase == 2 {
 				break
 			}
-			if err := b.consolidate(); err != nil {
-				return err
+			if err := consolidate(bound); err != nil {
+				return bound, err
 			}
 			wmax = 1
 			phase = 2
-			u = startU(b.Bound)
+			u = startU(bound)
 			if u <= 6 || 4*(wmax+2) > u {
 				break
 			}
 		}
-		mu, err := b.stage(u, wmax)
+		mu, err := stage(u, wmax)
 		if err != nil {
-			return err
+			return bound, err
 		}
-		nb := (2 + 4*mu) * u
-		if nb < b.Bound {
-			b.Bound = nb
-		}
+		bound = min(bound, (2+4*mu)*u)
 		wmax += mu
-		nu := startU(b.Bound)
+		nu := startU(bound)
 		if nu >= u {
 			break // no further progress possible at these sizes
 		}
 		u = nu
 	}
-	return nil
+	return bound, nil
 }
 
 // compactTarget is the item count k a stage with parameter u passes to
 // the linear compaction: an upper bound on the overloaded processors.
 func compactTarget(n, mU, u int) int {
 	return prim.Min(n, prim.CeilDiv(mU, 2*u)+2)
+}
+
+// teamSlots returns the slot count of a stage whose compaction output
+// holds teams cells, each a team of s slots (at least one slot), and
+// its multiplicity mu: how many slots map onto each of the n
+// processors.
+func teamSlots(teams, s, n int) (slots, mu int) {
+	slots = max(teams*s, 1)
+	return slots, prim.CeilDiv(slots, n)
 }
 
 // teamSize is the number of standby processors in each overloaded
@@ -292,12 +350,7 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	teams := res.OutLen
-	slots := teams * s
-	if slots == 0 {
-		slots = 1
-	}
-	mu := prim.CeilDiv(slots, n)
+	slots, mu := teamSlots(res.OutLen, s, n)
 
 	aptr := m.Alloc(slots)
 	alen := m.Alloc(slots)
@@ -456,11 +509,10 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 // arrays into one contiguous block of super-task handles (the paper's
 // "collect together all of the tasks in all of its task arrays into a
 // single task array", done on handles so no task payload moves). Cost
-// O(Bound) time, O(n*Bound) operations.
-func (b *Balancer) consolidate() error {
+// O(B) time, O(n*B) operations, for the current bound B.
+func (b *Balancer) consolidate(B int) error {
 	m := b.m
 	n := b.n
-	B := b.Bound
 	newBlk := m.Alloc(n * B)
 	oldIndirect := b.indirect
 	oldBlk := b.consBlk

@@ -299,23 +299,72 @@ func TestStageDrainsOverloaded(t *testing.T) {
 
 // TestBalancerFootprint pins the pointer arrays' size to the run's width
 // bound: Table I's L = 32 cell at n = 65536 runs no stage, so each
-// processor needs one entry, and the balancer fits in its 1<<20-word
-// session without growing it.
+// processor needs one entry, and the balancer allocates 4n words, which
+// Words predicts.
 func TestBalancerFootprint(t *testing.T) {
 	const n = 65536
-	m := machine.New(machine.QRQW, 1<<20)
-	b, err := New(m, TwoHeavy(n, 32, 16))
+	counts := TwoHeavy(n, 32, 16)
+	m := machine.New(machine.QRQW, Words(counts))
+	b, err := New(m, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.MemWords(); got != 1<<20 {
-		t.Errorf("session grew to %d words, want %d", got, 1<<20)
+	if got := m.PeakAllocated(); got != 4*n || Words(counts) != 4*n {
+		t.Errorf("peak %d words, Words %d, want both %d", got, Words(counts), 4*n)
 	}
-	if got := m.Allocated(); got > 4*n {
-		t.Errorf("allocated %d words, want at most %d", got, 4*n)
+	if got := m.MemWords(); got != 4*n {
+		t.Errorf("session grew to %d words, want %d", got, 4*n)
+	}
+}
+
+// TestWordsIsPeak checks Words against the machine's allocation peak
+// over sizes, loads on both sides of the first stage (L = 122) and the
+// super-task threshold (m > 2n), input shapes and seeds: the balancer's
+// footprint is a function of its counts alone.
+func TestWordsIsPeak(t *testing.T) {
+	shapes := map[string]func(n, L int) []int{
+		"one-heavy": func(n, L int) []int {
+			c := make([]int, n)
+			c[0] = L
+			return c
+		},
+		"two-heavy": func(n, L int) []int { return TwoHeavy(n, L, L/2) },
+		"random": func(n, L int) []int {
+			s := xrand.NewStream(uint64(n*L + 1))
+			c := make([]int, n)
+			for i := range c {
+				c[i] = s.Intn(L + 1)
+			}
+			c[0] = L
+			return c
+		},
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{1, 2, 64, 100, 1024} {
+			for _, L := range []int{0, 4, 37, 121, 122, 256, 1024, 2048, 4096} {
+				counts := shape(n, L)
+				want := Words(counts)
+				for seed := uint64(1); seed <= 2; seed++ {
+					m := machine.New(machine.QRQW, 0, machine.WithSeed(seed))
+					b, err := New(m, counts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := b.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if got := m.PeakAllocated(); got != want {
+						t.Fatalf("%s n=%d L=%d seed %d: peak %d words, Words %d", name, n, L, seed, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := Words([]int{1, -1}); got != 0 {
+		t.Errorf("Words of a negative count = %d, want 0", got)
 	}
 }
 

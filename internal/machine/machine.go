@@ -56,8 +56,9 @@ type Machine struct {
 	// mem is the machine's only per-word state. The per-cell contention
 	// counters live in a package-level free list (step.go) and are
 	// leased only while a step settles.
-	mem []Word
-	brk int // bump-allocation watermark
+	mem  []Word
+	brk  int // bump-allocation watermark
+	peak int // highest brk since the last Reset or Free
 
 	// dirty is the memory high-water mark: every word of mem at or above
 	// it is zero. Every write path raises it, so Reset clears only
@@ -206,17 +207,32 @@ func (m *Machine) MemWords() int { return len(m.mem) }
 // Allocated returns the bump-allocation watermark.
 func (m *Machine) Allocated() int { return m.brk }
 
-func (m *Machine) growTo(n int) {
-	if n <= len(m.mem) {
+// PeakAllocated returns the highest bump-allocation watermark since the
+// last Reset or Free: the words the run needed at once. Like the
+// charged stats it is a function of the program alone, so a session
+// requested with at least this capacity never grows.
+func (m *Machine) PeakAllocated() int { return m.peak }
+
+// Reserve grows shared memory to exactly words when it holds fewer,
+// keeping its contents; it never shrinks. A pooled machine reserves the
+// capacity a lease asks for, so it does not grow during the run.
+func (m *Machine) Reserve(words int) {
+	if words <= len(m.mem) {
 		return
 	}
-	if c := 2 * len(m.mem); n < c {
-		n = c
-	}
 	// Words at or above the dirty mark are zero, as is the new array.
-	mem := make([]Word, n)
+	mem := make([]Word, words)
 	copy(mem, m.mem[:m.dirty])
 	m.mem = mem
+}
+
+// growTo makes room for n words during a run, at least doubling the
+// capacity, so that a run allocating past its capacity grows O(lg n)
+// times.
+func (m *Machine) growTo(n int) {
+	if n > len(m.mem) {
+		m.Reserve(max(n, 2*len(m.mem)))
+	}
 }
 
 // Alloc reserves n zeroed words of shared memory and returns the base
@@ -227,6 +243,7 @@ func (m *Machine) Alloc(n int) int {
 	}
 	base := m.brk
 	m.brk += n
+	m.peak = max(m.peak, m.brk)
 	m.growTo(m.brk)
 	return base
 }
@@ -327,7 +344,7 @@ func (m *Machine) ResetStats() {
 func (m *Machine) Reset() {
 	clear(m.mem[:m.dirty])
 	m.dirty = 0
-	m.brk = 0
+	m.brk, m.peak = 0, 0
 	m.DisableProfiling()
 	m.ResetStats()
 }
@@ -342,7 +359,7 @@ func (m *Machine) Reset() {
 // or was sized for a much larger workload than what follows.
 func (m *Machine) Free() {
 	m.mem = nil
-	m.brk, m.dirty = 0, 0
+	m.brk, m.peak, m.dirty = 0, 0, 0
 	if m.wk != nil {
 		putWorker(m.wk)
 		m.wk = nil

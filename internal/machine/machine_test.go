@@ -77,6 +77,29 @@ func TestAllocAndHostAccess(t *testing.T) {
 	}
 }
 
+// TestReserve: Reserve grows memory to exactly the words asked for,
+// keeping contents, and never shrinks it, while an Alloc past capacity
+// at least doubles it.
+func TestReserve(t *testing.T) {
+	m := New(QRQW, 8)
+	m.SetWord(m.Alloc(2)+1, 7)
+	m.Reserve(20)
+	if got := m.MemWords(); got != 20 {
+		t.Errorf("MemWords after Reserve(20) = %d, want 20", got)
+	}
+	if m.Word(1) != 7 {
+		t.Error("Reserve lost memory contents")
+	}
+	m.Reserve(10)
+	if got := m.MemWords(); got != 20 {
+		t.Errorf("Reserve(10) shrank memory to %d words", got)
+	}
+	m.Alloc(21)
+	if got := m.MemWords(); got != 40 {
+		t.Errorf("MemWords after outgrowing 20 words = %d, want 40", got)
+	}
+}
+
 func TestMarkRelease(t *testing.T) {
 	m := New(QRQW, 8)
 	base := m.Alloc(4)
@@ -97,6 +120,19 @@ func TestMarkRelease(t *testing.T) {
 	}
 	if m.Word(base) != 9 {
 		t.Error("release clobbered retained memory")
+	}
+	// The peak is the high-water mark: Release does not lower it, and
+	// Reset clears it.
+	if got := m.PeakAllocated(); got != 8 {
+		t.Errorf("PeakAllocated = %d, want 8", got)
+	}
+	m.Release(mark)
+	if got := m.PeakAllocated(); got != 8 {
+		t.Errorf("PeakAllocated after Release = %d, want 8", got)
+	}
+	m.Reset()
+	if got := m.PeakAllocated(); got != 0 {
+		t.Errorf("PeakAllocated after Reset = %d, want 0", got)
 	}
 }
 

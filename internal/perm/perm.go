@@ -50,19 +50,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 		panic("perm: Random with non-positive n")
 	}
 	out := m.Alloc(n)
-	rounds := 2*prim.Max(1, prim.CeilLog2(prim.Max(2, prim.CeilLog2(n+1)))) + 4
-	// Subarray offsets within A.
-	sizes := make([]int, 0, rounds)
-	total := 0
-	sz := 2 * n
-	for r := 0; r < rounds; r++ {
-		if sz < 64 {
-			sz = 64
-		}
-		sizes = append(sizes, sz)
-		total += sz
-		sz /= 2
-	}
+	sizes, total := dartSubarrays(n)
 
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		mark := m.Mark()
@@ -82,8 +70,11 @@ func Random(m *machine.Machine, n int) (int, error) {
 		actIdx := make([]int, 0, n)
 		tgtIdx := make([]int, 0, n)
 		scratch := make([]machine.Word, 0, n)
-		for r := 0; r < rounds; r++ {
-			sub, subLen := off, sizes[r]
+		// hit holds each step's third list (lost darts, winners, the
+		// emitted ranks): one step commits before the next refills it.
+		hit := make([]int, 0, n)
+		for _, subLen := range sizes {
+			sub := off
 			off += subLen
 			// Throw.
 			{
@@ -131,7 +122,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 						tgtIdx = append(tgtIdx, a+int(t))
 					}
 					av := b.Gather(tgtIdx, 0)
-					lost := make([]int, 0, len(tgtIdx))
+					lost := hit[:0]
 					for p, at := range tgtIdx {
 						if av[p] != machine.Word(actIdx[p]-choice)+1 {
 							lost = append(lost, at)
@@ -166,7 +157,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 						tgtIdx = append(tgtIdx, a+int(t))
 					}
 					av := b.Gather(tgtIdx, 0)
-					winIdx := make([]int, 0, len(actIdx))
+					winIdx := hit[:0]
 					wv := b.Vals(len(actIdx))
 					wi := 0
 					for p := range tgtIdx {
@@ -220,7 +211,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 		{
 			b := m.Bulk(total, "perm/emit")
 			av := b.ReadRange(a, total, 1, 0, 1)
-			rIdx := make([]int, 0, n)
+			rIdx := hit[:0]
 			for j, v := range av {
 				if v > 0 {
 					rIdx = append(rIdx, ranks+j)
@@ -244,6 +235,33 @@ func Random(m *machine.Machine, n int) (int, error) {
 		return out, nil
 	}
 	return 0, fmt.Errorf("perm: Random exceeded %d restarts", maxRestarts)
+}
+
+// dartSubarrays returns the sizes of Random's per-round subarrays of A
+// (2n, n, n/2, ..., none below 64 cells) and their total.
+func dartSubarrays(n int) (sizes []int, total int) {
+	rounds := 2*prim.Max(1, prim.CeilLog2(prim.Max(2, prim.CeilLog2(n+1)))) + 4
+	sizes = make([]int, 0, rounds)
+	sz := 2 * n
+	for r := 0; r < rounds; r++ {
+		if sz < 64 {
+			sz = 64
+		}
+		sizes = append(sizes, sz)
+		total += sz
+		sz /= 2
+	}
+	return sizes, total
+}
+
+// RandomWords is the most shared-memory words Random(m, n) has allocated
+// at once: the output, A with the status, choice and flag cells, then
+// A's flags and ranks and the prefix-sums tree over them (a scan model
+// needs no tree, so it allocates less). A restart releases everything
+// but the output, so the peak is the same for every seed.
+func RandomWords(n int) int {
+	_, total := dartSubarrays(n)
+	return 3*n + 1 + 3*total + 2*prim.NextPow2(total)
 }
 
 // checkPlaced is Random's perm/check step: processor i reads item i's
@@ -299,6 +317,11 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 	actIdx := make([]int, 0, n)
 	tgtIdx := make([]int, 0, n)
 	ids := make([]machine.Word, 0, n)
+	// hit holds each step's third list (lost darts, winners, the
+	// survivors' ranks) and clr the cells to clear: one step commits
+	// before the next refills them.
+	hit := make([]int, 0, n)
+	clr := make([]int, 0, aLen)
 	for round := 0; placed < n; round++ {
 		if round > maxRestarts {
 			return 0, fmt.Errorf("perm: ScanDart exceeded %d rounds", maxRestarts)
@@ -348,7 +371,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 					tgtIdx = append(tgtIdx, a+int(t))
 				}
 				av := b.Gather(tgtIdx, 0)
-				lost := make([]int, 0, len(tgtIdx))
+				lost := hit[:0]
 				for p, at := range tgtIdx {
 					if av[p] != machine.Word(actIdx[p]-choice)+1 {
 						lost = append(lost, at)
@@ -382,7 +405,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 					tgtIdx = append(tgtIdx, a+int(t))
 				}
 				av := b.Gather(tgtIdx, 0)
-				winIdx := make([]int, 0, len(actIdx))
+				winIdx := hit[:0]
 				wv := b.Vals(len(actIdx))
 				wi := 0
 				for p := range tgtIdx {
@@ -430,8 +453,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 			// cleared by an ascending scatter of zeros.
 			b := m.Bulk(aLen, "scandart/transfer")
 			av := b.ReadRange(a, aLen, 1, 0, 1)
-			rIdx := make([]int, 0, int(totalW))
-			clrIdx := make([]int, 0, aLen)
+			rIdx, clrIdx := hit[:0], clr[:0]
 			for j, v := range av {
 				if v > 0 {
 					rIdx = append(rIdx, ranks+j)

@@ -330,3 +330,20 @@ func TestCheckPlacedMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomWords checks RandomWords against the allocation peak of
+// Random over sizes on both sides of a power of two, where the subarray
+// total crosses one and doubles the prefix-sums tree, and over seeds.
+func TestRandomWords(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 100, 1024, 4096, 32768} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			m := machine.New(machine.QRQW, 0, machine.WithSeed(seed))
+			if _, err := Random(m, n); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.PeakAllocated(), RandomWords(n); got != want {
+				t.Errorf("n=%d seed %d: peak %d words, RandomWords %d", n, seed, got, want)
+			}
+		}
+	}
+}
