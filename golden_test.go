@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"lowcontend/internal/exp"
+	"lowcontend/internal/exp/dynamic"
 	"lowcontend/internal/exp/spec"
 	"lowcontend/internal/machine"
 	"lowcontend/internal/sweep"
@@ -102,6 +103,36 @@ func TestGoldenSweep(t *testing.T) {
 		t.Fatalf("sweep artifact not deterministic across parallelism:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", seq, par)
 	}
 	checkGolden(t, fmt.Sprintf("sweep-table2-s1024x4096-seed%d.txt", goldenSeed), seq)
+}
+
+// TestGoldenDynamic pins the dynamic definition's artifact at the
+// bytes `lowcontend -seed 7 define testdata/definitions/table1-dynamic.json`
+// prints. Its phases call the same algorithm legs the builtin cells do,
+// so a change to a shared leg that moved both the CLI and the daemon
+// fails here, where their end-to-end diff would not see it.
+func TestGoldenDynamic(t *testing.T) {
+	t.Parallel()
+	raw, err := os.ReadFile(filepath.Join("testdata", "definitions", "table1-dynamic.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, derr := dynamic.Parse(raw, dynamic.DefaultLimits())
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	e := dynamic.Compile(def)
+	render := func(parallel int) string {
+		res := (&spec.Runner{Parallel: parallel}).Run(e, e.DefaultSizes, goldenSeed)
+		if err := res.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Render(res) + "\n"
+	}
+	seq, par := render(1), render(8)
+	if seq != par {
+		t.Fatalf("dynamic artifact not deterministic across parallelism:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", seq, par)
+	}
+	checkGolden(t, fmt.Sprintf("%s-seed%d.txt", def.Name, goldenSeed), seq)
 }
 
 // TestGoldenChargedStats pins the charged stats of every measurement of
