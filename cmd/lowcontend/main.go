@@ -48,7 +48,7 @@
 // and rendered artifacts are bit-identical at any -parallel value.
 // define validates a declarative JSON experiment definition (the same
 // document POST /v1/experiments accepts) with the exact same strict
-// rules as the daemon, compiles it against the phase kernels, and runs
+// rules as the daemon, compiles it against the algorithm legs, and runs
 // it locally — its rendered artifact is byte-identical to the daemon's
 // artifact for the same definition, sizes, and seed.
 // profile runs an experiment with per-step tracing and renders each

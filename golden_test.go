@@ -112,15 +112,7 @@ func TestGoldenSweep(t *testing.T) {
 // fails here, where their end-to-end diff would not see it.
 func TestGoldenDynamic(t *testing.T) {
 	t.Parallel()
-	raw, err := os.ReadFile(filepath.Join("testdata", "definitions", "table1-dynamic.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, derr := dynamic.Parse(raw, dynamic.DefaultLimits())
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	e := dynamic.Compile(def)
+	e := table1Dynamic(t)
 	render := func(parallel int) string {
 		res := (&spec.Runner{Parallel: parallel}).Run(e, e.DefaultSizes, goldenSeed)
 		if err := res.FirstErr(); err != nil {
@@ -132,7 +124,26 @@ func TestGoldenDynamic(t *testing.T) {
 	if seq != par {
 		t.Fatalf("dynamic artifact not deterministic across parallelism:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", seq, par)
 	}
-	checkGolden(t, fmt.Sprintf("%s-seed%d.txt", def.Name, goldenSeed), seq)
+	checkGolden(t, fmt.Sprintf("%s-seed%d.txt", e.Name, goldenSeed), seq)
+}
+
+// table1Dynamic compiles testdata/definitions/table1-dynamic.json.
+func table1Dynamic(t *testing.T) spec.Experiment {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "definitions", "table1-dynamic.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compileDefinition(t, raw)
+}
+
+func compileDefinition(t *testing.T, raw []byte) spec.Experiment {
+	t.Helper()
+	def, derr := dynamic.Parse(raw, dynamic.DefaultLimits())
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	return dynamic.Compile(def)
 }
 
 // TestGoldenChargedStats pins the charged stats of every measurement of

@@ -2,17 +2,16 @@ package dynamic
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 
+	"lowcontend/internal/core"
+	"lowcontend/internal/exp"
 	"lowcontend/internal/exp/spec"
+	"lowcontend/internal/hashing"
+	"lowcontend/internal/loadbalance"
 	"lowcontend/internal/machine"
 )
-
-// defMemWords is the session memory every dynamic definition starts
-// with. The simulated machine grows its memory on demand and charged
-// stats are capacity-independent, so one fixed size keeps compiled
-// experiments simple without affecting any measurement.
-const defMemWords = 1 << 20
 
 // Compile turns a canonicalized definition into a runnable
 // spec.Experiment. The compiled experiment honors the whole existing
@@ -115,37 +114,55 @@ func mixSeed(base, entry uint64) uint64 {
 // runs once per model on identical host inputs; in pinned mode each
 // phase runs in its model's session (one session per distinct model,
 // created in first-use order so session acquisition is deterministic).
-// Every phase's measurement is the session's stats delta across the
-// phase — spec's capture-and-Sub idiom — so composed phases attribute
-// their own cost even while sharing device state.
+// Each session requests the largest words of the phases it runs; one
+// whose phases together outgrow that grows on demand, and charged stats
+// do not depend on capacity. Every phase's measurement is the session's
+// stats delta across the phase — spec's capture-and-Sub idiom — so
+// composed phases attribute their own cost even while sharing device
+// state.
 func cellRun(def Definition, n int, sd uint64) func(*spec.Ctx) error {
 	return func(c *spec.Ctx) error {
 		seed := mixSeed(c.Seed, sd)
-		hosts := map[string][]machine.Word{}
-		host := func(a *ArrayDecl) func() []machine.Word {
-			return func() []machine.Word {
-				if h, ok := hosts[a.Name]; ok {
-					return h
+		arrays := map[string]ArrayDecl{}
+		for _, a := range def.Arrays {
+			arrays[a.Name] = a
+		}
+		ins := make([]exp.Input, len(def.Phases))
+		for i, ph := range def.Phases {
+			ins[i] = phaseInput(ph, arrays[ph.Array], n)
+		}
+		// words sizes the session of model: every phase in comparison
+		// mode, where no phase pins one, else the phases pinning it.
+		words := func(model string) int {
+			w := 0
+			for i, ph := range def.Phases {
+				if ph.Model == model {
+					w = max(w, exp.Legs[ph.Algorithm].Words(&ins[i]))
 				}
-				h := hostArray(*a, n, seed)
-				hosts[a.Name] = h
-				return h
 			}
+			return w
 		}
-		arrays := map[string]*ArrayDecl{}
-		for i := range def.Arrays {
-			arrays[def.Arrays[i].Name] = &def.Arrays[i]
-		}
-		runPhase := func(st *sessionState, ph Phase, series string) error {
-			rt := &phaseRT{st: st, n: n, seed: seed, params: ph.Params}
-			if ph.Array != "" {
-				rt.arr = arrays[ph.Array]
-				rt.host = host(rt.arr)
+		hosts := map[string][]machine.Word{}
+		runPhase := func(st *sessionState, i int, series string) error {
+			ph, in := def.Phases[i], ins[i]
+			if a, ok := arrays[ph.Array]; ok {
+				if hosts[a.Name] == nil {
+					hosts[a.Name] = hostArray(a, n, seed)
+				}
+				in.Keys = hosts[a.Name]
+				in.Resident = func() core.DeviceSlice { return st.device(a.Name, in.Keys) }
+				in.Table = st.tables[a.Name]
+			}
+			if in.K > 0 {
+				in.Flags, in.Vals = exp.CompactionInput(seed, n, in.K)
 			}
 			before := st.s.Stats()
-			measN, err := kernels[ph.Algorithm].run(rt)
+			measN, err := exp.Legs[ph.Algorithm].Run(st.s, &in)
 			if err != nil {
 				return fmt.Errorf("phase %s: %w", ph.Name, err)
+			}
+			if in.Table != nil {
+				st.tables[ph.Array] = in.Table
 			}
 			c.Record(spec.Measurement{
 				Group:  ph.Name,
@@ -160,9 +177,9 @@ func cellRun(def Definition, n int, sd uint64) func(*spec.Ctx) error {
 			// each model's session uploads its own copies.
 			for _, name := range def.Models {
 				model, _ := machine.ParseModel(name)
-				st := newSessionState(c.Session(model, defMemWords, seed))
-				for _, ph := range def.Phases {
-					if err := runPhase(st, ph, name); err != nil {
+				st := newSessionState(c.Session(model, words(""), seed))
+				for i := range def.Phases {
+					if err := runPhase(st, i, name); err != nil {
 						return err
 					}
 				}
@@ -172,19 +189,84 @@ func cellRun(def Definition, n int, sd uint64) func(*spec.Ctx) error {
 		// Pinned mode: phases sharing a model share one session (and
 		// its device arrays and hash tables).
 		states := map[string]*sessionState{}
-		for _, ph := range def.Phases {
+		for i, ph := range def.Phases {
 			st, ok := states[ph.Model]
 			if !ok {
 				model, _ := machine.ParseModel(ph.Model)
-				st = newSessionState(c.Session(model, defMemWords, seed))
+				st = newSessionState(c.Session(model, words(ph.Model), seed))
 				states[ph.Model] = st
 			}
-			if err := runPhase(st, ph, ph.Model); err != nil {
+			if err := runPhase(st, i, ph.Model); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+}
+
+// phaseInput is a phase's leg input at size n, from its parameters and
+// those of its array a (the zero ArrayDecl when it takes none): enough
+// to state its words. The phase's arrays are generated when it runs.
+func phaseInput(ph Phase, a ArrayDecl, n int) exp.Input {
+	in := exp.Input{N: n, Max: machine.Word(a.Params["max"])}
+	if a.Fill == "labels" {
+		in.Sets = labelSets(a, n)
+	}
+	if div, ok := ph.Params["k_div"]; ok {
+		in.K = max(1, n/int(div))
+	}
+	if load, ok := ph.Params["max_load"]; ok {
+		in.Counts = loadbalance.TwoHeavy(n, int(load), int(ph.Params["second_load"]))
+	}
+	return in
+}
+
+// hostArray materializes one declared array deterministically from the
+// cell seed and the array's own name — never from execution order — so
+// every session (and every parallelism level) sees identical inputs.
+func hostArray(a ArrayDecl, n int, seed uint64) []machine.Word {
+	h := fnv.New64a()
+	h.Write([]byte(a.Name))
+	seed ^= h.Sum64()
+	switch a.Fill {
+	case "distinct":
+		return exp.DistinctKeys(seed, n)
+	case "uniform":
+		return exp.UniformKeys(seed, n, uint64(a.Params["max"]))
+	default: // "labels"
+		return exp.Labels(seed, n, labelSets(a, n))
+	}
+}
+
+// labelSets is the label count of a "labels" array at size n.
+func labelSets(a ArrayDecl, n int) int { return max(1, n/int(a.Params["div"])) }
+
+// sessionState is the device-side state one session accumulates across
+// phases: uploaded arrays (first reference uploads, later phases see
+// mutations) and built hash tables.
+type sessionState struct {
+	s      *core.Session
+	arrays map[string]core.DeviceSlice
+	tables map[string]*hashing.Table
+}
+
+func newSessionState(s *core.Session) *sessionState {
+	return &sessionState{
+		s:      s,
+		arrays: map[string]core.DeviceSlice{},
+		tables: map[string]*hashing.Table{},
+	}
+}
+
+// device returns the named array device-resident, uploading host on
+// the session's first reference.
+func (st *sessionState) device(name string, host []machine.Word) core.DeviceSlice {
+	if d, ok := st.arrays[name]; ok {
+		return d
+	}
+	d := st.s.Upload(host)
+	st.arrays[name] = d
+	return d
 }
 
 // render is the compiled experiment's artifact: a deterministic

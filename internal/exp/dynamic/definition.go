@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
+	"lowcontend/internal/exp"
 	"lowcontend/internal/machine"
 )
 
@@ -102,9 +104,9 @@ type ArrayDecl struct {
 	Params map[string]int64 `json:"params,omitempty"`
 }
 
-// Phase is one pipeline step: an algorithm from the kernel table (see
-// Algorithms), an optional pinned model, the array it consumes (for
-// array-taking algorithms), and per-phase parameters.
+// Phase is one pipeline step: an algorithm from exp.Legs, the leg
+// table the builtin cells run, an optional pinned model, the array it
+// consumes (for array-taking algorithms), and per-phase parameters.
 type Phase struct {
 	// Name labels the phase's measurement rows; defaults to Algorithm.
 	Name      string           `json:"name,omitempty"`
@@ -113,6 +115,18 @@ type Phase struct {
 	Array     string           `json:"array,omitempty"`
 	Params    map[string]int64 `json:"params,omitempty"`
 }
+
+// fills maps each array fill to its allowed parameters with their
+// defaults; exp's input generators implement them (see hostArray).
+var fills = map[string]map[string]int64{
+	"distinct": {},
+	"uniform":  {"max": 1 << 40},
+	"labels":   {"div": 8},
+}
+
+func knownFills() string { return strings.Join(slices.Sorted(maps.Keys(fills)), ", ") }
+
+func knownAlgorithms() string { return strings.Join(slices.Sorted(maps.Keys(exp.Legs)), ", ") }
 
 // Parse strictly decodes, validates, and canonicalizes one definition
 // document. On success the returned Definition is canonical: defaults
@@ -249,7 +263,7 @@ func canonicalize(def *Definition, lim Limits) *Error {
 		if !ok {
 			return fieldErr(fmt.Sprintf("arrays[%d].fill", i), "unknown fill %q (known: %s)", a.Fill, knownFills())
 		}
-		if derr := canonParams(&a.Params, f.params, fmt.Sprintf("arrays[%d].params", i),
+		if derr := canonParams(&a.Params, f, fmt.Sprintf("arrays[%d].params", i),
 			fmt.Sprintf("fill %q", a.Fill)); derr != nil {
 			return derr
 		}
@@ -276,7 +290,7 @@ func canonicalize(def *Definition, lim Limits) *Error {
 	for i := range def.Phases {
 		ph := &def.Phases[i]
 		path := func(f string) string { return fmt.Sprintf("phases[%d].%s", i, f) }
-		k, ok := kernels[ph.Algorithm]
+		k, ok := exp.Legs[ph.Algorithm]
 		if !ok {
 			if ph.Algorithm == "" {
 				return fieldErr(path("algorithm"), "algorithm is required (known: %s)", knownAlgorithms())
@@ -306,7 +320,7 @@ func canonicalize(def *Definition, lim Limits) *Error {
 			}
 			ph.Model = mm.String()
 		}
-		if len(k.fills) == 0 {
+		if len(k.Fills) == 0 {
 			if ph.Array != "" {
 				return fieldErr(path("array"), "algorithm %q takes no array argument", ph.Algorithm)
 			}
@@ -318,17 +332,17 @@ func canonicalize(def *Definition, lim Limits) *Error {
 			if !ok {
 				return fieldErr(path("array"), "phase references undeclared array %q", ph.Array)
 			}
-			if !slices.Contains(k.fills, a.Fill) {
+			if !slices.Contains(k.Fills, a.Fill) {
 				return fieldErr(path("array"), "algorithm %q needs an array with fill %s, but %q has fill %q",
-					ph.Algorithm, strings.Join(k.fills, " or "), a.Name, a.Fill)
+					ph.Algorithm, strings.Join(k.Fills, " or "), a.Name, a.Fill)
 			}
 			referenced[ph.Array] = true
 		}
-		if derr := canonParams(&ph.Params, k.params, path("params"),
+		if derr := canonParams(&ph.Params, k.Params, path("params"),
 			fmt.Sprintf("algorithm %q", ph.Algorithm)); derr != nil {
 			return derr
 		}
-		if ph.Algorithm == algHashLookup && !built[[2]string{ph.Array, ph.Model}] {
+		if ph.Algorithm == exp.HashLookup && !built[[2]string{ph.Array, ph.Model}] {
 			if pinned {
 				return fieldErr(path("array"),
 					"hash.lookup on array %q needs an earlier hash.build phase on the same array under model %s", ph.Array, ph.Model)
@@ -336,7 +350,7 @@ func canonicalize(def *Definition, lim Limits) *Error {
 			return fieldErr(path("array"),
 				"hash.lookup on array %q needs an earlier hash.build phase on the same array", ph.Array)
 		}
-		if ph.Algorithm == algHashBuild {
+		if ph.Algorithm == exp.HashBuild {
 			built[[2]string{ph.Array, ph.Model}] = true
 		}
 	}

@@ -1,10 +1,11 @@
 // Package dynamic makes the experiment registry writable at runtime: a
-// declarative JSON Definition names a composition of the repo's phase
-// kernels (permutation, compaction, multicompact, sorting, hashing,
-// load balancing) over a size/seed grid, is canonicalized and
-// content-hashed into a stable id ("x-" + 12 hex digits of the
-// canonical bytes' SHA-256), and compiles into a spec.Experiment that
-// runs through the existing spec.Runner and core.SessionPool unchanged.
+// declarative JSON Definition names a composition of the algorithm
+// legs of exp.Legs, the table the builtin cells run (permutation,
+// compaction, multicompact, sorting, hashing, load balancing), over a
+// size/seed grid, is canonicalized and content-hashed into a stable id
+// ("x-" + 12 hex digits of the canonical bytes' SHA-256), and compiles
+// into a spec.Experiment that runs through the existing spec.Runner and
+// core.SessionPool unchanged.
 // Stored definitions are therefore immediately runnable, sweepable,
 // profileable, and cacheable by content: two byte-different documents
 // that canonicalize identically share one id and one cache entry.

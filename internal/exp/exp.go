@@ -11,8 +11,16 @@
 // check — and executed by a spec.Runner over a pool of reusable
 // sessions. Cells derive all randomness from the base seed and their
 // own parameters, so charged stats and rendered artifacts are
-// bit-identical at any runner parallelism. This file holds the row
-// types and table renderers the registry's artifacts share.
+// bit-identical at any runner parallelism.
+//
+// The algorithms the cells run are the legs of one table, Legs
+// (legs.go): each runs one algorithm on a session from host inputs
+// its caller generated and states the session words it needs. The
+// builtin cells and the phases of dynamic definitions
+// (internal/exp/dynamic) are its two callers, so a dynamic phase
+// charges what the builtin leg it names charges on the same inputs.
+// This file holds the row types and table renderers the registry's
+// artifacts share.
 package exp
 
 import (

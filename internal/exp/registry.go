@@ -5,17 +5,12 @@ import (
 	"slices"
 	"strings"
 
-	"lowcontend/internal/compact"
 	"lowcontend/internal/core"
 	"lowcontend/internal/exp/spec"
-	"lowcontend/internal/hashing"
 	"lowcontend/internal/loadbalance"
 	"lowcontend/internal/machine"
-	"lowcontend/internal/multicompact"
 	"lowcontend/internal/perm"
 	"lowcontend/internal/prim"
-	"lowcontend/internal/sortalg"
-	"lowcontend/internal/xrand"
 )
 
 // experiments declares every artifact of the paper's evaluation as
@@ -45,25 +40,51 @@ func Find(name string) (spec.Experiment, bool) {
 	return spec.Experiment{}, false
 }
 
-// Every cell sizes its sessions from its n, so that a session holds
-// what the cell allocates at its peak and never grows mid-cell, and a
-// small cell does not lease a large session. The sizes come from the
-// footprint record that TestGoldenFootprint pins
-// (testdata/golden/footprint-default-seed1.txt), and
-// TestBuiltinRequestsCoverFootprint checks each request against its
-// measured peak. Where an algorithm package can state its footprint
-// exactly (perm.RandomWords, loadbalance.Words,
-// compact.LinearCompactWords), the cell asks it; elsewhere the size is
-// the measured words per element at powers of two plus slackWords for
-// the fixed costs and the seed-to-seed spread of randomized runs. A
-// non-power-of-two n pads some sorts to the next power of two, and a
-// session asked for too little grows by doubling: correct, only larger.
-const slackWords = 1024
+// runLegs runs the named legs in order on one session of the given
+// model, sized by the largest of their words, all on in. It returns the
+// session and the problem size the last leg measured.
+func runLegs(c *spec.Ctx, model machine.Model, in *Input, names ...string) (*core.Session, int, error) {
+	words := 0
+	for _, name := range names {
+		words = max(words, Legs[name].Words(in))
+	}
+	s := c.Session(model, words, c.Seed)
+	n := 0
+	for _, name := range names {
+		var err error
+		if n, err = Legs[name].Run(s, in); err != nil {
+			return nil, 0, err
+		}
+	}
+	return s, n, nil
+}
 
-// sortingBasedWords sizes perm.SortingBased: its output, keys, shadow
-// copy and duplicate flags (4n words) and the 2n-word reduction tree
-// over the flags; the bitonic sort of a power-of-two n runs in place.
-func sortingBasedWords(n int) int { return 6*n + slackWords }
+// comparison measures a QRQW algorithm against its EREW baseline: the
+// qrqw legs run on one QRQW session and the erew legs on one EREW
+// session, both on the input the cell's seed generates, and each
+// session's stats are recorded as its series in group problem.
+type comparison struct {
+	problem    string
+	input      func(seed uint64) *Input
+	qrqw, erew []string
+}
+
+func (p comparison) cell(name string) spec.Cell {
+	return spec.Cell{Name: name, Run: func(c *spec.Ctx) error {
+		in := p.input(c.Seed)
+		qs, n, err := runLegs(c, core.QRQW, in, p.qrqw...)
+		if err != nil {
+			return err
+		}
+		es, _, err := runLegs(c, core.EREW, in, p.erew...)
+		if err != nil {
+			return err
+		}
+		c.Record(spec.Measurement{Group: p.problem, Series: "QRQW", N: n, Stats: qs.Stats()})
+		c.Record(spec.Measurement{Group: p.problem, Series: "EREW", N: n, Stats: es.Stats()})
+		return nil
+	}}
+}
 
 // --- Table I ---------------------------------------------------------
 
@@ -97,121 +118,37 @@ func tableIExperiment() spec.Experiment {
 
 func tableICells(sizes []int) []spec.Cell {
 	var cells []spec.Cell
-	record := func(c *spec.Ctx, problem string, n int, qs, es *core.Session) {
-		c.Record(spec.Measurement{Group: problem, Series: "QRQW", N: n, Stats: qs.Stats()})
-		c.Record(spec.Measurement{Group: problem, Series: "EREW", N: n, Stats: es.Stats()})
-	}
 	for _, n := range sizes {
-		cells = append(cells,
+		sets := max(1, n/8)
+		for _, p := range []comparison{
 			// Random permutation: QRQW dart throwing vs EREW
 			// sorting-based.
-			spec.Cell{Name: fmt.Sprintf("random permutation/%d", n), Run: func(c *spec.Ctx) error {
-				qs := c.Session(core.QRQW, perm.RandomWords(n), c.Seed)
-				if _, err := perm.Random(qs.Machine(), n); err != nil {
-					return err
-				}
-				es := c.Session(core.EREW, sortingBasedWords(n), c.Seed)
-				if _, err := perm.SortingBased(es.Machine(), n); err != nil {
-					return err
-				}
-				record(c, "random permutation", n, qs, es)
-				return nil
-			}},
-
+			{"random permutation", func(uint64) *Input { return &Input{N: n} },
+				[]string{PermRandom}, []string{PermSorting}},
 			// Multiple compaction: QRQW log-star engine vs EREW via
 			// stable integer sort of the labels (the easy reduction the
 			// paper cites).
-			spec.Cell{Name: fmt.Sprintf("multiple compaction/%d", n), Run: func(c *spec.Ctx) error {
-				labels := make([]int, n)
-				s := xrand.NewStream(c.Seed + uint64(n))
-				for i := range labels {
-					labels[i] = s.Intn(prim.Max(1, n/8))
-				}
-				qs := c.Session(core.QRQW, 11*n+n/4+slackWords, c.Seed)
-				in, err := multicompact.BuildInput(qs.Machine(), labels, prim.Max(1, n/8))
-				if err != nil {
-					return err
-				}
-				if _, err := multicompact.Run(qs.Machine(), in); err != nil {
-					return err
-				}
-				es := c.Session(core.EREW, n+slackWords, c.Seed)
-				kb := es.UploadInts(labels)
-				if err := prim.BitonicSortPadded(es.Machine(), kb.Base(), -1, n); err != nil {
-					return err
-				}
-				record(c, "multiple compaction", n, qs, es)
-				return nil
-			}},
-
+			{"multiple compaction", func(seed uint64) *Input {
+				return &Input{N: n, Keys: Labels(seed+uint64(n), n, sets), Sets: sets}
+			}, []string{Multicompact}, []string{SortBitonic}},
 			// Sorting from U(0,1): QRQW distributive sort vs EREW
 			// bitonic.
-			spec.Cell{Name: fmt.Sprintf("sorting from U(0,1)/%d", n), Run: func(c *spec.Ctx) error {
-				s := xrand.NewStream(c.Seed ^ 0x77)
-				vals := make([]machine.Word, n)
-				for i := range vals {
-					vals[i] = machine.Word(s.Uint64n(1 << 40))
-				}
-				qs := c.Session(core.QRQW, 34*n+n/8+slackWords, c.Seed)
-				keys := qs.Upload(vals)
-				if err := sortalg.DistributiveSort(qs.Machine(), keys.Base(), keys.Len(), 1<<40); err != nil {
-					return err
-				}
-				es := c.Session(core.EREW, n+slackWords, c.Seed)
-				kb := es.Upload(vals)
-				if err := prim.BitonicSortPadded(es.Machine(), kb.Base(), -1, n); err != nil {
-					return err
-				}
-				record(c, "sorting from U(0,1)", n, qs, es)
-				return nil
-			}},
-
+			{"sorting from U(0,1)", func(seed uint64) *Input {
+				return &Input{N: n, Keys: UniformKeys(seed^0x77, n, 1<<40), Max: 1 << 40}
+			}, []string{SortDistributive}, []string{SortBitonic}},
 			// Parallel hashing: QRQW build+lookup vs EREW batch
-			// membership.
-			spec.Cell{Name: fmt.Sprintf("parallel hashing/%d", n), Run: func(c *spec.Ctx) error {
-				hn := prim.Min(n, 1<<13) // hashing memory grows fastest
-				hkeys := distinct(c.Seed+9, hn)
-				// The table's retries make the QRQW peak vary by a few
-				// hundred words across seeds.
-				qs := c.Session(core.QRQW, 101*hn+2*slackWords, c.Seed)
-				hb := qs.Upload(hkeys)
-				tb, err := hashing.Build(qs.Machine(), hb.Base(), hb.Len())
-				if err != nil {
-					return err
-				}
-				qb := qs.Upload(hkeys)
-				ob := qs.Malloc(hn)
-				if err := tb.Lookup(qb.Base(), ob.Base(), hn); err != nil {
-					return err
-				}
-				es := c.Session(core.EREW, 13*hn+slackWords, c.Seed)
-				kb := es.Upload(hkeys)
-				qb2 := es.Upload(hkeys)
-				ob2 := es.Malloc(hn)
-				if err := hashing.EREWMembership(es.Machine(), kb.Base(), hn, qb2.Base(), ob2.Base(), hn); err != nil {
-					return err
-				}
-				record(c, "parallel hashing", hn, qs, es)
-				return nil
-			}},
-
+			// membership, at the hashing legs' capped size.
+			{"parallel hashing", func(seed uint64) *Input {
+				return &Input{N: n, Keys: DistinctKeys(seed+9, hashN(n))}
+			}, []string{HashBuild, HashLookup}, []string{HashMembership}},
 			// Load balancing (small L): QRQW dispersal vs EREW prefix
-			// sums.
-			spec.Cell{Name: fmt.Sprintf("load balancing (L=32)/%d", n), Run: func(c *spec.Ctx) error {
-				// Small max load: the regime where QRQW wins.
-				counts := loadbalance.TwoHeavy(n, 32, 16)
-				qs := c.Session(core.QRQW, loadbalance.Words(counts), c.Seed)
-				if _, err := qs.BalanceLoads(counts); err != nil {
-					return err
-				}
-				es := c.Session(core.EREW, 4*n+slackWords, c.Seed)
-				if _, err := loadbalance.EREWBalance(es.Machine(), counts); err != nil {
-					return err
-				}
-				record(c, "load balancing (L=32)", n, qs, es)
-				return nil
-			}},
-		)
+			// sums, with a small max load, the regime where QRQW wins.
+			{"load balancing (L=32)", func(uint64) *Input {
+				return &Input{N: n, Counts: loadbalance.TwoHeavy(n, 32, 16)}
+			}, []string{Balance}, []string{BalanceEREW}},
+		} {
+			cells = append(cells, p.cell(fmt.Sprintf("%s/%d", p.problem, n)))
+		}
 	}
 	return cells
 }
@@ -256,14 +193,10 @@ func tableIIExperiment() spec.Experiment {
 		Description:  "Table II — the MasPar random-permutation rerun, three algorithms",
 		DefaultSizes: []int{16384, 1024},
 		Cells: func(sizes []int) []spec.Cell {
-			algos := []struct {
-				name  string
-				f     func(*machine.Machine, int) (int, error)
-				words func(n int) int
-			}{
-				{"sorting-based (EREW)", perm.SortingBased, sortingBasedWords},
-				{"dart-throwing with scans", perm.ScanDart, func(n int) int { return 13*n + slackWords }},
-				{"dart-throwing for QRQW", perm.Random, perm.RandomWords},
+			algos := []struct{ name, leg string }{
+				{"sorting-based (EREW)", PermSorting},
+				{"dart-throwing with scans", PermScanDart},
+				{"dart-throwing for QRQW", PermRandom},
 			}
 			var cells []spec.Cell
 			for _, n := range sizes {
@@ -271,8 +204,8 @@ func tableIIExperiment() spec.Experiment {
 					cells = append(cells, spec.Cell{
 						Name: fmt.Sprintf("%s/%d", a.name, n),
 						Run: func(c *spec.Ctx) error {
-							s := c.Session(core.QRQW, a.words(n), c.Seed)
-							if _, err := a.f(s.Machine(), n); err != nil {
+							s, _, err := runLegs(c, core.QRQW, &Input{N: n}, a.leg)
+							if err != nil {
 								return err
 							}
 							c.Record(spec.Measurement{Group: a.name, N: n, Stats: s.Stats()})
@@ -382,8 +315,8 @@ func lowerBoundExperiment() spec.Experiment {
 					Run: func(c *spec.Ctx) error {
 						counts := make([]int, n)
 						counts[0] = L
-						s := c.Session(core.QRQW, loadbalance.Words(counts), c.Seed)
-						if _, err := s.BalanceLoads(counts); err != nil {
+						s, _, err := runLegs(c, core.QRQW, &Input{N: n, Counts: counts}, Balance)
+						if err != nil {
 							return err
 						}
 						c.Record(spec.Measurement{Group: "load balancing", Series: "QRQW", N: L, Stats: s.Stats()})
@@ -431,35 +364,12 @@ func compactionExperiment() spec.Experiment {
 		Cells: func(sizes []int) []spec.Cell {
 			var cells []spec.Cell
 			for _, n := range sizes {
-				cells = append(cells, spec.Cell{
-					Name: fmt.Sprintf("compaction/%d", n),
-					Run: func(c *spec.Ctx) error {
-						k := n / 64
-						s := xrand.NewStream(c.Seed)
-						pm := s.Perm(n)
-						flagVals := make([]machine.Word, n)
-						cellVals := make([]machine.Word, n)
-						for j := 0; j < k; j++ {
-							flagVals[pm[j]] = 1
-							cellVals[pm[j]] = machine.Word(j)
-						}
-						qs := c.Session(core.QRQW, 2*n+compact.LinearCompactWords(n, k), c.Seed)
-						flags := qs.Upload(flagVals)
-						vals := qs.Upload(cellVals)
-						if _, err := compact.LinearCompact(qs.Machine(), flags.Base(), vals.Base(), n, k); err != nil {
-							return err
-						}
-						es := c.Session(core.EREW, 6*n+k+slackWords, c.Seed)
-						flags2 := es.Upload(flagVals)
-						vals2 := es.Upload(cellVals)
-						if _, err := compact.EREWCompact(es.Machine(), flags2.Base(), vals2.Base(), n, k); err != nil {
-							return err
-						}
-						c.Record(spec.Measurement{Group: "linear compaction", Series: "QRQW", N: n, Stats: qs.Stats()})
-						c.Record(spec.Measurement{Group: "linear compaction", Series: "EREW", N: n, Stats: es.Stats()})
-						return nil
-					},
-				})
+				p := comparison{"linear compaction", func(seed uint64) *Input {
+					k := n / 64
+					flags, vals := CompactionInput(seed, n, k)
+					return &Input{N: n, Flags: flags, Vals: vals, K: k}
+				}, []string{CompactLinear}, []string{CompactEREW}}
+				cells = append(cells, p.cell(fmt.Sprintf("compaction/%d", n)))
 			}
 			return cells
 		},
@@ -485,18 +395,4 @@ func compactionExperiment() spec.Experiment {
 			return nil
 		},
 	}
-}
-
-func distinct(seed uint64, n int) []machine.Word {
-	s := xrand.NewStream(seed)
-	seen := make(map[machine.Word]bool, n)
-	out := make([]machine.Word, 0, n)
-	for len(out) < n {
-		k := machine.Word(s.Uint64n(1 << 30))
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	return out
 }

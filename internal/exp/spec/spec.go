@@ -91,17 +91,6 @@ func (c *Ctx) Session(model machine.Model, memWords int, seed uint64) *core.Sess
 	return s
 }
 
-// Model resolves the model a Session call would actually use: the
-// task's override when one is set, the cell's own choice otherwise.
-// Cells that branch on the model (e.g. to pick a scan-aware algorithm)
-// must consult it instead of their pinned constant.
-func (c *Ctx) Model(def machine.Model) machine.Model {
-	if c.model != nil {
-		return *c.model
-	}
-	return def
-}
-
 // Record appends a measurement to the cell's results.
 func (c *Ctx) Record(m Measurement) { c.meas = append(c.meas, m) }
 
