@@ -22,8 +22,8 @@ func checkDirtySound(t testing.TB, m *Machine) {
 
 // checkScratchZero fails t unless the contention scratch is sound after
 // a step: none is still out on lease, and every idle scratch is
-// all-zero — a leftover count would corrupt the contention of whichever
-// machine leases that scratch next.
+// all-zero with an empty overflow table — a leftover count would
+// corrupt the contention of whichever machine leases that scratch next.
 func checkScratchZero(t testing.TB) {
 	t.Helper()
 	f := &scratchFree
@@ -40,6 +40,9 @@ func checkScratchZero(t testing.TB) {
 			if c.r[a] != 0 || c.w[a] != 0 {
 				t.Fatalf("idle scratch %d: counters at %d are %d/%d, want 0", i, a, c.r[a], c.w[a])
 			}
+		}
+		if len(c.spill) != 0 {
+			t.Fatalf("idle scratch %d: %d overflow counts left, want none", i, len(c.spill))
 		}
 	}
 }

@@ -31,9 +31,12 @@
 // settlement counts contention with per-cell counters leased from a
 // package-level free list for the duration of one settlement and reset
 // via touched-address lists, so that cost is proportional to the
-// operations actually performed. Host parallelism lives one level up,
-// in runners that execute independent machines concurrently; the
-// charged stats never depend on it.
+// operations actually performed. A counter is one byte per cell and
+// access kind (2 B per covered word); a count above 255 keeps its
+// excess in the lease's overflow table, so every count stays exact.
+// Host parallelism lives one level up, in runners that execute
+// independent machines concurrently; the charged stats never depend on
+// it.
 package machine
 
 import (

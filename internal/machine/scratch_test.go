@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -115,6 +116,217 @@ func TestMachineFootprint(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*words+64<<10); got >= limit {
 		t.Errorf("New(QRQW, 1<<20) allocated %d B, want < %d (8 B/word plus slack)", got, limit)
 	}
+}
+
+// TestScratchFootprint pins the contention scratch at one byte per
+// covered word and access kind: a step whose highest touched address is
+// 1<<20 leases 2 B per word of [0, 1<<20], plus slack.
+func TestScratchFootprint(t *testing.T) {
+	const hi = 1 << 20
+	m := New(QRQW, hi+1)
+	defer m.Free()
+	// A first step takes the step buffers from the pool; the lease under
+	// test is then the step's only sizeable allocation.
+	if err := m.ParDo(1, func(c *Ctx, i int) { c.Write(0, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	idleScratch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.ParDo(1, func(c *Ctx, i int) { c.Write(hi, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*(hi+1)+64<<10); got >= limit {
+		t.Errorf("a step touching address 1<<20 allocated %d B, want < %d (2 B/word plus slack)", got, limit)
+	}
+	if got := idleScratch(); !slices.Equal(got, []int{hi + 1}) {
+		t.Errorf("idle scratch lengths %v, want [%d]", got, hi+1)
+	}
+	checkScratchZero(t)
+}
+
+// TestContentionByteBoundary covers counts around the byte counters'
+// 255 limit: a step whose hottest read cell, write cell, or both-kinds
+// cell has 254, 255, 256 or 300 accessors, alone or tied with a second
+// cell (the first to reach the count at the larger address), settles
+// to the exact Stats, kappa arg-max, hot cells and EREW violation; the
+// overflow table is made only on a count above 255.
+func TestContentionByteBoundary(t *testing.T) {
+	const own = 2000 // processor i's uncontended cell is own+i
+	const reads, writes, both = "reads", "writes", "both"
+	for _, model := range []Model{QRQW, CRCW, EREW} {
+		for _, kind := range []string{reads, writes, both} {
+			for _, k := range []int{254, 255, 256, 300} {
+				for _, tie := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/k=%d/tie=%v", model, kind, k, tie)
+					t.Run(name, func(t *testing.T) {
+						// Processors [0, k) hit the hot cell; with a tie,
+						// processors [k, 2k) hit a second one at a lower
+						// address, which the arg-max must name.
+						p, hot, argmax := k, 1000, 1000
+						if tie {
+							p, argmax = 2*k, 600
+						}
+						target := func(i int) int {
+							if i < k {
+								return hot
+							}
+							return argmax
+						}
+						m := New(model, 4096, WithTrace(), WithHotCells(2))
+						defer m.Free()
+						idleScratch()
+						err := m.ParDo(p, func(c *Ctx, i int) {
+							switch kind {
+							case reads:
+								c.Read(target(i))
+								c.Write(own+i, 1)
+							case writes:
+								c.Read(own + i)
+								c.Write(target(i), 1)
+							case both:
+								c.Read(target(i))
+								c.Write(target(i), 1)
+							}
+						})
+						w := m.wk
+						if kind != writes && w.maxRAddr != argmax || kind != reads && w.maxWAddr != argmax {
+							t.Errorf("kappa arg-max read %d, write %d; want %d", w.maxRAddr, w.maxWAddr, argmax)
+						}
+						checkSpill(t, k > 255)
+						checkScratchZero(t)
+						if model == EREW {
+							want := &ViolationError{Model: EREW, Step: 1, Kind: "concurrent-read", Addr: argmax, Count: int64(k)}
+							if kind == writes {
+								want.Kind = "concurrent-write"
+							}
+							if !reflect.DeepEqual(err, want) {
+								t.Fatalf("error %v, want %v", err, want)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						cost := int64(k)
+						if model == CRCW {
+							cost = 1
+						}
+						want := Stats{Steps: 1, Time: cost, Ops: int64(2 * p), PTWork: int64(p) * cost,
+							ReadOps: int64(p), WriteOps: int64(p), MaxContention: int64(k),
+							SumContention: int64(k), MaxProcs: int64(p)}
+						if got := m.Stats(); got != want {
+							t.Errorf("stats %+v, want %+v", got, want)
+						}
+						cell := func(a int, r, w int64) HotCell {
+							return HotCell{Addr: a, Reads: r, Writes: w}
+						}
+						n := int64(k)
+						var hotWant []HotCell
+						switch kind {
+						case reads:
+							hotWant = []HotCell{cell(argmax, n, 0), cell(own, 0, 1)}
+							if tie {
+								hotWant[1] = cell(hot, n, 0)
+							}
+						case writes:
+							hotWant = []HotCell{cell(argmax, 0, n), cell(own, 1, 0)}
+							if tie {
+								hotWant[1] = cell(hot, 0, n)
+							}
+						case both:
+							hotWant = []HotCell{cell(argmax, n, n)}
+							if tie {
+								hotWant = append(hotWant, cell(hot, n, n))
+							}
+						}
+						if got := m.StepTraces()[0].HotCells; !slices.Equal(got, hotWant) {
+							t.Errorf("hot cells %v, want %v", got, hotWant)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkSpill fails t unless the one idle contention scratch has an
+// overflow table exactly when want says a count passed 255.
+func checkSpill(t *testing.T, want bool) {
+	t.Helper()
+	f := &scratchFree
+	f.Lock()
+	defer f.Unlock()
+	if len(f.list) != 1 {
+		t.Fatalf("%d idle scratch, want 1", len(f.list))
+	}
+	if got := f.list[0].spill != nil; got != want {
+		t.Errorf("overflow table made: %v, want %v", got, want)
+	}
+}
+
+// TestContentionSpillReused: once a lease has made its overflow table,
+// later steps that overflow again reuse it, so a contended untraced
+// step stays allocation-free.
+func TestContentionSpillReused(t *testing.T) {
+	m := New(QRQW, 512)
+	defer m.Free()
+	idleScratch()
+	body := func(c *Ctx, i int) {
+		c.Read(7)
+		c.Write(9, Word(i))
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := m.ParDo(300, body); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("an overflowing untraced step allocates %.1f objects/step, want 0", avg)
+	}
+	if st := m.Stats(); st.MaxContention != 300 {
+		t.Errorf("max contention %d, want 300", st.MaxContention)
+	}
+	checkSpill(t, true)
+	checkScratchZero(t)
+}
+
+// BenchmarkSettleContended measures a contended scalar step shaped like
+// the multiple-compaction throw: p processors each read their own cell
+// and two random cells of a 4p-word region, writing a random cell when
+// it reads zero. It reports host ns per charged PRAM op.
+func BenchmarkSettleContended(b *testing.B) {
+	const p = 1 << 16
+	m := New(QRQW, 5*p, WithSeed(1))
+	defer m.Free()
+	body := func(c *Ctx, i int) {
+		if c.Read(i) != 0 {
+			return
+		}
+		r := c.Rand()
+		for range 2 {
+			if t := p + r.Intn(4*p); c.Read(t) == 0 {
+				c.Write(t, Word(i)+1)
+			}
+		}
+	}
+	var ops int64 // per step; the same every iteration
+	run := func() {
+		if err := m.ParDoL(p, "throw", body); err != nil {
+			b.Fatal(err)
+		}
+		ops = m.Stats().Ops
+	}
+	run() // grow the step buffers and lease the scratch before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		m.Reset() // the same memory and random draws every iteration
+		b.StartTimer()
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops)/float64(b.N), "ns/pram-op")
 }
 
 // idleScratch drains the contention-scratch free list and returns the

@@ -3,6 +3,7 @@ package machine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -81,11 +82,55 @@ func putWorker(w *worker) {
 }
 
 // counters is one lease of per-cell contention scratch: read and write
-// counts for addresses [0, len(r)). Settlement resets every counter it
-// raised, so a scratch is all-zero whenever it is not on lease, and any
-// machine can settle into any scratch that covers its touched addresses.
+// counts for addresses [0, len(r)), one byte per cell and kind, so a
+// lease costs 2 B per covered word. A byte saturates at 255; a count
+// above it keeps the byte at 255 and its excess in spill, keyed by
+// address and kind, which is made on the lease's first such count and
+// kept (cleared) with the lease. Settlement resets every counter it
+// raised and clears spill, so a scratch is all-zero whenever it is not
+// on lease, and any machine can settle into any scratch that covers its
+// touched addresses.
 type counters struct {
-	r, w []int32
+	r, w  []uint8
+	spill map[spillKey]int64
+}
+
+// spillKey names one counter that passed 255: a cell and its kind.
+type spillKey struct {
+	addr  int
+	write bool
+}
+
+// bump raises cell a's read (or, when write, write) count by one and
+// returns the new count.
+func (c *counters) bump(a int, write bool) int64 {
+	b := c.r
+	if write {
+		b = c.w
+	}
+	if v := b[a] + 1; v != 0 {
+		b[a] = v
+		return int64(v)
+	}
+	// The byte is saturated: count the excess in spill.
+	if c.spill == nil {
+		c.spill = make(map[spillKey]int64)
+	}
+	k := spillKey{a, write}
+	c.spill[k]++
+	return math.MaxUint8 + c.spill[k]
+}
+
+// count returns cell a's read (or, when write, write) count.
+func (c *counters) count(a int, write bool) int64 {
+	b := c.r
+	if write {
+		b = c.w
+	}
+	if v := b[a]; v != math.MaxUint8 {
+		return int64(v)
+	}
+	return math.MaxUint8 + c.spill[spillKey{a, write}]
 }
 
 // scratchFree is the free list of idle contention scratch, sorted by
@@ -121,7 +166,7 @@ func leaseCounters(n int) counters {
 	f.Unlock()
 	if len(c.r) < n {
 		n = max(n, 2*len(c.r))
-		c = counters{make([]int32, n), make([]int32, n)}
+		c.r, c.w = make([]uint8, n), make([]uint8, n)
 	}
 	return c
 }
@@ -402,7 +447,7 @@ func (m *Machine) finishStep(p int, label string) error {
 	// cells included (expansion touches them), so the lease spans exactly
 	// the addresses this settlement counts.
 	cnt := leaseCounters(w.hi + 1)
-	w.settleLocal(m, cnt)
+	w.settleLocal(m, &cnt)
 	releaseCounters(cnt)
 	maxOps, maxR, maxW := w.maxOps, w.maxR, w.maxW
 	reads, writes, computes := w.reads, w.writesN, w.computes
@@ -463,25 +508,22 @@ func (m *Machine) finishStep(p int, label string) error {
 }
 
 // settleLocal counts contention, extracts the step's maxima, applies the
-// step's writes, and resets the scratch counters. Writes are applied in
-// buffer order: processors run in increasing index order, so the last
-// buffered write to a cell is the highest-indexed writer, preserving the
-// machine's arbitration invariant. The kappa arg-max breaks count ties
-// toward the smallest address.
-func (w *worker) settleLocal(m *Machine, cnt counters) {
+// step's writes, and resets the scratch counters. Each kind's counting
+// pass also tracks its maximum: counts only grow, so the largest
+// post-increment count is the final maximum, and the kappa arg-max
+// breaks count ties toward the smallest address just as over final
+// counts. Writes are applied in buffer order: processors run in
+// increasing index order, so the last buffered write to a cell is the
+// highest-indexed writer, preserving the machine's arbitration
+// invariant.
+func (w *worker) settleLocal(m *Machine, cnt *counters) {
 	for _, a := range w.readAddrs {
-		cnt.r[a]++
-	}
-	for _, op := range w.writes {
-		cnt.w[op.addr]++
-	}
-	for _, a := range w.readAddrs {
-		if c := int64(cnt.r[a]); c > w.maxR || (c == w.maxR && a < w.maxRAddr) {
+		if c := cnt.bump(a, false); c > w.maxR || (c == w.maxR && a < w.maxRAddr) {
 			w.maxR, w.maxRAddr = c, a
 		}
 	}
 	for _, op := range w.writes {
-		if c := int64(cnt.w[op.addr]); c > w.maxW || (c == w.maxW && op.addr < w.maxWAddr) {
+		if c := cnt.bump(op.addr, true); c > w.maxW || (c == w.maxW && op.addr < w.maxWAddr) {
 			w.maxW, w.maxWAddr = c, op.addr
 		}
 		m.mem[op.addr] = op.val
@@ -496,19 +538,22 @@ func (w *worker) settleLocal(m *Machine, cnt counters) {
 	for _, op := range w.writes {
 		cnt.w[op.addr] = 0
 	}
+	if len(cnt.spill) > 0 {
+		clear(cnt.spill)
+	}
 }
 
 // collectHot gathers the step's top-K contended cells, by reads and by
 // writes, from the populated contention counters, which hold every
 // touched cell's final count.
-func (w *worker) collectHot(k int, cnt counters) {
+func (w *worker) collectHot(k int, cnt *counters) {
 	for _, a := range w.readAddrs {
-		c := hotCand{addr: a, reads: int64(cnt.r[a]), writes: int64(cnt.w[a])}
+		c := hotCand{addr: a, reads: cnt.count(a, false), writes: cnt.count(a, true)}
 		c.rank = c.reads
 		w.hotR = insertHot(w.hotR, k, c)
 	}
 	for _, op := range w.writes {
-		c := hotCand{addr: op.addr, reads: int64(cnt.r[op.addr]), writes: int64(cnt.w[op.addr])}
+		c := hotCand{addr: op.addr, reads: cnt.count(op.addr, false), writes: cnt.count(op.addr, true)}
 		c.rank = c.writes
 		w.hotW = insertHot(w.hotW, k, c)
 	}
