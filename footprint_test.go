@@ -47,17 +47,25 @@ func TestBuiltinRequestsCoverFootprint(t *testing.T) {
 }
 
 // TestDynamicRequestsFitFootprint checks dynamic session sizing: each
-// session requests the largest words of the phases it runs. For
-// testdata/definitions/table1-dynamic.json at its grid, seeds 1–3,
-// every request must be below 1<<20 words and at most its session's
-// peak plus 4096. A pinned definition of 16 permutation.random phases
-// at n = 1024 must request no more than one such phase alone, so the
-// phase count cannot multiply the up-front allocation.
+// session requests the largest words of the phases it runs, and grows
+// exactly to what a phase needs above its resident arrays. For
+// testdata/definitions/table1-dynamic.json at its grid (one cell, one
+// session per model), seeds 1–3, every request must be below 1<<20
+// words and at most its session's peak plus 4096, and the capacity the
+// session ends the cell with (read back from the pool it returns to)
+// must also stay within its peak plus 4096. A pinned definition of 16
+// permutation.random phases at n = 1024 must request no more than one
+// such phase alone, so the phase count cannot multiply the up-front
+// allocation.
 func TestDynamicRequestsFitFootprint(t *testing.T) {
 	runner := &spec.Runner{Parallel: 2}
 	e := table1Dynamic(t)
+	if len(e.DefaultSizes) != 1 {
+		t.Fatalf("table1-dynamic sizes %v, want one", e.DefaultSizes)
+	}
 	for seed := uint64(1); seed <= 3; seed++ {
-		res := runner.Run(e, e.DefaultSizes, seed)
+		pool := core.NewSessionPool()
+		res := (&spec.Runner{Parallel: 2, Pool: pool}).Run(e, e.DefaultSizes, seed)
 		if err := res.FirstErr(); err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +78,15 @@ func TestDynamicRequestsFitFootprint(t *testing.T) {
 					t.Errorf("%s seed %d session %d (%v): requested %d words for a peak of %d",
 						c.Cell, seed, i+1, f.Model, f.Requested, f.Peak)
 				}
+				s := pool.Acquire(f.Model, 0, seed)
+				if held := s.Machine().MemWords(); held > f.Peak+4096 {
+					t.Errorf("%s seed %d session %d (%v): holds %d words for a peak of %d",
+						c.Cell, seed, i+1, f.Model, held, f.Peak)
+				}
+				s.Close()
 			}
 		}
+		pool.Close()
 	}
 
 	requested := func(phases int) int {

@@ -114,12 +114,13 @@ func mixSeed(base, entry uint64) uint64 {
 // runs once per model on identical host inputs; in pinned mode each
 // phase runs in its model's session (one session per distinct model,
 // created in first-use order so session acquisition is deterministic).
-// Each session requests the largest words of the phases it runs; one
-// whose phases together outgrow that grows on demand, and charged stats
-// do not depend on capacity. Every phase's measurement is the session's
-// stats delta across the phase — spec's capture-and-Sub idiom — so
-// composed phases attribute their own cost even while sharing device
-// state.
+// Each session requests the largest words of the phases it runs, and
+// before each phase reserves its current allocation plus that phase's
+// words, so a session whose phases together outgrow the request grows
+// exactly, at most once per phase; charged stats do not depend on
+// capacity. Every phase's measurement is the session's stats delta
+// across the phase — spec's capture-and-Sub idiom — so composed phases
+// attribute their own cost even while sharing device state.
 func cellRun(def Definition, n int, sd uint64) func(*spec.Ctx) error {
 	return func(c *spec.Ctx) error {
 		seed := mixSeed(c.Seed, sd)
@@ -156,6 +157,11 @@ func cellRun(def Definition, n int, sd uint64) func(*spec.Ctx) error {
 			if in.K > 0 {
 				in.Flags, in.Vals = exp.CompactionInput(seed, n, in.K)
 			}
+			// What earlier phases left resident stays allocated, so the
+			// phase needs its words above the current allocation: grow
+			// to exactly that now rather than doubling mid-phase.
+			m := st.s.Machine()
+			m.Reserve(m.Allocated() + exp.Legs[ph.Algorithm].Words(&in))
 			before := st.s.Stats()
 			measN, err := exp.Legs[ph.Algorithm].Run(st.s, &in)
 			if err != nil {

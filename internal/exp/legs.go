@@ -158,7 +158,8 @@ var Legs = map[string]Leg{
 	},
 	// The table's retries make the build's peak vary by a few hundred
 	// words across seeds. A lookup runs on the session that built its
-	// table, so it states the same words.
+	// table, which stays allocated: it states only its queries, answers
+	// and labels above it.
 	HashBuild: {
 		Fills: []string{"distinct"},
 		Words: hashTableWords,
@@ -175,7 +176,7 @@ var Legs = map[string]Leg{
 	},
 	HashLookup: {
 		Fills: []string{"distinct"},
-		Words: hashTableWords,
+		Words: func(in *Input) int { return 3*hashN(in.N) + slackWords },
 		Run: func(s *core.Session, in *Input) (int, error) {
 			queries := in.hashKeys()
 			qb := s.Upload(queries)

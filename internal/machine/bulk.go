@@ -3,6 +3,7 @@ package machine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -53,6 +54,7 @@ type bulkDesc struct {
 	stride  int  // >= 1 arithmetic; -1 explicit idx
 	count   int
 	proc    int // first processor
+	end     int // one past the last processor, set at Commit
 	perProc int // cells per processor (cell-bearing kinds)
 	idx     []int
 	vals    []Word
@@ -380,8 +382,8 @@ func (b *Bulk) Commit() error {
 	}
 	for i := range b.descs {
 		d := &b.descs[i]
-		if last := d.proc + d.nprocs(); last > b.p {
-			panic(fmt.Sprintf("machine: bulk descriptor spans processors [%d,%d) of %d", d.proc, last, b.p))
+		if d.end = d.proc + d.nprocs(); d.end > b.p {
+			panic(fmt.Sprintf("machine: bulk descriptor spans processors [%d,%d) of %d", d.proc, d.end, b.p))
 		}
 	}
 	m.stepIndex++
@@ -609,24 +611,47 @@ func (m *Machine) applyDesc(d *bulkDesc) {
 // order the equivalent ParDo body would have buffered them in, including
 // the per-processor dedupe: a processor reaching one cell through
 // several descriptors records one read entry, and its later writes
-// overwrite the buffered value in place. A sweep
-// over the descriptors sorted by first processor keeps the set spanning
-// the current processor, so the cost is the cells replayed, not
-// processors times descriptors.
+// overwrite the buffered value in place. Reads and writes fill separate
+// buffers and dedupe only against their own kind, so each kind is
+// replayed on its own (replayRuns). Every cell of an expanded descriptor
+// is buffered or deduped against an equal address, so the descriptors'
+// interval tops bound the buffered addresses exactly.
 func (b *Bulk) buildReplay(w *worker) {
 	descs := b.descs
 	ord := b.ord[:0]
+	nr := 0 // read descriptors
 	for i := range descs {
 		if d := &descs[i]; d.expand && d.kind.cells() {
 			ord = append(ord, int32(i))
+			nr += b2i(d.kind == bulkRead)
+			w.touch(d.hi)
 		}
 	}
+	// Reads first, then writes; each kind by first processor, then in
+	// issue order.
 	slices.SortFunc(ord, func(x, y int32) int {
-		return cmp.Or(cmp.Compare(descs[x].proc, descs[y].proc), cmp.Compare(x, y))
+		dx, dy := &descs[x], &descs[y]
+		return cmp.Or(cmp.Compare(b2i(dx.kind != bulkRead), b2i(dy.kind != bulkRead)),
+			cmp.Compare(dx.proc, dy.proc), cmp.Compare(x, y))
 	})
-	act := b.act[:0] // descriptors spanning processor p, in issue order
+	b.replayRuns(w, ord[:nr])
+	b.replayRuns(w, ord[nr:])
+	b.ord = ord[:0]
+}
+
+// replayRuns replays the descriptors ord, all of one access kind and
+// sorted by first processor, run by run: a run is a span of processors
+// over which the set of descriptors spanning them does not change. A run
+// spanned by one descriptor appends that descriptor's cells for the
+// whole run in one loop: its cells are already in processor-major order,
+// and one processor's cells within a descriptor are distinct, so there
+// is nothing to dedupe. A run spanned by several interleaves them
+// processor by processor, with the dedupe.
+func (b *Bulk) replayRuns(w *worker, ord []int32) {
+	descs := b.descs
+	act := b.act[:0] // descriptors spanning the run, in issue order
 	next := 0
-	for p := 0; next < len(ord) || len(act) > 0; p++ {
+	for p := 0; next < len(ord) || len(act) > 0; {
 		if len(act) == 0 {
 			p = descs[ord[next]].proc
 		}
@@ -634,19 +659,74 @@ func (b *Bulk) buildReplay(w *worker) {
 			j, _ := slices.BinarySearch(act, ord[next])
 			act = slices.Insert(act, j, ord[next])
 		}
-		rs, ws := len(w.readAddrs), len(w.writes)
-		for _, i := range act {
-			w.replayProc(&descs[i], p, rs, ws)
+		// The run ends where a spanning descriptor ends or the next
+		// one starts.
+		q := math.MaxInt
+		if next < len(ord) {
+			q = descs[ord[next]].proc
 		}
+		for _, i := range act {
+			q = min(q, descs[i].end)
+		}
+		if len(act) == 1 {
+			w.replayRun(&descs[act[0]], p, q)
+		} else {
+			for ; p < q; p++ {
+				rs, ws := len(w.readAddrs), len(w.writes)
+				for _, i := range act {
+					w.replayProc(&descs[i], p, rs, ws)
+				}
+			}
+		}
+		p = q
 		keep := act[:0]
 		for _, i := range act {
-			if d := &descs[i]; p+1 < d.proc+d.nprocs() {
+			if descs[i].end > q {
 				keep = append(keep, i)
 			}
 		}
 		act = keep
 	}
-	b.ord, b.act = ord[:0], act[:0]
+	b.act = act[:0]
+}
+
+// replayRun appends the cells of descriptor d's processors [p, q) to the
+// scalar buffers in one pass.
+func (w *worker) replayRun(d *bulkDesc, p, q int) {
+	k0 := (p - d.proc) * d.perProc
+	k1 := min(d.count, (q-d.proc)*d.perProc)
+	if d.kind == bulkRead {
+		n := len(w.readAddrs)
+		w.readAddrs = slices.Grow(w.readAddrs, k1-k0)[:n+k1-k0]
+		dst := w.readAddrs[n:]
+		if d.stride == -1 {
+			copy(dst, d.idx[k0:k1])
+			return
+		}
+		for k := range dst {
+			dst[k] = d.lo + (k0+k)*d.stride
+		}
+		return
+	}
+	n := len(w.writes)
+	w.writes = slices.Grow(w.writes, k1-k0)[:n+k1-k0]
+	dst := w.writes[n:]
+	switch {
+	case d.stride == -1:
+		idx, vals := d.idx[k0:k1], d.vals[k0:k1]
+		for k := range dst {
+			dst[k] = writeOp{idx[k], vals[k]}
+		}
+	case d.kind == bulkFill:
+		for k := range dst {
+			dst[k] = writeOp{d.lo + (k0+k)*d.stride, d.fill}
+		}
+	default:
+		vals := d.vals[k0:k1]
+		for k := range dst {
+			dst[k] = writeOp{d.lo + (k0+k)*d.stride, vals[k]}
+		}
+	}
 }
 
 // replayProc appends processor p's cells of descriptor d to the scalar
@@ -661,7 +741,6 @@ func (w *worker) replayProc(d *bulkDesc, p, rs, ws int) {
 		for k := k0; k < k1; k++ {
 			if a := d.addrAt(k); !slices.Contains(prev, a) {
 				w.readAddrs = append(w.readAddrs, a)
-				w.touch(a)
 			}
 		}
 		return
@@ -681,6 +760,5 @@ func (w *worker) replayProc(d *bulkDesc, p, rs, ws int) {
 			continue
 		}
 		w.writes = append(w.writes, writeOp{addr: a, val: v})
-		w.touch(a)
 	}
 }

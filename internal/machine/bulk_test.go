@@ -486,3 +486,211 @@ func TestBulkDescsOverlap(t *testing.T) {
 		}
 	}
 }
+
+// TestBulkReplayRuns pins buildReplay's run-wise expansion against the
+// scalar replay. Each case staggers descriptors so the expansion meets
+// runs spanned by one descriptor of a kind (appended whole) and runs
+// spanned by two or more (interleaved processor by processor, with the
+// dedupe): a processor reading one cell through two descriptors, and
+// one cell written through two descriptors from different processors
+// (the higher one wins) and from one processor (the later descriptor
+// wins). Every case runs under all nine models, with hot cells off and
+// on, settled analytically where it can be and with every descriptor
+// expanded.
+func TestBulkReplayRuns(t *testing.T) {
+	const memN, p = 64, 16
+	ascending := func(lo, n, stride int) []int {
+		idx := make([]int, n)
+		for k := range idx {
+			idx[k] = lo + k*stride
+		}
+		return idx
+	}
+	vals := func(n int, base Word) []Word {
+		v := make([]Word, n)
+		for k := range v {
+			v[k] = base + Word(k)
+		}
+		return v
+	}
+	read := func(lo, n, stride, procLo, perProc int) specOp {
+		return specOp{kind: bulkRead, lo: lo, n: n, stride: stride, procLo: procLo, perProc: perProc}
+	}
+	gather := func(procLo int, idx ...int) specOp {
+		return specOp{kind: bulkRead, n: len(idx), stride: -1, idx: idx, procLo: procLo, perProc: 1}
+	}
+	write := func(lo, n, stride, procLo, perProc int, base Word) specOp {
+		return specOp{kind: bulkWrite, lo: lo, n: n, stride: stride, procLo: procLo, perProc: perProc, vals: vals(n, base)}
+	}
+	scatter := func(procLo int, base Word, idx ...int) specOp {
+		return specOp{kind: bulkWrite, n: len(idx), stride: -1, idx: idx, procLo: procLo, perProc: 1, vals: vals(len(idx), base)}
+	}
+	fill := func(lo, n, procLo int, v Word) specOp {
+		return specOp{kind: bulkFill, lo: lo, n: n, stride: 1, procLo: procLo, perProc: 1, fill: v}
+	}
+	for _, c := range []struct {
+		name string
+		ops  []specOp
+	}{
+		// Runs [0,4) one list, [4,8) two, [8,12) one range: the list is
+		// unsorted, so it always expands, and the range meets it.
+		{"reads one, two, one", []specOp{
+			gather(0, 9, 3, 40, 12, 7, 30, 2, 21),
+			read(20, 8, 1, 4, 1),
+		}},
+		// Processor 3 reads cell 3 through both descriptors (one entry),
+		// processors 4 and 5 read two cells each from the range.
+		{"read dedupe", []specOp{
+			read(0, 12, 1, 0, 2),
+			gather(1, 50, 40, 3, 60, 11, 1),
+		}},
+		// A run of one write descriptor, then three at once, then one:
+		// cell 7 is written by processors 0 and 2 (2 wins), cell 30 by
+		// processor 5 twice (the fill, issued last, wins), and the
+		// later-issued scatter starts at an earlier processor.
+		{"writers of one cell", []specOp{
+			write(7, 6, 1, 2, 2, 100),
+			scatter(0, 200, 7, 44, 8, 9, 31, 30, 33),
+			fill(30, 1, 5, 999),
+			scatter(1, 300, 50, 51, 52),
+		}},
+		// Reads and writes interleave on the same processors: each
+		// kind's runs are its own.
+		{"mixed kinds", []specOp{
+			gather(2, ascending(10, 6, 3)...),
+			scatter(0, 400, 20, 5, 20, 6, 21, 5, 22),
+			read(10, 9, 3, 6, 1),
+			write(5, 4, 16, 8, 1, 500),
+			scatter(9, 600, 5, 21, 37),
+		}},
+		// A hot cell read and written from a staggered span, under a
+		// range spanning the whole step.
+		{"hot cell under a range", []specOp{
+			read(0, 32, 1, 0, 2),
+			gather(3, 17, 17, 17, 17, 17, 17),
+			scatter(5, 700, 17, 17, 17, 17, 17),
+			write(32, 16, 2, 0, 1, 800),
+		}},
+	} {
+		for _, model := range allModels {
+			for _, hot := range []bool{false, true} {
+				run := func(mode string) string {
+					opts := []Option{WithSeed(3), WithTrace()}
+					if hot {
+						opts = append(opts, WithHotCells(4))
+					}
+					m := New(model, memN, opts...)
+					for a := range memN {
+						m.SetWord(a, Word(a*a))
+					}
+					m.noBulkFast = mode == "expanded"
+					var err error
+					if mode == "scalar" {
+						err = runSpecScalar(m, p, c.ops)
+					} else {
+						err = runSpecBulk(m, p, c.ops)
+					}
+					checkDirtySound(t, m)
+					return fmt.Sprintf("%v\n%+v\n%+v\n%v", err, m.Stats(), m.StepTraces(), m.LoadWords(0, memN))
+				}
+				want := run("scalar")
+				for _, mode := range []string{"bulk", "expanded"} {
+					if got := run(mode); got != want {
+						t.Errorf("%s/%v/hot=%v/%s:\n got %s\nwant %s", c.name, model, hot, mode, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBulkReplay measures the expansion of descriptors into the
+// scalar buffers, settlement included, in host ns per expanded cell.
+// scatter-gather is one unsorted Scatter and one unsorted Gather over
+// p = 2^12 processors (runs spanned by one descriptor of each kind);
+// lb-scan is shaped like one round of loadbalance's segmented scan:
+// over a leading span of processors, gathers and scatters of
+// overlapping ascending lists, one list gathered twice, and then two
+// gathers over the rest.
+func BenchmarkBulkReplay(bb *testing.B) {
+	const p = 1 << 12
+	rng := xrand.NewStream(5)
+	random := func() []int {
+		idx := make([]int, p)
+		for k := range idx {
+			idx[k] = int(rng.Uint64n(4 * p))
+		}
+		return idx
+	}
+	si, gi := random(), random()
+	vals := make([]Word, p)
+	for k := range vals {
+		vals[k] = Word(k)
+	}
+	// The scan round at distance 1 with teams of 16: slot j reads its
+	// left neighbour k = j-1, and about half the slots update.
+	var updJ, updK, actJ, actK []int
+	for j := 1; j < p; j++ {
+		if j%16 == 0 {
+			continue
+		}
+		if rng.Uint64n(2) == 0 {
+			updJ, updK = append(updJ, j), append(updK, j-1)
+		} else {
+			actJ, actK = append(actJ, j), append(actK, j-1)
+		}
+	}
+	at := func(base int, js []int) []int {
+		out := make([]int, len(js))
+		for t, j := range js {
+			out[t] = base + j
+		}
+		return out
+	}
+	anch, ptr, ln := 0, p, 2*p
+	aK, aJ := at(anch, updK), at(anch, updJ)
+	pK, pJ, lK, lJ := at(ptr, updK), at(ptr, updJ), at(ln, updK), at(ln, updJ)
+	cK, cJ := at(anch, actK), at(anch, actJ)
+	nU := len(updJ)
+	for _, c := range []struct {
+		name  string
+		step  func(b *Bulk)
+		cells int
+	}{
+		{"scatter-gather", func(b *Bulk) {
+			b.Scatter(si, 0, vals)
+			b.Gather(gi, 0)
+		}, 2 * p},
+		{"lb-scan", func(b *Bulk) {
+			b.Gather(aK, 0)
+			b.Gather(aJ, 0)
+			b.Gather(aK, 0)
+			b.Scatter(aJ, 0, vals[:nU])
+			b.Gather(pK, 0)
+			b.Scatter(pJ, 0, vals[:nU])
+			b.Gather(lK, 0)
+			b.Scatter(lJ, 0, vals[:nU])
+			b.Gather(cK, nU)
+			b.Gather(cJ, nU)
+		}, 9*nU + 2*len(actJ)},
+	} {
+		bb.Run(c.name, func(bb *testing.B) {
+			m := New(QRQW, 4*p, WithSeed(1))
+			defer m.Free()
+			run := func() {
+				b := m.Bulk(p, c.name)
+				c.step(b)
+				if err := b.Commit(); err != nil {
+					bb.Fatal(err)
+				}
+			}
+			run() // grow the step buffers before timing
+			bb.ReportAllocs()
+			bb.ResetTimer()
+			for range bb.N {
+				run()
+			}
+			bb.ReportMetric(float64(bb.Elapsed().Nanoseconds())/float64(bb.N)/float64(c.cells), "ns/cell")
+		})
+	}
+}

@@ -50,10 +50,16 @@ func (m *Machine) CompareExchange(label string, keys, vals, n, j, k int) error {
 		// Pairs t to t+k/2 span the k cells from 2t, which share bit k
 		// and so one direction.
 		for t := 0; t < n/2; t += k / 2 {
-			if vv == nil {
-				s += cmpxKeys(kv, t, t+k/2, j, 2*t&k != 0)
-			} else {
-				s += cmpxPairs(kv, vv, t, t+k/2, j, 2*t&k != 0)
+			down := 2*t&k != 0
+			switch {
+			case j >= cmpxBlockMin && vv == nil:
+				s += cmpxKeyBlocks(kv[2*t:2*t+k], j, down)
+			case j >= cmpxBlockMin:
+				s += cmpxPairBlocks(kv[2*t:2*t+k], vv[2*t:2*t+k], j, down)
+			case vv == nil:
+				s += cmpxKeys(kv, t, t+k/2, j, down)
+			default:
+				s += cmpxPairs(kv, vv, t, t+k/2, j, down)
 			}
 		}
 		w.maxR, w.maxRAddr = 1, keys
@@ -133,6 +139,61 @@ func cmpxPairs(kv, vv []Word, t0, t1, j int, down bool) (c int) {
 		e := (vv[i] ^ vv[l]) & mask
 		vv[i] ^= e
 		vv[l] ^= e
+	}
+	return c
+}
+
+// cmpxBlockMin is the smallest stride the blocked loop takes. Below it
+// a block's halves are too short to amortize the per-block slicing, and
+// the ordinal loops above are faster.
+const cmpxBlockMin = 8
+
+// cmpxKeyBlocks is cmpxKeys over kv, whole blocks of 2j cells of one
+// direction: each block pairs its lower half with its upper half, so the
+// loop over a block indexes two equal-length slices without bounds
+// checks.
+func cmpxKeyBlocks(kv []Word, j int, down bool) (c int) {
+	for b := 0; b < len(kv); b += 2 * j {
+		lo, hi := kv[b:b+j], kv[b+j:b+2*j]
+		hi = hi[:len(lo)]
+		if down {
+			for i, x := range lo {
+				y := hi[i]
+				lo[i], hi[i] = max(x, y), min(x, y)
+				c += b2i(x <= y)
+			}
+			continue
+		}
+		for i, x := range lo {
+			y := hi[i]
+			lo[i], hi[i] = min(x, y), max(x, y)
+			c += b2i(x > y)
+		}
+	}
+	return c
+}
+
+// cmpxPairBlocks is cmpxKeyBlocks with the payload vv, which spans the
+// same cells: one mask per pair drives the key swap, the payload swap
+// and the count.
+func cmpxPairBlocks(kv, vv []Word, j int, down bool) (c int) {
+	vv = vv[:len(kv)]
+	dn := b2i(down)
+	for b := 0; b < len(kv); b += 2 * j {
+		lo, hi := kv[b:b+j], kv[b+j:b+2*j]
+		vlo, vhi := vv[b:b+j], vv[b+j:b+2*j]
+		hi, vlo, vhi = hi[:len(lo)], vlo[:len(lo)], vhi[:len(lo)]
+		for i, x := range lo {
+			y := hi[i]
+			sw := b2i(x > y) ^ dn
+			c += sw
+			mask := -Word(sw)
+			d := (x ^ y) & mask
+			lo[i], hi[i] = x^d, y^d
+			e := (vlo[i] ^ vhi[i]) & mask
+			vlo[i] ^= e
+			vhi[i] ^= e
+		}
 	}
 	return c
 }

@@ -10,36 +10,42 @@ import (
 // TestCompareExchangePaths runs a whole bitonic network of
 // CompareExchange rounds in place and through the scalar buffers
 // (noBulkFast), under every model: stats, errors, traces and memory
-// must agree, and the dirty mark must stay sound on both paths.
+// must agree, and the dirty mark must stay sound on both paths. At
+// n = 1024 the rounds with j >= cmpxBlockMin take the blocked kernels
+// and the others the ordinal loops. Keys repeat heavily, so equal keys
+// meet in both kernels; the distinct payload shows that they swap in
+// descending blocks and keep their order in ascending ones.
 func TestCompareExchangePaths(t *testing.T) {
-	const n, keys, vals, memN = 64, 5, 70, 160
-	for _, model := range allModels {
-		for _, payload := range []bool{false, true} {
-			run := func(buffered bool) string {
-				m := New(model, memN, WithTrace())
-				m.noBulkFast = buffered
-				rng := xrand.NewStream(9)
-				v := -1
-				if payload {
-					v = vals
-				}
-				for i := range n {
-					m.SetWord(keys+i, Word(rng.Intn(n/2)))
+	for _, n := range []int{64, 1024} {
+		keys, vals, memN := 5, n+10, 2*n+20
+		for _, model := range allModels {
+			for _, payload := range []bool{false, true} {
+				run := func(buffered bool) string {
+					m := New(model, memN, WithTrace())
+					m.noBulkFast = buffered
+					rng := xrand.NewStream(9)
+					v := -1
 					if payload {
-						m.SetWord(vals+i, Word(i+1))
+						v = vals
 					}
-				}
-				var err error
-				for k := 2; k <= n && err == nil; k <<= 1 {
-					for j := k >> 1; j > 0 && err == nil; j >>= 1 {
-						err = m.CompareExchange("cmpx", keys, v, n, j, k)
+					for i := range n {
+						m.SetWord(keys+i, Word(rng.Intn(n/16)))
+						if payload {
+							m.SetWord(vals+i, Word(i+1))
+						}
 					}
+					var err error
+					for k := 2; k <= n && err == nil; k <<= 1 {
+						for j := k >> 1; j > 0 && err == nil; j >>= 1 {
+							err = m.CompareExchange("cmpx", keys, v, n, j, k)
+						}
+					}
+					checkDirtySound(t, m)
+					return fmt.Sprintf("%v\n%+v\n%+v\n%v", err, m.Stats(), m.StepTraces(), m.LoadWords(0, memN))
 				}
-				checkDirtySound(t, m)
-				return fmt.Sprintf("%v\n%+v\n%+v\n%v", err, m.Stats(), m.StepTraces(), m.LoadWords(0, memN))
-			}
-			if got, want := run(false), run(true); got != want {
-				t.Errorf("%v payload=%v: in place\n%s\nbuffered\n%s", model, payload, got, want)
+				if got, want := run(false), run(true); got != want {
+					t.Errorf("n=%d %v payload=%v: in place\n%s\nbuffered\n%s", n, model, payload, got, want)
+				}
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 	}
 	out := m.Alloc(n)
 	sizes, total := dartSubarrays(n)
-
+	d := newDarts(m, n, "perm")
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		mark := m.Mark()
 		a := m.Alloc(total)  // 0 free, item+1 placed, dirty on collision
@@ -61,121 +61,13 @@ func Random(m *machine.Machine, n int) (int, error) {
 		if err := prim.FillPar(m, status, n, -1); err != nil {
 			return 0, err
 		}
+		d.start(a, status, choice)
 		off := 0
-		// Per-round host scratch. The active-item lists are ascending in
-		// item id, so descriptor processor p is the p-th active item:
-		// write arbitration (highest processor wins) picks the same
-		// winner as the per-item loop, and Bulk.Rand(item) replays each
-		// item's private stream.
-		actIdx := make([]int, 0, n)
-		tgtIdx := make([]int, 0, n)
-		scratch := make([]machine.Word, 0, n)
-		// hit holds each step's third list (lost darts, winners, the
-		// emitted ranks): one step commits before the next refills it.
-		hit := make([]int, 0, n)
 		for _, subLen := range sizes {
-			sub := off
+			if err := d.round(off, subLen); err != nil {
+				return 0, err
+			}
 			off += subLen
-			// Throw.
-			{
-				b := m.Bulk(n, "perm/throw")
-				sv := b.ReadRange(status, n, 1, 0, 1)
-				actIdx, tgtIdx = actIdx[:0], tgtIdx[:0]
-				scratch = scratch[:0]
-				for i, s := range sv {
-					if s >= 0 {
-						continue
-					}
-					rs := b.Rand(i)
-					t := sub + rs.Intn(subLen)
-					actIdx = append(actIdx, choice+i)
-					tgtIdx = append(tgtIdx, a+t)
-					scratch = append(scratch, machine.Word(i)+1)
-				}
-				if len(actIdx) > 0 {
-					cv := b.Vals(len(actIdx))
-					for p, at := range tgtIdx {
-						cv[p] = machine.Word(at - a)
-					}
-					b.Scatter(tgtIdx, 0, scratch)
-					b.Scatter(actIdx, 0, cv)
-				}
-				if err := b.Commit(); err != nil {
-					return 0, err
-				}
-			}
-			// Read back; losers dirty the cell so the arbitration
-			// winner also fails (unbiasedness).
-			{
-				b := m.Bulk(n, "perm/verify")
-				sv := b.ReadRange(status, n, 1, 0, 1)
-				actIdx, tgtIdx = actIdx[:0], tgtIdx[:0]
-				for i, s := range sv {
-					if s >= 0 {
-						continue
-					}
-					actIdx = append(actIdx, choice+i)
-				}
-				if len(actIdx) > 0 {
-					cv := b.Gather(actIdx, 0)
-					for _, t := range cv {
-						tgtIdx = append(tgtIdx, a+int(t))
-					}
-					av := b.Gather(tgtIdx, 0)
-					lost := hit[:0]
-					for p, at := range tgtIdx {
-						if av[p] != machine.Word(actIdx[p]-choice)+1 {
-							lost = append(lost, at)
-						}
-					}
-					if len(lost) > 0 {
-						dv := b.Vals(len(lost))
-						for p := range dv {
-							dv[p] = dirty
-						}
-						b.Scatter(lost, 0, dv)
-					}
-				}
-				if err := b.Commit(); err != nil {
-					return 0, err
-				}
-			}
-			// Confirm.
-			{
-				b := m.Bulk(n, "perm/confirm")
-				sv := b.ReadRange(status, n, 1, 0, 1)
-				actIdx, tgtIdx = actIdx[:0], tgtIdx[:0]
-				for i, s := range sv {
-					if s >= 0 {
-						continue
-					}
-					actIdx = append(actIdx, choice+i)
-				}
-				if len(actIdx) > 0 {
-					cv := b.Gather(actIdx, 0)
-					for _, t := range cv {
-						tgtIdx = append(tgtIdx, a+int(t))
-					}
-					av := b.Gather(tgtIdx, 0)
-					winIdx := hit[:0]
-					wv := b.Vals(len(actIdx))
-					wi := 0
-					for p := range tgtIdx {
-						item := actIdx[p] - choice
-						if av[p] == machine.Word(item)+1 {
-							winIdx = append(winIdx, status+item)
-							wv[wi] = cv[p]
-							wi++
-						}
-					}
-					if wi > 0 {
-						b.Scatter(winIdx, 0, wv[:wi])
-					}
-				}
-				if err := b.Commit(); err != nil {
-					return 0, err
-				}
-			}
 		}
 		if err := checkPlaced(m, n, status, unplaced); err != nil {
 			return 0, err
@@ -211,7 +103,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 		{
 			b := m.Bulk(total, "perm/emit")
 			av := b.ReadRange(a, total, 1, 0, 1)
-			rIdx := hit[:0]
+			rIdx := d.hit[:0]
 			for j, v := range av {
 				if v > 0 {
 					rIdx = append(rIdx, ranks+j)
@@ -235,6 +127,129 @@ func Random(m *machine.Machine, n int) (int, error) {
 		return out, nil
 	}
 	return 0, fmt.Errorf("perm: Random exceeded %d restarts", maxRestarts)
+}
+
+// darts runs the throw / verify / confirm rounds of Section 5.1's
+// protocol for Random and ScanDart, over an array A at a, the items'
+// status cells (cell offset in A once placed, -1 before) and their
+// choice cells. The host keeps the unplaced items as an ascending list:
+// the status cells say the same, but every step still charges the read
+// of all n of them, as the element-wise algorithm pays it. Descriptor
+// processor p is the p-th unplaced item, so write arbitration (highest
+// processor wins) picks the same winner as a per-item loop, and
+// Bulk.Rand(item) replays each item's private stream.
+type darts struct {
+	m                    *machine.Machine
+	n, a, status, choice int
+	labels               [3]string
+	items                []int          // unplaced items, ascending
+	act, tgt             []int          // the round's choice and target cells, by item
+	ids                  []machine.Word // the round's darts: item+1
+	// hit holds each step's third list (lost darts, then winners); the
+	// callers reuse it after the rounds (one step commits before the
+	// next refills it).
+	hit []int
+}
+
+// newDarts returns the round runner for n items, with step labels
+// prefix/throw, prefix/verify and prefix/confirm.
+func newDarts(m *machine.Machine, n int, prefix string) *darts {
+	return &darts{
+		m: m, n: n,
+		labels: [3]string{prefix + "/throw", prefix + "/verify", prefix + "/confirm"},
+		items:  make([]int, 0, n),
+		act:    make([]int, 0, n),
+		tgt:    make([]int, 0, n),
+		ids:    make([]machine.Word, 0, n),
+		hit:    make([]int, 0, n),
+	}
+}
+
+// start points the rounds at fresh arrays, with every item unplaced.
+func (d *darts) start(a, status, choice int) {
+	d.a, d.status, d.choice = a, status, choice
+	d.items = d.items[:0]
+	for i := range d.n {
+		d.items = append(d.items, i)
+	}
+}
+
+// round lets every unplaced item claim a random cell of A's subarray
+// [sub, sub+subLen). A claim succeeds only if no other item targeted the
+// same cell: throw writes the darts, verify reads them back and losers
+// dirty the cell so the arbitration winner fails too (unbiasedness), and
+// confirm records the survivors' cells in their status. The rest stay
+// unplaced for the next round.
+func (d *darts) round(sub, subLen int) error {
+	m, n, a := d.m, d.n, d.a
+	b := m.Bulk(n, d.labels[0])
+	b.ReadRange(d.status, n, 1, 0, 1)
+	d.act, d.tgt, d.ids = d.act[:0], d.tgt[:0], d.ids[:0]
+	for _, i := range d.items {
+		rs := b.Rand(i)
+		d.act = append(d.act, d.choice+i)
+		d.tgt = append(d.tgt, a+sub+rs.Intn(subLen))
+		d.ids = append(d.ids, machine.Word(i)+1)
+	}
+	if len(d.act) > 0 {
+		cv := b.Vals(len(d.act))
+		for p, at := range d.tgt {
+			cv[p] = machine.Word(at - a)
+		}
+		b.Scatter(d.tgt, 0, d.ids)
+		b.Scatter(d.act, 0, cv)
+	}
+	if err := b.Commit(); err != nil {
+		return err
+	}
+
+	// Verify and confirm read the choice cells back (their values are
+	// the targets thrown) and then the targets.
+	b = m.Bulk(n, d.labels[1])
+	b.ReadRange(d.status, n, 1, 0, 1)
+	if len(d.act) > 0 {
+		b.Gather(d.act, 0)
+		av := b.Gather(d.tgt, 0)
+		lost := d.hit[:0]
+		for p, at := range d.tgt {
+			if av[p] != d.ids[p] {
+				lost = append(lost, at)
+			}
+		}
+		if len(lost) > 0 {
+			dv := b.Vals(len(lost))
+			for p := range dv {
+				dv[p] = dirty
+			}
+			b.Scatter(lost, 0, dv)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		return err
+	}
+
+	b = m.Bulk(n, d.labels[2])
+	b.ReadRange(d.status, n, 1, 0, 1)
+	if len(d.act) > 0 {
+		b.Gather(d.act, 0)
+		av := b.Gather(d.tgt, 0)
+		win := d.hit[:0]
+		wv := b.Vals(len(d.act))[:0]
+		left := d.items[:0]
+		for p, i := range d.items {
+			if av[p] == d.ids[p] {
+				win = append(win, d.status+i)
+				wv = append(wv, machine.Word(d.tgt[p]-a))
+			} else {
+				left = append(left, i)
+			}
+		}
+		d.items = left
+		if len(win) > 0 {
+			b.Scatter(win, 0, wv)
+		}
+	}
+	return b.Commit()
 }
 
 // dartSubarrays returns the sizes of Random's per-round subarrays of A
@@ -313,116 +328,16 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 	if err := prim.FillPar(m, status, n, -1); err != nil {
 		return 0, err
 	}
-	placed := 0
-	actIdx := make([]int, 0, n)
-	tgtIdx := make([]int, 0, n)
-	ids := make([]machine.Word, 0, n)
-	// hit holds each step's third list (lost darts, winners, the
-	// survivors' ranks) and clr the cells to clear: one step commits
-	// before the next refills them.
-	hit := make([]int, 0, n)
+	d := newDarts(m, n, "scandart")
+	d.start(a, status, choice)
+	// clr holds the cells the transfer clears.
 	clr := make([]int, 0, aLen)
-	for round := 0; placed < n; round++ {
+	for round, placed := 0, 0; placed < n; round++ {
 		if round > maxRestarts {
 			return 0, fmt.Errorf("perm: ScanDart exceeded %d rounds", maxRestarts)
 		}
-		// Throw / verify / confirm: the same descriptor shapes as
-		// perm.Random (ascending active lists keep write arbitration and
-		// per-item randomness identical to the per-item loop).
-		{
-			b := m.Bulk(n, "scandart/throw")
-			sv := b.ReadRange(status, n, 1, 0, 1)
-			actIdx, tgtIdx, ids = actIdx[:0], tgtIdx[:0], ids[:0]
-			for i, s := range sv {
-				if s >= 0 {
-					continue
-				}
-				rs := b.Rand(i)
-				t := rs.Intn(aLen)
-				actIdx = append(actIdx, choice+i)
-				tgtIdx = append(tgtIdx, a+t)
-				ids = append(ids, machine.Word(i)+1)
-			}
-			if len(actIdx) > 0 {
-				cv := b.Vals(len(actIdx))
-				for p, at := range tgtIdx {
-					cv[p] = machine.Word(at - a)
-				}
-				b.Scatter(tgtIdx, 0, ids)
-				b.Scatter(actIdx, 0, cv)
-			}
-			if err := b.Commit(); err != nil {
-				return 0, err
-			}
-		}
-		{
-			b := m.Bulk(n, "scandart/verify")
-			sv := b.ReadRange(status, n, 1, 0, 1)
-			actIdx, tgtIdx = actIdx[:0], tgtIdx[:0]
-			for i, s := range sv {
-				if s >= 0 {
-					continue
-				}
-				actIdx = append(actIdx, choice+i)
-			}
-			if len(actIdx) > 0 {
-				cv := b.Gather(actIdx, 0)
-				for _, t := range cv {
-					tgtIdx = append(tgtIdx, a+int(t))
-				}
-				av := b.Gather(tgtIdx, 0)
-				lost := hit[:0]
-				for p, at := range tgtIdx {
-					if av[p] != machine.Word(actIdx[p]-choice)+1 {
-						lost = append(lost, at)
-					}
-				}
-				if len(lost) > 0 {
-					dv := b.Vals(len(lost))
-					for p := range dv {
-						dv[p] = dirty
-					}
-					b.Scatter(lost, 0, dv)
-				}
-			}
-			if err := b.Commit(); err != nil {
-				return 0, err
-			}
-		}
-		{
-			b := m.Bulk(n, "scandart/confirm")
-			sv := b.ReadRange(status, n, 1, 0, 1)
-			actIdx, tgtIdx = actIdx[:0], tgtIdx[:0]
-			for i, s := range sv {
-				if s >= 0 {
-					continue
-				}
-				actIdx = append(actIdx, choice+i)
-			}
-			if len(actIdx) > 0 {
-				cv := b.Gather(actIdx, 0)
-				for _, t := range cv {
-					tgtIdx = append(tgtIdx, a+int(t))
-				}
-				av := b.Gather(tgtIdx, 0)
-				winIdx := hit[:0]
-				wv := b.Vals(len(actIdx))
-				wi := 0
-				for p := range tgtIdx {
-					item := actIdx[p] - choice
-					if av[p] == machine.Word(item)+1 {
-						winIdx = append(winIdx, status+item)
-						wv[wi] = cv[p]
-						wi++
-					}
-				}
-				if wi > 0 {
-					b.Scatter(winIdx, 0, wv[:wi])
-				}
-			}
-			if err := b.Commit(); err != nil {
-				return 0, err
-			}
+		if err := d.round(0, aLen); err != nil {
+			return 0, err
 		}
 		// Enumerate this round's survivors and transfer them after the
 		// already-placed prefix.
@@ -453,7 +368,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 			// cleared by an ascending scatter of zeros.
 			b := m.Bulk(aLen, "scandart/transfer")
 			av := b.ReadRange(a, aLen, 1, 0, 1)
-			rIdx, clrIdx := hit[:0], clr[:0]
+			rIdx, clrIdx := d.hit[:0], clr[:0]
 			for j, v := range av {
 				if v > 0 {
 					rIdx = append(rIdx, ranks+j)

@@ -347,3 +347,31 @@ func TestRandomWords(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDartPermutation measures the two dart-throwing permutations
+// of Table II at n = 1024, each on one QRQW machine reused through
+// Reset (so every iteration replays the same run), in host ns per
+// charged PRAM op.
+func BenchmarkDartPermutation(bb *testing.B) {
+	const n = 1024
+	for _, c := range []struct {
+		name string
+		f    func(*machine.Machine, int) (int, error)
+	}{{"Random", Random}, {"ScanDart", ScanDart}} {
+		bb.Run(c.name, func(bb *testing.B) {
+			m := machine.New(machine.QRQW, RandomWords(n), machine.WithSeed(1))
+			defer m.Free()
+			var ops int64
+			for range bb.N {
+				bb.StopTimer()
+				m.Reset()
+				bb.StartTimer()
+				if _, err := c.f(m, n); err != nil {
+					bb.Fatal(err)
+				}
+				ops += m.Stats().Ops
+			}
+			bb.ReportMetric(float64(bb.Elapsed().Nanoseconds())/float64(ops), "ns/op-charged")
+		})
+	}
+}
