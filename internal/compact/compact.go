@@ -149,6 +149,10 @@ func LinearCompactWords(n, k int) int {
 	return 2*n + 3*l.stageLen + l.outLen + 1
 }
 
+// unflagged is the dart steps' skip predicate: an item whose flag is
+// zero takes no part.
+func unflagged(f machine.Word) bool { return f == 0 }
+
 // linearCompactImpl is the real implementation; see LinearCompact.
 func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Result, error) {
 	l := newLayout(n, k)
@@ -170,10 +174,7 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 	// cells. The targets are not stored: they are replayed from the
 	// step-keyed random stream in the next step.
 	throwStep := m.StepCount() + 1
-	if err := m.ParDoL(n, "lincompact/throw", func(c *machine.Ctx, i int) {
-		if c.Read(flags+i) == 0 {
-			return
-		}
+	if err := m.ParDoGuardL(n, "lincompact/throw", flags, unflagged, func(c *machine.Ctx, i int, _ machine.Word) {
 		rng := c.Rand()
 		for j := 0; j < g; j++ {
 			c.Write(stage+rng.Intn(stageLen), machine.Word(i)+1)
@@ -185,10 +186,7 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 	// Step 2 (m = g+1): replay the darts; keep the first cell that still
 	// holds our tag, release the other cells we won (the writes land
 	// after all reads of the step, so no winner's cell is clobbered).
-	if err := m.ParDoL(n, "lincompact/verify", func(c *machine.Ctx, i int) {
-		if c.Read(flags+i) == 0 {
-			return
-		}
+	if err := m.ParDoGuardL(n, "lincompact/verify", flags, unflagged, func(c *machine.Ctx, i int, _ machine.Word) {
 		rng := xrand.StreamFrom(c.SeedFor(throwStep, i))
 		keep := -1
 		for j := 0; j < g; j++ {

@@ -254,6 +254,10 @@ const (
 	trialsPerBucket = 2
 )
 
+// placed is the allocation steps' skip predicate: a bucket whose block
+// is assigned is done.
+func placed(blk machine.Word) bool { return blk != -1 }
+
 // allocationIteration lets every still-unplaced, eligible bucket
 // (2*b^2 <= x) claim random blocks of size x at arena base and try
 // random linear maps of its keys into blocks it won. Per active bucket:
@@ -263,10 +267,7 @@ func (t *Table) allocationIteration(in multicompact.Input, bkeys, base, x, mt, c
 	n := t.n
 	throwStep := m.StepCount() + 1
 	// Stake claims.
-	if err := m.ParDoL(n, "hash/claim", func(c *machine.Ctx, j int) {
-		if c.Read(t.blockAddr+j) != -1 {
-			return
-		}
+	if err := m.ParDoGuardL(n, "hash/claim", t.blockAddr, placed, func(c *machine.Ctx, j int, _ machine.Word) {
 		cnt := int(c.Read(in.Counts + j))
 		if 2*cnt*cnt > x {
 			return // block size not yet eligible for this bucket
@@ -280,10 +281,7 @@ func (t *Table) allocationIteration(in multicompact.Input, bkeys, base, x, mt, c
 	}
 	// Winners try to inject their keys with random linear functions
 	// into (up to trialsPerBucket of) the blocks they won.
-	return m.ParDoL(n, "hash/inject", func(c *machine.Ctx, j int) {
-		if c.Read(t.blockAddr+j) != -1 {
-			return
-		}
+	return m.ParDoGuardL(n, "hash/inject", t.blockAddr, placed, func(c *machine.Ctx, j int, _ machine.Word) {
 		cnt := int(c.Read(in.Counts + j))
 		if 2*cnt*cnt > x {
 			return

@@ -307,6 +307,12 @@ func startU(bound int) int {
 	return u
 }
 
+// unflagged and unanchored are the skip predicates of stage's anchor
+// and adopt steps: a processor that is not overloaded, and a team slot
+// that serves no descriptor.
+func unflagged(f machine.Word) bool  { return f == 0 }
+func unanchored(a machine.Word) bool { return a < 0 }
+
 // stage runs one dispersal stage with parameter u and returns the team
 // multiplicity (how many team slots were mapped onto each processor).
 func (b *Balancer) stage(u, wmax int) (int, error) {
@@ -362,10 +368,7 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 	// Owners anchor one descriptor per task subarray at the first team
 	// member that will serve it, then drain themselves. O(w) operations
 	// per owner.
-	if err := m.ParDoL(n, "lb/anchor", func(c *machine.Ctx, i int) {
-		if c.Read(flags+i) == 0 {
-			return
-		}
+	if err := m.ParDoGuardL(n, "lb/anchor", flags, unflagged, func(c *machine.Ctx, i int, _ machine.Word) {
 		t := int(c.Read(res.Pos + i))
 		if t < 0 {
 			return // compaction straggler: stays overloaded, retried later
@@ -457,11 +460,7 @@ func (b *Balancer) stage(u, wmax int) (int, error) {
 	if b.indirect {
 		stride = 1
 	}
-	if err := m.ParDoL(slots, "lb/adopt", func(c *machine.Ctx, j int) {
-		a := c.Read(aanch + j)
-		if a < 0 {
-			return
-		}
+	if err := m.ParDoGuardL(slots, "lb/adopt", aanch, unanchored, func(c *machine.Ctx, j int, a machine.Word) {
 		off := (j - int(a)) * adopt
 		l := int(c.Read(alen + j))
 		if off >= l {

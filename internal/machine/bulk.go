@@ -125,11 +125,14 @@ func sortedListsIntersect(a, b []int) bool {
 // from Machine.Bulk and must be finished with Commit before any other
 // step runs.
 type Bulk struct {
-	m      *Machine
-	p      int
-	label  string
-	step   uint64
-	active bool
+	m     *Machine
+	p     int
+	label string
+	step  uint64
+	// stepKey is xrand.StepKey of the seed and step, so Rand costs one
+	// mixer call per processor.
+	stepKey uint64
+	active  bool
 
 	descs    []bulkDesc
 	snapVals []Word
@@ -164,6 +167,7 @@ func (m *Machine) Bulk(p int, label string) *Bulk {
 	b.p = p
 	b.label = label
 	b.step = m.stepIndex + 1
+	b.stepKey = xrand.StepKey(m.seed, b.step)
 	b.active = true
 	b.descs = b.descs[:0]
 	b.snapVals = b.snapVals[:0]
@@ -328,7 +332,7 @@ func (b *Bulk) Vals(n int) []Word {
 // the same stream Ctx.Rand yields in an equivalent ParDo — so host-side
 // descriptor construction can consume processor randomness.
 func (b *Bulk) Rand(proc int) xrand.Stream {
-	return xrand.StreamFrom(xrand.Mix3(b.m.seed, b.step, uint64(proc)))
+	return xrand.StreamFrom(xrand.ProcKey(b.stepKey, uint64(proc)))
 }
 
 // arena carves n words off the end of the arena *a, growing it by

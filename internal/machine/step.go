@@ -209,8 +209,14 @@ func (w *worker) touch(addr int) {
 type Ctx struct {
 	m    *Machine
 	w    *worker
-	step uint64
 	proc int
+
+	// stepKey is xrand.StepKey of the machine seed and this step, so a
+	// processor's stream costs one mixer call; sfStep/sfKey memoize the
+	// StepKey of the step SeedFor last replayed (valid while sfOK).
+	stepKey       uint64
+	sfStep, sfKey uint64
+	sfOK          bool
 
 	r, wr, cp int64
 	// rStart/wStart mark where this processor's entries begin in the
@@ -343,7 +349,7 @@ func (c *Ctx) Compute(n int) {
 // index), so results do not depend on host scheduling.
 func (c *Ctx) Rand() *xrand.Stream {
 	if !c.rngOK {
-		c.rng.Reseed(xrand.Mix3(c.m.seed, c.step, uint64(c.proc)))
+		c.rng.Reseed(xrand.ProcKey(c.stepKey, uint64(c.proc)))
 		c.rngOK = true
 	}
 	return &c.rng
@@ -355,7 +361,10 @@ func (c *Ctx) Rand() *xrand.Stream {
 // verification step instead of storing them — which is legal local
 // computation on a PRAM.
 func (c *Ctx) SeedFor(step uint64, proc int) uint64 {
-	return xrand.Mix3(c.m.seed, step, uint64(proc))
+	if !c.sfOK || c.sfStep != step {
+		c.sfStep, c.sfKey, c.sfOK = step, xrand.StepKey(c.m.seed, step), true
+	}
+	return xrand.ProcKey(c.sfKey, uint64(proc))
 }
 
 // StepCount returns the number of steps executed so far; the next ParDo
@@ -383,19 +392,33 @@ func (w *worker) afterProc(c *Ctx, simd bool) {
 	}
 }
 
+// beginStep resets the worker and points its Ctx at the machine's
+// current step.
+func (w *worker) beginStep(m *Machine) *Ctx {
+	w.reset()
+	c := &w.ctx
+	c.m, c.w = m, w
+	c.stepKey = xrand.StepKey(m.seed, m.stepIndex)
+	c.sfOK = false
+	return c
+}
+
+// beginProc readies c for processor i's body.
+func (w *worker) beginProc(c *Ctx, i int) {
+	c.proc = i
+	c.r, c.wr, c.cp = 0, 0, 0
+	c.rStart = len(w.readAddrs)
+	c.wStart = len(w.writes)
+	c.rMapOn, c.wMapOn = false, false
+	c.rngOK = false
+}
+
 // runProcs resets the worker and executes the processor bodies of
 // [0, p) in ascending index order against the worker's Ctx.
 func (w *worker) runProcs(m *Machine, p int, simd bool, body func(c *Ctx, i int)) {
-	w.reset()
-	c := &w.ctx
-	c.m, c.w, c.step = m, w, m.stepIndex
+	c := w.beginStep(m)
 	for i := range p {
-		c.proc = i
-		c.r, c.wr, c.cp = 0, 0, 0
-		c.rStart = len(w.readAddrs)
-		c.wStart = len(w.writes)
-		c.rMapOn, c.wMapOn = false, false
-		c.rngOK = false
+		w.beginProc(c, i)
 		body(c, i)
 		w.afterProc(c, simd)
 	}
@@ -425,6 +448,87 @@ func (m *Machine) parDoLabeled(p int, label string, body func(c *Ctx, i int)) er
 	w := m.worker()
 	w.runProcs(m, p, m.model.SIMD(), body)
 	return m.finishStep(p, label)
+}
+
+// ParDoGuardL is ParDoL for a step in which processor i opens by
+// reading its guard cell guard+i and stops there when skip reports the
+// value settled; body runs for the other processors, with g the guard
+// value already read and recorded. It charges, traces and writes
+// exactly what ParDoL does with the body
+//
+//	func(c *Ctx, i int) {
+//		if g := c.Read(guard + i); !skip(g) {
+//			body(c, i, g)
+//		}
+//	}
+//
+// but a skipped processor costs O(1) host work and records nothing. Its
+// read is charged analytically: one op, and read contention one at its
+// guard cell, which no other processor reads — unless an active body
+// reads some skipped processor's guard cell, in which case the step
+// buffers every skipped guard read and settles it with the rest. Under
+// hot-cell profiling (and noBulkFast) the step runs as that ParDoL.
+// skip must be a pure function of the value.
+func (m *Machine) ParDoGuardL(p int, label string, guard int, skip func(Word) bool, body func(c *Ctx, i int, g Word)) error {
+	if m.hotK > 0 || m.noBulkFast || m.err != nil || p <= 0 {
+		return m.parDoLabeled(p, label, func(c *Ctx, i int) {
+			if g := c.Read(guard + i); !skip(g) {
+				body(c, i, g)
+			}
+		})
+	}
+	m.checkAddr(guard)
+	m.checkAddr(guard + p - 1)
+	m.stepIndex++
+	w := m.worker()
+	c := w.beginStep(m)
+	simd := m.model.SIMD()
+	gv := m.mem[guard : guard+p : guard+p]
+	skipped, lo := 0, -1
+	for i, g := range gv {
+		if skip(g) {
+			if skipped == 0 {
+				lo = guard + i
+			}
+			skipped++
+			continue
+		}
+		w.beginProc(c, i)
+		c.r = 1
+		w.readAddrs = append(w.readAddrs, guard+i)
+		w.touch(guard + i)
+		body(c, i, g)
+		w.afterProc(c, simd)
+	}
+	if skipped > 0 {
+		w.maxOps = max(w.maxOps, 1)
+		w.reads += int64(skipped)
+		if w.readsSkippedGuard(gv, guard, skip) {
+			for i, g := range gv {
+				if skip(g) {
+					w.readAddrs = append(w.readAddrs, guard+i)
+					w.touch(guard + i)
+				}
+			}
+		} else {
+			// Count ties break toward the smallest address, so the
+			// lowest skipped guard cell stands for all of them.
+			w.maxR, w.maxRAddr = 1, lo
+		}
+	}
+	return m.finishStep(p, label)
+}
+
+// readsSkippedGuard reports whether a buffered read lands on a guard
+// cell whose processor skipped: gv is the guard range's memory, still
+// as of the beginning of the step.
+func (w *worker) readsSkippedGuard(gv []Word, guard int, skip func(Word) bool) bool {
+	for _, a := range w.readAddrs {
+		if i := a - guard; i >= 0 && i < len(gv) && skip(gv[i]) {
+			return true
+		}
+	}
+	return false
 }
 
 // worker returns the machine's step buffers, taking them from the

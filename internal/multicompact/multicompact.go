@@ -102,6 +102,10 @@ func BuildInput(m *machine.Machine, labels []int, nsets int) (Input, error) {
 	return in, nil
 }
 
+// placed is the dart steps' skip predicate: an item whose position is
+// set is done.
+func placed(pos machine.Word) bool { return pos >= 0 }
+
 // Run solves the instance in O(lg n) time and near-linear work w.h.p.
 // on a QRQW machine. Every item ends in a private cell of its set's
 // subarray (B[cell] = item index + 1).
@@ -142,10 +146,7 @@ func Run(m *machine.Machine, in Input) (Result, error) {
 		// Throw: q darts into free cells of the item's subarray. A cell
 		// holding any value is occupied ("fails if there is already a
 		// value written from a previous step").
-		if err := m.ParDoL(n, "mc/throw", func(c *machine.Ctx, i int) {
-			if c.Read(pos+i) >= 0 {
-				return
-			}
+		if err := m.ParDoGuardL(n, "mc/throw", pos, placed, func(c *machine.Ctx, i int, _ machine.Word) {
 			cnt := int(c.Read(itemCnt + i))
 			ptr := int(c.Read(itemPtr + i))
 			size := 4 * cnt
@@ -165,10 +166,7 @@ func Run(m *machine.Machine, in Input) (Result, error) {
 		// Verify: keep the first dart that survived arbitration,
 		// release the rest (arbitration winners may keep their cells —
 		// unlike random permutation, no unbiasedness is needed here).
-		if err := m.ParDoL(n, "mc/verify", func(c *machine.Ctx, i int) {
-			if c.Read(pos+i) >= 0 {
-				return
-			}
+		if err := m.ParDoGuardL(n, "mc/verify", pos, placed, func(c *machine.Ctx, i int, _ machine.Word) {
 			cnt := int(c.Read(itemCnt + i))
 			ptr := int(c.Read(itemPtr + i))
 			size := 4 * cnt

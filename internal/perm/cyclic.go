@@ -10,6 +10,10 @@ import (
 // contention instead of host memory.
 const maxCyclicArray = 1 << 22
 
+// claimed is claimRound's skip predicate: an item whose slot is set is
+// done.
+func claimed(slot machine.Word) bool { return slot >= 0 }
+
 // claimRound lets every active item (slot[i] < 0) throw g darts into the
 // aLen-cell array at a, claiming at most one free cell. A claim succeeds
 // only if no other item targeted the same cell in this round — colliding
@@ -26,10 +30,7 @@ func claimRound(m *machine.Machine, a, aLen, slot, freeMask, n, g int) error {
 	}
 	throwStep := m.StepCount() + 1
 	// T: throw at free cells, remember which targets were free.
-	if err := m.ParDoL(n, "claim/throw", func(c *machine.Ctx, i int) {
-		if c.Read(slot+i) >= 0 {
-			return
-		}
+	if err := m.ParDoGuardL(n, "claim/throw", slot, claimed, func(c *machine.Ctx, i int, _ machine.Word) {
 		rng := c.Rand()
 		mask := machine.Word(0)
 		for j := 0; j < g; j++ {
@@ -45,10 +46,7 @@ func claimRound(m *machine.Machine, a, aLen, slot, freeMask, n, g int) error {
 	}
 	// V: replay; losers of an arbitration dirty the cell so that the
 	// arbitration winner also fails.
-	if err := m.ParDoL(n, "claim/mark", func(c *machine.Ctx, i int) {
-		if c.Read(slot+i) >= 0 {
-			return
-		}
+	if err := m.ParDoGuardL(n, "claim/mark", slot, claimed, func(c *machine.Ctx, i int, _ machine.Word) {
 		mask := c.Read(freeMask + i)
 		rng := xrand.StreamFrom(c.SeedFor(throwStep, i))
 		for j := 0; j < g; j++ {
@@ -65,10 +63,7 @@ func claimRound(m *machine.Machine, a, aLen, slot, freeMask, n, g int) error {
 	}
 	// C: confirm; keep the first clean win, release other wins, and
 	// reset dirty cells to free.
-	return m.ParDoL(n, "claim/confirm", func(c *machine.Ctx, i int) {
-		if c.Read(slot+i) >= 0 {
-			return
-		}
+	return m.ParDoGuardL(n, "claim/confirm", slot, claimed, func(c *machine.Ctx, i int, _ machine.Word) {
 		mask := c.Read(freeMask + i)
 		rng := xrand.StreamFrom(c.SeedFor(throwStep, i))
 		keep := -1

@@ -22,11 +22,22 @@ func SplitMix64(state uint64) uint64 {
 }
 
 // Mix3 hashes a (seed, step, proc) triple into a single well-mixed value.
+// It equals ProcKey(StepKey(seed, step), proc); a caller keying many
+// processors of one step computes StepKey once and pays one mixer call
+// per processor.
 func Mix3(seed, step, proc uint64) uint64 {
+	return ProcKey(StepKey(seed, step), proc)
+}
+
+// StepKey is the (seed, step) prefix of Mix3.
+func StepKey(seed, step uint64) uint64 {
 	h := SplitMix64(seed ^ 0x8f1bbcdcbfa53e0b)
-	h = SplitMix64(h ^ step*0xd6e8feb86659fd93)
-	h = SplitMix64(h ^ proc*0xa0761d6478bd642f)
-	return h
+	return SplitMix64(h ^ step*0xd6e8feb86659fd93)
+}
+
+// ProcKey finishes Mix3 for one processor from its step's StepKey.
+func ProcKey(stepKey, proc uint64) uint64 {
+	return SplitMix64(stepKey ^ proc*0xa0761d6478bd642f)
 }
 
 // Stream is a small, fast xorshift-based generator. The zero value is not

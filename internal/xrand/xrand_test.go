@@ -142,3 +142,21 @@ func TestReseedAvoidsAllZeroState(t *testing.T) {
 		t.Error("stream stuck at zero")
 	}
 }
+
+// mix3Ref is Mix3 written out as three chained mixer calls, the form
+// every recorded stream was keyed with.
+func mix3Ref(seed, step, proc uint64) uint64 {
+	h := SplitMix64(seed ^ 0x8f1bbcdcbfa53e0b)
+	h = SplitMix64(h ^ step*0xd6e8feb86659fd93)
+	return SplitMix64(h ^ proc*0xa0761d6478bd642f)
+}
+
+func TestStepKeyPrefixProperty(t *testing.T) {
+	f := func(seed, step, proc uint64) bool {
+		want := mix3Ref(seed, step, proc)
+		return Mix3(seed, step, proc) == want && ProcKey(StepKey(seed, step), proc) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
