@@ -33,6 +33,9 @@ const dirty machine.Word = -7
 // failure probability is polynomially small, so hitting this is a bug).
 const maxRestarts = 100
 
+// sortKeys is the number of keys SortingBased draws from: [1, 2^62-1).
+const sortKeys = 1<<62 - 2
+
 // Random generates a uniformly random permutation of [0, n) with the
 // QRQW dart-throwing algorithm of Theorem 5.1 and returns the base of an
 // n-cell region P with P[rank] = item. O(lg n) time and linear work
@@ -405,9 +408,13 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 
 // SortingBased generates a uniformly random permutation with the popular
 // EREW algorithm compared against in Table II: every item draws a random
-// key in [1, 2^31), the keys are sorted with the bitonic network (the
+// key in [1, 2^62-1), the keys are sorted with the bitonic network (the
 // MasPar system sort), and the rank order is the permutation; duplicate
 // keys trigger a Las Vegas restart. O(lg^2 n) time, O(n lg^2 n) work.
+//
+// The key range is as wide as BitonicSortPadded allows (its padding
+// sentinel is 2^62-1), so a duplicate, about n^2/2^63 expected pairs,
+// is rare at every n the simulator reaches.
 func SortingBased(m *machine.Machine, n int) (int, error) {
 	if n <= 0 {
 		panic("perm: SortingBased with non-positive n")
@@ -422,7 +429,7 @@ func SortingBased(m *machine.Machine, n int) (int, error) {
 			iv := b.Vals(n)
 			for i := 0; i < n; i++ {
 				rs := b.Rand(i)
-				kv[i] = machine.Word(rs.Uint64n(1<<31-1)) + 1
+				kv[i] = machine.Word(rs.Uint64n(sortKeys)) + 1
 				iv[i] = machine.Word(i)
 			}
 			b.WriteRange(keys, n, 1, 0, 1, kv)

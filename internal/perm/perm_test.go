@@ -148,6 +148,35 @@ func TestSortingBasedIsPermutation(t *testing.T) {
 	}
 }
 
+// TestSortingBasedOneAttemptAtLargeN: with keys drawn from [1, 2^62-1)
+// a duplicate is rare, so the EREW baseline sorts once at n = 2^18
+// instead of restarting; with 31-bit keys it expected eight duplicate
+// pairs per attempt there and gave up after maxRestarts. The trace
+// counts the attempts: each opens with one draw step.
+func TestSortingBasedOneAttemptAtLargeN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sorts 2^18 keys")
+	}
+	const n = 1 << 18
+	m := machine.New(machine.EREW, 6*n, machine.WithSeed(1), machine.WithTrace())
+	base, err := SortingBased(m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draws := 0
+	for _, st := range m.StepTraces() {
+		if st.Label == "sortperm/draw" {
+			draws++
+		}
+	}
+	if draws != 1 {
+		t.Errorf("SortingBased drew keys %d times at n = %d, want one attempt", draws, n)
+	}
+	if p := loadPerm(m, base, n); !IsPermutation(p) {
+		t.Error("not a permutation")
+	}
+}
+
 func TestTableIIOrdering(t *testing.T) {
 	// The paper's Table II: the QRQW dart-throwing algorithm beats
 	// dart-throwing-with-scans, which beats the sorting-based EREW
