@@ -532,7 +532,7 @@ func selftest(n int, seed uint64) error {
 	s.Reset()
 	keys := make([]core.Word, n)
 	for i := range keys {
-		keys[i] = core.Word((i*2654435761 + 1) % (1 << 30))
+		keys[i] = core.Word((int64(i)*2654435761 + 1) % (1 << 30))
 	}
 	if err := s.SortUniform(append([]core.Word(nil), keys...), 1<<30); err != nil {
 		return err

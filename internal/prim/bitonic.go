@@ -35,7 +35,7 @@ func BitonicSort(m *machine.Machine, keys, vals, n int) error {
 }
 
 // padSentinel is the +infinity key BitonicSortPadded pads with.
-const padSentinel = 1<<62 - 1
+const padSentinel machine.Word = 1<<62 - 1
 
 // BitonicSortPadded sorts an arbitrary-length region by padding to the
 // next power of two with +infinity sentinels in scratch space. When it

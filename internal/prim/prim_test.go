@@ -52,10 +52,11 @@ func TestMathHelpersPanic(t *testing.T) {
 }
 
 func TestISqrtProperty(t *testing.T) {
+	// v/2 fits a 32-bit int; the squares are checked in int64.
 	f := func(v uint32) bool {
-		n := int(v)
-		r := ISqrt(n)
-		return r*r <= n && (r+1)*(r+1) > n
+		n := int(v / 2)
+		r := int64(ISqrt(n))
+		return r*r <= int64(n) && (r+1)*(r+1) > int64(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -105,7 +105,7 @@ func bucketState(m *machine.Machine, n int, seed uint64) (multicompact.Input, in
 	labels := make([]int, n)
 	for i := range keys {
 		keys[i] = machine.Word(rng.Intn(maxKey))
-		labels[i] = int(keys[i]) * buckets / maxKey
+		labels[i] = int(keys[i] * machine.Word(buckets) / maxKey)
 	}
 	in, err := multicompact.BuildInput(m, labels, buckets)
 	if err != nil {
