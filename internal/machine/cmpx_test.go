@@ -11,12 +11,14 @@ import (
 // CompareExchange rounds in place and through the scalar buffers
 // (noBulkFast), under every model: stats, errors, traces and memory
 // must agree, and the dirty mark must stay sound on both paths. At
-// n = 1024 the rounds with j >= cmpxBlockMin take the blocked kernels
-// and the others the ordinal loops. Keys repeat heavily, so equal keys
-// meet in both kernels; the distinct payload shows that they swap in
-// descending blocks and keep their order in ascending ones.
+// n = 64 and 1024 the rounds with j >= cmpxBlockMin take the blocked
+// kernels and those with j = 1, 2 and 4 the grouped ones, whose rounds
+// with k < cmpxGroup change direction inside a group; n = 8 is a single
+// group, and n = 4 takes the ordinal loops. Keys repeat heavily, so
+// equal keys meet in every kernel; the distinct payload shows that they
+// swap in descending pairs and keep their order in ascending ones.
 func TestCompareExchangePaths(t *testing.T) {
-	for _, n := range []int{64, 1024} {
+	for _, n := range []int{4, 8, 64, 1024} {
 		keys, vals, memN := 5, n+10, 2*n+20
 		for _, model := range allModels {
 			for _, payload := range []bool{false, true} {
@@ -29,7 +31,7 @@ func TestCompareExchangePaths(t *testing.T) {
 						v = vals
 					}
 					for i := range n {
-						m.SetWord(keys+i, Word(rng.Intn(n/16)))
+						m.SetWord(keys+i, Word(rng.Intn(max(n/16, 2))))
 						if payload {
 							m.SetWord(vals+i, Word(i+1))
 						}
