@@ -43,23 +43,26 @@ const q = (1 << 61) - 1
 // polyEval evaluates a polynomial with the given coefficients at x,
 // modulo the prime q and then modulo s.
 func polyEval(coeff []machine.Word, x, s machine.Word) machine.Word {
+	xq := uint64(x) % q
 	acc := uint64(0)
 	for i := len(coeff) - 1; i >= 0; i-- {
-		acc = (mulMod(acc, uint64(x)) + uint64(coeff[i])) % q
+		acc = (mulModQ(acc, xq) + uint64(coeff[i])) % q
 	}
 	return machine.Word(acc % uint64(s))
 }
 
-func mulMod(a, b uint64) uint64 {
+func mulMod(a, b uint64) uint64 { return mulModQ(a%q, b%q) }
+
+// mulModQ is mulMod for a, b < q.
+func mulModQ(a, b uint64) uint64 {
 	// q = 2^61 - 1 is Mersenne: with x = hi*2^64 + lo, x mod q folds as
-	// (x & q) + (x >> 61) since 2^61 = 1 (mod q).
-	hi, lo := bits.Mul64(a%q, b%q)
+	// (x & q) + (x >> 61) since 2^61 = 1 (mod q). The product is below
+	// 2^122, so both terms are below q and one subtraction reduces
+	// their sum.
+	hi, lo := bits.Mul64(a, b)
 	r := (lo & q) + (hi<<3 | lo>>61)
-	for r >= q {
-		r = (r & q) + (r >> 61)
-	}
-	if r == q {
-		r = 0
+	if r >= q {
+		r -= q
 	}
 	return r
 }

@@ -373,8 +373,16 @@ func (m *Machine) Free() {
 	m.ResetStats()
 }
 
+// checkAddr panics unless addr is a cell of shared memory. The panic
+// is built out of line, so the check inlines into Word and the Ctx
+// accessors.
 func (m *Machine) checkAddr(addr int) {
-	if addr < 0 || addr >= len(m.mem) {
-		panic(fmt.Sprintf("machine: address %d out of range 0..%d", addr, len(m.mem)))
+	if uint(addr) >= uint(len(m.mem)) {
+		m.addrFault(addr)
 	}
+}
+
+//go:noinline
+func (m *Machine) addrFault(addr int) {
+	panic(fmt.Sprintf("machine: address %d out of range 0..%d", addr, len(m.mem)))
 }
