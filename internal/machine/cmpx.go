@@ -15,8 +15,9 @@ import "fmt"
 // writes. Each cell has one accessor, so each kind's contention is one,
 // at its lowest address. The address sets are analytic, so the round
 // needs no access buffer and no disjointness proof; under hot-cell
-// profiling (and noBulkFast) the same accesses fill the scalar buffers
-// instead, in the processor-major order Bulk expansion uses.
+// profiling (and noBulkFast), and for n < 8, the same accesses fill the
+// scalar buffers instead, in the processor-major order Bulk expansion
+// uses.
 func (m *Machine) CompareExchange(label string, keys, vals, n, j, k int) error {
 	if n < 2 || n&(n-1) != 0 || j < 1 || j&(j-1) != 0 || k&(k-1) != 0 || 2*j > k || k > n {
 		panic(fmt.Sprintf("machine: CompareExchange n=%d j=%d k=%d", n, j, k))
@@ -44,14 +45,23 @@ func (m *Machine) CompareExchange(label string, keys, vals, n, j, k int) error {
 		first++
 	}
 	var s int
-	buffered := m.hotK > 0 || m.noBulkFast
+	buffered := m.hotK > 0 || m.noBulkFast || n < cmpxGroup
 	switch {
 	case buffered:
 		s = w.recordCmpx(m.mem, keys, vals, n, j, k, first)
-	case j < cmpxBlockMin && n >= cmpxGroup:
+	case j < cmpxBlockMin:
 		s = cmpxGroups(kv, vv, j, k)
 	default:
-		s = cmpxRuns(kv, vv, j, k)
+		// Pairs t to t+k/2 span the k cells from 2t, which share bit k
+		// and so one direction.
+		for t := 0; t < n/2; t += k / 2 {
+			down := 2*t&k != 0
+			if vv == nil {
+				s += cmpxKeyBlocks(kv[2*t:2*t+k], j, down)
+			} else {
+				s += cmpxPairBlocks(kv[2*t:2*t+k], vv[2*t:2*t+k], j, down)
+			}
+		}
 	}
 	if !buffered {
 		w.maxR, w.maxRAddr = 1, keys
@@ -76,26 +86,6 @@ func (m *Machine) CompareExchange(label string, keys, vals, n, j, k int) error {
 	return m.finishStep(n, label)
 }
 
-// cmpxRuns runs a round over the runs of k cells that share one
-// direction (bit k of their cells): blocked kernels for j >=
-// cmpxBlockMin, ordinal loops below it, which serve n < cmpxGroup.
-func cmpxRuns(kv, vv []Word, j, k int) (s int) {
-	for t := 0; t < len(kv)/2; t += k / 2 {
-		down := 2*t&k != 0
-		switch {
-		case j >= cmpxBlockMin && vv == nil:
-			s += cmpxKeyBlocks(kv[2*t:2*t+k], j, down)
-		case j >= cmpxBlockMin:
-			s += cmpxPairBlocks(kv[2*t:2*t+k], vv[2*t:2*t+k], j, down)
-		case vv == nil:
-			s += cmpxKeys(kv, t, t+k/2, j, down)
-		default:
-			s += cmpxPairs(kv, vv, t, t+k/2, j, down)
-		}
-	}
-	return s
-}
-
 // pairAt returns the lower cell i of the round's t-th pair (i, i+j):
 // the t-th index with bit j clear.
 func pairAt(t, j int) int { return t + t&^(j-1) }
@@ -110,49 +100,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// cmpxKeys orders the pairs t0 <= t < t1 ascending (the lower cell
-// keeps the minimum) or descending, and returns how many swapped; a
-// descending pair of equal keys swaps, as in the element-wise network.
-func cmpxKeys(kv []Word, t0, t1, j int, down bool) (c int) {
-	if down {
-		for t := t0; t < t1; t++ {
-			i := pairAt(t, j)
-			x, y := kv[i], kv[i+j]
-			kv[i], kv[i+j] = max(x, y), min(x, y)
-			c += b2i(x <= y)
-		}
-		return c
-	}
-	for t := t0; t < t1; t++ {
-		i := pairAt(t, j)
-		x, y := kv[i], kv[i+j]
-		kv[i], kv[i+j] = min(x, y), max(x, y)
-		c += b2i(x > y)
-	}
-	return c
-}
-
-// cmpxPairs is cmpxKeys with a payload: one swap mask exchanges the key
-// pair and the payload pair.
-func cmpxPairs(kv, vv []Word, t0, t1, j int, down bool) (c int) {
-	vv = vv[:len(kv)]
-	dn := b2i(down)
-	for t := t0; t < t1; t++ {
-		i := pairAt(t, j)
-		l := i + j
-		x, y := kv[i], kv[l]
-		sw := b2i(x > y) ^ dn
-		c += sw
-		mask := -Word(sw)
-		d := (x ^ y) & mask
-		kv[i], kv[l] = x^d, y^d
-		e := (vv[i] ^ vv[l]) & mask
-		vv[i] ^= e
-		vv[l] ^= e
-	}
-	return c
 }
 
 // cmpxGroup is the cell count of one group of cmpxGroups: the largest
@@ -265,13 +212,15 @@ func cxMove(h *[cmpxGroup]Word, lo, hi int, mask Word) {
 
 // cmpxBlockMin is the smallest stride the blocked loop takes. Below it
 // a block's halves are too short to amortize the per-block slicing, and
-// cmpxGroups (or, for n < cmpxGroup, the ordinal loops above) serve.
+// cmpxGroups serves.
 const cmpxBlockMin = 8
 
-// cmpxKeyBlocks is cmpxKeys over kv, whole blocks of 2j cells of one
-// direction: each block pairs its lower half with its upper half, so the
-// loop over a block indexes two equal-length slices without bounds
-// checks.
+// cmpxKeyBlocks orders the pairs of kv, whole blocks of 2j cells of
+// one direction, ascending (the lower cell keeps the minimum) or
+// descending, and returns how many swapped; a descending pair of equal
+// keys swaps, as in the element-wise network. Each block pairs its lower
+// half with its upper half, so the loop over a block indexes two
+// equal-length slices without bounds checks.
 func cmpxKeyBlocks(kv []Word, j int, down bool) (c int) {
 	for b := 0; b < len(kv); b += 2 * j {
 		lo, hi := kv[b:b+j], kv[b+j:b+2*j]
