@@ -57,8 +57,8 @@ func mulMod(a, b uint64) uint64 { return mulModQ(a%q, b%q) }
 func mulModQ(a, b uint64) uint64 {
 	// q = 2^61 - 1 is Mersenne: with x = hi*2^64 + lo, x mod q folds as
 	// (x & q) + (x >> 61) since 2^61 = 1 (mod q). The product is below
-	// 2^122, so both terms are below q and one subtraction reduces
-	// their sum.
+	// 2^122, so x >> 61 is below q, the sum is below 2q, and one
+	// subtraction reduces it.
 	hi, lo := bits.Mul64(a, b)
 	r := (lo & q) + (hi<<3 | lo>>61)
 	if r >= q {
