@@ -15,9 +15,8 @@ import "fmt"
 // writes. Each cell has one accessor, so each kind's contention is one,
 // at its lowest address. The address sets are analytic, so the round
 // needs no access buffer and no disjointness proof; under hot-cell
-// profiling (and noBulkFast), and for n < 8, the same accesses fill the
-// scalar buffers instead, in the processor-major order Bulk expansion
-// uses.
+// profiling (and noBulkFast) the same accesses fill the scalar buffers
+// instead, in the processor-major order Bulk expansion uses.
 func (m *Machine) CompareExchange(label string, keys, vals, n, j, k int) error {
 	if n < 2 || n&(n-1) != 0 || j < 1 || j&(j-1) != 0 || k&(k-1) != 0 || 2*j > k || k > n {
 		panic(fmt.Sprintf("machine: CompareExchange n=%d j=%d k=%d", n, j, k))
@@ -44,26 +43,25 @@ func (m *Machine) CompareExchange(label string, keys, vals, n, j, k int) error {
 	for first < n/2 && !cmpxSwaps(kv, pairAt(first, j), j, k) {
 		first++
 	}
-	var s int
-	buffered := m.hotK > 0 || m.noBulkFast || n < cmpxGroup
-	switch {
-	case buffered:
+	s := 0
+	if m.hotK > 0 || m.noBulkFast {
 		s = w.recordCmpx(m.mem, keys, vals, n, j, k, first)
-	case j < cmpxBlockMin:
-		s = cmpxGroups(kv, vv, j, k)
-	default:
+	} else {
 		// Pairs t to t+k/2 span the k cells from 2t, which share bit k
 		// and so one direction.
 		for t := 0; t < n/2; t += k / 2 {
 			down := 2*t&k != 0
-			if vv == nil {
+			switch {
+			case j >= cmpxBlockMin && vv == nil:
 				s += cmpxKeyBlocks(kv[2*t:2*t+k], j, down)
-			} else {
+			case j >= cmpxBlockMin:
 				s += cmpxPairBlocks(kv[2*t:2*t+k], vv[2*t:2*t+k], j, down)
+			case vv == nil:
+				s += cmpxKeys(kv, t, t+k/2, j, down)
+			default:
+				s += cmpxPairs(kv, vv, t, t+k/2, j, down)
 			}
 		}
-	}
-	if !buffered {
 		w.maxR, w.maxRAddr = 1, keys
 		if s > 0 {
 			i := pairAt(first, j)
@@ -102,125 +100,58 @@ func b2i(b bool) int {
 	return 0
 }
 
-// cmpxGroup is the cell count of one group of cmpxGroups: the largest
-// stride it serves is cmpxGroup/2 = 4, so the pairs of strides 1, 2
-// and 4 fall within aligned groups.
-const cmpxGroup = 8
-
-// cmpxGroups runs a round with j = 1, 2 or 4 over kv (and the payload
-// vv, unless nil) one aligned group of cmpxGroup cells at a time, with
-// each of the group's four pairs at constant offsets. A pair's
-// direction is bit k of its lower cell, so rounds with k < 8, whose
-// direction changes inside a group, need no shorter loop.
-func cmpxGroups(kv, vv []Word, j, k int) (c int) {
-	if vv == nil && k >= cmpxGroup {
-		return cmpxKeyGroups(kv, j, k)
+// cmpxKeys orders the pairs t0 <= t < t1 ascending (the lower cell
+// keeps the minimum) or descending, and returns how many swapped; a
+// descending pair of equal keys swaps, as in the element-wise network.
+func cmpxKeys(kv []Word, t0, t1, j int, down bool) (c int) {
+	if down {
+		for t := t0; t < t1; t++ {
+			i := pairAt(t, j)
+			x, y := kv[i], kv[i+j]
+			kv[i], kv[i+j] = max(x, y), min(x, y)
+			c += b2i(x <= y)
+		}
+		return c
 	}
-	for b := 0; b < len(kv); b += cmpxGroup {
-		g := (*[cmpxGroup]Word)(kv[b : b+cmpxGroup])
-		var m0, m1, m2, m3 Word
-		switch j {
-		case 1:
-			m0, m1, m2, m3 = cx(g, 0, 1, b, k), cx(g, 2, 3, b, k), cx(g, 4, 5, b, k), cx(g, 6, 7, b, k)
-		case 2:
-			m0, m1, m2, m3 = cx(g, 0, 2, b, k), cx(g, 1, 3, b, k), cx(g, 4, 6, b, k), cx(g, 5, 7, b, k)
-		default:
-			m0, m1, m2, m3 = cx(g, 0, 4, b, k), cx(g, 1, 5, b, k), cx(g, 2, 6, b, k), cx(g, 3, 7, b, k)
-		}
-		c -= int(m0 + m1 + m2 + m3)
-		if vv == nil {
-			continue
-		}
-		h := (*[cmpxGroup]Word)(vv[b : b+cmpxGroup])
-		switch j {
-		case 1:
-			cxMove(h, 0, 1, m0)
-			cxMove(h, 2, 3, m1)
-			cxMove(h, 4, 5, m2)
-			cxMove(h, 6, 7, m3)
-		case 2:
-			cxMove(h, 0, 2, m0)
-			cxMove(h, 1, 3, m1)
-			cxMove(h, 4, 6, m2)
-			cxMove(h, 5, 7, m3)
-		default:
-			cxMove(h, 0, 4, m0)
-			cxMove(h, 1, 5, m1)
-			cxMove(h, 2, 6, m2)
-			cxMove(h, 3, 7, m3)
-		}
+	for t := t0; t < t1; t++ {
+		i := pairAt(t, j)
+		x, y := kv[i], kv[i+j]
+		kv[i], kv[i+j] = min(x, y), max(x, y)
+		c += b2i(x > y)
 	}
 	return c
 }
 
-// cmpxKeyGroups is cmpxGroups without a payload when k >= cmpxGroup, so
-// that each group has one direction: a pair is a min and a max.
-func cmpxKeyGroups(kv []Word, j, k int) (c int) {
-	for b := 0; b < len(kv); b += cmpxGroup {
-		g := (*[cmpxGroup]Word)(kv[b : b+cmpxGroup])
-		switch {
-		case b&k != 0 && j == 1:
-			c += cxDown(g, 0, 1) + cxDown(g, 2, 3) + cxDown(g, 4, 5) + cxDown(g, 6, 7)
-		case b&k != 0 && j == 2:
-			c += cxDown(g, 0, 2) + cxDown(g, 1, 3) + cxDown(g, 4, 6) + cxDown(g, 5, 7)
-		case b&k != 0:
-			c += cxDown(g, 0, 4) + cxDown(g, 1, 5) + cxDown(g, 2, 6) + cxDown(g, 3, 7)
-		case j == 1:
-			c += cxUp(g, 0, 1) + cxUp(g, 2, 3) + cxUp(g, 4, 5) + cxUp(g, 6, 7)
-		case j == 2:
-			c += cxUp(g, 0, 2) + cxUp(g, 1, 3) + cxUp(g, 4, 6) + cxUp(g, 5, 7)
-		default:
-			c += cxUp(g, 0, 4) + cxUp(g, 1, 5) + cxUp(g, 2, 6) + cxUp(g, 3, 7)
-		}
+// cmpxPairs is cmpxKeys with a payload: one swap mask exchanges the key
+// pair and the payload pair.
+func cmpxPairs(kv, vv []Word, t0, t1, j int, down bool) (c int) {
+	vv = vv[:len(kv)]
+	dn := b2i(down)
+	for t := t0; t < t1; t++ {
+		i := pairAt(t, j)
+		l := i + j
+		x, y := kv[i], kv[l]
+		sw := b2i(x > y) ^ dn
+		c += sw
+		mask := -Word(sw)
+		d := (x ^ y) & mask
+		kv[i], kv[l] = x^d, y^d
+		e := (vv[i] ^ vv[l]) & mask
+		vv[i] ^= e
+		vv[l] ^= e
 	}
 	return c
-}
-
-// cxUp orders the pair (lo, hi) of the group g ascending and reports
-// whether it swapped; cxDown orders it descending, where a pair of
-// equal keys counts as swapped, as in the element-wise network.
-func cxUp(g *[cmpxGroup]Word, lo, hi int) int {
-	x, y := g[lo], g[hi]
-	g[lo], g[hi] = min(x, y), max(x, y)
-	return b2i(x > y)
-}
-
-func cxDown(g *[cmpxGroup]Word, lo, hi int) int {
-	x, y := g[lo], g[hi]
-	g[lo], g[hi] = max(x, y), min(x, y)
-	return b2i(x <= y)
-}
-
-// cx puts the pair (lo, hi) of the group g at cell b in the order bit k
-// of b+lo selects and returns its swap mask: all ones if it swapped,
-// else zero. A descending pair of equal keys swaps, as in the
-// element-wise network.
-func cx(g *[cmpxGroup]Word, lo, hi, b, k int) Word {
-	x, y := g[lo], g[hi]
-	mask := -Word(b2i(x > y) ^ b2i((b+lo)&k != 0))
-	d := (x ^ y) & mask
-	g[lo], g[hi] = x^d, y^d
-	return mask
-}
-
-// cxMove swaps the payload pair (lo, hi) of the group h under mask.
-func cxMove(h *[cmpxGroup]Word, lo, hi int, mask Word) {
-	e := (h[lo] ^ h[hi]) & mask
-	h[lo] ^= e
-	h[hi] ^= e
 }
 
 // cmpxBlockMin is the smallest stride the blocked loop takes. Below it
 // a block's halves are too short to amortize the per-block slicing, and
-// cmpxGroups serves.
+// the ordinal loops above are faster.
 const cmpxBlockMin = 8
 
-// cmpxKeyBlocks orders the pairs of kv, whole blocks of 2j cells of
-// one direction, ascending (the lower cell keeps the minimum) or
-// descending, and returns how many swapped; a descending pair of equal
-// keys swaps, as in the element-wise network. Each block pairs its lower
-// half with its upper half, so the loop over a block indexes two
-// equal-length slices without bounds checks.
+// cmpxKeyBlocks is cmpxKeys over kv, whole blocks of 2j cells of one
+// direction: each block pairs its lower half with its upper half, so the
+// loop over a block indexes two equal-length slices without bounds
+// checks.
 func cmpxKeyBlocks(kv []Word, j int, down bool) (c int) {
 	for b := 0; b < len(kv); b += 2 * j {
 		lo, hi := kv[b:b+j], kv[b+j:b+2*j]

@@ -12,12 +12,10 @@ import (
 // (noBulkFast), under every model: stats, errors, traces and memory
 // must agree, and the dirty mark must stay sound on both paths. At
 // n = 64 and 1024 the rounds with j >= cmpxBlockMin take the blocked
-// kernels and those with j = 1, 2 and 4 the grouped ones, whose rounds
-// with k < cmpxGroup change direction inside a group; n = 8 is a single
-// group, and n = 4, below one group, is buffered on both sides. Keys
-// repeat heavily, so equal keys meet in every kernel; the distinct
-// payload shows that they swap in descending pairs and keep their order
-// in ascending ones.
+// kernels and those with j = 1, 2 and 4 the ordinal loops, which alone
+// serve n = 4 and 8. Keys repeat heavily, so equal keys meet in every
+// kernel; the distinct payload shows that they swap in descending pairs
+// and keep their order in ascending ones.
 func TestCompareExchangePaths(t *testing.T) {
 	for _, n := range []int{4, 8, 64, 1024} {
 		keys, vals, memN := 5, n+10, 2*n+20
