@@ -49,6 +49,14 @@ type Result struct {
 // Empty is the sentinel stored in unoccupied output cells.
 const Empty machine.Word = -(1 << 62)
 
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // sqrtLog returns f = ceil(sqrt(lg n)) >= 1.
 func sqrtLog(n int) int {
 	if n < 2 {
@@ -212,11 +220,7 @@ func linearCompactImpl(m *machine.Machine, flags, vals, n, k int, pos int) (Resu
 		sv := b.ReadRange(stage, stageLen, 1, 0, 1)
 		iw := b.Vals(stageLen)
 		for i, v := range sv {
-			if v != 0 {
-				iw[i] = 1
-			} else {
-				iw[i] = 0
-			}
+			iw[i] = machine.Word(b2i(v != 0))
 		}
 		b.WriteRange(rankTree+stageLen, stageLen, 1, 0, 1, iw)
 		if err := b.Commit(); err != nil {

@@ -181,18 +181,19 @@ func Build(m *machine.Machine, keys, n int) (*Table, error) {
 	{
 		b := m.Bulk(n, "hash/empties")
 		cv := b.ReadRange(in.Counts, n, 1, 0, 1)
-		var eIdx []int
+		// Bucket counts are random: keep the empty buckets without
+		// branching, writing each to the next slot (one spare).
+		eIdx, k := make([]int, n+1), 0
 		for j, v := range cv {
-			if v == 0 {
-				eIdx = append(eIdx, t.blockAddr+j)
-			}
+			eIdx[k] = t.blockAddr + j
+			k += b2i(v == 0)
 		}
-		if len(eIdx) > 0 {
-			ev := b.Vals(len(eIdx))
+		if k > 0 {
+			ev := b.Vals(k)
 			for j := range ev {
 				ev[j] = -2
 			}
-			b.Scatter(eIdx, 0, ev)
+			b.Scatter(eIdx[:k], 0, ev)
 		}
 		if err := b.Commit(); err != nil {
 			return nil, err
@@ -500,6 +501,14 @@ func duplicateEach(m *machine.Machine, base, k, copies int) error {
 		}
 	}
 	return nil
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ipow returns floor(n^(num/den)) crudely via floating point, clamped to

@@ -87,11 +87,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 			av := b.ReadRange(a, total, 1, 0, 1)
 			fw := b.Vals(total)
 			for j, v := range av {
-				if v > 0 {
-					fw[j] = 1
-				} else {
-					fw[j] = 0
-				}
+				fw[j] = machine.Word(b2i(v > 0))
 			}
 			b.WriteRange(flags, total, 1, 0, 1, fw)
 			if err := b.Commit(); err != nil {
@@ -106,22 +102,14 @@ func Random(m *machine.Machine, n int) (int, error) {
 		{
 			b := m.Bulk(total, "perm/emit")
 			av := b.ReadRange(a, total, 1, 0, 1)
-			rIdx := d.hit[:0]
+			rIdx, ov := d.hit[:n+1], b.Vals(n+1)
+			k := 0
 			for j, v := range av {
-				if v > 0 {
-					rIdx = append(rIdx, ranks+j)
-				}
+				rIdx[k], ov[k] = ranks+j, v-1
+				k += b2i(v > 0)
 			}
-			b.Gather(rIdx, 0)
-			ov := b.Vals(len(rIdx))
-			t := 0
-			for _, v := range av {
-				if v > 0 {
-					ov[t] = v - 1
-					t++
-				}
-			}
-			b.WriteRange(out, len(rIdx), 1, 0, 1, ov)
+			b.Gather(rIdx[:k], 0)
+			b.WriteRange(out, k, 1, 0, 1, ov[:k])
 			if err := b.Commit(); err != nil {
 				return 0, err
 			}
@@ -148,9 +136,9 @@ type darts struct {
 	items                []int          // unplaced items, ascending
 	act, tgt             []int          // the round's choice and target cells, by item
 	ids                  []machine.Word // the round's darts: item+1
-	// hit holds each step's third list (lost darts, then winners); the
-	// callers reuse it after the rounds (one step commits before the
-	// next refills it).
+	// hit holds each step's third list (lost darts, then winners), n+1
+	// cells for the spare slot of a selection loop; the callers reuse
+	// it after the rounds (one step commits before the next refills it).
 	hit []int
 }
 
@@ -164,7 +152,7 @@ func newDarts(m *machine.Machine, n int, prefix string) *darts {
 		act:    make([]int, 0, n),
 		tgt:    make([]int, 0, n),
 		ids:    make([]machine.Word, 0, n),
-		hit:    make([]int, 0, n),
+		hit:    make([]int, n+1),
 	}
 }
 
@@ -213,18 +201,17 @@ func (d *darts) round(sub, subLen int) error {
 	if len(d.act) > 0 {
 		b.Gather(d.act, 0)
 		av := b.Gather(d.tgt, 0)
-		lost := d.hit[:0]
+		lost, k := d.hit, 0
 		for p, at := range d.tgt {
-			if av[p] != d.ids[p] {
-				lost = append(lost, at)
-			}
+			lost[k] = at
+			k += b2i(av[p] != d.ids[p])
 		}
-		if len(lost) > 0 {
-			dv := b.Vals(len(lost))
+		if k > 0 {
+			dv := b.Vals(k)
 			for p := range dv {
 				dv[p] = dirty
 			}
-			b.Scatter(lost, 0, dv)
+			b.Scatter(lost[:k], 0, dv)
 		}
 	}
 	if err := b.Commit(); err != nil {
@@ -236,23 +223,34 @@ func (d *darts) round(sub, subLen int) error {
 	if len(d.act) > 0 {
 		b.Gather(d.act, 0)
 		av := b.Gather(d.tgt, 0)
-		win := d.hit[:0]
-		wv := b.Vals(len(d.act))[:0]
-		left := d.items[:0]
+		// Winners go to win and wv, the rest stay in items in place
+		// (kl <= p, so no item is overwritten before it is read).
+		win, wv := d.hit, b.Vals(len(d.act)+1)
+		kw, kl := 0, 0
 		for p, i := range d.items {
-			if av[p] == d.ids[p] {
-				win = append(win, d.status+i)
-				wv = append(wv, machine.Word(d.tgt[p]-a))
-			} else {
-				left = append(left, i)
-			}
+			w := b2i(av[p] == d.ids[p])
+			win[kw], wv[kw] = d.status+i, machine.Word(d.tgt[p]-a)
+			kw += w
+			d.items[kl] = i
+			kl += 1 - w
 		}
-		d.items = left
-		if len(win) > 0 {
-			b.Scatter(win, 0, wv)
+		d.items = d.items[:kl]
+		if kw > 0 {
+			b.Scatter(win[:kw], 0, wv[:kw])
 		}
 	}
 	return b.Commit()
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch: the
+// selection loops above keep or drop cells of a randomly filled dart
+// array, which a branch would mispredict about half the time. Each
+// writes its candidate to a spare slot and advances by b2i.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // dartSubarrays returns the sizes of Random's per-round subarrays of A
@@ -333,8 +331,8 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 	}
 	d := newDarts(m, n, "scandart")
 	d.start(a, status, choice)
-	// clr holds the cells the transfer clears.
-	clr := make([]int, 0, aLen)
+	// clr holds the cells the transfer clears, with a spare slot.
+	clr := make([]int, aLen+1)
 	for round, placed := 0, 0; placed < n; round++ {
 		if round > maxRestarts {
 			return 0, fmt.Errorf("perm: ScanDart exceeded %d rounds", maxRestarts)
@@ -349,11 +347,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 			av := b.ReadRange(a, aLen, 1, 0, 1)
 			fw := b.Vals(aLen)
 			for j, v := range av {
-				if v > 0 {
-					fw[j] = 1
-				} else {
-					fw[j] = 0
-				}
+				fw[j] = machine.Word(b2i(v > 0))
 			}
 			b.WriteRange(flags, aLen, 1, 0, 1, fw)
 			if err := b.Commit(); err != nil {
@@ -371,31 +365,20 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 			// cleared by an ascending scatter of zeros.
 			b := m.Bulk(aLen, "scandart/transfer")
 			av := b.ReadRange(a, aLen, 1, 0, 1)
-			rIdx, clrIdx := d.hit[:0], clr[:0]
+			rIdx, ov := d.hit, b.Vals(n+1)
+			t, c := 0, 0
 			for j, v := range av {
-				if v > 0 {
-					rIdx = append(rIdx, ranks+j)
-				}
-				if v != 0 {
-					clrIdx = append(clrIdx, a+j)
-				}
+				rIdx[t], ov[t] = ranks+j, v-1
+				t += b2i(v > 0)
+				clr[c] = a + j
+				c += b2i(v != 0)
 			}
-			b.Gather(rIdx, 0)
-			ov := b.Vals(len(rIdx))
-			t := 0
-			for _, v := range av {
-				if v > 0 {
-					ov[t] = v - 1
-					t++
-				}
-			}
-			b.WriteRange(out+k, len(rIdx), 1, 0, 1, ov)
-			if len(clrIdx) > 0 {
-				zv := b.Vals(len(clrIdx))
-				for p := range zv {
-					zv[p] = 0
-				}
-				b.Scatter(clrIdx, 0, zv)
+			b.Gather(rIdx[:t], 0)
+			b.WriteRange(out+k, t, 1, 0, 1, ov[:t])
+			if c > 0 {
+				zv := b.Vals(c)
+				clear(zv)
+				b.Scatter(clr[:c], 0, zv)
 			}
 			if err := b.Commit(); err != nil {
 				return 0, err

@@ -23,11 +23,7 @@ func Pack(m *machine.Machine, flags, vals, out, n int) (int, error) {
 	fl := b.ReadRange(flags, n, 1, 0, 1)
 	iv := b.Vals(n)
 	for i, f := range fl {
-		if f != 0 {
-			iv[i] = 1
-		} else {
-			iv[i] = 0
-		}
+		iv[i] = machine.Word(b2i(f != 0))
 	}
 	b.WriteRange(ind, n, 1, 0, 1, iv)
 	if err := b.Commit(); err != nil {
@@ -39,15 +35,18 @@ func Pack(m *machine.Machine, flags, vals, out, n int) (int, error) {
 	}
 	b = m.Bulk(n, "pack/scatter")
 	fl = b.ReadRange(flags, n, 1, 0, 1)
-	posIdx := make([]int, 0, int(total))
-	valIdx := make([]int, 0, int(total))
+	// The flags are arbitrary data, so the loop keeps the flagged
+	// cells without branching on them: every cell is written to the
+	// next slot (one spare), which advances only for a flagged cell.
+	posIdx := make([]int, total+1)
+	valIdx := make([]int, total+1)
+	t := 0
 	for i, f := range fl {
-		if f != 0 {
-			posIdx = append(posIdx, pos+i)
-			valIdx = append(valIdx, vals+i)
-		}
+		posIdx[t], valIdx[t] = pos+i, vals+i
+		t += b2i(f != 0)
 	}
-	if t := len(posIdx); t > 0 {
+	posIdx, valIdx = posIdx[:t], valIdx[:t]
+	if t > 0 {
 		// The position reads are charged but their values are known by
 		// construction: flagged cell number k lands at out+k.
 		b.Gather(posIdx, 0)
@@ -58,4 +57,12 @@ func Pack(m *machine.Machine, flags, vals, out, n int) (int, error) {
 		return 0, err
 	}
 	return int(total), nil
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
