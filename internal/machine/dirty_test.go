@@ -273,6 +273,47 @@ func TestDirtyMarkGrowth(t *testing.T) {
 	checkResetClean(t, m)
 }
 
+// TestDirtyMarkRelease: Release clears only the released words below
+// the dirty mark and lowers the mark to its watermark, unless a word at
+// or above brk was written; it never touches a word below the
+// watermark.
+func TestDirtyMarkRelease(t *testing.T) {
+	m := New(QRQW, 1<<10)
+	low := m.Alloc(100)
+	m.Fill(low, 100, 3)
+	mark := m.Mark()
+	r := m.Alloc(200)
+	if err := m.ParDo(50, func(c *Ctx, i int) { c.Write(r+4*i, Word(i+1)) }); err != nil {
+		t.Fatal(err)
+	}
+	before := m.LoadWords(0, mark)
+	m.Release(mark)
+	checkDirtyMark(t, m, mark)
+	if !slices.Equal(m.LoadWords(0, mark), before) {
+		t.Fatal("Release changed a word below its watermark")
+	}
+
+	// Nothing written since: the mark is below the watermark of a
+	// second release and stays there.
+	m.Alloc(50)
+	mark2 := m.Mark()
+	m.Alloc(10)
+	m.Release(mark2)
+	checkDirtyMark(t, m, mark)
+	m.Release(mark)
+
+	// A word written at or above brk keeps the mark where it was.
+	r = m.Alloc(20)
+	m.Fill(r, 20, 9)
+	m.SetWord(700, 1)
+	m.Release(mark)
+	checkDirtyMark(t, m, 701)
+	if !slices.Equal(m.LoadWords(0, mark), before) {
+		t.Fatal("Release changed a word below its watermark")
+	}
+	checkResetClean(t, m)
+}
+
 // TestDirtyMarkCompareExchange checks that an in-place bitonic round
 // raises the mark over the cells it writes: the keys above the mark are
 // zero until the round swaps nonzero keys into them.

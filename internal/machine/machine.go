@@ -256,12 +256,20 @@ func (m *Machine) Mark() int { return m.brk }
 
 // Release rolls the bump allocator back to a watermark previously
 // obtained from Mark, zeroing the released region so that subsequent
-// Alloc calls return zeroed memory.
+// Alloc calls return zeroed memory. Words at or above the dirty mark
+// are zero already, so it clears only those below it; when no word at
+// or above brk was written, everything from mark up is then zero, and
+// the dirty mark drops to mark so that Reset does not clear them again.
 func (m *Machine) Release(mark int) {
 	if mark < 0 || mark > m.brk {
 		panic("machine: Release with invalid mark")
 	}
-	clear(m.mem[mark:m.brk])
+	if mark < m.dirty {
+		clear(m.mem[mark:min(m.brk, m.dirty)])
+	}
+	if m.dirty <= m.brk {
+		m.dirty = min(m.dirty, mark)
+	}
 	m.brk = mark
 }
 
