@@ -102,7 +102,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 		{
 			b := m.Bulk(total, "perm/emit")
 			av := b.ReadRange(a, total, 1, 0, 1)
-			rIdx, ov := d.hit[:n+1], b.Vals(n+1)
+			rIdx, ov := d.hit, b.Vals(n+1)
 			k := 0
 			for j, v := range av {
 				rIdx[k], ov[k] = ranks+j, v-1
@@ -244,8 +244,8 @@ func (d *darts) round(sub, subLen int) error {
 
 // b2i is 1 for true and 0 for false, compiled without a branch: the
 // selection loops above keep or drop cells of a randomly filled dart
-// array, which a branch would mispredict about half the time. Each
-// writes its candidate to a spare slot and advances by b2i.
+// array, whose pattern a branch predictor cannot learn. Each writes
+// its candidate to a spare slot and advances by b2i.
 func b2i(b bool) int {
 	if b {
 		return 1
