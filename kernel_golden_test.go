@@ -26,10 +26,9 @@ import (
 //
 //	go test -run TestGoldenKernelSeeds -update .
 
-var (
-	kernelSizes = []int{1, 2, 3, 63, 64, 65, 1000, 1024}
-	kernelSeeds = 16
-)
+var kernelSizes = []int{1, 2, 3, 63, 64, 65, 1000, 1024}
+
+const kernelSeeds = 16
 
 // kernelRun runs one kernel on a fresh QRQW machine seeded with seed,
 // drawing its input from in, and returns the words of its output region.
@@ -110,7 +109,7 @@ func TestGoldenKernelSeeds(t *testing.T) {
 	var sb strings.Builder
 	for _, tc := range tests {
 		for _, n := range kernelSizes {
-			for seed := uint64(1); seed <= uint64(kernelSeeds); seed++ {
+			for seed := uint64(1); seed <= kernelSeeds; seed++ {
 				m := machine.New(machine.QRQW, 1<<12, machine.WithSeed(seed))
 				out, err := tc.run(m, n, xrand.NewStream(seed))
 				if err != nil {
@@ -149,7 +148,7 @@ func TestKernelSeedsPlaceInOneRound(t *testing.T) {
 	} {
 		found := false
 		for _, n := range kernelSizes[1:3] {
-			for seed := uint64(1); seed <= uint64(kernelSeeds) && !found; seed++ {
+			for seed := uint64(1); seed <= kernelSeeds && !found; seed++ {
 				m := machine.New(machine.QRQW, 1<<12, machine.WithSeed(seed), machine.WithTrace())
 				if _, err := tc.f(m, n); err != nil {
 					t.Fatal(err)
