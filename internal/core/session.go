@@ -27,7 +27,8 @@ func NewSession(model machine.Model, memWords int, opts ...machine.Option) *Sess
 // marshalling should still go through DeviceSlice.
 func (s *Session) Machine() *machine.Machine { return s.m }
 
-// Model returns the session machine's contention model.
+// Model returns the session machine's contention model. Algorithm code
+// may branch on it only through HasUnitScan (see machine.Machine.Model).
 func (s *Session) Model() machine.Model { return s.m.Model() }
 
 // Stats returns the machine's accumulated charged cost.

@@ -65,13 +65,16 @@ type Ctx struct {
 	requested []int // memWords of each Session call, in acquisition order
 	meas      []Measurement
 	acquireNs int64 // summed wall time spent acquiring sessions
+	clock     int64 // step clock shared by the profiled sessions
 }
 
 // Session acquires a pooled session with the given model, minimum memory
 // capacity, and seed — profiled when the runner is profiling, and with
 // the model replaced when the cell's task carries a model override (the
 // sweep layer's mechanism for charging the same cells under a different
-// contention rule). It is released back to the pool when the cell
+// contention rule). A profiled session's steps tick the cell's step
+// clock, so the traces of all its sessions merge in execution order. It
+// is released back to the pool when the cell
 // finishes; do not retain it (or any DeviceSlice bound to it) beyond
 // the cell's Run.
 func (c *Ctx) Session(model machine.Model, memWords int, seed uint64) *core.Session {
@@ -82,6 +85,7 @@ func (c *Ctx) Session(model machine.Model, memWords int, seed uint64) *core.Sess
 	var s *core.Session
 	if c.profiled {
 		s = c.pool.AcquireProfiled(model, memWords, seed, c.hotK)
+		s.Machine().SetStepClock(&c.clock)
 	} else {
 		s = c.pool.Acquire(model, memWords, seed)
 	}
@@ -125,7 +129,54 @@ type CellResult struct {
 	// simulated run, so MarshalJSON leaves them out and no artifact
 	// renders them.
 	Footprints []Footprint
-	Err        error
+	// Charges holds one outcome per model the task lists in Charge, in
+	// that order, derived from the cell's step traces; like Footprints,
+	// MarshalJSON leaves it out.
+	Charges []Charge
+	Err     error
+}
+
+// Charge is a cell's outcome under a model derived from the traced run
+// that executed it (Definition 2.3's rules applied to each step's
+// shape). The cell ends at the first step the model forbids, in the
+// order the cell's sessions executed their steps; Err is then that
+// step's *machine.ViolationError, carrying Model, Step, Kind and, for
+// read and write violations, Count, but no Addr (the trace has none).
+// If the model forbids no step, the cell ends as the executed one did:
+// Err is its error, or else Time is the sum of the model's step costs
+// over every session.
+type Charge struct {
+	Model machine.Model
+	Time  int64
+	Err   error
+}
+
+// charge derives the outcome under model mo of a cell whose sessions'
+// traces, ticked by one step clock, are traces, and whose executed run
+// ended with cellErr.
+func charge(mo machine.Model, traces [][]machine.StepTrace, cellErr error) Charge {
+	var first *machine.ViolationError
+	var firstTick, time int64
+	for _, tr := range traces {
+		for _, t := range tr {
+			if first != nil && t.Tick > firstTick {
+				break
+			}
+			if kind, count := mo.Violation(t.MaxOps, t.ReadCont, t.WriteCont); kind != "" {
+				first = &machine.ViolationError{Model: mo, Step: t.Step, Kind: kind, Count: count}
+				firstTick = t.Tick
+				break
+			}
+			time += mo.StepCost(t.MaxOps, t.ReadCont, t.WriteCont)
+		}
+	}
+	switch {
+	case first != nil:
+		return Charge{Model: mo, Err: first}
+	case cellErr != nil:
+		return Charge{Model: mo, Err: cellErr}
+	}
+	return Charge{Model: mo, Time: time}
 }
 
 // Footprint is one session's memory record within a cell: its model,
@@ -270,11 +321,15 @@ func (r *Runner) Run(e Experiment, sizes []int, seed uint64) Result {
 
 // Task is one schedulable cell, bound to the base seed its Ctx carries
 // and the model override its sessions are charged under (nil: the
-// models the cell pins).
+// models the cell pins). Charge lists models to derive the cell's
+// outcome under from its step traces (CellResult.Charges); it needs a
+// profiling runner, and is sound for a model that agrees with every
+// session's executed model on HasUnitScan.
 type Task struct {
-	Cell  Cell
-	Seed  uint64
-	Model *machine.Model
+	Cell   Cell
+	Seed   uint64
+	Model  *machine.Model
+	Charge []machine.Model
 }
 
 // RunTasks is the runner's one scheduler: it executes tasks over a
@@ -354,6 +409,7 @@ func (r *Runner) runCell(pool *core.SessionPool, t Task, index int) (out CellRes
 	acquire = &ctx.acquireNs
 	out = CellResult{Cell: c.Name, Index: index}
 	defer func() {
+		var traces [][]machine.StepTrace
 		for i, s := range ctx.sessions {
 			// Aggregate before Release: releasing resets the machine,
 			// which clears its trace, its allocation peak, and disables
@@ -362,8 +418,9 @@ func (r *Runner) runCell(pool *core.SessionPool, t Task, index int) (out CellRes
 				Model: s.Model(), Requested: ctx.requested[i], Peak: s.Machine().PeakAllocated(),
 			})
 			if r.Profile {
-				out.Profiles = append(out.Profiles,
-					profile.FromTrace(s.Model().String(), s.StepTraces(), max(hotK, 1)))
+				tr := s.StepTraces()
+				traces = append(traces, tr)
+				out.Profiles = append(out.Profiles, profile.FromTrace(s.Model().String(), tr, max(hotK, 1)))
 			}
 			out.Exec = out.Exec.Add(s.ExecStats())
 			pool.Release(s)
@@ -371,6 +428,9 @@ func (r *Runner) runCell(pool *core.SessionPool, t Task, index int) (out CellRes
 		out.Measurements = ctx.meas
 		if p := recover(); p != nil {
 			out.Err = fmt.Errorf("cell panicked: %v", p)
+		}
+		for _, mo := range t.Charge {
+			out.Charges = append(out.Charges, charge(mo, traces, out.Err))
 		}
 	}()
 	out.Err = c.Run(ctx)

@@ -483,11 +483,10 @@ func (b *Bulk) settleBulk(w *worker) {
 		}
 		if mo := max(r, wr, c); mo > 0 {
 			w.maxOps = max(w.maxOps, mo)
-			if simd && mo > 1 && !w.simdViol {
+			if simd && mo > 1 && w.simdCount == 0 {
 				// Ascending sweep: this is the lowest-indexed processor
 				// exceeding the SIMD one-op rule, exactly the processor
 				// scalar replay would report.
-				w.simdViol = true
 				w.simdCount = mo
 			}
 		}

@@ -79,7 +79,7 @@ func (m *Machine) CompareExchange(label string, keys, vals, n, j, k int) error {
 		w.maxOps, w.reads, w.writesN = 4, w.reads+2*int64(s), 2*w.writesN
 	}
 	if m.model.SIMD() {
-		w.simdViol, w.simdCount = true, w.maxOps
+		w.simdCount = w.maxOps
 	}
 	return m.finishStep(n, label)
 }

@@ -76,8 +76,9 @@ type Machine struct {
 	stats     Stats
 	trace     []StepTrace
 	tracing   bool
-	hotK      int   // per-step hot-cell top-K (0 = no hot-cell attribution)
-	err       error // sticky first model violation
+	hotK      int    // per-step hot-cell top-K (0 = no hot-cell attribution)
+	clock     *int64 // shared step clock stamping trace ticks (nil: none)
+	err       error  // sticky first model violation
 
 	// traceOpt/hotKOpt remember the construction-time tracing settings;
 	// Reset restores them, so a pooled machine whose profiling was
@@ -152,10 +153,28 @@ func (m *Machine) EnableProfiling(k int) {
 	m.hotK = clampHotK(k)
 }
 
-// DisableProfiling restores the construction-time tracing settings.
+// DisableProfiling restores the construction-time tracing settings
+// and detaches the step clock.
 func (m *Machine) DisableProfiling() {
 	m.tracing = m.traceOpt
 	m.hotK = m.hotKOpt
+	m.clock = nil
+}
+
+// SetStepClock makes every subsequently traced step advance *clock and
+// record its new value as the step's Tick. Machines that share a clock
+// and run on one goroutine, one step at a time, thereby number their
+// steps in the order they executed, so their traces merge into one
+// run. nil detaches the clock; Reset and DisableProfiling detach it too.
+func (m *Machine) SetStepClock(clock *int64) { m.clock = clock }
+
+// record appends one step's trace entry, stamped from the step clock.
+func (m *Machine) record(t StepTrace) {
+	if m.clock != nil {
+		*m.clock++
+		t.Tick = *m.clock
+	}
+	m.trace = append(m.trace, t)
 }
 
 // Profiling reports whether per-step tracing is currently enabled and
@@ -179,7 +198,11 @@ func New(model Model, memWords int, opts ...Option) *Machine {
 	return m
 }
 
-// Model returns the machine's contention model.
+// Model returns the machine's contention model. Algorithm code may
+// branch on it only through HasUnitScan: the step rules (StepCost and
+// Violation) are the engine's, and a run that no rule stops executes
+// the same steps under every model that agrees on HasUnitScan, which is
+// what lets one traced run be charged under all of them.
 func (m *Machine) Model() Model { return m.model }
 
 // Seed returns the machine's base random seed.

@@ -97,17 +97,19 @@ func (m Model) HasUnitScan() bool { return m == ScanSIMDQRQW || m == ScanQRQW }
 func (m Model) SIMD() bool { return m == SIMDQRQW || m == ScanSIMDQRQW }
 
 // The rules of Definition 2.3, given one step's observed shape: ops
-// (the maximum per-processor operation count, already floored at 1),
-// kappaR and kappaW (the maximum per-cell read and write contention).
-// The engine in step.go is model-agnostic; it measures the step and
-// delegates both decisions here. The SIMD one-operation-per-kind
-// restriction is per-processor rather than per-cell, so the engine
-// detects it while the processor bodies run (see worker.afterProc).
+// (the maximum per-processor operation count), kappaR and kappaW (the
+// maximum per-cell read and write contention). The engine in step.go
+// measures the step and delegates both decisions here, and a step trace
+// records exactly this shape, so a traced run can be charged under any
+// model after the fact. Apart from these two rules, the only
+// model-dependent behaviour in the engine is HasUnitScan.
 
-// stepCost returns the model-charged cost of one step: ops, raised to
-// the queued contention. Queued models queue writes; all of them but
+// StepCost returns the model-charged cost of one step: ops, floored at
+// 1 (a step with no accesses costs one unit for being issued), raised
+// to the queued contention. Queued models queue writes; all of them but
 // CRQW queue reads too.
-func (m Model) stepCost(ops, kappaR, kappaW int64) int64 {
+func (m Model) StepCost(ops, kappaR, kappaW int64) int64 {
+	ops = max(ops, 1)
 	if !m.Queued() {
 		return ops
 	}
@@ -117,15 +119,23 @@ func (m Model) stepCost(ops, kappaR, kappaW int64) int64 {
 	return max(ops, kappaW)
 }
 
-// violation returns the kind of model violation implied by the observed
-// contention maxima ("concurrent-read" or "concurrent-write"), or ""
-// when the step is legal. A read violation takes precedence.
-func (m Model) violation(kappaR, kappaW int64) string {
-	if kappaR > 1 && !m.ConcurrentReads() {
-		return "concurrent-read"
+// Violation returns the rule the model forbids a step to break
+// ("simd-multi-op", "concurrent-read" or "concurrent-write") and the
+// step's count for it, or "" when the step is legal. The rules apply in
+// order: the SIMD one-operation-per-kind restriction first (some
+// processor issued more than one operation of a kind, so ops > 1), then
+// concurrent reads, then concurrent writes. A read or write violation's
+// count is the kappa of its kind. The SIMD rule is per processor and
+// reports the lowest violator's operations, which the shape does not
+// carry, so its count here is 0 and the engine fills it in.
+func (m Model) Violation(ops, kappaR, kappaW int64) (kind string, count int64) {
+	switch {
+	case ops > 1 && m.SIMD():
+		return "simd-multi-op", 0
+	case kappaR > 1 && !m.ConcurrentReads():
+		return "concurrent-read", kappaR
+	case kappaW > 1 && !m.ConcurrentWrites():
+		return "concurrent-write", kappaW
 	}
-	if kappaW > 1 && !m.ConcurrentWrites() {
-		return "concurrent-write"
-	}
-	return ""
+	return "", 0
 }

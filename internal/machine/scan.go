@@ -39,7 +39,7 @@ func (m *Machine) ScanStep(src, dst, n int) error {
 	// Every Time-charging path leaves a trace entry, or per-phase
 	// profile time could not sum to Stats.Time.
 	if m.tracing {
-		m.trace = append(m.trace, StepTrace{
+		m.record(StepTrace{
 			Step: int64(m.stepIndex), Procs: n, MaxOps: 1, Cost: 1, Ops: int64(n), Label: "scan",
 		})
 	}

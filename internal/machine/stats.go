@@ -100,6 +100,10 @@ type StepTrace struct {
 	Cost      int64 // model-charged cost of the step
 	Ops       int64 // total charged operations (reads + writes + computes)
 	Label     string
+	// Tick is the step's place in the execution order of every machine
+	// sharing the step clock it was recorded under (SetStepClock), or 0
+	// when the machine had none.
+	Tick int64
 	// HotCells holds the step's most-contended cells — the top K by
 	// max(readers, writers), ties broken by ascending address — when
 	// hot-cell attribution is enabled (WithHotCells / EnableProfiling).

@@ -46,8 +46,7 @@ type worker struct {
 	maxRAddr  int
 	maxW      int64
 	maxWAddr  int
-	simdViol  bool
-	simdCount int64 // operations of the lowest processor violating the SIMD rule
+	simdCount int64 // operations of the lowest processor violating the SIMD rule (0: none)
 
 	// hotR/hotW hold the step's hot-cell candidates — its top-K
 	// addresses by read and by write contention — when hot-cell
@@ -192,7 +191,6 @@ func (w *worker) reset() {
 	w.reads, w.writesN, w.computes = 0, 0, 0
 	w.maxR, w.maxW = 0, 0
 	w.maxRAddr, w.maxWAddr = -1, -1
-	w.simdViol = false
 	w.simdCount = 0
 	w.hotR = w.hotR[:0]
 	w.hotW = w.hotW[:0]
@@ -384,10 +382,9 @@ func (w *worker) afterProc(c *Ctx, simd bool) {
 	w.reads += c.r
 	w.writesN += c.wr
 	w.computes += c.cp
-	if simd && (c.r > 1 || c.wr > 1 || c.cp > 1) && !w.simdViol {
+	if simd && (c.r > 1 || c.wr > 1 || c.cp > 1) && w.simdCount == 0 {
 		// Processors run in ascending index order, so the first
 		// violation seen is the lowest-indexed violator.
-		w.simdViol = true
 		w.simdCount = max(c.r, c.wr, c.cp)
 	}
 }
@@ -556,25 +553,24 @@ func (m *Machine) finishStep(p int, label string) error {
 	maxOps, maxR, maxW := w.maxOps, w.maxR, w.maxW
 	reads, writes, computes := w.reads, w.writesN, w.computes
 
-	// Model violation checks: the SIMD one-op-per-kind restriction is
-	// per-processor and detected during Phase 0; cell-contention
-	// legality is the model's call.
-	if w.simdViol {
-		m.err = &ViolationError{Model: m.model, Step: int64(m.stepIndex), Kind: "simd-multi-op", Count: w.simdCount}
-	} else if kind := m.model.violation(maxR, maxW); kind != "" {
-		addr, count := w.maxRAddr, maxR
-		if kind == "concurrent-write" {
-			addr, count = w.maxWAddr, maxW
+	// Legality and cost are the model's call (Definition 2.3). The
+	// engine adds what the step's shape does not carry: the contended
+	// address, and the SIMD rule's lowest violator, recorded while the
+	// processor bodies ran.
+	if kind, count := m.model.Violation(maxOps, maxR, maxW); kind != "" {
+		ve := &ViolationError{Model: m.model, Step: int64(m.stepIndex), Kind: kind, Count: count}
+		switch kind {
+		case "simd-multi-op":
+			ve.Count = w.simdCount
+		case "concurrent-read":
+			ve.Addr = w.maxRAddr
+		default:
+			ve.Addr = w.maxWAddr
 		}
-		m.err = &ViolationError{Model: m.model, Step: int64(m.stepIndex), Kind: kind, Addr: addr, Count: count}
+		m.err = ve
+		return ve
 	}
-	if m.err != nil {
-		return m.err
-	}
-
-	// Step cost (Definition 2.3, delegated to the model). A
-	// step with no accesses has m = 1: issuing the step is one unit.
-	cost := m.model.stepCost(max(maxOps, 1), maxR, maxW)
+	cost := m.model.StepCost(maxOps, maxR, maxW)
 
 	kappa := max(maxR, maxW, 1)
 	m.stats.Steps++
@@ -596,7 +592,7 @@ func (m *Machine) finishStep(p int, label string) error {
 		if m.hotK > 0 {
 			hot = m.mergeHotCells(w)
 		}
-		m.trace = append(m.trace, StepTrace{
+		m.record(StepTrace{
 			Step:      int64(m.stepIndex),
 			Procs:     p,
 			MaxOps:    maxOps,

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -174,5 +175,39 @@ func TestHotKClamp(t *testing.T) {
 	m.EnableProfiling(-3)
 	if _, hotK := m.Profiling(); hotK != 0 {
 		t.Errorf("negative k: hotK = %d, want 0", hotK)
+	}
+}
+
+// TestStepClock: machines sharing a step clock tick it in the order
+// their steps execute, scans included; a machine without a clock
+// records tick 0, and Reset detaches the clock.
+func TestStepClock(t *testing.T) {
+	var clock int64
+	a, b := New(QRQW, 8, WithTrace()), New(ScanQRQW, 8, WithTrace())
+	a.SetStepClock(&clock)
+	b.SetStepClock(&clock)
+	a.ParDo(2, func(c *Ctx, i int) { c.Read(0) })
+	b.ParDo(1, func(c *Ctx, i int) {})
+	if err := b.ScanStep(0, 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	a.ParDo(1, func(c *Ctx, i int) {})
+	ticks := func(m *Machine) (out []int64) {
+		for _, st := range m.StepTraces() {
+			out = append(out, st.Tick)
+		}
+		return out
+	}
+	if got := ticks(a); !slices.Equal(got, []int64{1, 4}) {
+		t.Errorf("first machine's ticks = %v, want [1 4]", got)
+	}
+	if got := ticks(b); !slices.Equal(got, []int64{2, 3}) {
+		t.Errorf("second machine's ticks = %v, want [2 3]", got)
+	}
+	a.Reset()
+	a.EnableProfiling(0)
+	a.ParDo(1, func(c *Ctx, i int) {})
+	if got := ticks(a); !slices.Equal(got, []int64{0}) || clock != 4 {
+		t.Errorf("after Reset: ticks %v, clock %d; want [0] and 4", got, clock)
 	}
 }

@@ -1,6 +1,15 @@
 package prim
 
-import "lowcontend/internal/machine"
+import (
+	"sync"
+
+	"lowcontend/internal/machine"
+)
+
+// packIdx recycles the host index lists of Pack's scatter step across
+// calls and machines. Only the Packs running at once hold one, so a
+// pooled machine keeps none between runs.
+var packIdx = sync.Pool{New: func() any { return new([]int) }}
 
 // Pack moves the values of the cells whose flag is nonzero, in index
 // order, to the front of the region starting at out, and returns how many
@@ -38,8 +47,13 @@ func Pack(m *machine.Machine, flags, vals, out, n int) (int, error) {
 	// The flags are arbitrary data, so the loop keeps the flagged
 	// cells without branching on them: every cell is written to the
 	// next slot (one spare), which advances only for a flagged cell.
-	posIdx := make([]int, total+1)
-	valIdx := make([]int, total+1)
+	k := int(total) + 1
+	buf := packIdx.Get().(*[]int)
+	defer packIdx.Put(buf)
+	if cap(*buf) < 2*k {
+		*buf = make([]int, 2*k)
+	}
+	posIdx, valIdx := (*buf)[:k:k], (*buf)[k:2*k]
 	t := 0
 	for i, f := range fl {
 		posIdx[t], valIdx[t] = pos+i, vals+i

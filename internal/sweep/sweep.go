@@ -1,12 +1,22 @@
 // Package sweep turns one experiment — builtin registry entry or
 // dynamically defined — into a family of scenarios: a declarative Plan
 // names the experiment, the contention models to charge it under, the
-// problem sizes, and the seeds, and the Runner schedules every cell of
-// the full cross-product of grid points as one flat task list on a
-// spec.Runner over a core.SessionPool, reducing the runs into
-// comparative artifacts — a model×size charged-time matrix with
-// ratios against a baseline model, and per-model kappa histograms
-// aggregated through internal/profile.
+// problem sizes, and the seeds, and the Runner reduces the full
+// cross-product of grid points into comparative artifacts — a
+// model×size charged-time matrix with ratios against a baseline model,
+// and per-model kappa histograms aggregated through internal/profile.
+//
+// The models of Definition 2.3 differ only in what a step costs and
+// which steps are legal, and the engine consults the model elsewhere
+// only through HasUnitScan. So the Runner groups a plan's models into
+// execution classes by HasUnitScan and runs each cell once per (class,
+// size, seed), under the class's one model if it has one and otherwise
+// under the model of its kind that forbids nothing (QRQW or
+// scan-QRQW). All cells go as one flat task list onto a spec.Runner
+// over a core.SessionPool, and each cell is charged from its step
+// traces under every model of its class: the cell ends at the first
+// step a model forbids, in execution order across its sessions, and
+// otherwise costs the sum of the model's step costs.
 //
 // The paper's core claim is comparative (the same algorithm charged
 // under QRQW vs CRCW vs EREW rules tells the contention story), so a
@@ -20,9 +30,10 @@
 // plan order whatever the runner's parallelism, per-point reduction
 // folds cells in declaration order whatever order they finish in, and
 // uses only the engine's parallelism-invariant outputs (charged stats,
-// traces, and sanitized violation descriptions — never the
-// shard-dependent violation address), so a sweep's Result, text
-// artifact, and JSON form are bit-identical at any Parallel.
+// traces, and sanitized violation descriptions — never the violation
+// address, which a charge derived from a trace does not have), so a
+// sweep's Result, text artifact, and JSON form are bit-identical at
+// any Parallel, and identical to running every model separately.
 package sweep
 
 import (
@@ -189,9 +200,12 @@ type Runner struct {
 
 // Run executes every grid point of a normalized plan (see Normalize)
 // for experiment e and returns the reduced result, points in plan
-// order. The grid expands into one flat cell list (model-major, then
-// size, seed and declaration index) that one spec.Runner schedules up
-// to Parallel at a time; a point is reduced when its last cell lands.
+// order. The plan's models group into execution classes (see classes);
+// the grid expands into one flat cell list — class by class, then
+// size, seed and declaration index — that one spec.Runner schedules up
+// to Parallel at a time. Each cell runs once per (class, size, seed)
+// and is charged from its step traces under every model of its class;
+// the class's points are reduced when its last cell lands.
 func (r *Runner) Run(e spec.Experiment, p Plan) Result {
 	res := Result{
 		Experiment: p.Experiment,
@@ -207,34 +221,52 @@ func (r *Runner) Run(e spec.Experiment, p Plan) Result {
 	if observe == nil {
 		observe = func(Point, time.Duration) {}
 	}
-	var tasks []spec.Task
-	var folds []*pointFold // folds[i] reduces task i's grid point
 	for _, name := range p.Models {
-		model, ok := machine.ParseModel(name)
 		for _, size := range p.Sizes {
 			for _, seed := range p.Seeds {
 				res.Points = append(res.Points, Point{Model: name, Size: size, Seed: seed})
-				pt := &res.Points[len(res.Points)-1]
-				var cells []spec.Cell
-				if ok {
-					cells = e.Cells([]int{size})
-				} else {
-					// A caller bug (Normalize canonicalizes), reported per point.
-					pt.Cells = []CellOutcome{{Cell: "(plan)", Err: fmt.Sprintf("unknown model %q", name)}}
-					pt.Errors = 1
-				}
-				if len(cells) == 0 {
-					observe(*pt, 0)
-					continue
-				}
-				f := &pointFold{pt: pt, first: len(tasks), cells: make([]spec.CellResult, len(cells)),
-					starts: make([]time.Time, len(cells))}
-				f.left.Store(int32(len(cells)))
-				for _, c := range cells {
-					tasks = append(tasks, spec.Task{Cell: c, Seed: seed, Model: &model})
-					folds = append(folds, f)
-				}
 			}
+		}
+	}
+	// point returns the grid point of plan model i at size and seed
+	// index j.
+	grid := len(p.Sizes) * len(p.Seeds)
+	point := func(i, j int) *Point { return &res.Points[i*grid+j] }
+	var tasks []spec.Task
+	var folds []*pointFold // folds[i] reduces task i's grid points
+	for _, c := range classes(p.Models) {
+		for j := range grid {
+			size := p.Sizes[j/len(p.Seeds)]
+			pts := make([]*Point, len(c.models))
+			for k, i := range c.models {
+				pts[k] = point(i, j)
+			}
+			cells := e.Cells([]int{size})
+			if len(cells) == 0 {
+				for _, pt := range pts {
+					observe(*pt, 0)
+				}
+				continue
+			}
+			f := &pointFold{pts: pts, first: len(tasks), cells: make([]spec.CellResult, len(cells)),
+				starts: make([]time.Time, len(cells))}
+			f.left.Store(int32(len(cells)))
+			for _, cell := range cells {
+				tasks = append(tasks, spec.Task{Cell: cell, Seed: p.Seeds[j%len(p.Seeds)], Model: &c.exec, Charge: c.charge})
+				folds = append(folds, f)
+			}
+		}
+	}
+	for i, name := range p.Models {
+		if _, ok := machine.ParseModel(name); ok {
+			continue
+		}
+		// A caller bug (Normalize canonicalizes), reported per point.
+		for j := range grid {
+			pt := point(i, j)
+			pt.Cells = []CellOutcome{{Cell: "(plan)", Err: fmt.Sprintf("unknown model %q", name)}}
+			pt.Errors = 1
+			observe(*pt, 0)
 		}
 	}
 	runner := &spec.Runner{
@@ -245,7 +277,10 @@ func (r *Runner) Run(e spec.Experiment, p Plan) Result {
 		CellHook:     r.CellHook,
 		CellObserver: func(c spec.CellResult, t spec.CellTiming) {
 			if f := folds[c.Index]; f.land(c, t) {
-				observe(*f.pt, time.Since(slices.MinFunc(f.starts, time.Time.Compare)))
+				wall := time.Since(slices.MinFunc(f.starts, time.Time.Compare))
+				for _, pt := range f.pts {
+					observe(*pt, wall)
+				}
 			}
 		},
 	}
@@ -253,42 +288,83 @@ func (r *Runner) Run(e spec.Experiment, p Plan) Result {
 	return res
 }
 
-// pointFold collects one grid point's cell results as they land, in
-// any order and from any worker; the landing that completes the point
-// reduces it.
+// class is one execution class of a plan: plan models that agree on
+// HasUnitScan, whose cells therefore execute the same steps up to the
+// first one a model forbids. The class's cells run once, under exec,
+// and are charged under every model of charge.
+type class struct {
+	exec   machine.Model
+	models []int           // plan indexes of the class's models
+	charge []machine.Model // the models themselves, in plan order
+}
+
+// classes groups a plan's known models into execution classes, in
+// order of first appearance. A class of one model executes under that
+// model; a larger class executes under the model of its kind that
+// forbids nothing, QRQW or scan-QRQW, so that each of its models can
+// stop the run where its own rules would have.
+func classes(models []string) []class {
+	var out []class
+	for i, name := range models {
+		m, ok := machine.ParseModel(name)
+		if !ok {
+			continue
+		}
+		k := slices.IndexFunc(out, func(c class) bool { return c.exec.HasUnitScan() == m.HasUnitScan() })
+		if k < 0 {
+			out = append(out, class{exec: m})
+			k = len(out) - 1
+		} else if m.HasUnitScan() {
+			out[k].exec = machine.ScanQRQW
+		} else {
+			out[k].exec = machine.QRQW
+		}
+		out[k].models = append(out[k].models, i)
+		out[k].charge = append(out[k].charge, m)
+	}
+	return out
+}
+
+// pointFold collects the cell results of one (class, size, seed) as
+// they land, in any order and from any worker; the landing that
+// completes them reduces the class's grid points.
 type pointFold struct {
-	pt     *Point
-	first  int               // task index of the point's first cell
+	pts    []*Point          // by class model
+	first  int               // task index of the first cell
 	cells  []spec.CellResult // by declaration index
 	starts []time.Time       // cell start times, by declaration index
 	left   atomic.Int32      // cells not yet landed
 }
 
 // land records one finished cell and reports whether it completed the
-// point, in which case the point is reduced in declaration order.
+// fold, in which case each point is reduced in declaration order from
+// the cells' charges under its model.
 func (f *pointFold) land(c spec.CellResult, t spec.CellTiming) bool {
 	i := c.Index - f.first
 	f.cells[i], f.starts[i] = c, time.Now().Add(-t.Wall)
 	if f.left.Add(-1) != 0 {
 		return false
 	}
-	for _, c := range f.cells {
-		f.pt.add(c)
+	for k, pt := range f.pts {
+		for _, c := range f.cells {
+			pt.add(c, c.Charges[k])
+		}
 	}
 	return true
 }
 
-// add reduces one cell into the point. Reduction reads the per-session
-// profiles (traced without hot-cell attribution: ProfileCells < 0),
-// whose charged-time invariant makes the per-cell Time sums exact, and
-// skips failed cells' partial traces entirely, mirroring how
-// spec.Result.Measurements gates artifacts.
-func (pt *Point) add(c spec.CellResult) {
+// add reduces one cell, charged under the point's model as ch, into the
+// point. Time is the charge's; steps, operations, contention and the
+// kappa histogram do not depend on the model and come from the
+// per-session profiles (traced without hot-cell attribution:
+// ProfileCells < 0). Failed cells' partial traces are skipped entirely,
+// mirroring how spec.Result.Measurements gates artifacts.
+func (pt *Point) add(c spec.CellResult, ch spec.Charge) {
 	out := CellOutcome{Cell: c.Cell}
-	if c.Err != nil {
-		out.Err = describeErr(c.Err)
+	if ch.Err != nil {
+		out.Err = describeErr(ch.Err)
 		var ve *machine.ViolationError
-		if errors.As(c.Err, &ve) {
+		if errors.As(ch.Err, &ve) {
 			pt.Violations++
 		} else {
 			pt.Errors++
@@ -296,8 +372,8 @@ func (pt *Point) add(c spec.CellResult) {
 		pt.Cells = append(pt.Cells, out)
 		return
 	}
+	out.Time = ch.Time
 	for _, pr := range c.Profiles {
-		out.Time += pr.Time
 		pt.Steps += pr.Steps
 		pt.Ops += pr.Ops
 		if pr.MaxKappa > pt.MaxKappa {

@@ -280,10 +280,11 @@ func TestSweepPointObserver(t *testing.T) {
 
 // TestSweepPooledReuseAcrossModels: repeated sweeps over one shared
 // pool reuse sessions (across grid points of every model) without any
-// stat leakage — run three times, bit-identical every time.
+// stat leakage — run three times, bit-identical every time. The plan
+// spans both execution classes, so its cells run under two models.
 func TestSweepPooledReuseAcrossModels(t *testing.T) {
 	e := dartExperiment()
-	p := mustPlan(t, e, Plan{Sizes: []int{64}, Seeds: []uint64{3}})
+	p := mustPlan(t, e, Plan{Models: []string{"qrqw", "crcw", "erew", "scan-qrqw"}, Sizes: []int{64}, Seeds: []uint64{3}})
 	pool := core.NewSessionPool()
 	defer pool.Close()
 	r := &Runner{Parallel: 2, Pool: pool}
@@ -297,9 +298,9 @@ func TestSweepPooledReuseAcrossModels(t *testing.T) {
 		t.Error("shared pool never reused a session across sweep runs")
 	}
 	// A model's sessions only ever serve that model: the pool parks idle
-	// sessions per model, so the three models' machines never alias.
+	// sessions per model, so the two classes' machines never alias.
 	if got := pool.Idle(); got < 2 {
-		t.Errorf("pool idle = %d, want one parked session per swept model", got)
+		t.Errorf("pool idle = %d, want one parked session per execution class", got)
 	}
 }
 
