@@ -30,8 +30,8 @@ var kernelSizes = []int{1, 2, 3, 63, 64, 65, 1000, 1024}
 
 const kernelSeeds = 16
 
-// kernelRun runs one kernel on a fresh QRQW machine seeded with seed,
-// drawing its input from in, and returns the words of its output region.
+// kernelRun runs one kernel on a fresh machine seeded with seed, drawing
+// its input from in, and returns the words of its output region.
 type kernelRun func(m *machine.Machine, n int, in *xrand.Stream) ([]machine.Word, error)
 
 // flagged stores n flags, each set with probability num/den (so 0/1 and
@@ -75,20 +75,49 @@ func packKernel(num, den int) kernelRun {
 	}
 }
 
+// scanKernel runs prim.PrefixSums over n random values, into a separate
+// region or (same) in place, and returns the total and the prefixes.
+func scanKernel(same bool) kernelRun {
+	return func(m *machine.Machine, n int, in *xrand.Stream) ([]machine.Word, error) {
+		src := m.Alloc(n)
+		m.Store(src, randomWords(in, n))
+		dst := src
+		if !same {
+			dst = m.Alloc(n)
+		}
+		total, err := prim.PrefixSums(m, src, dst, n)
+		if err != nil {
+			return nil, err
+		}
+		return append([]machine.Word{total}, m.LoadWords(dst, n)...), nil
+	}
+}
+
+// randomWords draws n values below 2^40 from in.
+func randomWords(in *xrand.Stream, n int) []machine.Word {
+	vw := make([]machine.Word, n)
+	for i := range vw {
+		vw[i] = machine.Word(in.Uint64n(1 << 40))
+	}
+	return vw
+}
+
 // TestGoldenKernelSeeds pins perm.Random, perm.ScanDart, prim.Pack,
-// hashing.Build and compact.LinearCompact at every size of kernelSizes
-// and seeds 1-16, with Pack's no-flag and all-flag edge cases.
+// hashing.Build, compact.LinearCompact, prim.PrefixSums and prim.Reduce
+// at every size of kernelSizes and seeds 1-16, with Pack's no-flag and
+// all-flag edge cases, and the scan in place and under a unit-time scan.
 func TestGoldenKernelSeeds(t *testing.T) {
 	tests := []struct {
-		name string
-		run  kernelRun
+		name  string
+		model machine.Model
+		run   kernelRun
 	}{
-		{"perm.Random", permKernel(perm.Random)},
-		{"perm.ScanDart", permKernel(perm.ScanDart)},
-		{"prim.Pack", packKernel(1, 2)},
-		{"prim.Pack/none", packKernel(0, 1)},
-		{"prim.Pack/all", packKernel(1, 1)},
-		{"hashing.Build", func(m *machine.Machine, n int, in *xrand.Stream) ([]machine.Word, error) {
+		{"perm.Random", machine.QRQW, permKernel(perm.Random)},
+		{"perm.ScanDart", machine.QRQW, permKernel(perm.ScanDart)},
+		{"prim.Pack", machine.QRQW, packKernel(1, 2)},
+		{"prim.Pack/none", machine.QRQW, packKernel(0, 1)},
+		{"prim.Pack/all", machine.QRQW, packKernel(1, 1)},
+		{"hashing.Build", machine.QRQW, func(m *machine.Machine, n int, in *xrand.Stream) ([]machine.Word, error) {
 			keys := m.Alloc(n)
 			m.Store(keys, exp.DistinctKeys(in.Uint64(), n))
 			if _, err := hashing.Build(m, keys, n); err != nil {
@@ -97,7 +126,7 @@ func TestGoldenKernelSeeds(t *testing.T) {
 			// The table's regions are all the build leaves allocated.
 			return m.LoadWords(0, m.Allocated()), nil
 		}},
-		{"compact.LinearCompact", func(m *machine.Machine, n int, in *xrand.Stream) ([]machine.Word, error) {
+		{"compact.LinearCompact", machine.QRQW, func(m *machine.Machine, n int, in *xrand.Stream) ([]machine.Word, error) {
 			flags, vals, k := flagged(m, n, in, 1, 4)
 			r, err := compact.LinearCompact(m, flags, vals, n, k)
 			if err != nil {
@@ -105,12 +134,26 @@ func TestGoldenKernelSeeds(t *testing.T) {
 			}
 			return append(m.LoadWords(r.Pos, n), m.LoadWords(r.Out, r.OutLen)...), nil
 		}},
+		{"prim.PrefixSums", machine.QRQW, scanKernel(false)},
+		{"prim.PrefixSums/same", machine.QRQW, scanKernel(true)},
+		{"prim.PrefixSums/scan-qrqw", machine.ScanQRQW, scanKernel(false)},
+		{"prim.PrefixSums/same/scan-qrqw", machine.ScanQRQW, scanKernel(true)},
+		{"prim.Reduce", machine.QRQW, func(m *machine.Machine, n int, in *xrand.Stream) ([]machine.Word, error) {
+			src := m.Alloc(n)
+			m.Store(src, randomWords(in, n))
+			out := m.Alloc(1)
+			total, err := prim.Reduce(m, src, n, out)
+			if err != nil {
+				return nil, err
+			}
+			return []machine.Word{total, m.Word(out)}, nil
+		}},
 	}
 	var sb strings.Builder
 	for _, tc := range tests {
 		for _, n := range kernelSizes {
 			for seed := uint64(1); seed <= kernelSeeds; seed++ {
-				m := machine.New(machine.QRQW, 1<<12, machine.WithSeed(seed))
+				m := machine.New(tc.model, 1<<12, machine.WithSeed(seed))
 				out, err := tc.run(m, n, xrand.NewStream(seed))
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d: %v", tc.name, n, seed, err)
