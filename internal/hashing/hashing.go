@@ -474,8 +474,8 @@ func duplicateRows(m *machine.Machine, base, width, n int) error {
 		cnt := prim.Min(have, n-have)
 		off := have
 		b := m.Bulk(cnt*width, "hash/dup")
-		b.WriteRange(base+off*width, cnt*width, 1, 0, 1,
-			b.ReadRange(base, cnt*width, 1, 0, 1))
+		row := b.ReadRange(base, cnt*width, 1, 0, 1)
+		copy(b.WriteInPlace(base+off*width, cnt*width, 0, 1), row)
 		if err := b.Commit(); err != nil {
 			return err
 		}
@@ -493,8 +493,8 @@ func duplicateEach(m *machine.Machine, base, k, copies int) error {
 		// One read+write descriptor pair per group (k is small, n^(3/7)).
 		b := m.Bulk(k*cnt, "hash/dupa")
 		for grp := 0; grp < k; grp++ {
-			b.WriteRange(base+grp*copies+off, cnt, 1, grp*cnt, 1,
-				b.ReadRange(base+grp*copies, cnt, 1, grp*cnt, 1))
+			v := b.ReadRange(base+grp*copies, cnt, 1, grp*cnt, 1)
+			copy(b.WriteInPlace(base+grp*copies+off, cnt, grp*cnt, 1), v)
 		}
 		if err := b.Commit(); err != nil {
 			return err
@@ -547,20 +547,20 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 	{
 		b := m.Bulk(total, "erewmember/load")
 		if nKeys > 0 {
-			b.WriteRange(sk, nKeys, 1, 0, 1, b.ReadRange(keys, nKeys, 1, 0, 1))
-			tv := b.Vals(nKeys)
+			kv := b.ReadRange(keys, nKeys, 1, 0, 1)
+			copy(b.WriteInPlace(sk, nKeys, 0, 1), kv)
+			tv := b.WriteInPlace(tag, nKeys, 0, 1)
 			for i := range tv {
 				tv[i] = -1
 			}
-			b.WriteRange(tag, nKeys, 1, 0, 1, tv)
 		}
 		if nQ > 0 {
-			b.WriteRange(sk+nKeys, nQ, 1, nKeys, 1, b.ReadRange(queries, nQ, 1, nKeys, 1))
-			qt := b.Vals(nQ)
+			qv := b.ReadRange(queries, nQ, 1, nKeys, 1)
+			copy(b.WriteInPlace(sk+nKeys, nQ, nKeys, 1), qv)
+			qt := b.WriteInPlace(tag+nKeys, nQ, nKeys, 1)
 			for i := range qt {
 				qt[i] = machine.Word(i)
 			}
-			b.WriteRange(tag+nKeys, nQ, 1, nKeys, 1, qt)
 		}
 		if err := b.Commit(); err != nil {
 			return err
@@ -645,7 +645,8 @@ func EREWMembership(m *machine.Machine, keys, nKeys, queries, out, nQ int) error
 	for d := 1; d < total; d *= 2 {
 		{
 			b := m.Bulk(total, "erewmember/pub")
-			b.WriteRange(shadow, total, 1, 0, 1, b.ReadRange(lastKey, total, 1, 0, 1))
+			lv := b.ReadRange(lastKey, total, 1, 0, 1)
+			copy(b.WriteInPlace(shadow, total, 0, 1), lv)
 			if err := b.Commit(); err != nil {
 				return err
 			}

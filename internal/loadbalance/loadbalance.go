@@ -701,9 +701,10 @@ func EREWBalance(m *machine.Machine, counts []int) ([][]TaskRange, error) {
 	for d := 1; d < mU; d *= 2 {
 		{
 			bk := m.Bulk(mU, "erewlb/publish")
-			bk.WriteRange(shR, mU, 1, 0, 1, bk.ReadRange(rankA, mU, 1, 0, 1))
-			bk.WriteRange(shT, mU, 1, 0, 1, bk.ReadRange(taskA, mU, 1, 0, 1))
-			bk.WriteRange(shE, mU, 1, 0, 1, bk.ReadRange(endA, mU, 1, 0, 1))
+			for _, sh := range [][2]int{{rankA, shR}, {taskA, shT}, {endA, shE}} {
+				v := bk.ReadRange(sh[0], mU, 1, 0, 1)
+				copy(bk.WriteInPlace(sh[1], mU, 0, 1), v)
+			}
 			if err := bk.Commit(); err != nil {
 				return nil, err
 			}

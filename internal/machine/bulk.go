@@ -30,6 +30,14 @@ import (
 // accesses would have filled them, so the per-cell counters, the kappa
 // arg-max, arbitration order, violations, traces, and hot cells are
 // bit-identical to an element-by-element replay.
+//
+// Two declarations move no values through the builder. An in-place
+// write (WriteInPlace) hands the caller its destination cells as a view
+// of shared memory, and the caller stores the step's values there
+// before Commit, so each value is written once instead of into a
+// payload, a snapshot and then memory. A read declaration (DeclareRead,
+// DeclareGather) charges a read whose values the host does not use, and
+// copies none.
 type bulkKind uint8
 
 const (
@@ -50,6 +58,7 @@ type bulkDesc struct {
 	kind    bulkKind
 	sorted  bool // idx strictly ascending (true for all strided descriptors)
 	expand  bool // settlement decision: element expansion required
+	inPlace bool // a write whose vals are its own cells (WriteInPlace)
 	lo, hi  int  // inclusive address interval
 	stride  int  // >= 1 arithmetic; -1 explicit idx
 	count   int
@@ -207,6 +216,35 @@ func (b *Bulk) WriteRange(lo, n, stride, procLo, perProc int, vals []Word) {
 	b.rangeDesc(bulkWrite, lo, n, stride, procLo, perProc, vals, 0)
 }
 
+// WriteInPlace declares that processors procLo, procLo+1, ... write the
+// n consecutive cells lo..lo+n-1, perProc cells per processor, and
+// returns those cells as a view of shared memory. The caller stores the
+// step's values into the view before Commit; it may read a cell's
+// beginning-of-step value there until it overwrites it, so the step's
+// reads of these cells must take their values before the stores do.
+// No other write descriptor of the step may touch these cells (Commit
+// panics if one does). The cells count as written from the declaration
+// on: if the machine has already failed, Commit returns the error and
+// the stored values stay. Nothing may allocate shared memory while the
+// view is in use.
+func (b *Bulk) WriteInPlace(lo, n, procLo, perProc int) []Word {
+	if !b.rangeDesc(bulkWrite, lo, n, 1, procLo, perProc, nil, 0) {
+		return nil
+	}
+	m := b.m
+	m.dirty = max(m.dirty, lo+n)
+	d := &b.descs[len(b.descs)-1]
+	d.inPlace = true
+	d.vals = m.mem[lo : lo+n : lo+n]
+	return d.vals
+}
+
+// DeclareRead is ReadRange for a read whose values the host does not
+// use: it charges the same read and copies nothing.
+func (b *Bulk) DeclareRead(lo, n, stride, procLo, perProc int) {
+	b.rangeDesc(bulkRead, lo, n, stride, procLo, perProc, nil, 0)
+}
+
 // FillRange is WriteRange with a constant value and no vals slice.
 func (b *Bulk) FillRange(lo, n, stride, procLo, perProc int, v Word) {
 	b.rangeDesc(bulkFill, lo, n, stride, procLo, perProc, nil, v)
@@ -249,6 +287,12 @@ func (b *Bulk) Gather(idx []int, procLo int) []Word {
 	return out
 }
 
+// DeclareGather is Gather for a read whose values the host does not
+// use: it charges the same reads and copies nothing.
+func (b *Bulk) DeclareGather(idx []int, procLo int) {
+	b.listDesc(bulkRead, idx, procLo, nil)
+}
+
 // Scatter declares that processor procLo+k writes vals[k] to cell
 // idx[k]. idx and vals must stay unmodified until Commit (vals is
 // snapshotted if it aliases shared memory). Processors writing one cell
@@ -264,9 +308,10 @@ func (b *Bulk) Scatter(idx []int, procLo int, vals []Word) {
 // and reports whether it has any cells (an empty list records nothing).
 // A list must stay unmodified until Commit, so a list an earlier
 // descriptor of the step already walked (same first element and length)
-// takes that walk's ascent and bounds; otherwise it is walked here:
-// every address is range-checked (only the two ends of an ascending
-// list, which bound it).
+// takes that walk's ascent and bounds; otherwise it is walked here, in
+// one pass for its ascent and one more for an unsorted list's least
+// and greatest address. The two bounds are range-checked (the lower
+// first), which checks every address.
 func (b *Bulk) listDesc(kind bulkKind, idx []int, procLo int, vals []Word) bool {
 	if procLo < 0 {
 		panic(fmt.Sprintf("machine: bulk list procLo=%d", procLo))
@@ -292,10 +337,10 @@ func (b *Bulk) listDesc(kind bulkKind, idx []int, procLo int, vals []Word) bool 
 			d.sorted = idx[k] > idx[k-1]
 		}
 		if !d.sorted {
+			d.lo, d.hi = idx[0], idx[0]
 			for _, a := range idx {
-				b.m.checkAddr(a)
+				d.lo, d.hi = min(d.lo, a), max(d.hi, a)
 			}
-			d.lo, d.hi = slices.Min(idx), slices.Max(idx)
 		}
 		b.m.checkAddr(d.lo)
 		b.m.checkAddr(d.hi)
@@ -335,13 +380,13 @@ func (b *Bulk) Rand(proc int) xrand.Stream {
 	return xrand.StreamFrom(xrand.ProcKey(b.stepKey, uint64(proc)))
 }
 
-// arena carves n words off the end of the arena *a, growing it by
+// arena carves n elements off the end of the arena *a, growing it by
 // doubling; slices carved earlier keep their contents.
-func arena(a *[]Word, n int) []Word {
+func arena[T any](a *[]T, n int) []T {
 	off := len(*a)
 	need := off + n
 	if cap(*a) < need {
-		*a = append(make([]Word, 0, max(need, 2*cap(*a))), *a...)
+		*a = append(make([]T, 0, max(need, 2*cap(*a))), *a...)
 	}
 	*a = (*a)[:need]
 	return (*a)[off:need:need]
@@ -512,8 +557,8 @@ func (b *Bulk) settleBulk(w *worker) {
 			wItems = append(wItems, bulkItem{d, d.lo, d.hi})
 		}
 	}
-	markOverlaps(rItems)
-	markOverlaps(wItems)
+	b.markOverlaps(rItems)
+	b.markOverlaps(wItems)
 	b.rItems, b.wItems = rItems[:0], wItems[:0]
 
 	// Analytic settlement of the surviving descriptors: each of their
@@ -559,7 +604,10 @@ func lowerAddr(cur, lo int) int {
 // routes a descriptor's cells through the same counters scalar cells
 // use, so an expanded descriptor endangers only descriptors it actually
 // shares cells with, and those were marked by their own pairwise test.
-func markOverlaps(items []bulkItem) {
+// An in-place write that shares a cell with another write descriptor
+// panics: that cell's arbitrated value would have to come from a
+// payload that no longer exists.
+func (b *Bulk) markOverlaps(items []bulkItem) {
 	// Sweep in address order: after sorting by lo, the partners of
 	// items[i] are exactly the following items whose lo is within
 	// items[i]'s interval, so disjoint steps cost O(d log d) rather
@@ -571,16 +619,54 @@ func markOverlaps(items []bulkItem) {
 			if bd := items[j].d; descsOverlap(a, bd) {
 				a.expand = true
 				bd.expand = true
+				if a.inPlace || bd.inPlace {
+					b.checkInPlace(a, bd)
+				}
 			}
 		}
 	}
+}
+
+// checkInPlace panics if the write descriptors a and c, one of them an
+// in-place write, share a cell.
+func (b *Bulk) checkInPlace(a, c *bulkDesc) {
+	if !a.inPlace {
+		a, c = c, a
+	}
+	if cell, ok := firstCellIn(c, a.lo, a.hi); ok {
+		panic(fmt.Sprintf("machine: step %q: in-place write of cells [%d,%d] shares cell %d with another write descriptor",
+			b.label, a.lo, a.hi, cell))
+	}
+}
+
+// firstCellIn returns the lowest cell of d within [lo, hi].
+func firstCellIn(d *bulkDesc, lo, hi int) (int, bool) {
+	if d.stride >= 1 {
+		k := 0
+		if d.lo < lo {
+			k = (lo - d.lo + d.stride - 1) / d.stride
+		}
+		c := d.lo + k*d.stride
+		return c, k < d.count && c <= hi
+	}
+	cell, ok := 0, false
+	for _, a := range d.idx {
+		if lo <= a && a <= hi && (!ok || a < cell) {
+			cell, ok = a, true
+		}
+	}
+	return cell, ok
 }
 
 // applyDesc applies an analytically settled write descriptor to memory
 // and raises the dirty mark over it (descriptor settlement is serial).
 // hi bounds every cell of every descriptor shape, index lists included:
 // recording takes it from the list's maximum, as markOverlaps requires.
+// An in-place write is in memory, and marked, already.
 func (m *Machine) applyDesc(d *bulkDesc) {
+	if d.inPlace {
+		return
+	}
 	m.dirty = max(m.dirty, d.hi+1)
 	switch {
 	case d.kind == bulkFill:

@@ -12,7 +12,10 @@ var allModels = []Model{EREW, CREW, QRQW, CRQW, CRCW, SIMDQRQW, ScanSIMDQRQW, Fe
 
 // specOp is one descriptor-shaped access driving both the bulk and the
 // scalar replay of a descriptor-only step. A bulkChargeC op charges
-// fill local operations to each of n processors from procLo.
+// fill local operations to each of n processors from procLo. A decl
+// read is declared without copying its values (DeclareRead,
+// DeclareGather). An inPlace write (stride 1) stores inPlaceVal of each
+// cell's beginning-of-step value and vals[k] through WriteInPlace.
 type specOp struct {
 	kind            bulkKind // bulkRead / bulkWrite / bulkFill / bulkChargeC
 	lo, n, stride   int      // stride -1: idx form (perProc 1)
@@ -20,7 +23,11 @@ type specOp struct {
 	vals            []Word
 	fill            Word
 	procLo, perProc int
+	decl, inPlace   bool
 }
+
+// inPlaceVal is the value an inPlace spec write stores over old.
+func inPlaceVal(old, v Word) Word { return 3*old + v }
 
 func (op *specOp) nprocs() int { return (op.n + op.perProc - 1) / op.perProc }
 
@@ -39,10 +46,19 @@ func runSpecBulk(m *Machine, p int, ops []specOp) error {
 		switch {
 		case op.kind == bulkChargeC:
 			b.Compute(op.procLo, op.n, op.fill)
+		case op.kind == bulkRead && op.stride == -1 && op.decl:
+			b.DeclareGather(op.idx, op.procLo)
 		case op.kind == bulkRead && op.stride == -1:
 			b.Gather(op.idx, op.procLo)
+		case op.kind == bulkRead && op.decl:
+			b.DeclareRead(op.lo, op.n, op.stride, op.procLo, op.perProc)
 		case op.kind == bulkRead:
 			b.ReadRange(op.lo, op.n, op.stride, op.procLo, op.perProc)
+		case op.inPlace:
+			cells := b.WriteInPlace(op.lo, op.n, op.procLo, op.perProc)
+			for k, old := range cells {
+				cells[k] = inPlaceVal(old, op.vals[k])
+			}
 		case op.kind == bulkFill:
 			b.FillRange(op.lo, op.n, op.stride, op.procLo, op.perProc, op.fill)
 		case op.stride == -1:
@@ -54,7 +70,9 @@ func runSpecBulk(m *Machine, p int, ops []specOp) error {
 	return b.Commit()
 }
 
-// runSpecScalar replays the same ops element by element in a ParDo.
+// runSpecScalar replays the same ops element by element in a ParDo. An
+// inPlace write takes the cell's old value from the host (uncharged):
+// writes apply only after the bodies run.
 func runSpecScalar(m *Machine, p int, ops []specOp) error {
 	return m.ParDoL(p, "prop", func(c *Ctx, i int) {
 		for oi := range ops {
@@ -77,7 +95,11 @@ func runSpecScalar(m *Machine, p int, ops []specOp) error {
 				case bulkFill:
 					c.Write(a, op.fill)
 				default:
-					c.Write(a, op.vals[k])
+					v := op.vals[k]
+					if op.inPlace {
+						v = inPlaceVal(m.Word(a), v)
+					}
+					c.Write(a, v)
 				}
 			}
 		}
@@ -89,7 +111,10 @@ func runSpecScalar(m *Machine, p int, ops []specOp) error {
 // once per spanned processor, read or written), Compute charges, and
 // repeats of other ops (so processors reach cells through several
 // descriptors), with random processor mappings. Index lists carry one
-// cell per processor, as the Gather and Scatter forms require.
+// cell per processor, as the Gather and Scatter forms require. Then
+// some reads become declarations, and some write and fill ranges become
+// stride-1 in-place writes where that meets no other write, some of
+// them with a read of their own cells added to the step.
 func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 	p := 4 + int(rng.Uint64n(29))
 	nops := 1 + int(rng.Uint64n(5))
@@ -185,8 +210,62 @@ func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 		}
 		ops = append(ops, op)
 	}
+	for i := 0; i < len(ops); i++ {
+		op := &ops[i]
+		switch {
+		case op.kind == bulkRead:
+			op.decl = rng.Uint64n(2) == 0
+		case op.kind != bulkChargeC && op.stride >= 1 && !op.inPlace && rng.Uint64n(2) == 0:
+			// A write or fill range, recast as a stride-1 write.
+			was := *op
+			op.kind, op.stride, op.inPlace = bulkWrite, 1, true
+			if op.vals == nil {
+				op.vals = make([]Word, op.n)
+				for k := range op.vals {
+					op.vals[k] = Word(rng.Uint64n(1 << 30))
+				}
+			}
+			if meetsWrite(ops, i) {
+				*op = was
+				continue
+			}
+			if rng.Uint64n(2) == 0 {
+				rd := specOp{kind: bulkRead, lo: op.lo, n: op.n, stride: 1,
+					procLo: int(rng.Uint64n(uint64(p))), perProc: op.perProc}
+				rd.procLo = min(rd.procLo, p-rd.nprocs())
+				if rd.procLo >= 0 {
+					ops = slices.Insert(ops, int(rng.Uint64n(uint64(len(ops)+1))), rd)
+				}
+			}
+		}
+	}
 	return p, ops
 }
+
+// meetsWrite reports whether the cells of ops[i] meet those of another
+// write op.
+func meetsWrite(ops []specOp, i int) bool {
+	for j := range ops {
+		if j == i || ops[j].kind == bulkRead || ops[j].kind == bulkChargeC {
+			continue
+		}
+		for k := range ops[i].n {
+			for l := range ops[j].n {
+				if ops[i].addrAt(k) == ops[j].addrAt(l) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// fuzzBulkSeed seeds the stream that draws FuzzBulkMatchesScalar's
+// fuzzBulkSeeds corpus entries.
+const (
+	fuzzBulkSeed  = 20260807
+	fuzzBulkSeeds = 60
+)
 
 // FuzzBulkMatchesScalar is the descriptor/scalar equivalence property:
 // a random descriptor mix (genSpec, seeded by the fuzz input) must charge
@@ -196,8 +275,8 @@ func genSpec(rng *xrand.Stream, memN int) (int, []specOp) {
 // descriptor forced through expansion, and under hot-cell attribution, where the traces pin buildReplay's
 // per-processor order.
 func FuzzBulkMatchesScalar(f *testing.F) {
-	seeds := xrand.NewStream(20260807)
-	for range 60 {
+	seeds := xrand.NewStream(fuzzBulkSeed)
+	for range fuzzBulkSeeds {
 		f.Add(seeds.Uint64())
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
@@ -252,6 +331,35 @@ func FuzzBulkMatchesScalar(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGenSpecCoversInPlace checks that FuzzBulkMatchesScalar's seed
+// corpus reaches the in-place forms: in-place writes, some of them
+// under a read of their own cells, and read declarations.
+func TestGenSpecCoversInPlace(t *testing.T) {
+	seeds := xrand.NewStream(fuzzBulkSeed)
+	var inPlace, overRead, decl int
+	for range fuzzBulkSeeds {
+		_, ops := genSpec(xrand.NewStream(seeds.Uint64()), 192)
+		for i := range ops {
+			w := &ops[i]
+			decl += b2i(w.decl)
+			if !w.inPlace {
+				continue
+			}
+			inPlace++
+			for j := range ops {
+				if r := &ops[j]; r.kind == bulkRead && r.stride == 1 && r.lo == w.lo && r.n == w.n {
+					overRead++
+					break
+				}
+			}
+		}
+	}
+	if inPlace < 5 || overRead < 2 || decl < 5 {
+		t.Errorf("seed corpus has %d in-place writes, %d under a read of their cells, %d read declarations; want at least 5, 2, 5",
+			inPlace, overRead, decl)
+	}
 }
 
 // TestBulkCounters checks the descriptor hit counters: analytic settles
@@ -494,7 +602,9 @@ func TestBulkDescsOverlap(t *testing.T) {
 // dedupe): a processor reading one cell through two descriptors, and
 // one cell written through two descriptors from different processors
 // (the higher one wins) and from one processor (the later descriptor
-// wins). Every case runs under all nine models, with hot cells off and
+// wins). In-place writes expand with the values they stored, under
+// reads of their own cells and beside writes whose intervals meet
+// theirs. Every case runs under all nine models, with hot cells off and
 // on, settled analytically where it can be and with every descriptor
 // expanded.
 func TestBulkReplayRuns(t *testing.T) {
@@ -527,6 +637,15 @@ func TestBulkReplayRuns(t *testing.T) {
 	}
 	fill := func(lo, n, procLo int, v Word) specOp {
 		return specOp{kind: bulkFill, lo: lo, n: n, stride: 1, procLo: procLo, perProc: 1, fill: v}
+	}
+	inPlace := func(lo, n, procLo, perProc int, base Word) specOp {
+		op := write(lo, n, 1, procLo, perProc, base)
+		op.inPlace = true
+		return op
+	}
+	decl := func(op specOp) specOp {
+		op.decl = true
+		return op
 	}
 	for _, c := range []struct {
 		name string
@@ -571,6 +690,25 @@ func TestBulkReplayRuns(t *testing.T) {
 			scatter(5, 700, 17, 17, 17, 17, 17),
 			write(32, 16, 2, 0, 1, 800),
 		}},
+		// An in-place write under a range read of all its cells, a
+		// declared hot-cell read of one of them, and a scatter from
+		// the same processors: runs of one and of several descriptors.
+		{"in place under reads", []specOp{
+			read(0, 24, 1, 0, 2),
+			inPlace(8, 8, 2, 2, 900),
+			decl(gather(4, 9, 9, 9)),
+			scatter(0, 200, 40, 30, 41),
+			decl(read(8, 8, 1, 2, 2)),
+		}},
+		// Writes whose intervals meet the in-place cells but share
+		// none (a range of another stride, an unsorted list), so all
+		// of them expand.
+		{"in place beside writers", []specOp{
+			write(20, 6, 3, 0, 1, 100),
+			inPlace(30, 2, 2, 1, 300),
+			scatter(2, 500, 37, 10, 33),
+			read(29, 4, 1, 1, 2),
+		}},
 	} {
 		for _, model := range allModels {
 			for _, hot := range []bool{false, true} {
@@ -600,6 +738,42 @@ func TestBulkReplayRuns(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBulkInPlaceConflicts checks that Commit panics, naming the step,
+// the in-place cells and the lowest shared cell, when an in-place write
+// shares a cell with another write descriptor of its step, and that a
+// write whose interval merely meets the in-place cells commits.
+func TestBulkInPlaceConflicts(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		other      func(b *Bulk)
+	}{
+		{"range", `machine: step "range": in-place write of cells [8,15] shares cell 14 with another write descriptor`,
+			func(b *Bulk) { b.WriteRange(14, 4, 1, 0, 1, make([]Word, 4)) }},
+		{"strided fill", `machine: step "strided fill": in-place write of cells [8,15] shares cell 9 with another write descriptor`,
+			func(b *Bulk) { b.FillRange(3, 5, 3, 0, 1, 7) }},
+		{"unsorted list", `machine: step "unsorted list": in-place write of cells [8,15] shares cell 11 with another write descriptor`,
+			func(b *Bulk) { b.Scatter([]int{40, 12, 11, 2}, 0, make([]Word, 4)) }},
+		{"in place", `machine: step "in place": in-place write of cells [8,15] shares cell 15 with another write descriptor`,
+			func(b *Bulk) { b.WriteInPlace(15, 3, 4, 1) }},
+		{"stride over the cells", "", func(b *Bulk) { b.WriteRange(6, 3, 10, 0, 1, make([]Word, 3)) }},
+		{"list around the cells", "", func(b *Bulk) { b.Scatter([]int{30, 2, 16, 7}, 0, make([]Word, 4)) }},
+		{"read of the cells", "", func(b *Bulk) { b.ReadRange(0, 32, 1, 0, 4) }},
+	} {
+		m := New(QRQW, 64)
+		msg := panicMsg(func() {
+			b := m.Bulk(8, c.name)
+			b.WriteInPlace(8, 8, 0, 2)
+			c.other(b)
+			if err := b.Commit(); err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		})
+		if msg != c.want {
+			t.Errorf("%s: panic %q, want %q", c.name, msg, c.want)
 		}
 	}
 }

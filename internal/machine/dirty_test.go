@@ -143,6 +143,26 @@ func TestDirtyMarkViolation(t *testing.T) {
 	checkResetClean(t, m)
 }
 
+// TestDirtyMarkInPlaceAfterFailure: on a machine that has already
+// failed, Commit returns the error without settling, but an in-place
+// write's values are stored at declaration, so the mark must cover them.
+func TestDirtyMarkInPlaceAfterFailure(t *testing.T) {
+	m := New(EREW, 1<<12)
+	if err := m.ParDo(2, func(c *Ctx, i int) { c.Read(0) }); err == nil {
+		t.Fatal("EREW concurrent read did not violate")
+	}
+	b := m.Bulk(4, "after")
+	cells := b.WriteInPlace(3000, 4, 0, 1)
+	for k := range cells {
+		cells[k] = Word(k + 1)
+	}
+	if err := b.Commit(); err == nil {
+		t.Fatal("Commit on a failed machine returned nil")
+	}
+	checkDirtySound(t, m)
+	checkResetClean(t, m)
+}
+
 // TestDirtyMarkDescriptors covers the analytically settled descriptor
 // shapes (applyDesc) and an expanded one, each on a fresh machine so
 // the mark is exactly the descriptor's highest cell.
@@ -167,6 +187,11 @@ func TestDirtyMarkDescriptors(t *testing.T) {
 		{"write-strided", 8, func(b *Bulk) { b.WriteRange(200, 16, 5, 0, 2, vals(16)) }, 200 + 5*15 + 1, false},
 		{"scatter-sorted", 4, func(b *Bulk) { b.Scatter([]int{5, 90, 400, 901}, 0, vals(4)) }, 902, false},
 		{"scatter-unsorted", 4, func(b *Bulk) { b.Scatter([]int{901, 5, 400, 90}, 0, vals(4)) }, 902, true},
+		{"in-place", 16, func(b *Bulk) { copy(b.WriteInPlace(300, 16, 0, 1), vals(16)) }, 316, false},
+		{"in-place-expanded", 16, func(b *Bulk) {
+			copy(b.WriteInPlace(300, 16, 0, 1), vals(16))
+			b.Scatter([]int{299, 316}, 0, vals(2))
+		}, 317, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -96,6 +96,12 @@ type Machine struct {
 	bulkExpanded atomic.Int64
 	noBulkFast   bool
 
+	// host is the host int arena (HostInts), and hostMarks the break
+	// and arena length at each carve, so Release frees what was carved
+	// at or above its mark. Reset empties both and keeps their capacity.
+	host      []int
+	hostMarks []hostMark
+
 	// serialSteps counts settled steps. Atomic so observers (a metrics
 	// scrape over a leased session) may read it while a step is in
 	// flight; the owning goroutine is still the only writer.
@@ -274,6 +280,25 @@ func (m *Machine) Alloc(n int) int {
 	return base
 }
 
+// hostMark records one HostInts carve: the allocation break it was
+// carved at and the arena length before it.
+type hostMark struct{ brk, off int }
+
+// HostInts returns n ints from the machine's host arena, for host-side
+// lists that an algorithm keeps across the steps of one run (the dart
+// rounds' item and target lists). Contents are unspecified. A slice
+// carved at allocation break b (the value Mark would return) stays valid
+// until Release(mark) with mark <= b, Reset or Free. Reset keeps the
+// arena's capacity, so a reused machine that repeats a run carves
+// without allocating.
+func (m *Machine) HostInts(n int) []int {
+	if n < 0 {
+		panic("machine: HostInts with negative size")
+	}
+	m.hostMarks = append(m.hostMarks, hostMark{m.brk, len(m.host)})
+	return arena(&m.host, n)
+}
+
 // Mark returns the current allocation watermark, for use with Release.
 func (m *Machine) Mark() int { return m.brk }
 
@@ -294,6 +319,10 @@ func (m *Machine) Release(mark int) {
 		m.dirty = min(m.dirty, mark)
 	}
 	m.brk = mark
+	for k := len(m.hostMarks) - 1; k >= 0 && m.hostMarks[k].brk >= mark; k-- {
+		m.host = m.host[:m.hostMarks[k].off]
+		m.hostMarks = m.hostMarks[:k]
+	}
 }
 
 // Word returns the contents of a cell. Host-side access: it is not
@@ -364,12 +393,13 @@ func (m *Machine) ResetStats() {
 	m.serialSteps.Store(0)
 }
 
-// Reset zeroes memory, releases all allocations, clears statistics and
-// the trace, and restores the construction-time profiling settings,
-// keeping every backing array (mem and the step buffers) at its current
-// capacity. It is the cheap way to reuse one Machine across
-// algorithm runs without reallocating, and the reason pooled sessions
-// can never leak a previous run's trace or tracing cost.
+// Reset zeroes memory, releases all allocations and host slices, clears
+// statistics and the trace, and restores the construction-time
+// profiling settings, keeping every backing array (mem, the step
+// buffers and the host arena) at its current capacity. It is the cheap
+// way to reuse one Machine across algorithm runs without reallocating,
+// and the reason pooled sessions can never leak a previous run's trace
+// or tracing cost.
 //
 // Zeroing costs O(words written), not O(capacity): every word at or
 // above the machine's dirty high-water mark is already zero, so Reset
@@ -379,14 +409,16 @@ func (m *Machine) Reset() {
 	clear(m.mem[:m.dirty])
 	m.dirty = 0
 	m.brk, m.peak = 0, 0
+	m.host, m.hostMarks = m.host[:0], m.hostMarks[:0]
 	m.DisableProfiling()
 	m.ResetStats()
 }
 
-// Free releases the machine's backing stores: shared memory and the
-// step buffers (which return to a package-level pool for other machines
-// to reuse). (The contention scratch is never the machine's to
-// free: it is leased per settlement from a package-level free list.)
+// Free releases the machine's backing stores: shared memory, the host
+// arena and the step buffers (which return to a package-level pool for
+// other machines to reuse). (The contention scratch is never the
+// machine's to free: it is leased per settlement from a package-level
+// free list.)
 // The machine stays valid — allocation restarts at address zero and the
 // arrays are re-grown on demand — but unlike Reset nothing is retained,
 // so Free is the right call when a machine becomes idle for a long time
@@ -400,6 +432,7 @@ func (m *Machine) Free() {
 	}
 	m.hotMerge = nil
 	m.bulkB = Bulk{}
+	m.host, m.hostMarks = nil, nil
 	m.DisableProfiling()
 	m.ResetStats()
 }

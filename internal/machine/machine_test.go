@@ -136,6 +136,48 @@ func TestMarkRelease(t *testing.T) {
 	}
 }
 
+// TestHostIntsLifetime checks the host arena's lifetime rule: a slice
+// carved at allocation break b survives Release(mark) for mark > b and
+// is freed by Release(mark <= b) and by Reset, so the next carve reuses
+// its ints, and a repeated run carves without allocating.
+func TestHostIntsLifetime(t *testing.T) {
+	m := New(QRQW, 64)
+	m.HostInts(64) // room for every carve below, so none regrows the arena
+	m.Release(0)
+	m.Alloc(4)
+	kept := m.HostInts(3) // carved at break 4
+	kept[0] = 7
+	m.Alloc(4)
+	inner := m.HostInts(5) // carved at break 8
+	m.Alloc(4)
+	m.Release(9)
+	if next := m.HostInts(5); &next[0] == &inner[0] {
+		t.Error("Release above the carve's break freed it")
+	}
+	m.Release(8)
+	if again := m.HostInts(5); &again[0] != &inner[0] {
+		t.Error("Release at the carve's break did not free it")
+	}
+	if kept[0] != 7 {
+		t.Error("Release freed a slice carved below its mark")
+	}
+	m.Release(4)
+	if again := m.HostInts(3); &again[0] != &kept[0] {
+		t.Error("Release(4) did not free the slice carved at break 4")
+	}
+	run := func() {
+		m.Reset()
+		m.Alloc(8)
+		m.HostInts(16)
+		m.Release(0)
+		m.HostInts(4)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("repeated run allocated %v times, want 0", allocs)
+	}
+}
+
 func TestReadsSeePreStepMemory(t *testing.T) {
 	// Processor i reads cell i and writes cell (i+1) mod n. All reads
 	// must observe the pre-step values even though writes target read

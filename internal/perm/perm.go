@@ -18,7 +18,6 @@ package perm
 
 import (
 	"fmt"
-	"slices"
 
 	"lowcontend/internal/machine"
 	"lowcontend/internal/prim"
@@ -35,6 +34,16 @@ const maxRestarts = 100
 
 // sortKeys is the number of keys SortingBased draws from: [1, 2^62-1).
 const sortKeys = 1<<62 - 2
+
+// The dart rounds' step labels.
+const (
+	permThrow       = "perm/throw"
+	permVerify      = "perm/verify"
+	permConfirm     = "perm/confirm"
+	scanDartThrow   = "scandart/throw"
+	scanDartVerify  = "scandart/verify"
+	scanDartConfirm = "scandart/confirm"
+)
 
 // Random generates a uniformly random permutation of [0, n) with the
 // QRQW dart-throwing algorithm of Theorem 5.1 and returns the base of an
@@ -53,8 +62,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 		panic("perm: Random with non-positive n")
 	}
 	out := m.Alloc(n)
-	sizes, total := dartSubarrays(n)
-	d := newDarts(m, n, "perm")
+	rounds, total := dartSubarrays(n)
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		mark := m.Mark()
 		a := m.Alloc(total)  // 0 free, item+1 placed, dirty on collision
@@ -64,9 +72,11 @@ func Random(m *machine.Machine, n int) (int, error) {
 		if err := prim.FillPar(m, status, n, -1); err != nil {
 			return 0, err
 		}
+		d := newDarts(m, n, [3]string{permThrow, permVerify, permConfirm})
 		d.start(a, status, choice)
 		off := 0
-		for _, subLen := range sizes {
+		for r := range rounds {
+			subLen := dartSubLen(n, r)
 			if err := d.round(off, subLen); err != nil {
 				return 0, err
 			}
@@ -85,11 +95,10 @@ func Random(m *machine.Machine, n int) (int, error) {
 		{
 			b := m.Bulk(total, "perm/flag")
 			av := b.ReadRange(a, total, 1, 0, 1)
-			fw := b.Vals(total)
+			fw := b.WriteInPlace(flags, total, 0, 1)
 			for j, v := range av {
 				fw[j] = machine.Word(b2i(v > 0))
 			}
-			b.WriteRange(flags, total, 1, 0, 1, fw)
 			if err := b.Commit(); err != nil {
 				return 0, err
 			}
@@ -108,7 +117,7 @@ func Random(m *machine.Machine, n int) (int, error) {
 				rIdx[k], ov[k] = ranks+j, v-1
 				k += b2i(v > 0)
 			}
-			b.Gather(rIdx[:k], 0)
+			b.DeclareGather(rIdx[:k], 0)
 			b.WriteRange(out, k, 1, 0, 1, ov[:k])
 			if err := b.Commit(); err != nil {
 				return 0, err
@@ -128,31 +137,31 @@ func Random(m *machine.Machine, n int) (int, error) {
 // of all n of them, as the element-wise algorithm pays it. Descriptor
 // processor p is the p-th unplaced item, so write arbitration (highest
 // processor wins) picks the same winner as a per-item loop, and
-// Bulk.Rand(item) replays each item's private stream.
+// Bulk.Rand(item) replays each item's private stream. Item i's dart is
+// the value i+1.
 type darts struct {
 	m                    *machine.Machine
 	n, a, status, choice int
-	labels               [3]string
-	items                []int          // unplaced items, ascending
-	act, tgt             []int          // the round's choice and target cells, by item
-	ids                  []machine.Word // the round's darts: item+1
+	labels               [3]string // throw, verify and confirm
+	items                []int     // unplaced items, ascending
+	act, tgt             []int     // the round's choice and target cells, by item
 	// hit holds each step's third list (lost darts, then winners), n+1
 	// cells for the spare slot of a selection loop; the callers reuse
 	// it after the rounds (one step commits before the next refills it).
 	hit []int
 }
 
-// newDarts returns the round runner for n items, with step labels
-// prefix/throw, prefix/verify and prefix/confirm.
-func newDarts(m *machine.Machine, n int, prefix string) *darts {
-	return &darts{
-		m: m, n: n,
-		labels: [3]string{prefix + "/throw", prefix + "/verify", prefix + "/confirm"},
-		items:  make([]int, 0, n),
-		act:    make([]int, 0, n),
-		tgt:    make([]int, 0, n),
-		ids:    make([]machine.Word, 0, n),
-		hit:    make([]int, n+1),
+// newDarts returns the round runner for n items with the given step
+// labels. Its lists come from the machine's host arena, carved at the
+// current allocation break: a Release to a mark taken before the call
+// frees them.
+func newDarts(m *machine.Machine, n int, labels [3]string) darts {
+	return darts{
+		m: m, n: n, labels: labels,
+		items: m.HostInts(n)[:0],
+		act:   m.HostInts(n)[:0],
+		tgt:   m.HostInts(n)[:0],
+		hit:   m.HostInts(n + 1),
 	}
 }
 
@@ -174,20 +183,19 @@ func (d *darts) start(a, status, choice int) {
 func (d *darts) round(sub, subLen int) error {
 	m, n, a := d.m, d.n, d.a
 	b := m.Bulk(n, d.labels[0])
-	b.ReadRange(d.status, n, 1, 0, 1)
-	d.act, d.tgt, d.ids = d.act[:0], d.tgt[:0], d.ids[:0]
+	b.DeclareRead(d.status, n, 1, 0, 1)
+	d.act, d.tgt = d.act[:0], d.tgt[:0]
 	for _, i := range d.items {
 		rs := b.Rand(i)
 		d.act = append(d.act, d.choice+i)
 		d.tgt = append(d.tgt, a+sub+rs.Intn(subLen))
-		d.ids = append(d.ids, machine.Word(i)+1)
 	}
 	if len(d.act) > 0 {
-		cv := b.Vals(len(d.act))
-		for p, at := range d.tgt {
-			cv[p] = machine.Word(at - a)
+		ids, cv := b.Vals(len(d.act)), b.Vals(len(d.act))
+		for p, i := range d.items {
+			ids[p], cv[p] = machine.Word(i)+1, machine.Word(d.tgt[p]-a)
 		}
-		b.Scatter(d.tgt, 0, d.ids)
+		b.Scatter(d.tgt, 0, ids)
 		b.Scatter(d.act, 0, cv)
 	}
 	if err := b.Commit(); err != nil {
@@ -197,14 +205,14 @@ func (d *darts) round(sub, subLen int) error {
 	// Verify and confirm read the choice cells back (their values are
 	// the targets thrown) and then the targets.
 	b = m.Bulk(n, d.labels[1])
-	b.ReadRange(d.status, n, 1, 0, 1)
+	b.DeclareRead(d.status, n, 1, 0, 1)
 	if len(d.act) > 0 {
-		b.Gather(d.act, 0)
+		b.DeclareGather(d.act, 0)
 		av := b.Gather(d.tgt, 0)
 		lost, k := d.hit, 0
 		for p, at := range d.tgt {
 			lost[k] = at
-			k += b2i(av[p] != d.ids[p])
+			k += b2i(av[p] != machine.Word(d.items[p])+1)
 		}
 		if k > 0 {
 			dv := b.Vals(k)
@@ -219,16 +227,16 @@ func (d *darts) round(sub, subLen int) error {
 	}
 
 	b = m.Bulk(n, d.labels[2])
-	b.ReadRange(d.status, n, 1, 0, 1)
+	b.DeclareRead(d.status, n, 1, 0, 1)
 	if len(d.act) > 0 {
-		b.Gather(d.act, 0)
+		b.DeclareGather(d.act, 0)
 		av := b.Gather(d.tgt, 0)
 		// Winners go to win and wv, the rest stay in items in place
 		// (kl <= p, so no item is overwritten before it is read).
 		win, wv := d.hit, b.Vals(len(d.act)+1)
 		kw, kl := 0, 0
 		for p, i := range d.items {
-			w := b2i(av[p] == d.ids[p])
+			w := b2i(av[p] == machine.Word(i)+1)
 			win[kw], wv[kw] = d.status+i, machine.Word(d.tgt[p]-a)
 			kw += w
 			d.items[kl] = i
@@ -253,21 +261,20 @@ func b2i(b bool) int {
 	return 0
 }
 
-// dartSubarrays returns the sizes of Random's per-round subarrays of A
-// (2n, n, n/2, ..., none below 64 cells) and their total.
-func dartSubarrays(n int) (sizes []int, total int) {
-	rounds := 2*prim.Max(1, prim.CeilLog2(prim.Max(2, prim.CeilLog2(n+1)))) + 4
-	sizes = make([]int, 0, rounds)
-	sz := 2 * n
-	for r := 0; r < rounds; r++ {
-		if sz < 64 {
-			sz = 64
-		}
-		sizes = append(sizes, sz)
-		total += sz
-		sz /= 2
+// dartSubarrays returns how many rounds Random throws and the total
+// size of their subarrays of A (dartSubLen).
+func dartSubarrays(n int) (rounds, total int) {
+	rounds = 2*prim.Max(1, prim.CeilLog2(prim.Max(2, prim.CeilLog2(n+1)))) + 4
+	for r := range rounds {
+		total += dartSubLen(n, r)
 	}
-	return sizes, total
+	return rounds, total
+}
+
+// dartSubLen is the size of Random's round-r subarray of A: 2n, n,
+// n/2, ..., none below 64 cells.
+func dartSubLen(n, r int) int {
+	return max(64, 2*n>>r)
 }
 
 // RandomWords is the most shared-memory words Random(m, n) has allocated
@@ -297,11 +304,11 @@ func checkPlaced(m *machine.Machine, n, status, flag int) error {
 		}
 	}
 	if u > 0 {
-		ones := b.Vals(u)
-		for k := range ones {
-			ones[k] = 1
+		idx, ones := m.HostInts(u), b.Vals(u)
+		for k := range idx {
+			idx[k], ones[k] = flag, 1
 		}
-		b.Scatter(slices.Repeat([]int{flag}, u), 0, ones)
+		b.Scatter(idx, 0, ones)
 	}
 	return b.Commit()
 }
@@ -329,10 +336,10 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 	if err := prim.FillPar(m, status, n, -1); err != nil {
 		return 0, err
 	}
-	d := newDarts(m, n, "scandart")
+	d := newDarts(m, n, [3]string{scanDartThrow, scanDartVerify, scanDartConfirm})
 	d.start(a, status, choice)
 	// clr holds the cells the transfer clears, with a spare slot.
-	clr := make([]int, aLen+1)
+	clr := m.HostInts(aLen + 1)
 	for round, placed := 0, 0; placed < n; round++ {
 		if round > maxRestarts {
 			return 0, fmt.Errorf("perm: ScanDart exceeded %d rounds", maxRestarts)
@@ -345,11 +352,10 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 		{
 			b := m.Bulk(aLen, "scandart/flag")
 			av := b.ReadRange(a, aLen, 1, 0, 1)
-			fw := b.Vals(aLen)
+			fw := b.WriteInPlace(flags, aLen, 0, 1)
 			for j, v := range av {
 				fw[j] = machine.Word(b2i(v > 0))
 			}
-			b.WriteRange(flags, aLen, 1, 0, 1, fw)
 			if err := b.Commit(); err != nil {
 				return 0, err
 			}
@@ -373,7 +379,7 @@ func ScanDart(m *machine.Machine, n int) (int, error) {
 				clr[c] = a + j
 				c += b2i(v != 0)
 			}
-			b.Gather(rIdx[:t], 0)
+			b.DeclareGather(rIdx[:t], 0)
 			b.WriteRange(out+k, t, 1, 0, 1, ov[:t])
 			if c > 0 {
 				zv := b.Vals(c)
@@ -408,15 +414,13 @@ func SortingBased(m *machine.Machine, n int) (int, error) {
 		keys := m.Alloc(n)
 		{
 			b := m.Bulk(n, "sortperm/draw")
-			kv := b.Vals(n)
-			iv := b.Vals(n)
+			kv := b.WriteInPlace(keys, n, 0, 1)
+			iv := b.WriteInPlace(out, n, 0, 1)
 			for i := 0; i < n; i++ {
 				rs := b.Rand(i)
 				kv[i] = machine.Word(rs.Uint64n(sortKeys)) + 1
 				iv[i] = machine.Word(i)
 			}
-			b.WriteRange(keys, n, 1, 0, 1, kv)
-			b.WriteRange(out, n, 1, 0, 1, iv)
 			if err := b.Commit(); err != nil {
 				return 0, err
 			}
@@ -435,20 +439,16 @@ func SortingBased(m *machine.Machine, n int) (int, error) {
 		}
 		{
 			b := m.Bulk(n, "sortperm/dupcheck")
-			fw := b.Vals(n)
-			fw[0] = 0
+			var kv, sv []machine.Word
 			if n > 1 {
-				kv := b.ReadRange(keys+1, n-1, 1, 1, 1)
-				sv := b.ReadRange(shadow, n-1, 1, 1, 1)
-				for i := 0; i < n-1; i++ {
-					if kv[i] == sv[i] {
-						fw[i+1] = 1
-					} else {
-						fw[i+1] = 0
-					}
-				}
+				kv = b.ReadRange(keys+1, n-1, 1, 1, 1)
+				sv = b.ReadRange(shadow, n-1, 1, 1, 1)
 			}
-			b.WriteRange(dupF, n, 1, 0, 1, fw)
+			fw := b.WriteInPlace(dupF, n, 0, 1)
+			fw[0] = 0
+			for i := range kv {
+				fw[i+1] = machine.Word(b2i(kv[i] == sv[i]))
+			}
 			if err := b.Commit(); err != nil {
 				return 0, err
 			}

@@ -377,10 +377,34 @@ func TestRandomWords(t *testing.T) {
 	}
 }
 
+// TestDartPermutationsAllocFree checks that a dart permutation repeated
+// at n = 1024 on a machine reused through Reset allocates nothing: its
+// host lists come from the machine's host arena and its payloads from
+// the step builder's, and both keep their capacity across Reset.
+func TestDartPermutationsAllocFree(t *testing.T) {
+	const n = 1024
+	for _, c := range []struct {
+		name string
+		f    func(*machine.Machine, int) (int, error)
+	}{{"Random", Random}, {"ScanDart", ScanDart}} {
+		m := machine.New(machine.QRQW, RandomWords(n), machine.WithSeed(1))
+		allocs := testing.AllocsPerRun(3, func() {
+			m.Reset()
+			if _, err := c.f(m, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per repeated run, want 0", c.name, allocs)
+		}
+		m.Free()
+	}
+}
+
 // BenchmarkDartPermutation measures the two dart-throwing permutations
 // of Table II at n = 1024, each on one QRQW machine reused through
 // Reset (so every iteration replays the same run), in host ns per
-// charged PRAM op.
+// charged PRAM op, with the allocations of a run.
 func BenchmarkDartPermutation(bb *testing.B) {
 	const n = 1024
 	for _, c := range []struct {
@@ -390,6 +414,7 @@ func BenchmarkDartPermutation(bb *testing.B) {
 		bb.Run(c.name, func(bb *testing.B) {
 			m := machine.New(machine.QRQW, RandomWords(n), machine.WithSeed(1))
 			defer m.Free()
+			bb.ReportAllocs()
 			var ops int64
 			for range bb.N {
 				bb.StopTimer()

@@ -8,9 +8,15 @@ func Copy(m *machine.Machine, src, dst, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	b := m.Bulk(n, "copy")
-	vs := b.ReadRange(src, n, 1, 0, 1)
-	b.WriteRange(dst, n, 1, 0, 1, vs)
+	return copyStep(m, "copy", src, dst, n)
+}
+
+// copyStep is one step in which processor i copies cell src+i to cell
+// dst+i, for i < n; the two ranges must not overlap.
+func copyStep(m *machine.Machine, label string, src, dst, n int) error {
+	b := m.Bulk(n, label)
+	in := b.ReadRange(src, n, 1, 0, 1)
+	copy(b.WriteInPlace(dst, n, 0, 1), in)
 	return b.Commit()
 }
 

@@ -10,9 +10,13 @@ import (
 // down-sweep over a scratch tree; the access pattern is exclusive, so it
 // is legal on every model. If the machine provides a unit-time scan
 // primitive, that is used instead (one step, the scan-simd-qrqw case of
-// Section 5.2). Every tree level is two or three range descriptors: the
-// children of level lvl occupy the contiguous block [2*lvl, 4*lvl), so a
-// single two-cells-per-processor descriptor covers a whole sweep round.
+// Section 5.2). The children of level lvl occupy the contiguous block
+// [2*lvl, 4*lvl), so a single two-cells-per-processor descriptor covers
+// a whole sweep round: an up-sweep level is a read of the children and
+// an in-place write of the parents, and a down-sweep level reads the
+// parents and the left children and writes both children in place.
+// Every step computes straight into the tree (Bulk.WriteInPlace), so
+// each value is moved once.
 //
 // src and dst may coincide. The scratch memory is released before
 // returning.
@@ -39,51 +43,56 @@ func PrefixSums(m *machine.Machine, src, dst, n int) (machine.Word, error) {
 	tree := m.Alloc(2 * np2) // tree[1] is the root; leaves at tree[np2..2*np2)
 
 	// Load leaves (zero padding comes from Alloc).
-	b := m.Bulk(n, "prefix/load")
-	b.WriteRange(tree+np2, n, 1, 0, 1, b.ReadRange(src, n, 1, 0, 1))
-	if err := b.Commit(); err != nil {
+	if err := copyStep(m, "prefix/load", src, tree+np2, n); err != nil {
 		return 0, err
 	}
-	// Up-sweep.
-	for w := np2 / 2; w >= 1; w /= 2 {
-		lvl := w
-		b := m.Bulk(lvl, "prefix/up")
-		ch := b.ReadRange(tree+2*lvl, 2*lvl, 1, 0, 2)
-		sums := b.Vals(lvl)
-		for i := 0; i < lvl; i++ {
-			sums[i] = ch[2*i] + ch[2*i+1]
-		}
-		b.WriteRange(tree+lvl, lvl, 1, 0, 1, sums)
-		if err := b.Commit(); err != nil {
-			return 0, err
-		}
+	if err := upSweep(m, "prefix/up", tree, np2); err != nil {
+		return 0, err
 	}
 	total := m.Word(tree + 1)
 	// Down-sweep: replace each node with the sum of leaves strictly to
-	// its left.
+	// its left. Processor i reads its left child (declared, as the
+	// values are taken from the children's cells) before it overwrites
+	// that child with its own prefix.
 	m.SetWord(tree+1, 0)
-	for w := 1; w < np2; w *= 2 {
-		lvl := w
+	for lvl := 1; lvl < np2; lvl *= 2 {
 		b := m.Bulk(lvl, "prefix/down")
 		pre := b.ReadRange(tree+lvl, lvl, 1, 0, 1)
-		left := b.ReadRange(tree+2*lvl, lvl, 2, 0, 1)
-		out := b.Vals(2 * lvl)
-		for i := 0; i < lvl; i++ {
-			out[2*i] = pre[i]
-			out[2*i+1] = pre[i] + left[i]
+		b.DeclareRead(tree+2*lvl, lvl, 2, 0, 1)
+		ch := b.WriteInPlace(tree+2*lvl, 2*lvl, 0, 2)
+		for i, p := range pre {
+			left := ch[2*i]
+			ch[2*i] = p
+			ch[2*i+1] = p + left
 		}
-		b.WriteRange(tree+2*lvl, 2*lvl, 1, 0, 2, out)
 		if err := b.Commit(); err != nil {
 			return 0, err
 		}
 	}
 	// Store the leaf prefixes.
-	b = m.Bulk(n, "prefix/store")
-	b.WriteRange(dst, n, 1, 0, 1, b.ReadRange(tree+np2, n, 1, 0, 1))
-	if err := b.Commit(); err != nil {
+	if err := copyStep(m, "prefix/store", tree+np2, dst, n); err != nil {
 		return 0, err
 	}
 	return total, nil
+}
+
+// upSweep sums the leaves of the tree at tree, with np2 leaves at
+// tree+np2, up to its root at tree+1: one step per level, in which
+// processor i reads the two children of node lvl+i and writes their sum
+// into the node.
+func upSweep(m *machine.Machine, label string, tree, np2 int) error {
+	for lvl := np2 / 2; lvl >= 1; lvl /= 2 {
+		b := m.Bulk(lvl, label)
+		ch := b.ReadRange(tree+2*lvl, 2*lvl, 1, 0, 2)
+		sums := b.WriteInPlace(tree+lvl, lvl, 0, 1)
+		for i := range sums {
+			sums[i] = ch[2*i] + ch[2*i+1]
+		}
+		if err := b.Commit(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Reduce computes the sum of the n cells starting at src, writes it to
@@ -98,27 +107,13 @@ func Reduce(m *machine.Machine, src, n, out int) (machine.Word, error) {
 	mark := m.Mark()
 	defer m.Release(mark)
 	tree := m.Alloc(2 * np2)
-	b := m.Bulk(n, "reduce/load")
-	b.WriteRange(tree+np2, n, 1, 0, 1, b.ReadRange(src, n, 1, 0, 1))
-	if err := b.Commit(); err != nil {
+	if err := copyStep(m, "reduce/load", src, tree+np2, n); err != nil {
 		return 0, err
 	}
-	for w := np2 / 2; w >= 1; w /= 2 {
-		lvl := w
-		b := m.Bulk(lvl, "reduce/up")
-		ch := b.ReadRange(tree+2*lvl, 2*lvl, 1, 0, 2)
-		sums := b.Vals(lvl)
-		for i := 0; i < lvl; i++ {
-			sums[i] = ch[2*i] + ch[2*i+1]
-		}
-		b.WriteRange(tree+lvl, lvl, 1, 0, 1, sums)
-		if err := b.Commit(); err != nil {
-			return 0, err
-		}
+	if err := upSweep(m, "reduce/up", tree, np2); err != nil {
+		return 0, err
 	}
-	b = m.Bulk(1, "reduce/out")
-	b.WriteRange(out, 1, 1, 0, 1, b.ReadRange(tree+1, 1, 1, 0, 1))
-	if err := b.Commit(); err != nil {
+	if err := copyStep(m, "reduce/out", tree+1, out, 1); err != nil {
 		return 0, err
 	}
 	return m.Word(out), nil

@@ -1,6 +1,7 @@
 package prim
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -361,5 +362,37 @@ func TestBitonicSortPaddedRejectsSentinelKeys(t *testing.T) {
 				t.Errorf("keys %v payload=%v: memory %v, want %v untouched", c.keys, payload, after, before)
 			}
 		}
+	}
+}
+
+// BenchmarkPrefixSums measures the prefix-sums tree at n = 2^12 and
+// 2^16 on one QRQW machine reused through Reset (so every iteration
+// replays the same run), in host ns per charged PRAM op, with the
+// allocations of a run.
+func BenchmarkPrefixSums(bb *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 16} {
+		bb.Run(fmt.Sprintf("n=%d", n), func(bb *testing.B) {
+			in := make([]machine.Word, n)
+			rng := xrand.NewStream(7)
+			for i := range in {
+				in[i] = machine.Word(rng.Intn(n))
+			}
+			m := machine.New(machine.QRQW, 2*n+2*NextPow2(n))
+			defer m.Free()
+			bb.ReportAllocs()
+			var ops int64
+			for range bb.N {
+				bb.StopTimer()
+				m.Reset()
+				src, dst := m.Alloc(n), m.Alloc(n)
+				m.Store(src, in)
+				bb.StartTimer()
+				if _, err := PrefixSums(m, src, dst, n); err != nil {
+					bb.Fatal(err)
+				}
+				ops += m.Stats().Ops
+			}
+			bb.ReportMetric(float64(bb.Elapsed().Nanoseconds())/float64(ops), "ns/op-charged")
+		})
 	}
 }
