@@ -414,7 +414,12 @@ func BenchmarkDartPermutation(bb *testing.B) {
 		bb.Run(c.name, func(bb *testing.B) {
 			m := machine.New(machine.QRQW, RandomWords(n), machine.WithSeed(1))
 			defer m.Free()
+			// Grow the host and step arenas before timing.
+			if _, err := c.f(m, n); err != nil {
+				bb.Fatal(err)
+			}
 			bb.ReportAllocs()
+			bb.ResetTimer()
 			var ops int64
 			for range bb.N {
 				bb.StopTimer()

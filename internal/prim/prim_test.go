@@ -379,10 +379,7 @@ func BenchmarkPrefixSums(bb *testing.B) {
 			}
 			m := machine.New(machine.QRQW, 2*n+2*NextPow2(n))
 			defer m.Free()
-			bb.ReportAllocs()
-			var ops int64
-			for range bb.N {
-				bb.StopTimer()
+			run := func() {
 				m.Reset()
 				src, dst := m.Alloc(n), m.Alloc(n)
 				m.Store(src, in)
@@ -390,6 +387,14 @@ func BenchmarkPrefixSums(bb *testing.B) {
 				if _, err := PrefixSums(m, src, dst, n); err != nil {
 					bb.Fatal(err)
 				}
+				bb.StopTimer()
+			}
+			run() // grow the step buffers before timing
+			bb.ReportAllocs()
+			bb.ResetTimer()
+			var ops int64
+			for range bb.N {
+				run()
 				ops += m.Stats().Ops
 			}
 			bb.ReportMetric(float64(bb.Elapsed().Nanoseconds())/float64(ops), "ns/op-charged")
